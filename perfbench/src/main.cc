@@ -35,7 +35,7 @@
 namespace sfsperf {
 namespace {
 
-constexpr int kBenchVersion = 1;
+constexpr int kBenchVersion = 2;
 constexpr int kMinReps = 3;
 constexpr std::size_t kSpanCapacity = 16384;  // per thread
 constexpr int kRuntimeExtraSetups = 8;
@@ -146,10 +146,12 @@ class Report {
 
 // Every per-layer metric, in report order.  A workload that does not run a
 // layer reports its metrics as 0 (GLOSSARY.md says which layers each
-// workload runs).
+// workload runs), except the parallel engine's, which only sim_io_parallel
+// reports: that workload is not in BENCHMARK.json (GLOSSARY.md says why).
 struct MetricDef {
   const char* name;
   const char* unit;
+  bool parallel_only = false;
 };
 constexpr MetricDef kLayerMetrics[] = {
     {"sched.pick.calls", "count"},
@@ -177,14 +179,14 @@ constexpr MetricDef kLayerMetrics[] = {
     {"sim.preemptions", "count"},
     {"sim.context_switches", "count"},
     {"sim.migrations", "count"},
-    {"par.epochs", "count"},
-    {"par.mailed_wakeups", "count"},
-    {"par.events_per_epoch", "count"},
-    {"par.epoch_ns_p50", "ns"},
-    {"par.epoch_ns_p99", "ns"},
-    {"par.worker_busy_frac_min", "frac"},
-    {"par.worker_busy_frac_max", "frac"},
-    {"par.barrier_tail_ns_mean", "ns"},
+    {"par.epochs", "count", true},
+    {"par.mailed_wakeups", "count", true},
+    {"par.events_per_epoch", "count", true},
+    {"par.epoch_ns_p50", "ns", true},
+    {"par.epoch_ns_p99", "ns", true},
+    {"par.worker_busy_frac_min", "frac", true},
+    {"par.worker_busy_frac_max", "frac", true},
+    {"par.barrier_tail_ns_mean", "ns", true},
     {"rt.dispatch_ns_p50", "ns"},
     {"rt.dispatch_ns_p99", "ns"},
     {"rt.lock_wait_ns_mean", "ns"},
@@ -219,9 +221,11 @@ class LayerValues {
     std::abort();
   }
 
-  void Emit(Report& report) const {
+  void Emit(Report& report, bool parallel) const {
     for (std::size_t i = 0; i < std::size(kLayerMetrics); ++i) {
-      report.Add(kLayerMetrics[i].name, values_[i], kLayerMetrics[i].unit);
+      if (parallel || !kLayerMetrics[i].parallel_only) {
+        report.Add(kLayerMetrics[i].name, values_[i], kLayerMetrics[i].unit);
+      }
     }
   }
 
@@ -230,7 +234,9 @@ class LayerValues {
 };
 
 // The process's resident high-water mark (VmHWM).  getrusage's ru_maxrss is
-// not used: Linux carries the pre-exec parent's peak into it.
+// not used: Linux carries the pre-exec parent's peak into it.  peak_rss_mb is
+// read after the first timed repetition, before the run's own sample vectors
+// grow with the number of repetitions.
 double PeakRssMb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) {
@@ -432,23 +438,29 @@ void RunSim(const Args& args, Checks& checks, Report& report) {
 
   if (!args.trace) {
     std::vector<double> events_per_s;
-    std::vector<double> work_per_s;
+    std::vector<double> cpu_ns_per_event;
+    std::vector<double> work_per_cpu_s;
+    double peak_rss_mb = 0.0;
     for (int rep = 0; rep < kMinReps || NowNs() < deadline; ++rep) {
       const SimRepResult r = timed_rep(untraced, "repetition repeats the check repetition");
+      if (rep == 0) {
+        peak_rss_mb = PeakRssMb();
+      }
       setups.push_back(r.setup_s);
       events_per_s.push_back(static_cast<double>(r.events) / r.run_s);
-      work_per_s.push_back(r.service_ms / r.run_s);
+      cpu_ns_per_event.push_back(r.run_cpu_s * 1e9 / static_cast<double>(r.events));
+      work_per_cpu_s.push_back(r.service_ms / r.run_cpu_s);
     }
-    std::printf("repetitions: %zu timed, %lld events each; events_per_s:", events_per_s.size(),
-                static_cast<long long>(check.events));
-    for (const double x : events_per_s) {
+    std::printf("repetitions: %zu timed, %lld events each; cpu_ns_per_event:",
+                cpu_ns_per_event.size(), static_cast<long long>(check.events));
+    for (const double x : cpu_ns_per_event) {
       std::printf(" %.0f", x);
     }
-    std::printf("\n");
+    std::printf("\nmedians (not metrics): cpu_ns_per_event %.1f, wall events_per_s %.0f\n",
+                Median(cpu_ns_per_event), Median(events_per_s));
     report.Add("setup_s", Median(setups), "s");
-    report.Add("events_per_s", Median(events_per_s), "1/s");
-    report.Add("work_units_per_s", Median(work_per_s), "1/s");
-    report.Add("peak_rss_mb", PeakRssMb(), "MB");
+    report.Add("work_units_per_cpu_s", Median(work_per_cpu_s), "1/s");
+    report.Add("peak_rss_mb", peak_rss_mb, "MB");
     report.Add("share_ratio_min", check.share_ratio_min, "ratio");
     return;
   }
@@ -471,10 +483,10 @@ void RunSim(const Args& args, Checks& checks, Report& report) {
   SimRepResult last;
   for (int rep = 0; rep < kMinReps || NowNs() < deadline; ++rep) {
     const SimRepResult u = timed_rep(untraced, "repetition repeats the check repetition");
-    untraced_eps.push_back(static_cast<double>(u.events) / u.run_s);
+    untraced_eps.push_back(static_cast<double>(u.events) / u.run_cpu_s);
     tracer.Reset(0);
     last = timed_rep(traced, "traced repetition repeats the check repetition");
-    traced_eps.push_back(static_cast<double>(last.events) / last.run_s);
+    traced_eps.push_back(static_cast<double>(last.events) / last.run_cpu_s);
     totals.AddThreads(static_cast<double>(last.run_end_ns - last.run_start_ns), threads);
     totals.events += last.events;
     const auto& stamps = tracer.epoch_stamps();
@@ -519,7 +531,7 @@ void RunSim(const Args& args, Checks& checks, Report& report) {
           Ratio(totals.tail_ns, static_cast<double>(totals.tail_samples)));
   }
   v.Set("trace.overhead_frac", 1.0 - Ratio(Median(traced_eps), Median(untraced_eps)));
-  v.Emit(report);
+  v.Emit(report, parallel);
 }
 
 // --- runtime workload -----------------------------------------------------------
@@ -528,6 +540,8 @@ struct RuntimeTotals {
   std::vector<double> setups;
   std::vector<double> events_per_s;
   std::vector<double> units_per_s;
+  std::vector<double> cpu_ns_per_event;
+  std::vector<double> units_per_cpu_s;
   std::vector<double> share_ratio;
   std::vector<double> resume_us;
   std::vector<double> preempt_us;
@@ -550,6 +564,11 @@ struct RuntimeTotals {
     setups.insert(setups.end(), r.setup_s.begin(), r.setup_s.end());
     events_per_s.push_back(static_cast<double>(r.dispatches + r.wakeups) / r.wall_s);
     units_per_s.push_back(static_cast<double>(r.work_units) / r.wall_s);
+    // The runtime's own CPU per scheduling event: everything the process
+    // burned during Run except the work functions.
+    cpu_ns_per_event.push_back((r.cpu_s * 1e9 - r.work_cpu_ns) /
+                               static_cast<double>(r.dispatches + r.wakeups));
+    units_per_cpu_s.push_back(static_cast<double>(r.work_units) / r.cpu_s);
     share_ratio.push_back(r.share_ratio_min);
     resume_us.insert(resume_us.end(), r.resume_us.begin(), r.resume_us.end());
     preempt_us.insert(preempt_us.end(), r.preempt_latency_us.begin(), r.preempt_latency_us.end());
@@ -581,8 +600,12 @@ void RunRuntime(const Args& args, Checks& checks, Report& report) {
   RuntimeTotals untraced;
 
   if (!args.trace) {
+    double peak_rss_mb = 0.0;
     for (int rep = 0; rep < 2 || NowNs() < deadline; ++rep) {
       const RuntimeRepResult r = RunRuntimeRep(args.seed, false, kRuntimeExtraSetups);
+      if (rep == 0) {
+        peak_rss_mb = PeakRssMb();
+      }
       CheckRuntimeRep(r, checks);
       untraced.Add(r);
     }
@@ -590,10 +613,14 @@ void RunRuntime(const Args& args, Checks& checks, Report& report) {
                 sfs::ToSeconds(inputs.rep_wall));
     checks.Expect(PrintLatency("resume_delay_us", untraced.resume_us),
                   "resume delay p99 has at least 10 samples beyond it");
+    std::printf(
+        "medians (not metrics): cpu_ns_per_event %.1f, wall events_per_s %.1f, "
+        "wall work_units_per_s %.1f\n",
+        Median(untraced.cpu_ns_per_event), Median(untraced.events_per_s),
+        Median(untraced.units_per_s));
     report.Add("setup_s", Median(untraced.setups), "s");
-    report.Add("events_per_s", Median(untraced.events_per_s), "1/s");
-    report.Add("work_units_per_s", Median(untraced.units_per_s), "1/s");
-    report.Add("peak_rss_mb", PeakRssMb(), "MB");
+    report.Add("work_units_per_cpu_s", Median(untraced.units_per_cpu_s), "1/s");
+    report.Add("peak_rss_mb", peak_rss_mb, "MB");
     report.Add("share_ratio_min", Median(untraced.share_ratio), "ratio");
     return;
   }
@@ -601,7 +628,6 @@ void RunRuntime(const Args& args, Checks& checks, Report& report) {
   Tracer& tracer = Tracer::Get();
   RuntimeTotals traced;
   LayerTotals layers;
-  std::vector<double> traced_units_per_s;
   for (int rep = 0; rep < 2 || NowNs() < deadline; ++rep) {
     const RuntimeRepResult u = RunRuntimeRep(args.seed, false, 0);
     CheckRuntimeRep(u, checks);
@@ -644,8 +670,8 @@ void RunRuntime(const Args& args, Checks& checks, Report& report) {
   v.Set("rt.resume_delay_p99_us", Percentile(untraced.resume_us, 99.0));
   v.Set("rt.resume_samples", static_cast<double>(untraced.resume_us.size()));
   v.Set("trace.overhead_frac",
-        1.0 - Ratio(Median(traced.units_per_s), Median(untraced.units_per_s)));
-  v.Emit(report);
+        1.0 - Ratio(Median(traced.units_per_cpu_s), Median(untraced.units_per_cpu_s)));
+  v.Emit(report, false);
 }
 
 }  // namespace

@@ -39,6 +39,7 @@ struct HogState {
   ThreadId tid = 0;
   std::int64_t units = 0;
   std::int64_t work_ns = 0;
+  std::int64_t work_cpu_ns = 0;
   std::uint64_t sink = 1;
 };
 
@@ -51,6 +52,7 @@ struct BlockerState {
   std::int64_t resumes = 0;
   std::int64_t units = 0;
   std::int64_t work_ns = 0;
+  std::int64_t work_cpu_ns = 0;
   std::uint64_t sink = 1;
   std::vector<double> resume_us;
 };
@@ -93,7 +95,9 @@ std::unique_ptr<Setup> BuildSetup(std::uint64_t seed, bool traced) {
         op.emplace(Op::kNext);
       }
       const std::int64_t start = NowNs();
+      const std::int64_t cpu_start = ThreadCpuNs();
       hog.sink = Spin(kHogUnitIters, hog.sink);
+      hog.work_cpu_ns += ThreadCpuNs() - cpu_start;
       hog.work_ns += NowNs() - start;
       ++hog.units;
       return Executor::WorkResult::Continue();
@@ -110,6 +114,7 @@ std::unique_ptr<Setup> BuildSetup(std::uint64_t seed, bool traced) {
         op.emplace(Op::kNext);
       }
       const std::int64_t start = NowNs();
+      const std::int64_t cpu_start = ThreadCpuNs();
       if (b.pending_wake_ns >= 0) {
         b.resume_us.push_back(static_cast<double>(start - b.pending_wake_ns) / 1000.0);
         ++b.resumes;
@@ -118,6 +123,7 @@ std::unique_ptr<Setup> BuildSetup(std::uint64_t seed, bool traced) {
       ++b.units;
       ++b.blocks;
       const Tick d = (*b.durations)[b.next++ % b.durations->size()];
+      b.work_cpu_ns += ThreadCpuNs() - cpu_start;
       const std::int64_t end = NowNs();
       b.work_ns += end - start;
       b.pending_wake_ns = end + d * 1000;
@@ -159,7 +165,9 @@ RuntimeRepResult RunRuntimeRep(std::uint64_t seed, bool traced, int extra_setups
   std::unique_ptr<Setup> s = BuildSetup(seed, traced);
   r.setup_s.push_back(static_cast<double>(NowNs() - setup_start) * 1e-9);
 
+  const std::int64_t cpu_start = ProcessCpuNs();
   const Tick wall = s->executor->Run(s->inputs.rep_wall);
+  r.cpu_s = static_cast<double>(ProcessCpuNs() - cpu_start) * 1e-9;
   r.wall_s = sfs::ToSeconds(wall);
 
   const Executor& ex = *s->executor;
@@ -185,6 +193,7 @@ RuntimeRepResult RunRuntimeRep(std::uint64_t seed, bool traced, int extra_setups
     r.every_task_ran = r.every_task_ran && cpu > 0 && hog.units > 0;
     r.work_units += hog.units;
     r.work_ns += static_cast<double>(hog.work_ns);
+    r.work_cpu_ns += static_cast<double>(hog.work_cpu_ns);
   }
   r.every_block_resumed = true;
   for (const BlockerState& b : s->blockers) {
@@ -196,6 +205,7 @@ RuntimeRepResult RunRuntimeRep(std::uint64_t seed, bool traced, int extra_setups
                             (b.blocks - b.resumes == 0 || b.blocks - b.resumes == 1);
     r.work_units += b.units;
     r.work_ns += static_cast<double>(b.work_ns);
+    r.work_cpu_ns += static_cast<double>(b.work_cpu_ns);
     r.resume_us.insert(r.resume_us.end(), b.resume_us.begin(), b.resume_us.end());
   }
   r.cpu_within_capacity = cpu_sum <= static_cast<Tick>(s->inputs.cpus) * wall;

@@ -16,8 +16,10 @@ namespace sfsperf {
 struct RuntimeRepResult {
   std::vector<double> setup_s;  // one sample per set-up performed
   double wall_s = 0.0;          // Executor::Run's wall time
+  double cpu_s = 0.0;           // CPU time of every thread during Executor::Run
   std::int64_t work_units = 0;
-  double work_ns = 0.0;  // time inside the work functions, all tasks
+  double work_ns = 0.0;      // wall time inside the work functions, all tasks
+  double work_cpu_ns = 0.0;  // CPU time inside the work functions, all tasks
   std::int64_t dispatches = 0;
   std::int64_t wakeups = 0;
   std::int64_t preemptions = 0;

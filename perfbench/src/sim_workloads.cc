@@ -214,7 +214,9 @@ void RunAndCollect(const SimInputs& inputs, bool traced, EngineT& engine, SimRep
   if (traced) {
     tracer.BeginEpochs(r.run_start_ns);
   }
+  const std::int64_t cpu_start = ProcessCpuNs();
   engine.RunUntil(inputs.horizon);
+  r.run_cpu_s = static_cast<double>(ProcessCpuNs() - cpu_start) * 1e-9;
   r.run_end_ns = NowNs();
   r.run_s = static_cast<double>(r.run_end_ns - r.run_start_ns) * 1e-9;
   if (root != 0) {

@@ -27,7 +27,8 @@ struct SimRepOptions {
 
 struct SimRepResult {
   double setup_s = 0.0;
-  double run_s = 0.0;  // RunUntil wall time
+  double run_s = 0.0;      // RunUntil wall time
+  double run_cpu_s = 0.0;  // CPU time of every thread during RunUntil
   std::int64_t run_start_ns = 0;
   std::int64_t run_end_ns = 0;
 

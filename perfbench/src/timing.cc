@@ -1,3 +1,5 @@
+#include <time.h>
+
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -19,6 +21,18 @@ std::int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+namespace {
+std::int64_t ClockNs(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+}  // namespace
+
+std::int64_t ProcessCpuNs() { return ClockNs(CLOCK_PROCESS_CPUTIME_ID); }
+
+std::int64_t ThreadCpuNs() { return ClockNs(CLOCK_THREAD_CPUTIME_ID); }
 
 const char* OpName(Op op) {
   switch (op) {

@@ -26,6 +26,12 @@ namespace sfsperf {
 // Steady-clock nanoseconds.
 std::int64_t NowNs();
 
+// CPU time consumed so far by the whole process (every thread) and by the
+// calling thread, in nanoseconds.  On a virtual machine these leave out the
+// time the host takes the virtual CPU away (steal), which wall time counts.
+std::int64_t ProcessCpuNs();
+std::int64_t ThreadCpuNs();
+
 enum class Op : std::uint8_t {
   // sched, as the driver sees it (flat policy, or the sharded host).
   kPick,
