@@ -636,7 +636,10 @@ void Executor::TimerLoop() {
           // indefinitely instead of polling.
           timer_cv_.Wait(timer_mu_);
         } else {
-          timer_cv_.WaitUntil(timer_mu_, std::min(wake_queue_.top().at, wall_end_));
+          // By value: the wait releases timer_mu_, and a Block pushing onto
+          // wake_queue_ meanwhile may reallocate the storage top() refers to.
+          const Clock::time_point deadline = std::min(wake_queue_.top().at, wall_end_);
+          timer_cv_.WaitUntil(timer_mu_, deadline);
         }
       }
       const Clock::time_point now = Clock::now();

@@ -1,4 +1,29 @@
 #include "src/sched/gps_base.h"
 
-// GpsSchedulerBase is header-only; this translation unit anchors the vtable-less
-// helpers under the project warning set.
+namespace sfs::sched {
+
+Entity* GpsSchedulerBase::PickMigrationCandidate(double max_weight, double* score) {
+  Entity* best = nullptr;
+  double best_score = 0.0;
+  // Hoisted: LocalVirtualTime() can itself be a queue walk (WFQ/BVT), so
+  // evaluating it per entity would make the scan quadratic.
+  const double v = LocalVirtualTime();
+  for (Entity* e = weight_queue_.front(); e != nullptr; e = weight_queue_.next(e)) {
+    if (e->running || (max_weight > 0.0 && e->weight() >= max_weight)) {
+      continue;
+    }
+    const double entity_score = e->phi() * (EntityTag(*e) - v);
+    // Total order on (score, -tid): the choice does not depend on queue order.
+    if (best == nullptr || entity_score > best_score ||
+        (entity_score == best_score && e->tid < best->tid)) {
+      best = e;
+      best_score = entity_score;
+    }
+  }
+  if (best != nullptr && score != nullptr) {
+    *score = best_score;
+  }
+  return best;
+}
+
+}  // namespace sfs::sched

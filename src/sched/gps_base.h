@@ -20,6 +20,8 @@ namespace sfs::sched {
 
 class GpsSchedulerBase : public Scheduler {
  public:
+  ~GpsSchedulerBase() override { weight_queue_.Clear(); }
+
   // True iff the current runnable weight assignment satisfies Equation 1.
   bool WeightsFeasible() const {
     return IsFeasible(weight_queue_, runnable_weight_sum_, num_cpus());
@@ -28,13 +30,23 @@ class GpsSchedulerBase : public Scheduler {
   // Number of readjustment passes that modified at least one phi.
   std::int64_t readjust_changes() const { return readjust_changes_; }
 
+  // Best thread to migrate away (sched::Sharded's steal and rebalance
+  // victim): the runnable, not-running entity with the highest
+  // MigrationScore (ties broken toward the lowest tid, so the choice is
+  // deterministic).  `max_weight` > 0 restricts candidates to weights
+  // strictly below it (the rebalancer's "move only if the imbalance shrinks"
+  // constraint).  Returns nullptr if no entity qualifies; otherwise `score`
+  // (when non-null) receives the winner's MigrationScore — the virtual time
+  // is evaluated once for the whole scan, not per entity.  Scans the weight
+  // queue, which holds exactly the runnable set, so blocked threads cost
+  // nothing.
+  Entity* PickMigrationCandidate(double max_weight = 0.0, double* score = nullptr);
+
  protected:
   explicit GpsSchedulerBase(const SchedConfig& config)
       : Scheduler(config), arith_(config.fixed_point_digits) {
     weight_queue_.SetBackend(config.queue_backend);
   }
-
-  ~GpsSchedulerBase() override { weight_queue_.Clear(); }
 
   // Adds a (newly runnable) entity to the weight queue and readjusts.
   // Returns true iff any instantaneous weight changed.

@@ -193,34 +193,6 @@ void Scheduler::AttachEntity(std::unique_ptr<Entity> entity) {
   // A blocked entity needs no policy action until Wakeup.
 }
 
-Entity* Scheduler::PickMigrationCandidate(double max_weight, double* score) {
-  Entity* best = nullptr;
-  double best_score = 0.0;
-  // Hoisted: LocalVirtualTime() can itself be a queue walk (WFQ/BVT), so
-  // evaluating it per entity would make the scan quadratic.
-  const double v = LocalVirtualTime();
-  for (Entity* entity : live_) {
-    Entity& e = *entity;
-    if (!e.runnable || e.running) {
-      continue;
-    }
-    if (max_weight > 0.0 && e.weight() >= max_weight) {
-      continue;
-    }
-    const double entity_score = e.phi() * (EntityTag(e) - v);
-    // Deterministic despite the unordered live list: total order on (score, -tid).
-    if (best == nullptr || entity_score > best_score ||
-        (entity_score == best_score && e.tid < best->tid)) {
-      best = &e;
-      best_score = entity_score;
-    }
-  }
-  if (best != nullptr && score != nullptr) {
-    *score = best_score;
-  }
-  return best;
-}
-
 bool Scheduler::Contains(ThreadId tid) const {
   return tid >= 0 && static_cast<std::size_t>(tid) < by_tid_.size() &&
          by_tid_[static_cast<std::size_t>(tid)] != nullptr;

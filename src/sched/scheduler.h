@@ -212,19 +212,11 @@ class Scheduler {
 
   // Phi-weighted lead of `e` over the local virtual time — the SFS surplus
   // alpha_i = phi_i * (S_i - v) generalized to any tagged policy.  The sharded
-  // layer steals the thread with the greatest score.
+  // layer steals the thread with the greatest score
+  // (GpsSchedulerBase::PickMigrationCandidate).
   double MigrationScore(const Entity& e) const {
     return e.phi() * (EntityTag(e) - LocalVirtualTime());
   }
-
-  // Best thread to migrate away: the runnable, not-running entity with the
-  // highest MigrationScore (ties broken toward the lowest tid, so the choice
-  // is deterministic).  `max_weight` > 0 restricts candidates to weights
-  // strictly below it (the rebalancer's "move only if the imbalance shrinks"
-  // constraint).  Returns nullptr if no entity qualifies; otherwise `score`
-  // (when non-null) receives the winner's MigrationScore — the virtual time
-  // is evaluated once for the whole scan, not per entity.
-  Entity* PickMigrationCandidate(double max_weight = 0.0, double* score = nullptr);
 
   // --- Introspection ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "src/sched/sharded.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/assert.h"
@@ -37,6 +38,7 @@ ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_
     }
     shards_.push_back(std::move(shard));
   }
+  stealable_ = std::vector<std::atomic<std::uint64_t>>((shards_.size() + 63) / 64);
   name_ = "sharded-" + std::string(shards_.front()->scheduler->name());
 }
 
@@ -52,8 +54,9 @@ CpuId ShardedScheduler::SuggestPreemption(ThreadId woken, const std::vector<Tick
     return kInvalidCpu;
   }
   const CpuId home = e.partition;
-  const std::vector<Tick> local_elapsed = {elapsed[static_cast<std::size_t>(home)]};
-  const CpuId inner = ShardAt(home).scheduler->SuggestPreemption(woken, local_elapsed);
+  Shard& shard = ShardAt(home);
+  shard.elapsed_scratch[0] = elapsed[static_cast<std::size_t>(home)];
+  const CpuId inner = shard.scheduler->SuggestPreemption(woken, shard.elapsed_scratch);
   return inner == 0 ? home : kInvalidCpu;
 }
 
@@ -68,9 +71,11 @@ std::vector<double> ShardedScheduler::ShardRunnableWeights() const {
   return weights;
 }
 
-const Scheduler& ShardedScheduler::shard(CpuId cpu) const { return *ShardAt(cpu).scheduler; }
+const GpsSchedulerBase& ShardedScheduler::shard(CpuId cpu) const {
+  return *ShardAt(cpu).scheduler;
+}
 
-Scheduler& ShardedScheduler::shard(CpuId cpu) { return *ShardAt(cpu).scheduler; }
+GpsSchedulerBase& ShardedScheduler::shard(CpuId cpu) { return *ShardAt(cpu).scheduler; }
 
 common::Mutex& ShardedScheduler::DispatchMutex(CpuId cpu) { return ShardAt(cpu).mu; }
 
@@ -112,6 +117,7 @@ void ShardedScheduler::OnAdmit(Entity& e) {
   Shard& shard = ShardAt(target);
   AddRunnableWeight(shard, e.weight());
   shard.scheduler->AddThread(e.tid, e.weight());
+  SyncStealable(target);
 }
 
 void ShardedScheduler::OnRemove(Entity& e) {
@@ -120,12 +126,14 @@ void ShardedScheduler::OnRemove(Entity& e) {
     AddRunnableWeight(shard, -e.weight());
   }
   shard.scheduler->RemoveThread(e.tid);
+  SyncStealable(e.partition);
 }
 
 void ShardedScheduler::OnBlocked(Entity& e) {
   Shard& shard = ShardAt(e.partition);
   AddRunnableWeight(shard, -e.weight());
   shard.scheduler->Block(e.tid);
+  SyncStealable(e.partition);
 }
 
 void ShardedScheduler::OnWoken(Entity& e) {
@@ -134,6 +142,7 @@ void ShardedScheduler::OnWoken(Entity& e) {
   Shard& shard = ShardAt(e.partition);
   AddRunnableWeight(shard, e.weight());
   shard.scheduler->Wakeup(e.tid);
+  SyncStealable(e.partition);
 }
 
 void ShardedScheduler::OnWeightChanged(Entity& e, Weight old_weight) {
@@ -203,83 +212,104 @@ void ShardedScheduler::MaybeRebalance(CpuId dispatching_cpu) {
                                    std::memory_order_relaxed);
 }
 
-ThreadId ShardedScheduler::TrySteal(CpuId thief) {
+ShardedScheduler::StealVictim ShardedScheduler::FindStealVictim(CpuId thief) {
   // Victim: across all other shards, the stealable (runnable, not running)
   // thread with the greatest phi-weighted lead over its shard's virtual time.
   // Each shard nominates its own best candidate; the thief prefers a
   // cache-warm nominee (last ran here) within affinity_tolerance of the best.
   // Each source shard is evaluated under its own dispatch mutex (nominations
   // are recorded by tid, not entity pointer, since a peer may act on the
-  // shard once its lock is released); the winner is re-locked and re-validated
-  // before the migration.
-  ThreadId victim = kInvalidThread;
-  CpuId victim_shard = kInvalidCpu;
-  double victim_score = 0.0;
-  ThreadId affine = kInvalidThread;
-  CpuId affine_shard = kInvalidCpu;
+  // shard once its lock is released).  Only shards whose stealable bit is set
+  // are visited: any other shard has no candidate on a busy processor.
+  StealVictim best;
+  double best_score = 0.0;
+  StealVictim affine;
   double affine_score = 0.0;
-  for (CpuId source = 0; source < num_cpus(); ++source) {
-    if (source == thief) {
-      continue;
-    }
-    common::UniqueMutexLock source_lock = LockVictimShard(thief, source);
-    if (!source_lock.owns_lock()) {
-      continue;  // contended source: its own dispatcher is serving it anyway
-    }
-    // Only steal from shards whose processor is busy: a queued thread on an
-    // idle source processor will be served locally (cache-warm) as soon as
-    // that processor dispatches — the engine tries every idle CPU on a
-    // wakeup — so pulling it across shards would be a gratuitous migration.
-    if (RunningOn(source) == kInvalidThread) {
-      continue;
-    }
-    Scheduler& shard = *ShardAt(source).scheduler;
-    double score = 0.0;
-    Entity* candidate = shard.PickMigrationCandidate(/*max_weight=*/0.0, &score);
-    if (candidate == nullptr) {
-      continue;
-    }
-    if (victim == kInvalidThread || score > victim_score ||
-        (score == victim_score && candidate->tid < victim)) {
-      victim = candidate->tid;
-      victim_shard = source;
-      victim_score = score;
-    }
-    // Cache warmth lives on the outer entity (inner shards only ever see
-    // their single local processor 0).
-    if (FindEntity(candidate->tid).last_cpu == thief &&
-        (affine == kInvalidThread || score > affine_score ||
-         (score == affine_score && candidate->tid < affine))) {
-      affine = candidate->tid;
-      affine_shard = source;
-      affine_score = score;
+  for (std::size_t word = 0; word < stealable_.size(); ++word) {
+    for (std::uint64_t bits = stealable_[word].load(std::memory_order_relaxed); bits != 0;
+         bits &= bits - 1) {
+      const auto source = static_cast<CpuId>(word * 64 + std::countr_zero(bits));
+      if (source == thief) {
+        continue;
+      }
+      common::UniqueMutexLock source_lock = LockVictimShard(thief, source);
+      if (!source_lock.owns_lock()) {
+        continue;  // contended source: its own dispatcher is serving it anyway
+      }
+      // Only steal from shards whose processor is busy: a queued thread on an
+      // idle source processor will be served locally (cache-warm) as soon as
+      // that processor dispatches — the engine tries every idle CPU on a
+      // wakeup — so pulling it across shards would be a gratuitous migration.
+      if (RunningOn(source) == kInvalidThread) {
+        continue;
+      }
+      double score = 0.0;
+      const Entity* candidate =
+          ShardAt(source).scheduler->PickMigrationCandidate(/*max_weight=*/0.0, &score);
+      if (candidate == nullptr) {
+        continue;
+      }
+      if (best.tid == kInvalidThread || score > best_score ||
+          (score == best_score && candidate->tid < best.tid)) {
+        best = {candidate->tid, source};
+        best_score = score;
+      }
+      // Cache warmth lives on the outer entity (inner shards only ever see
+      // their single local processor 0).
+      if (FindEntity(candidate->tid).last_cpu == thief &&
+          (affine.tid == kInvalidThread || score > affine_score ||
+           (score == affine_score && candidate->tid < affine.tid))) {
+        affine = {candidate->tid, source};
+        affine_score = score;
+      }
     }
   }
-  if (victim == kInvalidThread) {
+  if (affine.tid != kInvalidThread && affine.tid != best.tid &&
+      affine_score + static_cast<double>(config().affinity_tolerance) >= best_score) {
+    return affine;
+  }
+  return best;
+}
+
+ThreadId ShardedScheduler::TrySteal(CpuId thief) {
+  const StealVictim victim = FindStealVictim(thief);
+  if (victim.tid == kInvalidThread) {
     return kInvalidThread;
   }
-  if (affine != kInvalidThread && affine != victim &&
-      affine_score + static_cast<double>(config().affinity_tolerance) >= victim_score) {
-    victim = affine;
-    victim_shard = affine_shard;
-  }
-  common::UniqueMutexLock victim_lock = LockVictimShard(thief, victim_shard);
+  common::UniqueMutexLock victim_lock = LockVictimShard(thief, victim.shard);
   if (!victim_lock.owns_lock()) {
     return kInvalidThread;  // contended since nomination: give up this round
   }
   // Re-validate: the victim shard's dispatcher may have dispatched, blocked or
   // migrated the nominee between the scan and this reacquisition.  (Always
-  // true single-threaded, where the nomination lock was never released.)
-  // Checked against the *inner* shard's state only: if the nominee migrated
-  // away, the outer entity's fields are now guarded by locks we do not hold,
-  // but inner membership — and, while a member, runnable/running — is guarded
-  // by the victim lock held here.
-  Scheduler& source = *ShardAt(victim_shard).scheduler;
-  if (!source.Contains(victim) || !source.IsRunnable(victim) || source.IsRunning(victim)) {
+  // true single-threaded, where nothing ran in between.)  Checked against the
+  // *inner* shard's state only: if the nominee migrated away, the outer
+  // entity's fields are now guarded by locks we do not hold, but inner
+  // membership — and, while a member, runnable/running — is guarded by the
+  // victim lock held here.
+  const Scheduler& source = *ShardAt(victim.shard).scheduler;
+  if (!source.Contains(victim.tid) || !source.IsRunnable(victim.tid) ||
+      source.IsRunning(victim.tid)) {
     return kInvalidThread;
   }
-  Migrate(victim, victim_shard, thief, /*steal=*/true);
+  Migrate(victim.tid, victim.shard, thief, /*steal=*/true);
   return ShardAt(thief).scheduler->PickNext(0);
+}
+
+void ShardedScheduler::SyncStealable(CpuId cpu) {
+  const auto index = static_cast<std::size_t>(cpu);
+  std::atomic<std::uint64_t>& word = stealable_[index / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+  const bool stealable = ShardAt(cpu).scheduler->runnable_count() >= 2;
+  // Only this shard's mutex holder writes this bit, so the plain read decides
+  // whether the RMW is needed at all.
+  if (((word.load(std::memory_order_relaxed) & bit) != 0) != stealable) {
+    if (stealable) {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    } else {
+      word.fetch_and(~bit, std::memory_order_relaxed);
+    }
+  }
 }
 
 void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
@@ -299,6 +329,8 @@ void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
   Entity& outer = FindEntity(tid);
   AddRunnableWeight(ShardAt(from), -outer.weight());
   AddRunnableWeight(ShardAt(to), outer.weight());
+  SyncStealable(from);
+  SyncStealable(to);
   outer.partition = to;
   (steal ? steals_ : rebalance_migrations_).fetch_add(1, std::memory_order_relaxed);
   // Both migration kinds execute on `to`'s dispatch path (the thief, or the

@@ -31,6 +31,23 @@
 // The paper's strawman (PartitionedSfq) is the same machinery with stealing
 // off and coupling 0 — strawman and production design differ only in knobs.
 //
+// Steal cost: a stealable-shard bitmap keeps failed idle picks cheap.  Bit
+// `cpu` is set iff shard `cpu` holds at least two runnable threads; it is
+// resynchronized by every path that changes a shard's runnable count (admit,
+// remove, block, wakeup, and both ends of a migration).  The thief visits
+// only set bits, in ascending CPU order, and never locks a shard whose bit is
+// clear.  Single-threaded this is exact, not a heuristic: a victim must be
+// runnable and not running on a *busy* source, and a busy shard with one
+// runnable thread is running it.  Each visited shard nominates from its
+// weight queue (GpsSchedulerBase::PickMigrationCandidate), which holds only
+// runnable threads, so a failed steal costs O(words + stealable shards x
+// their runnable threads) instead of locking every peer and walking every
+// thread, blocked ones included.  Under concurrency the bitmap is read
+// lock-free and a bit may be stale: a stale clear bit skips the shard exactly
+// as a contended try_lock does (the dispatcher retries at its next
+// decision), and a stale set bit costs one lock and a scan that finds
+// nothing.
+//
 // Concurrency: this layer implements the per-shard half of the Scheduler
 // thread-safety contract.  DispatchMutex(cpu) is the shard's own mutex, so
 // dispatch on different CPUs proceeds in parallel; only the cross-shard paths
@@ -54,7 +71,7 @@
 #include <vector>
 
 #include "src/common/mutex.h"
-#include "src/sched/scheduler.h"
+#include "src/sched/gps_base.h"
 
 namespace sfs::sched {
 
@@ -69,8 +86,9 @@ void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double couplin
 class ShardedScheduler : public Scheduler {
  public:
   // Builds one uniprocessor shard per CPU from `config` (with num_cpus
-  // rewritten to 1) using `make_shard`.
-  using ShardFactory = std::function<std::unique_ptr<Scheduler>(const SchedConfig&)>;
+  // rewritten to 1) using `make_shard`.  Shards are GPS policies: the steal
+  // and rebalance paths nominate victims from their weight queues.
+  using ShardFactory = std::function<std::unique_ptr<GpsSchedulerBase>(const SchedConfig&)>;
   ShardedScheduler(const SchedConfig& config, ShardFactory make_shard);
   ~ShardedScheduler() override;
 
@@ -101,6 +119,14 @@ class ShardedScheduler : public Scheduler {
   // Runnable weight per shard (placement/rebalance balance target).
   std::vector<double> ShardRunnableWeights() const;
 
+  // The stealable-shard bit of `cpu`: set iff the shard held at least two
+  // runnable threads when its count last changed (exact single-threaded;
+  // see the header comment for the concurrent reading).
+  bool Stealable(CpuId cpu) const {
+    const auto bit = static_cast<std::size_t>(cpu);
+    return ((stealable_[bit / 64].load(std::memory_order_relaxed) >> (bit % 64)) & 1) != 0;
+  }
+
   // Shard-local virtual time as of the last epoch boundary (the parallel
   // engine's conservative synchronization points).  Workers read peer shards'
   // timelines lock-free through this snapshot — reading a peer's
@@ -117,8 +143,8 @@ class ShardedScheduler : public Scheduler {
   void OnEpochBoundary(Tick now) override;
 
   // The uniprocessor policy instance hosting shard `cpu`.
-  const Scheduler& shard(CpuId cpu) const;
-  Scheduler& shard(CpuId cpu);
+  const GpsSchedulerBase& shard(CpuId cpu) const;
+  GpsSchedulerBase& shard(CpuId cpu);
 
  protected:
   void OnAdmit(Entity& e) override;
@@ -132,9 +158,21 @@ class ShardedScheduler : public Scheduler {
   // Per-shard dispatch lock: dispatch on different CPUs does not serialize.
   common::Mutex& DispatchMutex(CpuId cpu) override;
 
+  // The idle-pull victim `thief` would take: across the other shards, the
+  // best nominee by MigrationScore, or a cache-warm one within
+  // affinity_tolerance of it.  Each source is locked only while it
+  // nominates, so the result must be re-validated before acting on it
+  // (TrySteal does).  {kInvalidThread, kInvalidCpu} when nothing is
+  // stealable.
+  struct StealVictim {
+    ThreadId tid = kInvalidThread;
+    CpuId shard = kInvalidCpu;
+  };
+  StealVictim FindStealVictim(CpuId thief);
+
  private:
   struct Shard {
-    std::unique_ptr<Scheduler> scheduler;
+    std::unique_ptr<GpsSchedulerBase> scheduler;
     // Relaxed atomic: mutated only under this shard's mutex or the lifecycle
     // lock, but read lock-free by peer shards scanning for the lightest or
     // heaviest shard (an approximate balance heuristic under concurrency,
@@ -148,6 +186,9 @@ class ShardedScheduler : public Scheduler {
     // kLockClassDispatch, rank == CPU id, so a blocking out-of-order
     // acquisition aborts in debug builds.
     common::Mutex mu;
+    // SuggestPreemption's one-CPU elapsed vector for the inner policy,
+    // reused across calls; guarded by `mu`, which every caller holds.
+    std::vector<Tick> elapsed_scratch = std::vector<Tick>(1);
   };
 
   Shard& ShardAt(CpuId cpu) { return *shards_[static_cast<std::size_t>(cpu)]; }
@@ -178,15 +219,22 @@ class ShardedScheduler : public Scheduler {
   // act from this processor retries at the next decision.
   void MaybeRebalance(CpuId dispatching_cpu);
 
-  // Steals the best victim across all other shards into `thief` and dispatches
-  // it; kInvalidThread when nothing is stealable.
+  // Steals FindStealVictim's choice into `thief` and dispatches it;
+  // kInvalidThread when nothing is stealable.
   ThreadId TrySteal(CpuId thief);
+
+  // Recomputes shard `cpu`'s stealable bit from its runnable count.  Called
+  // under that shard's mutex (or single-threaded) after every change to the
+  // count; an atomic RMW because peers' bits share the word.
+  void SyncStealable(CpuId cpu);
 
   // Moves a runnable, not-running thread between shards with tag translation.
   void Migrate(ThreadId tid, CpuId from, CpuId to, bool steal);
 
   std::string name_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Stealable-shard bitmap, one bit per CPU (see the header comment).
+  std::vector<std::atomic<std::uint64_t>> stealable_;
   std::atomic<int> decisions_since_rebalance_{0};
   std::atomic<std::int64_t> steals_{0};
   std::atomic<std::int64_t> rebalance_migrations_{0};

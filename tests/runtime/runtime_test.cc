@@ -176,5 +176,36 @@ TEST(RuntimeTest, MailboxWakeStress) {
   }
 }
 
+// Timer-wait stress: many blockers re-Block with short, staggered deadlines
+// while the timer thread waits for the earliest one.  A later deadline does
+// not nudge the timer, so the pushes grow — and reallocate — the wake queue
+// in the middle of that wait; the timer must be waiting on a copy of the
+// deadline, not on a reference into the queue (the sanitizer build catches
+// the latter as a use-after-free).
+TEST(RuntimeTest, TimerWaitSurvivesWakeQueueGrowth) {
+  sched::Sharded<sched::Sfs> scheduler(Config(2));
+  Executor::Config config;
+  config.quantum = Msec(1);
+  Executor executor(scheduler, config);
+  constexpr sched::ThreadId kBlockers = 64;
+  constexpr int kRounds = 6;
+  for (sched::ThreadId tid = 0; tid < kBlockers; ++tid) {
+    auto rounds = std::make_shared<std::atomic<int>>(kRounds);
+    executor.AddTask(tid, 1.0, [rounds, tid]() -> Executor::WorkResult {
+      SpinFor(5);
+      if (rounds->fetch_sub(1) <= 1) {
+        return Executor::WorkResult::Done();
+      }
+      return Executor::WorkResult::Block(Usec(300) + Usec(20) * (tid % 16));
+    });
+  }
+  const Tick elapsed = executor.Run(Sec(10));
+  EXPECT_LT(elapsed, Sec(10));
+  EXPECT_EQ(executor.wakeups(), kBlockers * (kRounds - 1));
+  for (sched::ThreadId tid = 0; tid < kBlockers; ++tid) {
+    EXPECT_GT(executor.CpuTime(tid), 0) << "tid " << tid;
+  }
+}
+
 }  // namespace
 }  // namespace sfs::runtime
