@@ -3,23 +3,23 @@
 //
 // The paper's kernel runs schedule() concurrently on every processor; the
 // user-level executor now does the same with one dispatcher thread per CPU
-// (src/exec/executor.h).  This experiment measures what the locking contract
-// costs as p grows: the latency of one scheduling decision — dispatch-lock
-// acquisition (including contention with the other CPUs' dispatchers) plus
-// PickNext — under three configurations over the same workload:
+// (src/runtime/executor.h).  This experiment measures what the locking
+// contract costs as p grows: the latency of one scheduling decision —
+// dispatch-lock acquisition (including contention with the other CPUs'
+// dispatchers) plus PickNext — under three configurations over the same
+// workload:
 //
 //   sfs/global            flat SFS: every CPU's dispatch takes the one
 //                         scheduler-wide mutex (the coarse contract flat
 //                         policies get by construction)
 //   sharded/global        per-CPU SFS shards behind one big dispatch mutex —
-//                         the pre-concurrent executor's serialization
-//                         (cf. Executor::Config::serialize_dispatch),
+//                         the pre-concurrent executor's serialization,
 //                         reproduced here with one bench-wide mutex
 //   sharded/per-shard     the full contract: each dispatcher takes only its
 //                         shard's mutex, so decisions on different CPUs
 //                         overlap and only cross-shard steals synchronize
 //
-// The harness mirrors exec::Executor's dispatcher loop — pick under
+// The harness mirrors runtime::Executor's dispatcher loop — pick under
 // LockDispatch, "run" the pick, charge under LockDispatch — but replaces the
 // granted worker's real quantum with a fixed short think time, so the lock
 // path is the only variable between configurations (real spinning workers
@@ -150,14 +150,12 @@ ModeResult RunMode(const ModeSpec& mode, int cpus) {
   return result;
 }
 
-// --- wake-path section: the real runtime, broadcast vs targeted ---------------
+// --- wake-path section: the real runtime's targeted wake path -----------------
 //
 // Unlike the protocol harness above, this runs the actual runtime::Executor on
-// a blocking workload and A/Bs its two wake modes over identical tasks:
-// kBroadcast reproduces the old executor's mechanics (timer applies wakeups
-// under the exclusive lifecycle lock, then wakes EVERY parked dispatcher),
-// kTargeted is the new path (wait-free mailbox push + one targeted kick; the
-// home dispatcher applies the wakeup inside its next dispatch-lock hold).
+// a blocking workload: the timer applies a wakeup directly when the home
+// shard's dispatch lock is free, otherwise pushes it to the home dispatcher's
+// mailbox, and either way kicks that one CPU.
 
 struct WakeResult {
   HistogramSnapshot lock_wait;      // per-decision dispatch-lock wait, ns
@@ -168,7 +166,7 @@ struct WakeResult {
   std::int64_t dispatches = 0;
 };
 
-WakeResult RunWakeMode(sfs::runtime::Executor::WakeMode wake_mode, int cpus) {
+WakeResult RunWakePath(int cpus) {
   using sfs::runtime::Executor;
   SchedConfig config;
   config.num_cpus = cpus;
@@ -176,8 +174,6 @@ WakeResult RunWakeMode(sfs::runtime::Executor::WakeMode wake_mode, int cpus) {
 
   Executor::Config exec_config;
   exec_config.quantum = sfs::Msec(1);
-  exec_config.wake_mode = wake_mode;
-  exec_config.batch_dispatch = true;
   Executor executor(*scheduler, exec_config);
 
   auto spin = [](sfs::Tick us) {
@@ -185,9 +181,8 @@ WakeResult RunWakeMode(sfs::runtime::Executor::WakeMode wake_mode, int cpus) {
     while (std::chrono::steady_clock::now() < end) {
     }
   };
-  // One spinner per CPU keeps every shard busy (so broadcast kicks really do
-  // hit sleeping AND working dispatchers), two blockers per CPU generate a
-  // steady wakeup stream through the timer.
+  // One spinner per CPU keeps every shard busy, two blockers per CPU generate
+  // a steady wakeup stream through the timer.
   for (ThreadId tid = 0; tid < cpus; ++tid) {
     executor.AddTask(tid, 1.0, [spin] {
       spin(20);
@@ -271,57 +266,42 @@ SFS_EXPERIMENT(abl_lock_contention,
       << "not serialized, while the global lock pins it at 1 and its lock wait\n"
       << "grows with p as every dispatcher convoys behind one holder.\n";
 
-  // --- wake path: broadcast herd vs targeted parking/mailbox ------------------
-  struct WakeModeSpec {
-    const char* label;
-    sfs::runtime::Executor::WakeMode mode;
-  };
-  const WakeModeSpec wake_modes[] = {
-      {"broadcast", sfs::runtime::Executor::WakeMode::kBroadcast},
-      {"targeted", sfs::runtime::Executor::WakeMode::kTargeted},
-  };
-  sfs::common::Table wake_table({"p", "wake mode", "wakeups", "apply p99 (us)",
-                                 "w2d p50 (us)", "w2d p99 (us)", "lock wait (us)",
-                                 "kicks/wakeup"});
+  // --- wake path: targeted parking/mailbox -------------------------------------
+  sfs::common::Table wake_table({"p", "wakeups", "apply p99 (us)", "w2d p50 (us)",
+                                 "w2d p99 (us)", "lock wait (us)", "kicks/wakeup"});
   for (const int cpus : {2, 8}) {
-    for (const WakeModeSpec& mode : wake_modes) {
-      const WakeResult result = RunWakeMode(mode.mode, cpus);
-      const double apply_p99_us = result.wake_apply.Percentile(99) / 1000.0;
-      const double w2d_p50_us = result.wake_dispatch.Percentile(50) / 1000.0;
-      const double w2d_p99_us = result.wake_dispatch.Percentile(99) / 1000.0;
-      const double mean_wait_us = result.lock_wait.mean() / 1000.0;
-      const double kicks_per_wakeup =
-          result.wakeups > 0
-              ? static_cast<double>(result.kicks) / static_cast<double>(result.wakeups)
-              : 0.0;
-      wake_table.AddRow({std::to_string(cpus), mode.label,
-                         sfs::common::Table::Cell(result.wakeups),
-                         sfs::common::Table::Cell(apply_p99_us, 2),
-                         sfs::common::Table::Cell(w2d_p50_us, 2),
-                         sfs::common::Table::Cell(w2d_p99_us, 2),
-                         sfs::common::Table::Cell(mean_wait_us, 3),
-                         sfs::common::Table::Cell(kicks_per_wakeup, 2)});
-      const std::string prefix =
-          "p" + std::to_string(cpus) + "/wake/" + std::string(mode.label) + "/";
-      reporter.Timing(prefix + "wake_apply_p99_us", apply_p99_us);
-      reporter.Timing(prefix + "wake_to_dispatch_p50_us", w2d_p50_us);
-      reporter.Timing(prefix + "wake_to_dispatch_p99_us", w2d_p99_us);
-      reporter.Timing(prefix + "mean_lock_wait_us", mean_wait_us);
-      reporter.Timing(prefix + "kicks_per_wakeup", kicks_per_wakeup);
-      reporter.Metric(prefix + "wakeups", result.wakeups);
-      reporter.Metric(prefix + "dispatches", result.dispatches);
-      reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
-      reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
-    }
+    const WakeResult result = RunWakePath(cpus);
+    const double apply_p99_us = result.wake_apply.Percentile(99) / 1000.0;
+    const double w2d_p50_us = result.wake_dispatch.Percentile(50) / 1000.0;
+    const double w2d_p99_us = result.wake_dispatch.Percentile(99) / 1000.0;
+    const double mean_wait_us = result.lock_wait.mean() / 1000.0;
+    const double kicks_per_wakeup =
+        result.wakeups > 0
+            ? static_cast<double>(result.kicks) / static_cast<double>(result.wakeups)
+            : 0.0;
+    wake_table.AddRow({std::to_string(cpus), sfs::common::Table::Cell(result.wakeups),
+                       sfs::common::Table::Cell(apply_p99_us, 2),
+                       sfs::common::Table::Cell(w2d_p50_us, 2),
+                       sfs::common::Table::Cell(w2d_p99_us, 2),
+                       sfs::common::Table::Cell(mean_wait_us, 3),
+                       sfs::common::Table::Cell(kicks_per_wakeup, 2)});
+    const std::string prefix = "p" + std::to_string(cpus) + "/wake/targeted/";
+    reporter.Timing(prefix + "wake_apply_p99_us", apply_p99_us);
+    reporter.Timing(prefix + "wake_to_dispatch_p50_us", w2d_p50_us);
+    reporter.Timing(prefix + "wake_to_dispatch_p99_us", w2d_p99_us);
+    reporter.Timing(prefix + "mean_lock_wait_us", mean_wait_us);
+    reporter.Timing(prefix + "kicks_per_wakeup", kicks_per_wakeup);
+    reporter.Metric(prefix + "wakeups", result.wakeups);
+    reporter.Metric(prefix + "dispatches", result.dispatches);
+    reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
+    reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
   }
-  reporter.out() << "\n=== Wake path: broadcast herd vs targeted parking/mailbox "
-                    "(real runtime::Executor) ===\n\n";
+  reporter.out() << "\n=== Wake path: targeted parking/mailbox (real runtime::Executor) ===\n\n";
   wake_table.Print(reporter.out());
   reporter.out()
-      << "\nSame blocking workload (1 spinner + 2 blockers per CPU, sharded SFS,\n"
-      << "300 ms wall) under both wake modes.  'apply' = timer-due to Wakeup\n"
-      << "applied; 'w2d' = timer-due to the woken thread granted a CPU;\n"
-      << "'lock wait' = mean dispatch-lock wait per decision; 'kicks/wakeup' =\n"
-      << "parking-slot kicks issued per wakeup (broadcast wakes the whole herd,\n"
-      << "targeted wakes the home CPU plus at most one baton pass).\n";
+      << "\nBlocking workload: 1 spinner + 2 blockers per CPU, sharded SFS, 300 ms\n"
+      << "wall.  'apply' = timer-due to Wakeup applied; 'w2d' = timer-due to the\n"
+      << "woken thread granted a CPU; 'lock wait' = mean dispatch-lock wait per\n"
+      << "decision; 'kicks/wakeup' = parking-slot kicks issued per wakeup (the\n"
+      << "home CPU plus at most one baton pass).\n";
 }

@@ -24,7 +24,7 @@ the candidate was produced under a reduced matrix (CI smoke runs with
 SFS_ENGINE_THROUGHPUT_MAX_THREADS set skip the big parallel cells):
 
     bench/compare_bench.py --baseline BENCH_engine.json --candidate smoke.json \
-        --filter '^(priority_queue|timing_wheel)'
+        --filter '^timing_wheel'
 
 Optionally appends the candidate's per-cell numbers to the perf trajectory
 (BENCH_trajectory.json, a JSON array; one entry per perf-relevant PR):

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "src/common/table.h"
-#include "src/exec/executor.h"
+#include "src/runtime/executor.h"
 #include "src/harness/registry.h"
 #include "src/harness/runner.h"
 #include "src/sched/factory.h"
@@ -111,31 +111,28 @@ double CtxSwitchNs(SchedKind kind, int threads, int kb) {
 // traffic — sharded-sfs rides per-shard locks, the flat policies one coarse
 // dispatch mutex; abl_lock_contention isolates that difference as p grows.
 void RealThreadSection(Reporter& reporter) {
-  using sfs::exec::Executor;
+  using sfs::runtime::Executor;
   sfs::common::Table table({"config", "scheduler", "runtime", "median switch (us)",
                             "p95 (us)", "switches"});
   struct Shape {
     int procs;
     int kb;
   };
-  // Runtime axis: wake mechanics (targeted parking/mailbox vs broadcast herd)
-  // x dispatcher affinity (floating vs pinned to core cpu%cores).  The slug
-  // doubles as the JSON key segment for the non-default cells.
+  // Runtime axis: dispatcher affinity (floating vs pinned to core
+  // cpu%cores).  The slug doubles as the JSON key segment for the
+  // non-default cell.
   struct Variant {
     const char* label;
     const char* slug;
-    Executor::WakeMode wake;
     bool pinned;
   };
-  constexpr Variant kDefault{"targeted/unpinned", "", Executor::WakeMode::kTargeted,
-                             false};
+  constexpr Variant kDefault{"unpinned", "", false};
   auto run_cell = [&](SchedKind kind, Shape shape, const Variant& variant) {
     SchedConfig config;
     config.num_cpus = 2;
     auto scheduler = CreateScheduler(kind, config);
     Executor::Config exec_config;
     exec_config.quantum = sfs::Msec(2);
-    exec_config.wake_mode = variant.wake;
     exec_config.pin_dispatchers = variant.pinned;
     Executor executor(*scheduler, exec_config);
     for (ThreadId tid = 0; tid < shape.procs; ++tid) {
@@ -177,20 +174,12 @@ void RealThreadSection(Reporter& reporter) {
       run_cell(kind, shape, kDefault);
     }
   }
-  // Runtime matrix on the contended shape: per-dispatcher wake mechanics and
-  // core pinning under sharded SFS, the configuration abl_lock_contention
-  // studies in depth.
-  for (const Variant variant :
-       {Variant{"broadcast/unpinned", "broadcast_unpinned", Executor::WakeMode::kBroadcast,
-                false},
-        Variant{"targeted/pinned", "targeted_pinned", Executor::WakeMode::kTargeted, true},
-        Variant{"broadcast/pinned", "broadcast_pinned", Executor::WakeMode::kBroadcast,
-                true}}) {
-    run_cell(SchedKind::kShardedSfs, Shape{8, 16}, variant);
-  }
+  // Core pinning on the contended shape under sharded SFS, the
+  // configuration abl_lock_contention studies in depth.
+  run_cell(SchedKind::kShardedSfs, Shape{8, 16}, Variant{"pinned", "targeted_pinned", true});
   reporter.out() << "\n=== Table 1 (real threads): cooperative switch latency under the\n"
                  << "user-level runtime (2 virtual CPUs, 2ms quantum, 30us work units;\n"
-                 << "'runtime' = wake mode / dispatcher affinity) ===\n\n";
+                 << "'runtime' = dispatcher affinity) ===\n\n";
   table.Print(reporter.out());
   reporter.out() << '\n';
 }

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "src/common/table.h"
-#include "src/exec/executor.h"
+#include "src/runtime/executor.h"
 #include "src/sched/factory.h"
 
 int main() {
@@ -28,9 +28,9 @@ int main() {
   config.num_cpus = 4;  // four shards, four concurrent dispatcher threads
   auto scheduler = sched::CreateScheduler(sched::SchedKind::kShardedSfs, config);
 
-  exec::Executor::Config exec_config;
+  runtime::Executor::Config exec_config;
   exec_config.quantum = Msec(5);
-  exec::Executor executor(*scheduler, exec_config);
+  runtime::Executor executor(*scheduler, exec_config);
 
   // Four batch hogs (weight 1) that never yield voluntarily...
   auto hog_units = std::make_shared<std::array<std::atomic<std::int64_t>, 4>>();
@@ -47,12 +47,12 @@ int main() {
   // 3 ms on simulated I/O — mpeg_play against gcc, at user level.
   auto io_rounds = std::make_shared<std::array<std::atomic<std::int64_t>, 4>>();
   for (sched::ThreadId tid = 4; tid < 8; ++tid) {
-    executor.AddTask(tid, 4.0, [io_rounds, tid]() -> exec::Executor::WorkResult {
+    executor.AddTask(tid, 4.0, [io_rounds, tid]() -> runtime::Executor::WorkResult {
       const auto end = std::chrono::steady_clock::now() + std::chrono::microseconds(250);
       while (std::chrono::steady_clock::now() < end) {
       }
       (*io_rounds)[static_cast<std::size_t>(tid - 4)].fetch_add(1, std::memory_order_relaxed);
-      return exec::Executor::WorkResult::Block(Msec(3));
+      return runtime::Executor::WorkResult::Block(Msec(3));
     });
   }
 

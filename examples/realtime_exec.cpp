@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "src/common/table.h"
-#include "src/exec/executor.h"
+#include "src/runtime/executor.h"
 #include "src/sched/sfs.h"
 
 int main() {
@@ -21,9 +21,9 @@ int main() {
   config.num_cpus = 2;  // two workers may hold the CPU at once
   sched::Sfs scheduler(config);
 
-  exec::Executor::Config exec_config;
+  runtime::Executor::Config exec_config;
   exec_config.quantum = Msec(10);
-  exec::Executor executor(scheduler, exec_config);
+  runtime::Executor executor(scheduler, exec_config);
 
   // Three spinning workers with weights 1 : 2 : 4 — each work unit burns ~50 us.
   auto units = std::make_shared<std::array<std::atomic<std::int64_t>, 3>>();

@@ -30,11 +30,10 @@ int main() {
   sched_config.num_cpus = 2;
   sched::Sharded<sched::Sfs> scheduler(sched_config);
 
-  // 2. The runtime: one dispatcher thread per CPU, targeted wakeups (the
-  //    default), batched decisions.
+  // 2. The runtime: one dispatcher thread per CPU, targeted wakeups,
+  //    batched decisions.
   runtime::Executor::Config config;
   config.quantum = Msec(5);
-  config.batch_dispatch = true;
   runtime::Executor executor(scheduler, config);
 
   // 3. Tasks.  Four spinners, weights 3,1,3,1 — weight-balanced placement

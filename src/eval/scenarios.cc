@@ -390,9 +390,8 @@ RunScalingResult RunScaling(sched::QueueBackend backend, int threads, int cpus, 
   return result;
 }
 
-EngineThroughputResult RunEngineThroughput(sim::EventQueueKind queue, int threads, int cpus,
-                                           Tick horizon, std::uint64_t seed,
-                                           const ObsSinks& sinks, bool batch_drain) {
+EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
+                                           std::uint64_t seed, const ObsSinks& sinks) {
   SFS_CHECK(threads >= 1);
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
   // The repo-default run-queue backend, which is also the fastest here: the
@@ -403,8 +402,6 @@ EngineThroughputResult RunEngineThroughput(sim::EventQueueKind queue, int thread
   sched::Sfs sfs(config);
 
   sim::EngineConfig engine_config;
-  engine_config.event_queue = queue;
-  engine_config.batch_drain = batch_drain;
   engine_config.trace = sinks.trace;
   engine_config.metrics = sinks.metrics;
   sim::Engine engine(sfs, engine_config);

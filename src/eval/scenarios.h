@@ -18,10 +18,6 @@
 #include "src/metrics/response.h"
 #include "src/sched/factory.h"
 
-namespace sfs::sim {
-enum class EventQueueKind : std::uint8_t;  // src/sim/engine.h
-}  // namespace sfs::sim
-
 namespace sfs::obs {
 class MetricsRegistry;  // src/obs/metrics.h
 class Trace;            // src/obs/trace.h
@@ -173,13 +169,11 @@ RunScalingResult RunScaling(sched::QueueBackend backend, int threads, int cpus, 
 // Engine event-loop throughput (ablation A12): `threads` tasks total on
 // `cpus` processors under SFS — min(cpus, 2, threads) background hogs, the
 // rest Interact-style sleepers with long seeded think times and
-// sub-millisecond bursts.  Mostly-blocked sleepers
-// are the event queue's worst case (every blocked thread holds a pending
-// wakeup, so the queue scales with t while the run queues stay small), which
-// is exactly the regime where the timing wheel's O(1) pops beat the binary
-// heap's O(log t).  Everything except `wall_ns` is a pure function of
-// (queue, threads, cpus, horizon, seed), and is asserted identical across the
-// two event-queue backends by bench/abl_engine_throughput.cc.
+// sub-millisecond bursts.  Mostly-blocked sleepers are the event queue's
+// worst case (every blocked thread holds a pending wakeup, so the queue
+// scales with t while the run queues stay small).  Everything except
+// `wall_ns` is a pure function of (threads, cpus, horizon, seed); the
+// fingerprints are the ones bench/abl_engine_throughput.cc publishes.
 struct EngineThroughputResult {
   std::int64_t events = 0;                 // events popped over the horizon
   std::int64_t decisions = 0;              // engine dispatches over the horizon
@@ -188,10 +182,8 @@ struct EngineThroughputResult {
   std::uint64_t lifecycle_fingerprint = 0;  // FNV-1a over every sched event
   double wall_ns = 0.0;                    // wall clock; Reporter::Timing only
 };
-EngineThroughputResult RunEngineThroughput(sim::EventQueueKind queue, int threads, int cpus,
-                                           Tick horizon, std::uint64_t seed,
-                                           const ObsSinks& sinks = {},
-                                           bool batch_drain = true);
+EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
+                                           std::uint64_t seed, const ObsSinks& sinks = {});
 
 // ---------------------------------------------------------------------------
 // Parallel-engine throughput (DESIGN.md §10, experiment A13): the same

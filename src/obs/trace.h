@@ -4,7 +4,7 @@
 // Concurrency contract (DESIGN.md "Observability"): a Trace owns one ring per
 // CPU plus one lifecycle ring.  Ring `c` is written only by the context that
 // owns CPU `c` — the single simulation thread (sim::Engine) or CPU `c`'s
-// dispatcher thread (exec::Executor) — and the lifecycle ring only under the
+// dispatcher thread (runtime::Executor) — and the lifecycle ring only under the
 // scheduler's lifecycle lock (flat schedulers serialize everything anyway).
 // Single-writer rings need no atomics, so the enabled path is a predicted
 // branch plus a 24-byte store, and the disabled path (`trace == nullptr`)

@@ -77,13 +77,6 @@ void Executor::AddTask(sched::ThreadId tid, sched::Weight weight,
   });
 }
 
-common::UniqueMutexLock Executor::MaybeSerialize() {
-  if (config_.serialize_dispatch) {
-    return common::UniqueMutexLock(serial_mu_);
-  }
-  return common::UniqueMutexLock();
-}
-
 void Executor::WorkerBody(Worker& w) {
   for (;;) {
     sched::CpuId cpu;
@@ -147,7 +140,25 @@ void Executor::Grant(Worker& w, sched::CpuId cpu) {
   w.cv.NotifyOne();
 }
 
-void Executor::KickOneParked(sched::CpuId hint) {
+void Executor::KickAllParked() {
+  // Epoch bumps on every slot (parked or not) preserve the old
+  // version-counter semantics: a dispatcher between its token snapshot and
+  // its park re-checks and falls through.  A kick at an empty slot skips the
+  // wake syscall, so the all-busy case stays cheap.
+  for (auto& c : cpus_) {
+    c->park.Kick();
+  }
+  kicks_.fetch_add(static_cast<std::int64_t>(cpus_.size()), std::memory_order_relaxed);
+}
+
+void Executor::KickAfterStateChange(sched::CpuId hint) {
+  // Only fan out when there is runnable work nobody is running
+  // (runnable_count counts running threads too, so compare against the
+  // granted-CPU count).  Both loads are racy snapshots; a stale read at worst
+  // delays the fan-out by one idle recheck.
+  if (scheduler_.runnable_count() <= running_cpus_.load(std::memory_order_relaxed)) {
+    return;
+  }
   // Round-robin from hint+1 so repeated kicks fan work out across CPUs
   // instead of hammering one neighbour.  The parked flag is advisory: a CPU
   // between its empty pick and its park is invisible here, and one that just
@@ -162,31 +173,6 @@ void Executor::KickOneParked(sched::CpuId hint) {
       kicks_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-  }
-}
-
-void Executor::KickAllParked() {
-  // Epoch bumps on every slot (parked or not) preserve the old
-  // version-counter semantics: a dispatcher between its token snapshot and
-  // its park re-checks and falls through.  A kick at an empty slot skips the
-  // wake syscall, so the all-busy case stays cheap.
-  for (auto& c : cpus_) {
-    c->park.Kick();
-  }
-  kicks_.fetch_add(static_cast<std::int64_t>(cpus_.size()), std::memory_order_relaxed);
-}
-
-void Executor::KickAfterStateChange(sched::CpuId hint) {
-  if (!targeted()) {
-    KickAllParked();
-    return;
-  }
-  // Only fan out when there is runnable work nobody is running
-  // (runnable_count counts running threads too, so compare against the
-  // granted-CPU count).  Both loads are racy snapshots; a stale read at worst
-  // delays the fan-out by one idle recheck.
-  if (scheduler_.runnable_count() > running_cpus_.load(std::memory_order_relaxed)) {
-    KickOneParked(hint);
   }
 }
 
@@ -226,8 +212,8 @@ bool Executor::ApplyWakeupLocked(sched::CpuId home, sched::ThreadId tid,
   wake_apply_hist_->Record(home, std::max<std::int64_t>(0, DurationNs(now - due)));
   WorkerByTid(tid).wake_pending_ns.store(WallNs(due), std::memory_order_relaxed);
   if (trace_) {
-    // Own ring: in targeted mode the wakeup transition belongs to the home
-    // dispatcher, keeping the per-CPU rings single-writer.
+    // Own ring: the wakeup transition belongs to the home dispatcher, keeping
+    // the per-CPU rings single-writer.
     trace_->Record(home, obs::TraceEventKind::kWakeup, WallNs(now), tid);
   }
   // reschedule_idle(): does the wakeup warrant preempting a running thread?
@@ -314,17 +300,6 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
   }
   switch (report.kind) {
     case WorkResult::Kind::kContinue: {
-      if (config_.batch_dispatch) {
-        // Park the charge; the dispatcher applies it under its next
-        // LockDispatch hold, just before PickNext.  The thread stays "running"
-        // in scheduler state until then, so no kick is needed either — nothing
-        // another dispatcher could newly pick has appeared.
-        Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
-        cpu.pending_charge_tid = report.tid;
-        cpu.pending_charge_ran = report.ran;
-        return;
-      }
-      auto serial = MaybeSerialize();
       auto guard = scheduler_.LockDispatch(cpu_idx);
       scheduler_.Charge(report.tid, report.ran);
       w->cpu_time += report.ran;
@@ -332,7 +307,6 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
     }
     case WorkResult::Kind::kDone: {
       {
-        auto serial = MaybeSerialize();
         auto guard = scheduler_.LockLifecycle();
         scheduler_.Charge(report.tid, report.ran);
         w->cpu_time += report.ran;
@@ -349,34 +323,18 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
     }
     case WorkResult::Kind::kBlock: {
       {
-        auto serial = MaybeSerialize();
-        if (targeted()) {
-          // Sanctioned lifecycle relaxation (scheduler.h): the thread just
-          // ran on this CPU, so this is its home shard and LockDispatch alone
-          // brackets Charge-then-Block atomically against picks and steals
-          // (both lock this shard).  The block record goes to our own CPU
-          // ring, keeping the per-CPU rings single-writer.
-          auto guard = scheduler_.LockDispatch(cpu_idx);
-          scheduler_.Charge(report.tid, report.ran);
-          w->cpu_time += report.ran;
-          scheduler_.Block(report.tid);
-          if (trace_) {
-            trace_->Record(cpu_idx, obs::TraceEventKind::kBlock, WallNs(report.yielded_at),
-                           report.tid, report.block_for * 1000);
-          }
-        } else {
-          // Charge-then-Block must be atomic against other dispatchers:
-          // between the two calls the thread is runnable and not running, so
-          // a concurrent PickNext could grab it and Block would fire on a
-          // running thread.
-          auto guard = scheduler_.LockLifecycle();
-          scheduler_.Charge(report.tid, report.ran);
-          w->cpu_time += report.ran;
-          scheduler_.Block(report.tid);
-          if (trace_) {
-            trace_->RecordLifecycle(obs::TraceEventKind::kBlock, WallNs(report.yielded_at),
-                                    report.tid, report.block_for * 1000);
-          }
+        // Sanctioned lifecycle relaxation (scheduler.h): the thread just ran
+        // on this CPU, so this is its home shard and LockDispatch alone
+        // brackets Charge-then-Block atomically against picks and steals
+        // (both lock this shard).  The block record goes to our own CPU ring,
+        // keeping the per-CPU rings single-writer.
+        auto guard = scheduler_.LockDispatch(cpu_idx);
+        scheduler_.Charge(report.tid, report.ran);
+        w->cpu_time += report.ran;
+        scheduler_.Block(report.tid);
+        if (trace_) {
+          trace_->Record(cpu_idx, obs::TraceEventKind::kBlock, WallNs(report.yielded_at),
+                         report.tid, report.block_for * 1000);
         }
       }
       bool nudge_timer = false;
@@ -420,25 +378,14 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     const Clock::time_point pick_start = Clock::now();
     Clock::time_point lock_acquired;
     {
-      auto serial = MaybeSerialize();
       auto guard = scheduler_.LockDispatch(cpu_idx);
       lock_acquired = Clock::now();
       if (trace_) {
         // Timestamp hint for the scheduler's own steal/rebalance records.
         trace_->PublishNow(WallNs(lock_acquired));
       }
-      // One decision batch per lock hold: queued wakeups, the previous
-      // slice's deferred charge, then the pick.
-      if (targeted()) {
-        DrainMailboxLocked(cpu_idx);
-      }
-      if (cpu.pending_charge_tid != sched::kInvalidThread) {
-        // Config::batch_dispatch: the previous slice's deferred charge shares
-        // this lock hold with the pick.
-        scheduler_.Charge(cpu.pending_charge_tid, cpu.pending_charge_ran);
-        WorkerByTid(cpu.pending_charge_tid).cpu_time += cpu.pending_charge_ran;
-        cpu.pending_charge_tid = sched::kInvalidThread;
-      }
+      // One decision batch per lock hold: queued wakeups, then the pick.
+      DrainMailboxLocked(cpu_idx);
       tid = scheduler_.PickNext(cpu_idx);
       if (tid != sched::kInvalidThread) {
         quantum = std::min(quantum, std::max<Tick>(1, scheduler_.QuantumFor(tid)));
@@ -452,8 +399,8 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     if (tid == sched::kInvalidThread) {
       // Nothing runnable here: park on our own slot.  Every producer that
       // could create work for us kicks this slot (wakeup routing, baton
-      // passing, broadcast mode, shutdown); the bounded deadline is only the
-      // backstop for the advisory parked-flag scan in KickOneParked.
+      // passing, shutdown); the bounded deadline is only the backstop for the
+      // advisory parked-flag scan in KickAfterStateChange.
       const Clock::time_point park_deadline =
           std::min(wall_end_, Clock::now() + FromTicks(idle_recheck_));
       cpu.parked.store(true, std::memory_order_seq_cst);
@@ -500,9 +447,9 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     running_cpus_.fetch_add(1, std::memory_order_relaxed);
     Grant(*w, cpu_idx);
     // A dispatch is itself a state change: a previously unstealable shard may
-    // now be busy, making its queued threads fair game for idle thieves.  In
-    // targeted mode this is the baton pass — one more parked CPU wakes if
-    // runnable work remains beyond what is running.
+    // now be busy, making its queued threads fair game for idle thieves.
+    // This is the baton pass — one more parked CPU wakes if runnable work
+    // remains beyond what is running.
     KickAfterStateChange(cpu_idx);
 
     const Clock::time_point deadline = std::min(picked + FromTicks(quantum), wall_end_);
@@ -523,7 +470,7 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
           // a kicked peer) now, not when this slice ends.  The timer nudges
           // cpu.cv after every push; checking before the first wait covers a
           // push that landed before we got here.
-          if (targeted() && !cpu.mailbox.Empty()) {
+          if (!cpu.mailbox.Empty()) {
             want_drain = true;
             break;
           }
@@ -561,7 +508,6 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
         // any suggested preemption (possibly our own slice), hand spare work
         // to a parked peer, then resume waiting out the quantum.
         {
-          auto serial = MaybeSerialize();
           auto guard = scheduler_.LockDispatch(cpu_idx);
           if (trace_) {
             trace_->PublishNow(WallNs(Clock::now()));
@@ -592,20 +538,7 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
   // No slice is ever in flight here: an iteration that grants always waits
   // out the report (preempting at deadline = min(quantum end, wall_end_), so
   // the wall limit itself winds the last slice down) and charges it before
-  // the loop re-checks stop_/wall_end_ — except a batch_dispatch charge parked
-  // by the final slice, flushed here so the thread is not left "running" in
-  // scheduler state (Run()'s RemoveThread pass depends on that) and its CPU
-  // time is fully accounted.
-  if (cpu.pending_charge_tid != sched::kInvalidThread) {
-    {
-      auto serial = MaybeSerialize();
-      auto guard = scheduler_.LockDispatch(cpu_idx);
-      scheduler_.Charge(cpu.pending_charge_tid, cpu.pending_charge_ran);
-      WorkerByTid(cpu.pending_charge_tid).cpu_time += cpu.pending_charge_ran;
-      cpu.pending_charge_tid = sched::kInvalidThread;
-    }
-    KickAfterStateChange(cpu_idx);
-  }
+  // the loop re-checks stop_/wall_end_.
   {
     common::MutexLock lk(cpu.mu);
     SFS_CHECK(cpu.running_tid == sched::kInvalidThread);
@@ -649,97 +582,50 @@ void Executor::TimerLoop() {
       }
     }
     for (const PendingWakeup& wake : due) {
-      if (targeted()) {
-        Cpu& home = *cpus_[static_cast<std::size_t>(wake.home)];
-        // Fast path: if the home shard's dispatch lock is free RIGHT NOW,
-        // apply the wakeup here — the thread becomes runnable (pickable and
-        // steal-visible) immediately, instead of after the OS gets around to
-        // scheduling the home dispatcher to drain its mailbox, which on an
-        // oversubscribed host can take a full scheduling round.  TryLock
-        // means a descheduled lock holder can never convoy the timer; the
-        // mailbox below stays the contended-case fallback.  Excluded when
-        // tracing (per-CPU rings are single-writer: only the home dispatcher
-        // may write ring `home`) and under serialize_dispatch (serial_mu_
-        // must precede any dispatch mutex; the mailbox path keeps that
-        // ordering trivially by taking no scheduler lock at all).
-        if (!config_.serialize_dispatch && trace_ == nullptr) {
-          PreemptPoke poke;
-          bool applied = false;
-          {
-            auto guard = scheduler_.TryLockDispatch(wake.home);
-            if (guard.owns_lock()) {
-              applied = true;
-              ApplyWakeupLocked(wake.home, wake.tid, wake.at, elapsed, &poke);
-            }
-          }
-          if (applied) {
-            if (poke.tid != sched::kInvalidThread) {
-              PokePreempt(poke);  // guard released above: Cpu::mu is a leaf
-            }
-            // Unconditional home kick (wakeup liveness must not depend on the
-            // advisory parked-flag scan), then the usual single-kick fan-out
-            // for a busy home whose queued thread a parked peer could steal.
-            home.park.Kick();
-            kicks_.fetch_add(1, std::memory_order_relaxed);
-            KickAfterStateChange(wake.home);
-            continue;
+      Cpu& home = *cpus_[static_cast<std::size_t>(wake.home)];
+      // Fast path: if the home shard's dispatch lock is free RIGHT NOW, apply
+      // the wakeup here — the thread becomes runnable (pickable and
+      // steal-visible) immediately, instead of after the OS gets around to
+      // scheduling the home dispatcher to drain its mailbox, which on an
+      // oversubscribed host can take a full scheduling round.  TryLock means
+      // a descheduled lock holder can never convoy the timer; the mailbox
+      // below stays the contended-case fallback.  Excluded when tracing
+      // (per-CPU rings are single-writer: only the home dispatcher may write
+      // ring `home`).
+      if (trace_ == nullptr) {
+        PreemptPoke poke;
+        bool applied = false;
+        {
+          auto guard = scheduler_.TryLockDispatch(wake.home);
+          if (guard.owns_lock()) {
+            applied = true;
+            ApplyWakeupLocked(wake.home, wake.tid, wake.at, elapsed, &poke);
           }
         }
-        // Contended (or excluded) path: route the wakeup to its home CPU —
-        // one wait-free push, one targeted kick.  The home dispatcher applies
-        // Wakeup under its own dispatch lock (mailbox drain), so this thread
-        // touches no scheduler state.
-        home.mailbox.Push(WakeMsg{wake.tid, wake.at});
-        home.park.Kick();
-        kicks_.fetch_add(1, std::memory_order_relaxed);
-        {
-          common::MutexLock lk(home.mu);  // a busy dispatcher between its
-        }                                 // mailbox check and its report wait
-        home.cv.NotifyAll();              // must not miss the nudge
-        continue;
-      }
-      // Broadcast mode: the legacy wake path — apply the wakeup here under
-      // the exclusive lifecycle lock, then wake every parked CPU.
-      sched::ThreadId target_tid = sched::kInvalidThread;
-      sched::CpuId target_cpu = sched::kInvalidCpu;
-      {
-        auto serial = MaybeSerialize();
-        auto guard = scheduler_.LockLifecycle();
-        if (!scheduler_.Contains(wake.tid)) {
+        if (applied) {
+          if (poke.tid != sched::kInvalidThread) {
+            PokePreempt(poke);  // guard released above: Cpu::mu is a leaf
+          }
+          // Unconditional home kick (wakeup liveness must not depend on the
+          // advisory parked-flag scan), then the usual single-kick fan-out for
+          // a busy home whose queued thread a parked peer could steal.
+          home.park.Kick();
+          kicks_.fetch_add(1, std::memory_order_relaxed);
+          KickAfterStateChange(wake.home);
           continue;
         }
-        scheduler_.Wakeup(wake.tid);
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
-        const Clock::time_point now = Clock::now();
-        wake_apply_hist_->Record(0, std::max<std::int64_t>(0, DurationNs(now - wake.at)));
-        WorkerByTid(wake.tid).wake_pending_ns.store(WallNs(wake.at),
-                                                    std::memory_order_relaxed);
-        if (trace_) {
-          const std::int64_t wake_ns = WallNs(now);
-          trace_->PublishNow(wake_ns);
-          trace_->RecordLifecycle(obs::TraceEventKind::kWakeup, wake_ns, wake.tid);
-        }
-        // reschedule_idle(): does the wakeup warrant preempting a running
-        // thread?  elapsed[c] approximates each CPU's uncharged run time.
-        const Tick now_ticks = ToTicks(now - t0_);
-        elapsed.assign(cpus_.size(), 0);
-        for (std::size_t c = 0; c < cpus_.size(); ++c) {
-          if (scheduler_.RunningOn(static_cast<sched::CpuId>(c)) != sched::kInvalidThread) {
-            elapsed[c] = std::max<Tick>(
-                0, now_ticks - cpus_[c]->grant_at.load(std::memory_order_relaxed));
-          }
-        }
-        target_cpu = scheduler_.SuggestPreemption(wake.tid, elapsed);
-        if (target_cpu != sched::kInvalidCpu) {
-          target_tid = scheduler_.RunningOn(target_cpu);
-        }
       }
-      if (target_tid != sched::kInvalidThread) {
-        PokePreempt(PreemptPoke{target_cpu, target_tid});
-      }
-      // Work conservation: the woken thread must be picked up by an idle CPU
-      // immediately, not whenever that CPU happens to produce its own report.
-      KickAllParked();
+      // Contended (or traced) path: route the wakeup to its home CPU — one
+      // wait-free push, one targeted kick.  The home dispatcher applies Wakeup
+      // under its own dispatch lock (mailbox drain), so this thread touches
+      // no scheduler state.
+      home.mailbox.Push(WakeMsg{wake.tid, wake.at});
+      home.park.Kick();
+      kicks_.fetch_add(1, std::memory_order_relaxed);
+      {
+        common::MutexLock lk(home.mu);  // a busy dispatcher between its
+      }                                 // mailbox check and its report wait
+      home.cv.NotifyAll();              // must not miss the nudge
     }
   }
 }

@@ -18,26 +18,27 @@
 //   * preemption is cooperative: worker bodies perform a small unit of work
 //     per call and re-check the flag, like a kernel preemption point.
 //
-// Wake and dispatch mechanics (WakeMode::kTargeted, the default):
+// Wake and dispatch mechanics:
 //
 //   * PARKING — each dispatcher owns a common::ParkingSlot (futex on Linux,
 //     condvar fallback).  An idle CPU parks on its own slot; a kick wakes
 //     exactly one targeted CPU instead of broadcasting through a process-wide
-//     condition variable.  The Prepare-token-before-final-look protocol
-//     (parking.h) makes a kick that races between an empty pick and the park
-//     impossible to lose.
-//   * MAILBOX — each dispatcher owns a wait-free MPSC mailbox
-//     (common::MpscMailbox).  The timer routes each expired wakeup to the
-//     woken thread's *home* CPU — the one whose LockDispatch covers the
-//     lifecycle relaxation of the scheduler contract (Scheduler::HomeCpu) —
-//     by pushing a message and kicking that slot; it never touches a
-//     scheduler lock itself.
+//     condition variable (1.01 vs 30.18 kicks per wakeup at p=8).  The
+//     Prepare-token-before-final-look protocol (parking.h) makes a kick that
+//     races between an empty pick and the park impossible to lose.
+//   * WAKEUP ROUTING — the timer applies an expired wakeup itself when the
+//     woken thread's *home* shard (Scheduler::HomeCpu, the one whose
+//     LockDispatch covers the lifecycle relaxation of the scheduler contract)
+//     is free right now (TryLockDispatch, so a descheduled lock holder can
+//     never convoy it) and tracing is off.  Otherwise it pushes a message to
+//     the home CPU's wait-free MPSC mailbox (common::MpscMailbox) and kicks
+//     that slot.
 //   * DECISION BATCHING — the home dispatcher drains its mailbox (applying
-//     Wakeup + SuggestPreemption per message), lands any deferred
-//     batch_dispatch charge, and runs PickNext all under ONE LockDispatch
-//     hold.  Preempt pokes suggested by the drain are applied after the hold
-//     is released (the runtime never holds a dispatch mutex and a Cpu::mu
-//     together — see the lock-order note below).
+//     Wakeup + SuggestPreemption per message) and runs PickNext under ONE
+//     LockDispatch hold.  Preempt pokes suggested by the drain are applied
+//     after the hold is released (the runtime never holds a dispatch mutex
+//     and a Cpu::mu together — see the lock-order note below).  Each slice's
+//     charge takes its own LockDispatch hold as the slice ends.
 //   * A dispatcher mid-quantum drains its mailbox too: the timer's kick also
 //     nudges the CPU's report wait, which exits the wait, drains under
 //     LockDispatch, applies pokes, and resumes waiting.  A wakeup whose home
@@ -52,27 +53,22 @@
 // waking the whole herd.  A parked dispatcher also re-checks on a bounded
 // timeout (Config::idle_recheck, default = quantum) as a belt-and-braces
 // backstop, so a missed heuristic kick costs at most one recheck period, not
-// liveness.
+// liveness.  Only shutdown kicks every slot.
 //
-// WakeMode::kBroadcast preserves the previous executor's wake path — the
-// timer applies Wakeup under LockLifecycle and every state change kicks ALL
-// parked CPUs — as an honest A/B baseline for bench/abl_lock_contention.
-//
-// Lock order (validated in debug builds): serial_mu_ < dispatch mutexes <
-// everything else.  Cpu::mu and Worker::mu are leaf locks; the runtime never
-// acquires a scheduler lock while holding them, and never acquires them while
-// holding a scheduler lock.  Preempt pokes discovered under LockDispatch are
-// therefore parked in a per-dispatcher scratch vector and applied after the
-// guard is released.
+// Lock order (validated in debug builds): dispatch mutexes < everything
+// else.  Cpu::mu and Worker::mu are leaf locks; the runtime never acquires a
+// scheduler lock while holding them, and never acquires them while holding a
+// scheduler lock.  Preempt pokes discovered under LockDispatch are therefore
+// parked in a per-dispatcher scratch vector and applied after the guard is
+// released.
 //
 // Scheduler calls follow the sched::Scheduler thread-safety contract
-// (scheduler.h).  In targeted mode the runtime uses the contract's sanctioned
-// lifecycle relaxation: Block for a thread that just ran on this CPU and
-// Wakeup for a thread whose home shard this dispatcher holds are bracketed by
+// (scheduler.h).  The runtime uses the contract's sanctioned lifecycle
+// relaxation: Block for a thread that just ran on this CPU and Wakeup for a
+// thread whose home shard this dispatcher holds are bracketed by
 // LockDispatch(home) alone; thread exit keeps the exclusive LockLifecycle.
-// Trace discipline follows from that: targeted-mode block/wakeup records go
-// to the acting dispatcher's own per-CPU ring (single writer), not the
-// lifecycle ring.
+// Trace discipline follows from that: block/wakeup records go to the acting
+// dispatcher's own per-CPU ring (single writer), not the lifecycle ring.
 //
 // This is how the repository demonstrates real proportional sharing on the
 // host (examples/realtime_exec, examples/blocking_workload,
@@ -80,9 +76,6 @@
 // a real-code analogue (bench/table1): the dispatch latency measured here
 // includes the actual scheduler data-structure work plus any lock contention
 // between concurrent dispatchers.
-//
-// src/exec/executor.h re-exports this class as sfs::exec::Executor for
-// existing call sites; new code should link sfs::runtime and use this header.
 
 #ifndef SFS_RUNTIME_EXECUTOR_H_
 #define SFS_RUNTIME_EXECUTOR_H_
@@ -110,24 +103,10 @@ namespace sfs::runtime {
 
 class Executor {
  public:
-  // How wakeups reach dispatchers and how many CPUs a state change wakes.
-  enum class WakeMode : std::uint8_t {
-    // Timer pushes each wakeup to the home CPU's mailbox and kicks that one
-    // slot; dispatchers drain the mailbox inside their pick lock hold.
-    kTargeted,
-    // Legacy wake path: the timer applies Wakeup itself under LockLifecycle
-    // and every scheduler-state change kicks every parked CPU (thundering
-    // herd).  Kept as the A/B baseline for bench/abl_lock_contention.
-    kBroadcast,
-  };
-
   struct Config {
     // Quantum handed to each dispatch.  Shorter than the kernel's 200 ms
     // default so that demo runs interleave visibly.
     Tick quantum = Msec(20);
-
-    // Wake/dispatch mechanics; see the header comment.
-    WakeMode wake_mode = WakeMode::kTargeted;
 
     // Pin each dispatcher thread to core (cpu % hardware cores) so shard c
     // lives on core c — kernel-style shard-to-core placement.  Dispatch and
@@ -145,29 +124,13 @@ class Executor {
     // futex on Linux.
     common::ParkingSlot::Backend park_backend = common::ParkingSlot::Backend::kAuto;
 
-    // Funnel every scheduler operation through one executor-wide mutex, even
-    // when the scheduler offers per-CPU dispatch locks.  Emulates the
-    // pre-concurrent single-dispatcher executor's serialization (the
-    // global-lock side of the abl_lock_contention comparison).
-    bool serialize_dispatch = false;
-
-    // Defer each voluntary-continue charge into this CPU's next dispatch-lock
-    // hold instead of acquiring the lock twice per slice (once to charge, once
-    // to pick).  Safe because the yielded thread stays "running" in scheduler
-    // state until the charge lands, so no other dispatcher can pick or steal
-    // it in the window: the deferral halves lock traffic on the continue path
-    // without changing the scheduling contract.  Block/Done charges are
-    // lifecycle transitions and are never deferred.
-    bool batch_dispatch = false;
-
     // Observability sink (wall-nanosecond clock domain; Clock must be
     // kWallNanos and the trace must have at least the scheduler's num_cpus
     // rings).  Each dispatcher records pick/lock-wait spans, grants, run
-    // slices, preemptions — and, in targeted mode, the block/wakeup
-    // transitions it applies — into its own CPU ring; broadcast-mode
-    // block/wakeup events go to the lifecycle ring under the lifecycle lock.
-    // nullptr (the default) costs one predicted branch per site and the
-    // executor's behaviour is unchanged.
+    // slices, preemptions and the block/wakeup transitions it applies into
+    // its own CPU ring; arrivals and departures go to the lifecycle ring
+    // under the lifecycle lock.  nullptr (the default) costs one predicted
+    // branch per site and the executor's behaviour is unchanged.
     obs::Trace* trace = nullptr;
 
     // Metrics registry the latency histograms live in.  When null the
@@ -240,8 +203,8 @@ class Executor {
   obs::HistogramSnapshot run_interval_lengths() const { return run_hist_->Snapshot(); }
 
   // Timer-due instant -> Scheduler::Wakeup applied (nanoseconds): the wake
-  // path's queueing delay through mailbox + kick + drain (targeted) or the
-  // lifecycle lock (broadcast).
+  // path's queueing delay through the timer's try-lock or mailbox + kick +
+  // drain.
   obs::HistogramSnapshot wake_apply_latencies() const {
     return wake_apply_hist_->Snapshot();
   }
@@ -261,8 +224,8 @@ class Executor {
   std::int64_t dispatches() const { return dispatches_.load(std::memory_order_relaxed); }
   std::int64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
   std::int64_t preemptions() const { return preemptions_.load(std::memory_order_relaxed); }
-  // Parking-slot kicks issued (targeted: at most one CPU per kick; broadcast:
-  // counts every slot of every herd wake — the A/B wake-traffic number).
+  // Parking-slot kicks issued (at most one CPU per kick, except shutdown,
+  // which counts every slot).
   std::int64_t kicks() const { return kicks_.load(std::memory_order_relaxed); }
 
  private:
@@ -298,7 +261,7 @@ class Executor {
     Tick cpu_time = 0;  // written under the dispatch/lifecycle lock of the charging CPU
   };
 
-  // A wakeup routed to its home CPU's mailbox (targeted mode).
+  // A wakeup routed to its home CPU's mailbox.
   struct WakeMsg {
     sched::ThreadId tid = sched::kInvalidThread;
     Clock::time_point due{};  // the timer deadline that expired
@@ -343,11 +306,6 @@ class Executor {
     // dispatchers.  (Dispatch latencies go straight to the sharded
     // histograms, which are per-CPU by construction.)
     common::SampleSet preempt_latencies;
-    // Config::batch_dispatch: the previous slice's continue charge, parked
-    // here between HandleReport and this dispatcher's next LockDispatch hold.
-    // Only this CPU's own dispatcher thread reads or writes these.
-    sched::ThreadId pending_charge_tid = sched::kInvalidThread;
-    Tick pending_charge_ran = 0;
 
     // Drain scratch (own dispatcher only): pokes collected under the dispatch
     // guard, applied after it; elapsed[] reused across drains.
@@ -392,13 +350,12 @@ class Executor {
   // poke.cpu; caller must NOT hold any scheduler lock (Cpu::mu is a leaf).
   void PokePreempt(const PreemptPoke& poke);
 
-  // Targeted: wake one parked CPU (round-robin from `hint`+1), or none if all
-  // are busy.  The parked-flag scan is advisory — a miss costs one
-  // idle_recheck period, never liveness.
-  void KickOneParked(sched::CpuId hint);
-  // Kick every slot (broadcast mode, and shutdown).
+  // Kick every slot (shutdown).
   void KickAllParked();
-  // Mode dispatch for "scheduler state changed, somebody idle may have work".
+  // "Scheduler state changed, somebody idle may have work": if runnable work
+  // exceeds the running CPUs, wake one parked CPU (round-robin from
+  // `hint`+1), or none if all are busy.  The parked-flag scan is advisory — a
+  // miss costs one idle_recheck period, never liveness.
   void KickAfterStateChange(sched::CpuId hint);
 
   void StopAll();
@@ -406,14 +363,6 @@ class Executor {
   Worker& WorkerByTid(sched::ThreadId tid) {
     return *worker_by_tid_[static_cast<std::size_t>(tid)];
   }
-
-  // Serialization point for Config::serialize_dispatch (no-op lock otherwise).
-  // Movable guard: the lock is conditional, so the static analysis cannot
-  // track it; the runtime validator covers ordering (serial_mu_ is always
-  // acquired before any dispatch mutex, never after).
-  common::UniqueMutexLock MaybeSerialize();
-
-  bool targeted() const { return config_.wake_mode == WakeMode::kTargeted; }
 
   // Wall nanoseconds since the run started (the trace epoch).
   std::int64_t WallNs(Clock::time_point tp) const {
@@ -456,8 +405,6 @@ class Executor {
   common::CondVar timer_cv_;
   std::priority_queue<PendingWakeup, std::vector<PendingWakeup>, std::greater<>>
       wake_queue_ SFS_GUARDED_BY(timer_mu_);
-
-  common::Mutex serial_mu_;  // Config::serialize_dispatch
 
   // Merged from the per-CPU sample sets after the dispatchers join.
   common::SampleSet preempt_latencies_;

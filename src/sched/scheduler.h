@@ -3,7 +3,7 @@
 // The interface mirrors the points where the Linux kernel invokes the scheduler in
 // the paper's implementation (Section 3.1): thread arrival/departure, block/wakeup,
 // weight changes, quantum expiry and dispatch.  The driver (discrete-event simulator
-// in src/sim, or the real-thread executor in src/exec) must follow this protocol:
+// in src/sim, or the real-thread executor in src/runtime) must follow this protocol:
 //
 //   * `PickNext(cpu)` selects a runnable, not-currently-running thread and marks it
 //     running on `cpu`.  Each CPU dispatches independently — quanta on different
@@ -20,7 +20,7 @@
 // `On*` hooks and the dispatch decision.
 //
 // Thread-safety contract (concurrent drivers, e.g. the per-CPU dispatcher
-// threads of exec::Executor):
+// threads of runtime::Executor):
 //
 //   * A Scheduler performs no internal synchronization of its own entry
 //     points.  Single-threaded drivers (the simulator) call everything

@@ -21,8 +21,7 @@ static_assert(static_cast<int>(SchedEvent::kArrival) ==
 Engine::Engine(sched::Scheduler& scheduler, EngineConfig config)
     : scheduler_(scheduler),
       config_(config),
-      trace_(config.trace),
-      use_wheel_(config.event_queue == EventQueueKind::kTimingWheel) {
+      trace_(config.trace) {
   cpus_.resize(static_cast<std::size_t>(scheduler.num_cpus()));
   for (auto& cpu : cpus_) {
     cpu.idle_since = 0;
@@ -68,14 +67,7 @@ void Engine::ReserveTasks(std::size_t task_count) {
   tid_to_slot_.reserve(task_count + 1);
   // Every blocked task holds one pending wakeup and every CPU one timer, plus
   // slack for superseded timers awaiting their pop.
-  const std::size_t pending = task_count + 2 * cpus_.size() + 16;
-  if (use_wheel_) {
-    wheel_.Reserve(pending);
-  } else if (events_.empty()) {
-    std::vector<Event> storage;
-    storage.reserve(pending);
-    events_ = decltype(events_)(std::greater<>(), std::move(storage));
-  }
+  wheel_.Reserve(task_count + 2 * cpus_.size() + 16);
 }
 
 void Engine::AddPeriodicHook(Tick period, std::function<void(Engine&)> fn) {
@@ -98,31 +90,13 @@ void Engine::SetRunIntervalHook(
 
 void Engine::RunUntil(Tick until) {
   SFS_CHECK(until >= now_);
-  if (use_wheel_) {
-    Tick t = 0;
-    if (config_.batch_drain) {
-      // Same-tick batch: one NextTime() per distinct tick, then drain the whole
-      // slot FIFO (including handler re-pushes at this tick) in one pass.
-      while (wheel_.NextTime(until, &t)) {
-        SFS_DCHECK(t >= now_);
-        now_ = t;
-        wheel_.DrainCurrent([this](const Event& ev) { DispatchEvent(ev); });
-      }
-    } else {
-      while (wheel_.NextTime(until, &t)) {
-        SFS_DCHECK(t >= now_);
-        now_ = t;
-        DispatchEvent(wheel_.PopFront());
-      }
-    }
-  } else {
-    while (!events_.empty() && events_.top().time <= until) {
-      const Event ev = events_.top();
-      events_.pop();
-      SFS_DCHECK(ev.time >= now_);
-      now_ = ev.time;
-      DispatchEvent(ev);
-    }
+  // Same-tick batch: one NextTime() per distinct tick, then drain the whole
+  // slot FIFO (including handler re-pushes at this tick) in one pass.
+  Tick t = 0;
+  while (wheel_.NextTime(until, &t)) {
+    SFS_DCHECK(t >= now_);
+    now_ = t;
+    wheel_.DrainCurrent([this](const Event& ev) { DispatchEvent(ev); });
   }
   now_ = until;
 }
@@ -245,13 +219,7 @@ Tick Engine::idle_time() const {
 
 void Engine::Push(Tick time, EventKind kind, std::int32_t a, std::uint64_t stamp) {
   SFS_DCHECK(time >= now_);
-  if (use_wheel_) {
-    // The wheel's per-slot FIFO realizes the (time, seq) order by construction;
-    // seq is still stamped so the two backends stay field-identical.
-    wheel_.Push(time, Event{time, next_seq_++, kind, a, stamp});
-  } else {
-    events_.push(Event{time, next_seq_++, kind, a, stamp});
-  }
+  wheel_.Push(time, Event{kind, a, stamp});
 }
 
 void Engine::HandleArrival(TaskSlot slot) {

@@ -19,12 +19,14 @@
 // insertion order.
 //
 // Hot-path layout (DESIGN.md, "Engine internals"): the event queue is a
-// hierarchical timing wheel with pooled nodes, tasks live in a dense slot
-// arena indexed by the events themselves, and observer hooks are null-checked
-// once per notification — steady-state simulation performs no allocations in
-// the event loop.  A binary-heap event queue is retained behind
-// EngineConfig::event_queue for differential testing; both backends pop in
-// (time, insertion-seq) order, so traces are byte-identical across them.
+// hierarchical timing wheel with pooled nodes whose per-slot FIFO realizes
+// (time, insertion) order by construction; the loop drains each tick's FIFO
+// as one batch (TimingWheel::DrainCurrent), handler re-pushes at the same
+// tick included.  Tasks live in a dense slot arena indexed by the events
+// themselves, and observer hooks are null-checked once per notification —
+// steady-state simulation performs no allocations in the event loop.
+// Recorded golden fingerprints (event_queue_fuzz_test, layout_parity_test)
+// pin this order.
 
 #ifndef SFS_SIM_ENGINE_H_
 #define SFS_SIM_ENGINE_H_
@@ -32,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/common/slot_arena.h"
@@ -44,15 +45,6 @@
 #include "src/sim/task.h"
 
 namespace sfs::sim {
-
-// Event-queue backend.  The timing wheel is the production default (O(1) per
-// event); the (time, seq) binary heap is the reference the wheel is
-// differentially tested against (tests/integration/event_queue_fuzz_test.cc,
-// abl_engine_throughput).
-enum class EventQueueKind : std::uint8_t {
-  kTimingWheel,
-  kPriorityQueue,
-};
 
 struct EngineConfig {
   // CPU time consumed by switching a processor to a *different* thread; modelled
@@ -72,18 +64,6 @@ struct EngineConfig {
   // wakeups, so the faithful default is true; experiments with rapid arrival
   // chains (Figure 5) are mildly sensitive to it, hence the explicit knob.
   bool preempt_on_arrival = true;
-
-  // Event-queue backend; schedules are identical across the two, only the
-  // constant factors differ.
-  EventQueueKind event_queue = EventQueueKind::kTimingWheel;
-
-  // Wheel backend only: drain each tick's slot FIFO as a detached batch
-  // (TimingWheel::DrainCurrent) instead of one NextTime()/PopFront() round trip
-  // per event.  Dispatch order is identical either way — the batch IS the
-  // per-tick FIFO — so schedules and fingerprints do not depend on this knob;
-  // it exists for differential testing (abl_engine_throughput's
-  // timing_wheel_unbatched config) and as an escape hatch.
-  bool batch_drain = true;
 
   // Observability sink (sim-tick clock domain).  When set, the engine records
   // grants, preemptions, run intervals, charges and lifecycle events into the
@@ -198,19 +178,12 @@ class Engine {
 
   enum class EventKind : std::uint8_t { kArrival, kWakeup, kCpuTimer, kPeriodic };
 
+  // The wheel keys events by time and keeps equal times in insertion order,
+  // so the payload carries no tie-break of its own.
   struct Event {
-    Tick time = 0;
-    std::uint64_t seq = 0;  // FIFO tie-break for equal timestamps (heap backend)
     EventKind kind = EventKind::kArrival;
     std::int32_t a = 0;      // task slot (arrival/wakeup), cpu (timer), hook idx (periodic)
     std::uint64_t stamp = 0;  // timer generation (kCpuTimer)
-
-    bool operator>(const Event& other) const {
-      if (time != other.time) {
-        return time > other.time;
-      }
-      return seq > other.seq;
-    }
   };
 
   struct Cpu {
@@ -277,12 +250,9 @@ class Engine {
   // the event loop must not).  Null when metrics are off.
   obs::LogHistogram* quantum_hist_ = nullptr;
   obs::LogHistogram* run_hist_ = nullptr;
-  bool use_wheel_;
   Tick now_ = 0;
-  std::uint64_t next_seq_ = 0;
 
   common::TimingWheel<Event> wheel_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   common::SlotArena<Task> tasks_;
   // ThreadId -> arena slot (-1 = unknown tid).  ThreadIds are dense small
   // integers in practice (sched/types.h), so a flat vector beats a hash map.

@@ -540,14 +540,17 @@ void ParallelEngine::PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId 
     // Re-validate under the re-acquired lock: between the wakeup/arrival
     // path's release of home's dispatch mutex and this hold, a peer may have
     // stolen the now-runnable thread to another shard (the probe would then
-    // read a shard whose mutex we do not hold) or run it to exit.  Both
-    // membership and the home shard are exact under home's mutex — every
-    // write that moves a thread onto or off a shard holds that shard's lock.
-    // A stolen or exited thread simply forgoes the advisory probe; the
-    // serial path (locked_ == false) short-circuits the check entirely.
+    // read a shard whose mutex we do not hold) or run it to exit.  Ask home's
+    // own shard whether it still holds the thread: that membership is exact
+    // under home's mutex — every write that moves a thread onto or off a
+    // shard holds that shard's lock — whereas the thread's recorded shard
+    // (ShardOf) is written by a later steal between two other shards without
+    // home's lock.  A stolen or exited thread simply forgoes the advisory
+    // probe; the serial path (locked_ == false) short-circuits the check
+    // entirely.
     const bool still_home =
         !locked_ || (scheduler_.Contains(tid) &&
-                     (sharded_ == nullptr || sharded_->ShardOf(tid) == home));
+                     (sharded_ == nullptr || sharded_->shard(home).Contains(tid)));
     if (still_home) {
       victim = scheduler_.SuggestPreemption(tid, w.preempt_elapsed);
     }

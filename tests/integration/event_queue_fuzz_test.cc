@@ -1,11 +1,13 @@
-// Differential fuzz: the timing-wheel and priority-queue engine backends must
-// produce byte-identical simulations for every scheduler kind, including the
+// Event-order fuzz for the engines, for every scheduler kind including the
 // sharded layer.  Each seed builds one randomized workload (hogs, interactive
-// sleepers, a churning short-job chain, mid-run weight surgery and a kill) and
-// runs it twice — once per EngineConfig::event_queue — comparing FNV-1a
-// fingerprints of the complete run-interval trace and the scheduler-visible
-// lifecycle event stream, plus per-task services and the accounting counters.
-// Any divergence in any event's firing order changes the fingerprints.
+// sleepers, a churning short-job chain, mid-run weight surgery and a kill)
+// and fingerprints it with FNV-1a over the complete run-interval trace and
+// the scheduler-visible lifecycle event stream.  Any divergence in any
+// event's firing order changes the fingerprints.
+//
+//   * The serial engine (timing wheel) must reproduce the recorded runs of
+//     the deleted binary-heap event queue (recorded_runs.h, seeds 1-6), which
+//     pins the wheel to (time, insertion) event order.
 //
 // The parallel engine rides the same harness in two dimensions:
 //   * workers == 1 must be byte-identical to sim::Engine on the identical
@@ -18,10 +20,12 @@
 //     still on-CPU at the horizon.
 //
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6), as in
-// fuzz_test.cc; SFS_FUZZ_SHARDED pins the sharded dimension.
+// fuzz_test.cc; SFS_FUZZ_SHARDED pins the sharded dimension (except against
+// the recorded runs, whose values depend on the seed alone).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -32,6 +36,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/parallel_engine.h"
 #include "src/workload/workloads.h"
+#include "tests/integration/recorded_runs.h"
 
 namespace sfs::eval {
 namespace {
@@ -55,8 +60,9 @@ struct TraceResult {
 // Scheduler construction shared by every dimension: all randomness flows
 // through `rng` in a fixed draw order, so any two runners fed the same seed
 // build identical schedulers (and identical workloads afterwards).
+// `honor_env` lets SFS_FUZZ_SHARDED override the sharded draw.
 std::unique_ptr<sched::Scheduler> DrawScheduler(SchedKind kind, common::Rng& rng,
-                                                int* num_cpus_out) {
+                                                int* num_cpus_out, bool honor_env = true) {
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
@@ -65,7 +71,7 @@ std::unique_ptr<sched::Scheduler> DrawScheduler(SchedKind kind, common::Rng& rng
   SchedKind effective_kind = kind;
   if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {
     bool use_sharded = rng.Bernoulli(0.5);
-    if (const char* env = std::getenv("SFS_FUZZ_SHARDED"); env != nullptr) {
+    if (const char* env = std::getenv("SFS_FUZZ_SHARDED"); honor_env && env != nullptr) {
       use_sharded = env[0] == '1';
     }
     if (use_sharded) {
@@ -150,18 +156,17 @@ TraceResult Collect(EngineT& engine, const common::Fnv1a& run_fp, const common::
   return result;
 }
 
-// One randomized workload, driven to the horizon on the given event-queue
-// backend.  All randomness (workload shape and mid-run surgery draws) flows
-// through Rng(seed), so two runs with the same seed diverge only if the event
-// queues disagree on event order.
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed, sim::EventQueueKind queue) {
+// One randomized workload, driven to the horizon on the serial engine.  All
+// randomness (workload shape and mid-run surgery draws) flows through
+// Rng(seed), so two runs with the same seed diverge only if the engines
+// disagree on event order.
+TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool honor_env = true) {
   common::Rng rng(seed);
   int num_cpus = 0;
-  auto scheduler = DrawScheduler(kind, rng, &num_cpus);
+  auto scheduler = DrawScheduler(kind, rng, &num_cpus, honor_env);
 
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  engine_config.event_queue = queue;
   sim::Engine engine(*scheduler, engine_config);
 
   common::Fnv1a run_fp;
@@ -234,19 +239,34 @@ std::uint64_t FuzzSeedCount() {
 
 class EventQueueFuzzTest : public ::testing::TestWithParam<SchedKind> {};
 
+// The binary-heap event queue is gone; its traces live on as kRecordedRuns.
+// The wheel must reproduce every recorded field: both fingerprints, per-task
+// services and the accounting counters.
 TEST_P(EventQueueFuzzTest, WheelAndHeapTracesAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult wheel = RunOnce(GetParam(), seed, sim::EventQueueKind::kTimingWheel);
-    const TraceResult heap = RunOnce(GetParam(), seed, sim::EventQueueKind::kPriorityQueue);
-    EXPECT_EQ(wheel.run_fingerprint, heap.run_fingerprint) << "seed " << seed;
-    EXPECT_EQ(wheel.lifecycle_fingerprint, heap.lifecycle_fingerprint) << "seed " << seed;
-    EXPECT_TRUE(wheel == heap) << "seed " << seed;
+  const std::uint64_t seeds = std::min(FuzzSeedCount(), kRecordedSeeds);
+  std::uint64_t checked = 0;
+  for (const RecordedRun& heap : kRecordedRuns) {
+    if (heap.kind != GetParam() || heap.seed > seeds) {
+      continue;
+    }
+    const TraceResult wheel = RunOnce(GetParam(), heap.seed, /*honor_env=*/false);
+    EXPECT_EQ(wheel.run_fingerprint, heap.run_fingerprint) << "seed " << heap.seed;
+    EXPECT_EQ(wheel.lifecycle_fingerprint, heap.lifecycle_fingerprint) << "seed " << heap.seed;
+    EXPECT_EQ(ServicesFingerprint(wheel.services), heap.services_fingerprint)
+        << "seed " << heap.seed;
+    EXPECT_EQ(wheel.events, heap.events) << "seed " << heap.seed;
+    EXPECT_EQ(wheel.dispatches, heap.dispatches) << "seed " << heap.seed;
+    EXPECT_EQ(wheel.preemptions, heap.preemptions) << "seed " << heap.seed;
+    EXPECT_EQ(wheel.idle, heap.idle) << "seed " << heap.seed;
+    EXPECT_EQ(wheel.ctx_cost, heap.ctx_cost) << "seed " << heap.seed;
+    ++checked;
   }
+  EXPECT_EQ(checked, seeds);
 }
 
 TEST_P(EventQueueFuzzTest, ParallelEngineWorkersOneIsByteIdentical) {
   for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult serial = RunOnce(GetParam(), seed, sim::EventQueueKind::kTimingWheel);
+    const TraceResult serial = RunOnce(GetParam(), seed);
     const TraceResult parallel = RunOnceParallelSerial(GetParam(), seed);
     EXPECT_EQ(serial.run_fingerprint, parallel.run_fingerprint) << "seed " << seed;
     EXPECT_EQ(serial.lifecycle_fingerprint, parallel.lifecycle_fingerprint) << "seed " << seed;

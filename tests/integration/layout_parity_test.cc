@@ -1,22 +1,25 @@
-// Layout-parity differential: this PR packed the hot scheduler fields into a
-// cache-line row (sched::EntityHotRow), split sim::Task hot/cold, and taught
-// the engine to drain each timing-wheel tick as a batch — none of which may
-// change which thread is picked, ever.  Two guards:
+// Layout-parity differential: the hot scheduler fields live in a cache-line
+// row (sched::EntityHotRow), sim::Task is split hot/cold, and the engine
+// drains each timing-wheel tick as a batch — none of which may change which
+// thread is picked, ever.  Two guards:
 //
-//  1. Batched vs unbatched wheel drain (EngineConfig::batch_drain) must be
-//     byte-identical for every scheduler kind on randomized workloads, the
-//     same differential shape as event_queue_fuzz_test.
+//  1. The batched drain must reproduce the recorded runs of the deleted
+//     per-event (unbatched) drain for every scheduler kind on randomized
+//     workloads (recorded_runs.h, seeds 1-6): both fingerprints, per-task
+//     services and the accounting counters.
 //  2. Golden fingerprints: the run/lifecycle FNV-1a fingerprints for seed 1,
-//     recorded from the pre-refactor AoS build (verified byte-identical to
-//     this build over the full fig/abl suite when the PR landed), are pinned
-//     as constants.  A future layout change that silently perturbs schedules
-//     breaks these even if it perturbs both drain modes identically.
+//     recorded from the pre-refactor AoS build (verified byte-identical over
+//     the full fig/abl suite when the layout change landed), are pinned as
+//     constants.
 //
-// SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6), as in
-// fuzz_test.cc.  The golden constants always use seed 1.
+// This workload is the one event_queue_fuzz_test builds (same draws, same
+// seed stream, no environment overrides).  SFS_FUZZ_SEEDS bounds the seeds
+// tried per policy (default 6, at most the recorded 6), as in fuzz_test.cc.
+// The golden constants always use seed 1.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "src/sched/factory.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
+#include "tests/integration/recorded_runs.h"
 
 namespace sfs::eval {
 namespace {
@@ -42,15 +46,12 @@ struct TraceResult {
   std::int64_t preemptions = 0;
   Tick idle = 0;
   Tick ctx_cost = 0;
-
-  bool operator==(const TraceResult&) const = default;
 };
 
-// One randomized workload on the timing wheel, batched or unbatched drain.
-// All randomness flows through Rng(seed) (no environment overrides: the
-// golden constants below depend on the seed alone), so two runs with the same
-// seed diverge only if the drain modes disagree on event order.
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
+// One randomized workload on the serial engine.  All randomness flows through
+// Rng(seed) (no environment overrides: the golden constants below depend on
+// the seed alone).
+TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
   common::Rng rng(seed);
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
@@ -72,8 +73,6 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
 
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  engine_config.event_queue = sim::EventQueueKind::kTimingWheel;
-  engine_config.batch_drain = batch_drain;
   sim::Engine engine(*scheduler, engine_config);
 
   TraceResult result;
@@ -113,7 +112,7 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
   }
   // Same-tick arrivals via the exit hook: the batched drain's hardest case —
   // DrainCurrent must pick re-pushed events up behind the detached chain in
-  // exactly PopFront() order.
+  // (time, insertion) order.
   engine.SetExitHook([&next_tid, &rng](sim::Engine& e, sim::Task& task) {
     if (task.label() == "short") {
       e.AddTaskAt(e.now() + Msec(rng.UniformInt(0, 50)),
@@ -168,7 +167,7 @@ std::uint64_t FuzzSeedCount() {
 }
 
 // Seed-1 fingerprints recorded from the pre-SoA (AoS Entity, per-event drain)
-// build.  Regenerate by printing RunOnce(kind, 1, *) only if a deliberate
+// build.  Regenerate by printing RunOnce(kind, 1) only if a deliberate
 // schedule-affecting change lands — never to paper over an accidental one.
 struct Golden {
   SchedKind kind;
@@ -190,14 +189,26 @@ constexpr Golden kGoldenSeed1[] = {
 class LayoutParityTest : public ::testing::TestWithParam<SchedKind> {};
 
 TEST_P(LayoutParityTest, BatchedAndUnbatchedDrainsAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult batched = RunOnce(GetParam(), seed, /*batch_drain=*/true);
-    const TraceResult unbatched = RunOnce(GetParam(), seed, /*batch_drain=*/false);
-    EXPECT_EQ(batched.run_fingerprint, unbatched.run_fingerprint) << "seed " << seed;
+  const std::uint64_t seeds = std::min(FuzzSeedCount(), kRecordedSeeds);
+  std::uint64_t checked = 0;
+  for (const RecordedRun& unbatched : kRecordedRuns) {
+    if (unbatched.kind != GetParam() || unbatched.seed > seeds) {
+      continue;
+    }
+    const TraceResult batched = RunOnce(GetParam(), unbatched.seed);
+    EXPECT_EQ(batched.run_fingerprint, unbatched.run_fingerprint) << "seed " << unbatched.seed;
     EXPECT_EQ(batched.lifecycle_fingerprint, unbatched.lifecycle_fingerprint)
-        << "seed " << seed;
-    EXPECT_TRUE(batched == unbatched) << "seed " << seed;
+        << "seed " << unbatched.seed;
+    EXPECT_EQ(ServicesFingerprint(batched.services), unbatched.services_fingerprint)
+        << "seed " << unbatched.seed;
+    EXPECT_EQ(batched.events, unbatched.events) << "seed " << unbatched.seed;
+    EXPECT_EQ(batched.dispatches, unbatched.dispatches) << "seed " << unbatched.seed;
+    EXPECT_EQ(batched.preemptions, unbatched.preemptions) << "seed " << unbatched.seed;
+    EXPECT_EQ(batched.idle, unbatched.idle) << "seed " << unbatched.seed;
+    EXPECT_EQ(batched.ctx_cost, unbatched.ctx_cost) << "seed " << unbatched.seed;
+    ++checked;
   }
+  EXPECT_EQ(checked, seeds);
 }
 
 TEST_P(LayoutParityTest, MatchesPreRefactorGoldenFingerprints) {
@@ -205,7 +216,7 @@ TEST_P(LayoutParityTest, MatchesPreRefactorGoldenFingerprints) {
     if (golden.kind != GetParam()) {
       continue;
     }
-    const TraceResult run = RunOnce(GetParam(), /*seed=*/1, /*batch_drain=*/true);
+    const TraceResult run = RunOnce(GetParam(), /*seed=*/1);
     EXPECT_EQ(run.run_fingerprint, golden.run_fingerprint);
     EXPECT_EQ(run.lifecycle_fingerprint, golden.lifecycle_fingerprint);
   }

@@ -1,6 +1,6 @@
-// sfs::runtime tests: targeted parking/mailbox wake path, broadcast A/B mode,
-// pinning, and the wake-latency instrumentation.  The mailbox-stress cases
-// double as the TSan coverage of the wake path (CI runs this suite under
+// sfs::runtime tests: the targeted parking/mailbox wake path, both parking
+// backends, pinning, and the wake-latency instrumentation.  The mailbox-stress
+// cases double as the TSan coverage of the wake path (CI runs this suite under
 // ThreadSanitizer).
 
 #include "src/runtime/executor.h"
@@ -18,8 +18,6 @@
 
 namespace sfs::runtime {
 namespace {
-
-using WakeMode = Executor::WakeMode;
 
 sched::SchedConfig Config(int cpus) {
   sched::SchedConfig config;
@@ -78,7 +76,6 @@ RunStats RunBlockingMix(const Executor::Config& exec_config, int cpus) {
 TEST(RuntimeTest, TargetedWakePathCompletesAndInstruments) {
   Executor::Config config;
   config.quantum = Msec(2);
-  config.wake_mode = WakeMode::kTargeted;
   const RunStats stats = RunBlockingMix(config, 4);
   // 4 blockers x 7 blocking rounds, each applied through a mailbox drain.
   EXPECT_GE(stats.wakeups, 4);
@@ -88,19 +85,6 @@ TEST(RuntimeTest, TargetedWakePathCompletesAndInstruments) {
   EXPECT_EQ(stats.wake_dispatches, static_cast<std::uint64_t>(stats.wakeups));
   EXPECT_GT(stats.kicks, 0);
   EXPECT_LT(stats.elapsed, Sec(5));  // finished, not wall-limited
-}
-
-TEST(RuntimeTest, BroadcastModeStillWorks) {
-  Executor::Config config;
-  config.quantum = Msec(2);
-  config.wake_mode = WakeMode::kBroadcast;
-  const RunStats stats = RunBlockingMix(config, 4);
-  EXPECT_GE(stats.wakeups, 4);
-  EXPECT_EQ(stats.wake_applies, static_cast<std::uint64_t>(stats.wakeups));
-  EXPECT_EQ(stats.wake_dispatches, static_cast<std::uint64_t>(stats.wakeups));
-  // Broadcast kicks only ever go through KickAllParked: whole-herd multiples.
-  EXPECT_EQ(stats.kicks % 4, 0);
-  EXPECT_LT(stats.elapsed, Sec(5));
 }
 
 TEST(RuntimeTest, CondVarParkingBackendWorks) {

@@ -5,7 +5,7 @@ The repo's determinism contract (DESIGN.md §11, tests/eval/determinism_test.cc)
 requires that every schedule and lifecycle fingerprint be byte-identical across
 runs, machines, and shard counts.  That breaks the moment iteration order,
 keys, or timing leak into scheduling decisions, so this checker rejects the
-known leak classes in src/{sched,sim,eval,obs,exec,runtime}:
+known leak classes in src/{sched,sim,eval,obs,runtime}:
 
   unordered-iteration   range-for / .begin() traversal of a container declared
                         as std::unordered_{map,set,...} anywhere in src/.
@@ -32,7 +32,7 @@ import re
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-SCOPED_DIRS = ["src/sched", "src/sim", "src/eval", "src/obs", "src/exec", "src/runtime"]
+SCOPED_DIRS = ["src/sched", "src/sim", "src/eval", "src/obs", "src/runtime"]
 # Unordered-container declarations are harvested repo-wide (a member declared
 # in a header may be iterated from a .cc elsewhere).
 HARVEST_DIRS = ["src"]
