@@ -6,8 +6,8 @@
 // on three sorted queues simultaneously), so entities are never copied or moved
 // while linked.
 //
-// Hot/cold split: the fields read on every Charge/Pick/RefreshSurpluses —
-// weight, phi, the virtual-time tags and the surplus — are packed into
+// Hot/cold split: the fields read on every Charge/Pick — weight, phi, the
+// virtual-time tags, the surplus and the SFS phi-class slot — are packed into
 // EntityHotRow, exactly one cache line placed first in the Entity, so the
 // entity's first line IS its scheduling state and a random touch (wakeup,
 // charge, queue-scan key read) never fans out across the struct.  The cold
@@ -22,12 +22,13 @@
 //   * one dense array of cache-line rows indexed by live_index: one extra
 //     *independent* line per touch — the row region never rides the adjacent-
 //     line prefetch of the entity's own lines — ~15% regression.
-// Keeping the row inside the entity costs the streaming refresh its unit
-// stride, but the refresh only walks the runnable queue (O(runnable), see
-// Sfs::RefreshSurpluses) while every hot path pays the random-touch cost, so
-// the inline row wins.  The branchless-refresh piece survives via warp_eff:
-// the per-entity `warp_enabled ? warp : 0` branch is precomputed at
-// SetWarpState time.
+// Keeping the row inside the entity costs a streaming pass its unit stride,
+// but the only such pass left is the k-bounded heuristic's periodic surplus
+// refresh (Sfs::RefreshSurpluses, O(runnable), heuristic mode only — the
+// exact algorithm reads just the heads of its phi classes), while every hot
+// path pays the random-touch cost, so the inline row wins.  warp_eff keeps
+// the surplus formula branch-free: the per-entity `warp_enabled ? warp : 0`
+// test is precomputed at SetWarpState time.
 
 #ifndef SFS_SCHED_ENTITY_H_
 #define SFS_SCHED_ENTITY_H_
@@ -48,9 +49,11 @@ struct alignas(64) EntityHotRow {
   Weight phi = 1.0;         // instantaneous weight phi_i (readjusted)
   double start_tag = 0.0;   // S_i
   double finish_tag = 0.0;  // F_i
-  double surplus = 0.0;     // alpha_i = phi_i * (S_i - v)
+  double surplus = 0.0;     // alpha_i = phi_i * (S_i - v), heuristic SFS only
   double warp_eff = 0.0;    // warp while warp_enabled, else 0
-  // 16 bytes of the line left for the next hot field.
+  // SFS phi class holding this runnable entity (Sfs::PhiClass slot), or -1.
+  std::int32_t phi_class = -1;
+  // 12 bytes of the line left for the next hot field.
 };
 static_assert(sizeof(EntityHotRow) == 64, "row must stay exactly one cache line");
 
@@ -81,13 +84,20 @@ struct Entity {
   double& finish_tag() { return row().finish_tag; }
   double finish_tag() const { return row().finish_tag; }
 
-  // SFS surplus alpha_i = phi_i * (S_i - v), maintained for runnable threads.
+  // SFS surplus alpha_i = phi_i * (S_i - v), the key of the heuristic's
+  // surplus queue.  The exact algorithm never stores it (Sfs computes fresh
+  // surpluses at the heads of its phi classes).
   double& surplus() { return row().surplus; }
   double surplus() const { return row().surplus; }
 
-  // Effective warp: `warp` while warp_enabled, else 0.  Kept hot so the
-  // branchless surplus refresh and the BVT effective-virtual-time key read the
-  // row instead of testing warp_enabled per entity.
+  // Slot of the Sfs phi class this entity is filed in while runnable; -1
+  // while blocked, detached or owned by another policy.
+  std::int32_t& phi_class() { return row().phi_class; }
+  std::int32_t phi_class() const { return row().phi_class; }
+
+  // Effective warp: `warp` while warp_enabled, else 0.  Kept hot so SFS
+  // surpluses (and the phi-class key) and the BVT effective-virtual-time key
+  // read the row instead of testing warp_enabled per entity.
   double warp_eff() const { return row().warp_eff; }
 
   // Sets the BVT/SFS latency warp, keeping warp, warp_enabled and the hot
@@ -135,8 +145,8 @@ struct Entity {
   // Intrusive queue hooks (Section 3.1's three queues plus one generic run queue
   // used by the non-GPS baselines).
   common::ListHook by_weight;   // runnable threads, descending weight
-  common::ListHook by_start;    // runnable threads, ascending start tag
-  common::ListHook by_surplus;  // runnable threads, ascending surplus
+  common::ListHook by_start;    // ascending start tag (SFQ's queue; SFS's phi class)
+  common::ListHook by_surplus;  // ascending surplus (SFS heuristic only)
   common::ListHook by_rq;       // scheduler-specific run queue (RR/timeshare/stride/...)
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");

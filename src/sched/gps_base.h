@@ -75,6 +75,7 @@ class GpsSchedulerBase : public Scheduler {
       bool phi_changed = false;
       if (!e.capped && e.phi() != e.weight()) {
         e.phi() = e.weight();
+        OnPhiChanged(e);
         phi_changed = true;
       }
       const bool readjusted = MaybeReadjust();
@@ -96,6 +97,9 @@ class GpsSchedulerBase : public Scheduler {
         ReadjustQueue(weight_queue_, runnable_weight_sum_, num_cpus(), readjust_state_);
     if (changed) {
       ++readjust_changes_;
+      for (Entity* e : readjust_state_.changed) {
+        OnPhiChanged(*e);
+      }
       // Flat schedulers serialize every entry point under one mutex, so the
       // lifecycle ring sees a single writer at a time.
       if (trace_) [[unlikely]] {
@@ -105,6 +109,12 @@ class GpsSchedulerBase : public Scheduler {
     }
     return changed;
   }
+
+  // Called for each runnable entity whose instantaneous weight was just
+  // rewritten (by a readjustment pass or a weight change), before the
+  // Admit/Retire/UpdateWeight call that caused it returns.  Policies that
+  // index runnable threads by phi re-file them here; the default does nothing.
+  virtual void OnPhiChanged(Entity& e) { (void)e; }
 
   const WeightQueue& weight_queue() const { return weight_queue_; }
   WeightQueue& weight_queue() { return weight_queue_; }

@@ -70,12 +70,11 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
                    ReadjustState& state) {
   SFS_CHECK(num_cpus >= 1);
   const std::size_t t = queue.size();
-  bool changed = false;
-
-  auto set_phi = [&changed](Entity* e, double phi) {
+  state.changed.clear();
+  auto set_phi = [&state](Entity* e, double phi) {
     if (e->phi() != phi) {
       e->phi() = phi;
-      changed = true;
+      state.changed.push_back(e);
     }
   };
 
@@ -140,7 +139,7 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
     }
   }
   state.scratch.clear();
-  return changed;
+  return !state.changed.empty();
 }
 
 bool IsFeasible(const WeightQueue& queue, double total_weight, int num_cpus) {

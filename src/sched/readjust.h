@@ -61,6 +61,9 @@ std::vector<double> ReadjustVector(const std::vector<double>& weights, int num_c
 struct ReadjustState {
   std::vector<Entity*> capped;
   std::vector<Entity*> scratch;  // reused buffer for the previous cap set
+  // Entities whose phi the last pass rewrote, each listed once: a subset of
+  // the previous and the new cap set, so O(p) of them.
+  std::vector<Entity*> changed;
 
   // Forgets an entity leaving the runnable set (block/departure).
   void Forget(Entity& e);
@@ -69,8 +72,9 @@ struct ReadjustState {
 // Production form: recomputes Entity::phi for the threads on `queue` (the
 // runnable set, descending by weight).  `total_weight` must equal the sum of the
 // requested weights of the queued threads (the caller maintains it incrementally).
-// Returns true iff any phi changed.  Examines O(p) queue entries: the candidate
-// prefix plus the previous cap set.
+// Returns true iff any phi changed; `state.changed` then lists the entities
+// whose phi did.  Examines O(p) queue entries: the candidate prefix plus the
+// previous cap set.
 bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
                    ReadjustState& state);
 

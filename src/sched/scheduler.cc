@@ -21,20 +21,15 @@ Scheduler::DispatchGuard Scheduler::TryLockDispatch(CpuId cpu) {
 }
 
 Scheduler::LifecycleGuard Scheduler::LockLifecycle() {
-  // Every distinct dispatch mutex in ascending CPU-id order (flat schedulers
-  // return the same mutex for every CPU — lock it once, not num_cpus times).
+  // Every distinct dispatch mutex in ascending CPU-id order.  A policy's CPUs
+  // either share one mutex (flat schedulers: lock it once, not num_cpus
+  // times) or each own one (sched::Sharded), so comparing against the mutex
+  // locked last is a complete dedup: O(p), not O(p^2).
   LifecycleGuard guard;
   guard.reserve(static_cast<std::size_t>(num_cpus()));
   for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
     common::Mutex& mu = DispatchMutex(cpu);
-    bool held = false;
-    for (const auto& lock : guard) {
-      if (lock.mutex() == &mu) {
-        held = true;
-        break;
-      }
-    }
-    if (!held) {
+    if (guard.empty() || guard.back().mutex() != &mu) {
       guard.emplace_back(mu);
     }
   }

@@ -278,7 +278,9 @@ class Scheduler {
   // The mutex LockDispatch(cpu) takes after the shared state lock.  The base
   // returns one scheduler-wide mutex (flat policies touch shared queues from
   // every CPU's dispatch, so they must serialize); sched::Sharded returns the
-  // per-shard mutex so independent shards dispatch concurrently.
+  // per-shard mutex so independent shards dispatch concurrently.  CPUs that
+  // share a mutex must be adjacent in CPU-id order: LockLifecycle dedups
+  // against the mutex it locked last.
   virtual common::Mutex& DispatchMutex(CpuId cpu);
 
   // Lookup helpers; CHECK-fail on unknown tid.

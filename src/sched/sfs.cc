@@ -1,26 +1,43 @@
 #include "src/sched/sfs.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/assert.h"
 
 namespace sfs::sched {
+namespace {
+
+// Strict (surplus, tid) order — the paper's "ties are broken arbitrarily",
+// made deterministic: true iff `e` with surplus `s` beats the current `best`.
+bool Precedes(double s, const Entity* e, double best_s, const Entity* best) {
+  return best == nullptr || s < best_s || (s == best_s && e->tid < best->tid);
+}
+
+}  // namespace
 
 Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {
   SFS_CHECK(config.heuristic_k >= 0);
   SFS_CHECK(config.heuristic_refresh_period > 0);
-  start_queue_.SetBackend(config.queue_backend);
   surplus_queue_.SetBackend(config.queue_backend);
 }
 
 Sfs::~Sfs() {
-  start_queue_.Clear();
+  for (PhiClass& cls : classes_) {
+    cls.queue.Clear();
+  }
   surplus_queue_.Clear();
 }
 
 double Sfs::VirtualTime() const {
-  const Entity* head = start_queue_.front();
-  return head == nullptr ? idle_virtual_time_ : head->start_tag();
+  if (filed_ == 0) {
+    return idle_virtual_time_;
+  }
+  double v = std::numeric_limits<double>::infinity();
+  for (const PhiClass* cls : active_) {
+    v = std::min(v, cls->queue.front()->start_tag());
+  }
+  return v;
 }
 
 double Sfs::Surplus(ThreadId tid) const {
@@ -32,9 +49,86 @@ double Sfs::Surplus(ThreadId tid) const {
 void Sfs::SetWarp(ThreadId tid, double warp) {
   Entity& e = FindEntity(tid);
   e.SetWarpState(warp);
-  if (e.runnable) {
+  if (e.phi_class() >= 0) {
+    Refile(e);
+  }
+  if (e.runnable && heuristic()) {
     e.surplus() = FreshSurplus(e, VirtualTime());
     surplus_queue_.Reposition(&e);
+  }
+}
+
+Sfs::PhiClass* Sfs::FindClass(Weight phi, double warp_eff) {
+  for (PhiClass* cls : active_) {
+    if (cls->phi == phi && cls->warp_eff == warp_eff) {
+      return cls;
+    }
+  }
+  return nullptr;
+}
+
+void Sfs::File(Entity& e, PhiClass* cls) {
+  if (cls == nullptr) {
+    if (free_classes_.empty()) {
+      cls = &classes_.emplace_back();
+      cls->slot = static_cast<std::int32_t>(classes_.size() - 1);
+      cls->queue.SetBackend(config().queue_backend);
+    } else {
+      cls = free_classes_.back();
+      free_classes_.pop_back();
+    }
+    cls->phi = e.phi();
+    cls->warp_eff = e.warp_eff();
+    cls->active_pos = active_.size();
+    active_.push_back(cls);
+  }
+  e.phi_class() = cls->slot;
+  cls->queue.Insert(&e);
+  ++filed_;
+}
+
+void Sfs::Unfile(Entity& e) {
+  PhiClass* cls = &classes_[static_cast<std::size_t>(e.phi_class())];
+  cls->queue.Remove(&e);
+  e.phi_class() = -1;
+  --filed_;
+  if (!cls->queue.empty()) {
+    return;
+  }
+  // Recycle the emptied class: capped phis take a fresh value on most
+  // arrivals and exits, and mostly-blocked shards empty classes on almost
+  // every block, so classes come and go all the time.
+  PhiClass* moved = active_.back();
+  active_[cls->active_pos] = moved;
+  moved->active_pos = cls->active_pos;
+  active_.pop_back();
+  free_classes_.push_back(cls);
+}
+
+void Sfs::Refile(Entity& e) {
+  PhiClass* from = &classes_[static_cast<std::size_t>(e.phi_class())];
+  PhiClass* to = FindClass(e.phi(), e.warp_eff());
+  if (to == from) {
+    return;  // SetWarp to the warp it already had
+  }
+  if (!heuristic()) {
+    ++refresh_repositions_;
+  }
+  if (to == nullptr && from->queue.size() == 1) {
+    // Sole member moving to a pair no class holds: relabel in place.
+    from->phi = e.phi();
+    from->warp_eff = e.warp_eff();
+    return;
+  }
+  Unfile(e);
+  File(e, to);
+}
+
+void Sfs::OnPhiChanged(Entity& e) {
+  // The entity being admitted or retired is not filed yet (or any more); it
+  // is filed with its final phi by EnqueueRunnable.
+  if (e.phi_class() >= 0) {
+    Refile(e);
   }
 }
 
@@ -62,7 +156,7 @@ void Sfs::OnBlocked(Entity& e) {
   if (RetireWeight(e)) {
     need_refresh_ = true;
   }
-  if (start_queue_.empty()) {
+  if (filed_ == 0) {
     // All processors idle: freeze the virtual time at the finish tag of the
     // thread that ran last (Section 2.3).
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
@@ -96,25 +190,30 @@ void Sfs::OnWeightChanged(Entity& e, Weight old_weight) {
 }
 
 Entity* Sfs::PickNextEntity(CpuId cpu) {
-  const double v = VirtualTime();
-  MaybeRebase(v);
+  double v = VirtualTime();
+  if (MaybeRebase(v)) {
+    v = VirtualTime();
+  }
   ++decisions_;
 
-  if (config().heuristic_k <= 0) {
-    // Exact algorithm: refresh surpluses whenever the virtual time advanced or
-    // instantaneous weights changed, then take the head of the surplus queue.
-    if (need_refresh_ || VirtualTime() != last_refresh_v_) {
-      RefreshSurpluses(VirtualTime());
+  if (!heuristic()) {
+    // Exact algorithm: the classes are always in order, so there is nothing
+    // to refresh.  Count the decisions at which the surplus-queue algorithm
+    // would have refreshed (see full_refreshes()).
+    if (need_refresh_ || v != last_refresh_v_) {
+      last_refresh_v_ = v;
+      need_refresh_ = false;
+      ++full_refreshes_;
     }
-    return ExactPick(cpu);
+    return ExactPick(cpu, v);
   }
 
   // Heuristic (Section 3.2): bounded examination; periodic full refresh keeps the
   // surplus queue ordering accurate between heuristic decisions.
   if (need_refresh_ || ++decisions_since_refresh_ >= config().heuristic_refresh_period) {
-    RefreshSurpluses(VirtualTime());
+    RefreshSurpluses(v);
   }
-  return HeuristicPick(VirtualTime(), config().heuristic_k, cpu);
+  return HeuristicPick(v, config().heuristic_k, cpu);
 }
 
 void Sfs::OnCharge(Entity& e, Tick ran_for) {
@@ -122,13 +221,17 @@ void Sfs::OnCharge(Entity& e, Tick ran_for) {
   // stays runnable continues from its finish tag (Equation 6).
   e.finish_tag() = e.start_tag() + arith().WeightedService(ran_for, e.phi());
   e.start_tag() = e.finish_tag();
-  // Reposition in both queues; the key grew, so scan from the back.
-  start_queue_.Remove(&e);
-  start_queue_.InsertFromBack(&e);
-  e.surplus() = FreshSurplus(e, VirtualTime());
-  surplus_queue_.Remove(&e);
-  surplus_queue_.InsertFromBack(&e);
-  if (start_queue_.size() == 1) {
+  // Reposition within its class (phi did not change); the key grew, so scan
+  // from the back.
+  StartTagQueue& queue = classes_[static_cast<std::size_t>(e.phi_class())].queue;
+  queue.Remove(&e);
+  queue.InsertFromBack(&e);
+  if (heuristic()) {
+    e.surplus() = FreshSurplus(e, VirtualTime());
+    surplus_queue_.Remove(&e);
+    surplus_queue_.InsertFromBack(&e);
+  }
+  if (filed_ == 1) {
     // Only this thread runnable: remember its finish tag for the idle rule.
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
   }
@@ -164,14 +267,18 @@ CpuId Sfs::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) {
 }
 
 void Sfs::EnqueueRunnable(Entity& e) {
-  e.surplus() = FreshSurplus(e, VirtualTime());
-  start_queue_.Insert(&e);
-  surplus_queue_.Insert(&e);
+  if (heuristic()) {
+    e.surplus() = FreshSurplus(e, VirtualTime());
+    surplus_queue_.Insert(&e);
+  }
+  File(e, FindClass(e.phi(), e.warp_eff()));
 }
 
 void Sfs::DequeueRunnable(Entity& e) {
-  start_queue_.Remove(&e);
-  surplus_queue_.Remove(&e);
+  Unfile(e);
+  if (heuristic()) {
+    surplus_queue_.Remove(&e);
+  }
 }
 
 void Sfs::RefreshSurpluses(double v) {
@@ -181,16 +288,8 @@ void Sfs::RefreshSurpluses(double v) {
   // across different phis and the queue stays almost sorted — Resort() is
   // near-linear on both backends and O(log t) per misplaced entity on the
   // skip list, and yields the same total (surplus, tid) order a full sort
-  // would, so dispatch decisions are unchanged.
-  //
-  // The recompute walks the surplus queue — O(runnable), each entity's whole
-  // row one cache line — and FreshSurplus is branch-free per entity: warp_eff
-  // precomputes the old `warp_enabled ? warp : 0` test at SetWarpState time.
-  // (A unit-stride pass over an external dense row array was measured and
-  // rejected: it is the pretty loop, but on mostly-blocked 10k-thread
-  // workloads it made every pick O(total threads), and even gated by runnable
-  // density the external rows cost every *random* entity touch an extra
-  // independent cache line — see the layout note in entity.h.)
+  // would.  Each entity's whole row is one cache line, and FreshSurplus is
+  // branch-free per entity (warp_eff precomputes the warp_enabled test).
   for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
     e->surplus() = FreshSurplus(*e, v);
   }
@@ -201,9 +300,9 @@ void Sfs::RefreshSurpluses(double v) {
   ++full_refreshes_;
 }
 
-void Sfs::MaybeRebase(double v) {
+bool Sfs::MaybeRebase(double v) {
   if (v <= config().tag_rebase_threshold) {
-    return;
+    return false;
   }
   // Shift all tags down by `v` — the minimum start tag over runnable threads,
   // by definition of the virtual time — so the new virtual time is 0.
@@ -214,8 +313,8 @@ void Sfs::MaybeRebase(double v) {
   //     v' >= 0 after the shift, clamping such tags at 0 is behaviour-
   //     identical and keeps them bounded;
   //   * `last_refresh_v_` must shift with the tags unconditionally, or the
-  //     `VirtualTime() != last_refresh_v_` refresh check desynchronizes and
-  //     every subsequent decision pays a spurious full refresh.
+  //     `v != last_refresh_v_` check desynchronizes and every subsequent
+  //     decision counts (heuristic mode: pays) a spurious full refresh.
   const double delta = v;
   ForEachEntity([delta](Entity& e) {
     e.start_tag() -= delta;
@@ -227,33 +326,118 @@ void Sfs::MaybeRebase(double v) {
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
   last_refresh_v_ -= delta;
   // Start tags shifted in place; surpluses are untouched by the shift.
-  start_queue_.SyncKeys();
+  for (PhiClass* cls : active_) {
+    cls->queue.SyncKeys();
+  }
   ++rebases_;
+  return true;
 }
 
-Entity* Sfs::ExactPick(CpuId cpu) {
-  Entity* head = nullptr;
-  for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-    if (!e->running) {
-      head = e;
-      break;
+Entity* Sfs::LeastSurplus(double v, double* surplus) {
+  Entity* best = nullptr;
+  double best_surplus = 0.0;
+  auto consider = [&](Entity* e, double s) {
+    if (Precedes(s, e, best_surplus, best)) {
+      best = e;
+      best_surplus = s;
+    }
+  };
+  for (PhiClass* cls : active_) {
+    StartTagQueue& queue = cls->queue;
+    Entity* head = queue.front();
+    while (head != nullptr && head->running) {
+      head = queue.next(head);
+    }
+    if (head == nullptr) {
+      continue;
+    }
+    const double s = FreshSurplus(*head, v);
+    if (best != nullptr && s > best_surplus) {
+      continue;  // nothing later in this class can be smaller
+    }
+    consider(head, s);
+    // Within a class surplus is non-decreasing in (S, tid) order, but two
+    // different start tags can round to the same surplus.  Such a rounding
+    // tie is decided by tid, so walk the run of entities sharing the head's
+    // surplus.
+    for (Entity* e = queue.next(head); e != nullptr; e = queue.next(e)) {
+      const double es = FreshSurplus(*e, v);
+      if (es != s) {
+        break;
+      }
+      if (!e->running) {
+        consider(e, es);
+      }
     }
   }
-  if (head == nullptr || config().affinity_tolerance <= 0) {
+  if (surplus != nullptr) {
+    *surplus = best_surplus;
+  }
+  return best;
+}
+
+Entity* Sfs::ExactPick(CpuId cpu, double v) {
+  double head_surplus = 0.0;
+  Entity* head = LeastSurplus(v, &head_surplus);
+  if (head == nullptr || config().affinity_tolerance <= 0 || head->last_cpu == cpu) {
     return head;
   }
-  // Affinity extension: accept a slightly-larger surplus to stay cache-warm.
-  const double window = head->surplus() + static_cast<double>(config().affinity_tolerance);
-  if (head->last_cpu == cpu) {
-    return head;
-  }
-  for (Entity* e = surplus_queue_.next(head); e != nullptr && e->surplus() <= window;
-       e = surplus_queue_.next(e)) {
-    if (!e->running && e->last_cpu == cpu) {
-      return e;
+  // Affinity extension: accept a slightly-larger surplus to stay cache-warm —
+  // the least (surplus, tid) thread that last ran on `cpu` within the window.
+  // Surplus is non-decreasing along each class, so each walk stops at the
+  // first entity past the window.
+  const double window = head_surplus + static_cast<double>(config().affinity_tolerance);
+  Entity* affine = nullptr;
+  double affine_surplus = 0.0;
+  for (PhiClass* cls : active_) {
+    StartTagQueue& queue = cls->queue;
+    for (Entity* e = queue.front(); e != nullptr; e = queue.next(e)) {
+      const double s = FreshSurplus(*e, v);
+      if (s > window) {
+        break;
+      }
+      if (!e->running && e->last_cpu == cpu && Precedes(s, e, affine_surplus, affine)) {
+        affine = e;
+        affine_surplus = s;
+      }
     }
   }
-  return head;
+  return affine != nullptr ? affine : head;
+}
+
+ThreadId Sfs::PeekExactPick(CpuId cpu) {
+  SFS_CHECK(!heuristic());
+  const Entity* e = ExactPick(cpu, VirtualTime());
+  return e == nullptr ? kInvalidThread : e->tid;
+}
+
+template <typename Fn>
+void Sfs::ForFirstKByStartTag(std::size_t k, Fn&& fn) {
+  // (S, tid) is a total order, so merging the classes' queues yields exactly
+  // the order one global start-tag queue would hold.  The cursors stay
+  // sorted by key: the front cursor's entry is visited, then that cursor
+  // advances and sinks past the cursors with smaller keys.
+  auto by_key = [](const MergeCursor& a, const MergeCursor& b) { return a.key < b.key; };
+  merge_.clear();
+  for (PhiClass* cls : active_) {
+    Entity* head = cls->queue.front();
+    merge_.push_back({ByStartTagAsc::Key(*head), head, cls});
+  }
+  std::sort(merge_.begin(), merge_.end(), by_key);
+  std::size_t first = 0;  // cursors before `first` are exhausted
+  for (std::size_t visited = 0; visited < k && first < merge_.size(); ++visited) {
+    MergeCursor& cursor = merge_[first];
+    fn(cursor.e);
+    cursor.e = cursor.cls->queue.next(cursor.e);
+    if (cursor.e == nullptr) {
+      ++first;
+      continue;
+    }
+    cursor.key = ByStartTagAsc::Key(*cursor.e);
+    for (std::size_t i = first; i + 1 < merge_.size() && merge_[i + 1].key < merge_[i].key; ++i) {
+      std::swap(merge_[i], merge_[i + 1]);
+    }
+  }
 }
 
 Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
@@ -266,22 +450,19 @@ Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
       return;
     }
     const double s = FreshSurplus(*e, v);
-    // Deterministic tie-break on thread id ("ties are broken arbitrarily").
-    if (best == nullptr || s < best_surplus ||
-        (s == best_surplus && e->tid < best->tid)) {
+    if (Precedes(s, e, best_surplus, best)) {
       best = e;
       best_surplus = s;
     }
     if (cpu != kInvalidCpu && e->last_cpu == cpu &&
-        (best_affine == nullptr || s < best_affine_surplus ||
-         (s == best_affine_surplus && e->tid < best_affine->tid))) {
+        Precedes(s, e, best_affine_surplus, best_affine)) {
       best_affine = e;
       best_affine_surplus = s;
     }
   };
   const auto kk = static_cast<std::size_t>(k);
   surplus_queue_.ForFirstK(kk, consider);
-  start_queue_.ForFirstK(kk, consider);
+  ForFirstKByStartTag(kk, consider);
   // The weight queue is descending; examine it backwards — smallest weights first
   // (footnote 8).
   weight_queue().ForLastK(kk, consider);
@@ -303,6 +484,7 @@ Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
 }
 
 Sfs::HeuristicAudit Sfs::AuditHeuristic(int k) {
+  SFS_CHECK(heuristic());
   HeuristicAudit audit;
   const double v = VirtualTime();
   Entity* h = HeuristicPick(v, k, kInvalidCpu);
@@ -310,22 +492,10 @@ Sfs::HeuristicAudit Sfs::AuditHeuristic(int k) {
     audit.heuristic_pick = h->tid;
     audit.heuristic_surplus = FreshSurplus(*h, v);
   }
-  // Exact answer computed by full scan (no state mutation).
-  Entity* exact = nullptr;
-  double exact_s = 0.0;
-  for (Entity* e = start_queue_.front(); e != nullptr; e = start_queue_.next(e)) {
-    if (e->running) {
-      continue;
-    }
-    const double s = FreshSurplus(*e, v);
-    if (exact == nullptr || s < exact_s || (s == exact_s && e->tid < exact->tid)) {
-      exact = e;
-      exact_s = s;
-    }
-  }
-  if (exact != nullptr) {
+  double exact_surplus = 0.0;
+  if (Entity* exact = LeastSurplus(v, &exact_surplus); exact != nullptr) {
     audit.exact_pick = exact->tid;
-    audit.exact_surplus = exact_s;
+    audit.exact_surplus = exact_surplus;
   }
   return audit;
 }

@@ -20,17 +20,28 @@
 //   * on a uniprocessor SFS reduces exactly to SFQ (least surplus == least start
 //     tag), which the test suite verifies.
 //
-// Engineering faithful to Section 3:
-//   * three sorted queues (descending weight — in GpsSchedulerBase; ascending start
-//     tag; ascending surplus), each on the backend selected by
-//     SchedConfig::queue_backend (paper-faithful sorted list, or the O(log t)
-//     indexed skip list of Section 3.2's "binary search" remark);
-//   * surpluses are recomputed — and only the entities whose queue order
-//     actually changed repositioned — when the virtual time advances or
-//     weights were readjusted;
-//   * optional scheduling heuristic: examine the first k threads of the start-tag
-//     and surplus queues and the last k of the weight queue, pick the least fresh
-//     surplus among them (Figure 3 measures its accuracy);
+// Engineering of Section 3, and where it departs:
+//   * the descending-weight queue of Section 3.1 lives in GpsSchedulerBase and
+//     drives the O(p) readjustment;
+//   * the exact decision does not keep the paper's sorted surplus queue.
+//     Threads with equal phi (and equal latency warp) rank by surplus exactly
+//     as they rank by start tag, so runnable threads are filed in *phi
+//     classes* — one start-tag-ordered queue per distinct (phi, warp_eff)
+//     pair — and the least-surplus thread is the least-surplus head among the
+//     classes.  v is the least class head start tag.  A decision costs
+//     O(classes + p), a charge re-files one thread within its class, and a
+//     readjustment re-files only the threads whose phi changed (O(p) of
+//     them); neither a decision nor a charge walks the runnable set.  DESIGN.md §3
+//     gives the monotonicity argument that makes the result identical to a
+//     full surplus sort, rounding ties included;
+//   * optional scheduling heuristic (Figure 3): examine the first k threads of
+//     the surplus queue, of the start-tag order (a k-way merge of the class
+//     heads) and the last k of the weight queue, and pick the least fresh
+//     surplus among them.  Only this mode keeps a surplus queue, refreshed and
+//     resorted every heuristic_refresh_period decisions or after a phi change;
+//   * every queue sits on the backend selected by SchedConfig::queue_backend
+//     (paper-faithful sorted list, or the O(log t) indexed skip list of
+//     Section 3.2's "binary search" remark);
 //   * optional fixed-point tag arithmetic with a 10^n scaling factor;
 //   * tag wrap-around handling: all tags are periodically rebased against the
 //     minimum start tag.
@@ -39,6 +50,7 @@
 #define SFS_SCHED_SFS_H_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -89,9 +101,15 @@ class Sfs : public GpsSchedulerBase {
   double StartTag(ThreadId tid) const { return FindEntity(tid).start_tag(); }
   double FinishTag(ThreadId tid) const { return FindEntity(tid).finish_tag(); }
 
+  // The thread the next PickNext(cpu) would dispatch, without dispatching it
+  // (kInvalidThread if none).  Exact mode only; audits and tests compare it
+  // against a brute-force scan.
+  ThreadId PeekExactPick(CpuId cpu);
+
   // Result of comparing the Section 3.2 heuristic against the exact algorithm for
   // the next dispatch decision on `cpu`, without mutating scheduler state.  Used
-  // to reproduce Figure 3.
+  // to reproduce Figure 3.  Heuristic mode only (heuristic_k > 0): the audited
+  // surplus queue exists only there.
   struct HeuristicAudit {
     ThreadId heuristic_pick = kInvalidThread;
     ThreadId exact_pick = kInvalidThread;
@@ -102,11 +120,21 @@ class Sfs : public GpsSchedulerBase {
 
   // Counters for the overhead benchmarks.
   std::int64_t decisions() const { return decisions_; }
+  // Heuristic mode: surplus-queue refresh passes.  Exact mode: decisions that
+  // found v advanced or some phi changed since the previous decision — the
+  // decisions at which Section 3.2's exact algorithm recomputes and resorts
+  // every surplus, and at which this one does no surplus work at all.
   std::int64_t full_refreshes() const { return full_refreshes_; }
   std::int64_t rebases() const { return rebases_; }
-  // Entities re-inserted by the incremental surplus refresh (the entities whose
-  // surplus-queue order actually changed); everything else kept its position.
+  // Heuristic mode: entities re-inserted by the incremental surplus refresh
+  // (those whose surplus-queue order actually changed).  Exact mode: threads
+  // re-filed into another phi class because readjustment, a weight change or
+  // a warp change rewrote their (phi, warp_eff) pair.
   std::int64_t refresh_repositions() const { return refresh_repositions_; }
+
+  // Phi classes currently holding runnable threads; never more than the
+  // runnable count (an emptied class is recycled at once).
+  std::size_t phi_classes() const { return active_.size(); }
 
  protected:
   void OnAdmit(Entity& e) override;
@@ -117,25 +145,48 @@ class Sfs : public GpsSchedulerBase {
   Entity* PickNextEntity(CpuId cpu) override;
   void OnCharge(Entity& e, Tick ran_for) override;
   void OnAttach(Entity& e) override;
+  void OnPhiChanged(Entity& e) override;
 
  private:
-  // Inserts a runnable entity into the start-tag and surplus queues with a fresh
-  // surplus value.
+  // The runnable threads sharing one (phi, warp_eff) pair, in ascending
+  // (start tag, tid) order.  Surplus phi * (S - v - warp_eff) is
+  // non-decreasing along that order (DESIGN.md §3).
+  struct PhiClass {
+    Weight phi = 0.0;
+    double warp_eff = 0.0;
+    std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
+    std::size_t active_pos = 0;  // index in active_
+    StartTagQueue queue;
+  };
+
+  bool heuristic() const { return config().heuristic_k > 0; }
+
+  // The non-empty class holding (phi, warp_eff), or nullptr.
+  PhiClass* FindClass(Weight phi, double warp_eff);
+  // Files a runnable entity into `cls`, the class of its current (phi,
+  // warp_eff) — or, if nullptr, into a newly opened (recycled) one.  Unfile
+  // takes it out and recycles a class it leaves empty.
+  void File(Entity& e, PhiClass* cls);
+  void Unfile(Entity& e);
+  // Moves a filed entity whose (phi, warp_eff) changed to its new class.
+  void Refile(Entity& e);
+
+  // Inserts a runnable entity into its phi class and, in heuristic mode, into
+  // the surplus queue with a fresh surplus value.
   void EnqueueRunnable(Entity& e);
   void DequeueRunnable(Entity& e);
 
-  // Recomputes every surplus against `v` in one branchless pass over the dense
-  // hot-store arrays, then incrementally restores surplus-queue order: only
-  // entities whose new key breaks the ascending run are pulled out and
-  // re-inserted (O(log t) each on the skip-list backend).  Blocked entities'
-  // rows are overwritten too — harmless, since they sit on no queue and
-  // EnqueueRunnable recomputes the surplus at wakeup.
+  // Heuristic mode only: recomputes every surplus against `v` in one pass over
+  // the surplus queue, then incrementally restores its order — only entities
+  // whose new key breaks the ascending run are pulled out and re-inserted
+  // (O(log t) each on the skip-list backend).
   void RefreshSurpluses(double v);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
   // threshold: shifts every tag (runnable and blocked) down by the minimum start
-  // tag.  Relative order and surpluses are invariant under the shift.
-  void MaybeRebase(double v);
+  // tag.  Relative order and surpluses are invariant under the shift.  Returns
+  // true iff it rebased.
+  bool MaybeRebase(double v);
 
   // Effective surplus used for dispatch: the paper's alpha_i = phi_i*(S_i - v),
   // minus the optional latency warp (warp_eff is warp while enabled, else 0).
@@ -143,16 +194,42 @@ class Sfs : public GpsSchedulerBase {
     return e.phi() * (e.start_tag() - v - e.warp_eff());
   }
 
-  Entity* ExactPick(CpuId cpu);
+  // The not-running runnable thread with the least (fresh surplus, tid), or
+  // nullptr; `surplus` receives its surplus.
+  Entity* LeastSurplus(double v, double* surplus);
+  Entity* ExactPick(CpuId cpu, double v);
   Entity* HeuristicPick(double v, int k, CpuId cpu);
 
-  StartTagQueue start_queue_;
+  // Visits the first `k` runnable threads in ascending (start tag, tid) order
+  // — a k-way merge of the class heads.
+  template <typename Fn>
+  void ForFirstKByStartTag(std::size_t k, Fn&& fn);
+
+  // Class slots (a deque: stable addresses, neighbouring classes share
+  // lines); a slot whose class emptied is parked on free_classes_ and reused,
+  // so the table never outgrows the peak runnable count and steady state
+  // allocates nothing.
+  std::deque<PhiClass> classes_;
+  std::vector<PhiClass*> free_classes_;
+  // The non-empty classes.  File() finds a thread's class by scanning them:
+  // there are few distinct (phi, warp_eff) pairs in practice, and a decision
+  // visits every one of them anyway.
+  std::vector<PhiClass*> active_;
+  std::size_t filed_ = 0;  // runnable threads across all classes
+
+  // Heuristic mode only.
   SurplusQueue surplus_queue_;
+  struct MergeCursor {
+    std::pair<double, ThreadId> key;  // e's (start tag, tid), read once
+    Entity* e;
+    PhiClass* cls;
+  };
+  std::vector<MergeCursor> merge_;  // ForFirstKByStartTag's cursors, reused
 
   // Virtual time bookkeeping.  `idle_virtual_time_` implements "the virtual time
   // ... is set to the finish tag of the thread that ran last" when no thread is
   // runnable.  `need_refresh_` starts true so `last_refresh_v_` is only ever
-  // compared after a refresh stored a real virtual time; MaybeRebase shifts it
+  // compared after a decision stored a real virtual time; MaybeRebase shifts it
   // together with the tags so the comparison stays in sync across rebases.
   double idle_virtual_time_ = 0.0;
   double last_refresh_v_ = 0.0;
