@@ -3,7 +3,7 @@
 // Section 2.1: "Our weight readjustment algorithm can be employed with most
 // existing GPS-based scheduling algorithms to deal with the problem of
 // infeasible weights."  This harness runs the Example 1 starvation scenario and
-// a GMS-deviation audit for SFQ, stride, WFQ and BVT with readjustment off/on.
+// a GMS-deviation audit for SFQ and WFQ with readjustment off/on.
 
 #include <string>
 #include <vector>
@@ -14,8 +14,8 @@
 #include "src/harness/runner.h"
 
 SFS_EXPERIMENT(abl_readjust_everywhere,
-               .description = "Ablation A4: readjustment grafted onto SFQ/stride/WFQ/BVT",
-               .schedulers = {"sfq", "stride", "wfq", "bvt", "sfs"}) {
+               .description = "Ablation A4: readjustment grafted onto SFQ/WFQ",
+               .schedulers = {"sfq", "wfq", "sfs"}) {
   using sfs::common::Table;
   using sfs::harness::JsonValue;
   using sfs::sched::SchedKind;
@@ -34,9 +34,7 @@ SFS_EXPERIMENT(abl_readjust_everywhere,
     bool readjust;
   };
   for (const Row row : {Row{SchedKind::kSfq, false}, Row{SchedKind::kSfq, true},
-                        Row{SchedKind::kStride, false}, Row{SchedKind::kStride, true},
                         Row{SchedKind::kWfq, false}, Row{SchedKind::kWfq, true},
-                        Row{SchedKind::kBvt, false}, Row{SchedKind::kBvt, true},
                         Row{SchedKind::kSfs, true}}) {
     const auto ex1 = sfs::eval::RunExample1(row.kind, row.readjust);
     const double deviation_ms =

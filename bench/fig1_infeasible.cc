@@ -25,7 +25,7 @@ using sfs::sched::SchedKind;
 
 SFS_EXPERIMENT(fig1_example1_infeasible,
                .description = "Example 1: infeasible weights starve T1 under plain SFQ",
-               .schedulers = {"sfq", "stride", "wfq", "sfs"}) {
+               .schedulers = {"sfq", "wfq", "sfs"}) {
   reporter.out() << "=== Figure 1 / Example 1: the infeasible weights problem ===\n"
                  << "2 CPUs, q=1ms; T1(w=1), T2(w=10) from t=0; T3(w=1) arrives at t=1s.\n"
                  << "Paper: under SFQ, T1 starves ~900 quanta (0.9s) after T3 arrives.\n\n";
@@ -38,7 +38,6 @@ SFS_EXPERIMENT(fig1_example1_infeasible,
     bool readjust;
   };
   for (const Case c : {Case{SchedKind::kSfq, false}, Case{SchedKind::kSfq, true},
-                       Case{SchedKind::kStride, false}, Case{SchedKind::kStride, true},
                        Case{SchedKind::kWfq, false}, Case{SchedKind::kWfq, true},
                        Case{SchedKind::kSfs, true}}) {
     const auto result = sfs::eval::RunExample1(c.kind, c.readjust);

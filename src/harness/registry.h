@@ -26,7 +26,8 @@ struct ExperimentSpec {
   std::string description = {};
 
   // Canonical sched::SchedKindName()s exercised by the experiment, for
-  // provenance in the JSON document.
+  // provenance in the JSON document.  sfs_bench refuses to list or run while
+  // any registered experiment names one sched::ParseSchedKind rejects.
   std::vector<std::string> schedulers = {};
 
   // Measured repetitions recorded in the output (overridable with --repeat).

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/assert.h"
+#include "src/sched/factory.h"
 #include "src/sim/engine.h"
 
 namespace sfs::harness {
@@ -317,6 +318,20 @@ JsonValue RunExperimentsToJson(const RunOptions& options, std::ostream& human_ou
   return doc;
 }
 
+std::vector<std::string> UnknownSchedulerErrors(
+    const std::vector<const Experiment*>& experiments) {
+  std::vector<std::string> errors;
+  for (const Experiment* experiment : experiments) {
+    for (const std::string& name : experiment->spec.schedulers) {
+      if (!sched::ParseSchedKind(name).has_value()) {
+        errors.push_back("experiment " + experiment->spec.name + " lists unknown scheduler \"" +
+                         name + "\"");
+      }
+    }
+  }
+  return errors;
+}
+
 int RunBenchMain(int argc, char** argv) {
   RunOptions options;
   if (!ParseRunOptions(argc, argv, options, std::cerr)) {
@@ -325,6 +340,14 @@ int RunBenchMain(int argc, char** argv) {
   if (options.help) {
     std::cout << kUsage;
     return 0;
+  }
+  const std::vector<std::string> unknown = UnknownSchedulerErrors(Registry::Instance().Match(""));
+  if (!unknown.empty()) {
+    for (const std::string& error : unknown) {
+      std::cerr << "sfs_bench: " << error << "\n";
+    }
+    std::cerr << "sfs_bench: known policies: " << sched::KnownSchedKindNames() << "\n";
+    return 1;
   }
   if (options.list) {
     for (const Experiment* experiment : Registry::Instance().Match(options.filter)) {

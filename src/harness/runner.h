@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/harness/json_writer.h"
 #include "src/harness/registry.h"
@@ -121,9 +122,16 @@ struct RunOptions {
 // usage.
 bool ParseRunOptions(int argc, char** argv, RunOptions& options, std::ostream& err);
 
+// One message per `schedulers` entry of `experiments` that
+// sched::ParseSchedKind rejects, naming the experiment and the name; empty
+// when every name parses.
+std::vector<std::string> UnknownSchedulerErrors(
+    const std::vector<const Experiment*>& experiments);
+
 // Runs the selected experiments and (optionally) writes the JSON document.
 // Returns a process exit code: 0 on success, 1 when the filter matches
-// nothing, 2 on usage errors.
+// nothing or any registered experiment lists an unknown scheduler name
+// (checked before listing or running), 2 on usage errors.
 int RunBenchMain(int argc, char** argv);
 
 // Builds the full document for the given options without touching the

@@ -26,9 +26,9 @@
 // but the only such pass left is the k-bounded heuristic's periodic surplus
 // refresh (Sfs::RefreshSurpluses, O(runnable), heuristic mode only — the
 // exact algorithm reads just the heads of its phi classes), while every hot
-// path pays the random-touch cost, so the inline row wins.  warp_eff keeps
-// the surplus formula branch-free: the per-entity `warp_enabled ? warp : 0`
-// test is precomputed at SetWarpState time.
+// path pays the random-touch cost, so the inline row wins.  The SFS latency
+// warp lives in the row as warp_eff, 0 for an unwarped thread, so the surplus
+// formula subtracts it unconditionally with no per-entity branch.
 
 #ifndef SFS_SCHED_ENTITY_H_
 #define SFS_SCHED_ENTITY_H_
@@ -50,7 +50,7 @@ struct alignas(64) EntityHotRow {
   double start_tag = 0.0;   // S_i
   double finish_tag = 0.0;  // F_i
   double surplus = 0.0;     // alpha_i = phi_i * (S_i - v), heuristic SFS only
-  double warp_eff = 0.0;    // warp while warp_enabled, else 0
+  double warp_eff = 0.0;    // SFS latency warp (Sfs::SetWarp); 0 = none
   // SFS phi class holding this runnable entity (Sfs::PhiClass slot), or -1.
   std::int32_t phi_class = -1;
   // 12 bytes of the line left for the next hot field.
@@ -95,31 +95,18 @@ struct Entity {
   std::int32_t& phi_class() { return row().phi_class; }
   std::int32_t phi_class() const { return row().phi_class; }
 
-  // Effective warp: `warp` while warp_enabled, else 0.  Kept hot so SFS
-  // surpluses (and the phi-class key) and the BVT effective-virtual-time key
-  // read the row instead of testing warp_enabled per entity.
+  // SFS latency warp, in ticks of weighted service; 0 when unwarped.  Kept
+  // hot because SFS surpluses and the phi-class key subtract it.
   double warp_eff() const { return row().warp_eff; }
 
-  // Sets the BVT/SFS latency warp, keeping warp, warp_enabled and the hot
-  // warp_eff row consistent.  warp = 0 disables.
-  void SetWarpState(double w) {
-    warp = w;
-    warp_enabled = w != 0.0;
-    row().warp_eff = warp_enabled ? w : 0.0;
-  }
+  // Sets the SFS latency warp (Sfs::SetWarp).  warp = 0 disables.
+  void SetWarpState(double w) { row().warp_eff = w; }
 
   // --- cold fields ------------------------------------------------------------
   // Declaration order packs 8-byte, then 4-byte, then 1-byte members so the
   // whole Entity is exactly three cache lines (the alignas(64) row rounds
   // sizeof up to a multiple of 64; sloppy ordering here costs a fourth line
   // per entity, which is measurable at 10k threads).
-
-  // Stride scheduling pass value / BVT actual virtual time.
-  double pass = 0.0;
-
-  // BVT latency parameter: while warp_enabled, the effective virtual time is
-  // pass - warp.  Written only through SetWarpState.
-  double warp = 0.0;
 
   // Linux 2.2-style time-sharing state: remaining timeslice in timer ticks and
   // the static priority added at every epoch recalculation.
@@ -136,8 +123,6 @@ struct Entity {
   // Maintained by ReadjustQueue so that restoring former caps costs O(p), not O(t).
   bool capped = false;
 
-  bool warp_enabled = false;
-
   // --- generic state maintained by the Scheduler base class ---
   bool runnable = false;
   bool running = false;
@@ -147,7 +132,7 @@ struct Entity {
   common::ListHook by_weight;   // runnable threads, descending weight
   common::ListHook by_start;    // ascending start tag (SFQ's queue; SFS's phi class)
   common::ListHook by_surplus;  // ascending surplus (SFS heuristic only)
-  common::ListHook by_rq;       // scheduler-specific run queue (RR/timeshare/stride/...)
+  common::ListHook by_rq;       // scheduler-specific run queue (RR/timeshare/WFQ/...)
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

@@ -4,14 +4,13 @@
 #include <sstream>
 
 #include "src/common/assert.h"
-#include "src/sched/bvt.h"
 #include "src/sched/hsfs.h"
 #include "src/sched/lottery.h"
 #include "src/sched/round_robin.h"
 #include "src/sched/sfq.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
-#include "src/sched/stride.h"
+#include "src/sched/tag_arith.h"
 #include "src/sched/timeshare.h"
 #include "src/sched/wfq.h"
 
@@ -20,11 +19,10 @@ namespace sfs::sched {
 namespace {
 
 constexpr SchedKind kAllSchedKinds[] = {
-    SchedKind::kSfs,          SchedKind::kHsfs,        SchedKind::kSfq,
-    SchedKind::kStride,       SchedKind::kWfq,         SchedKind::kBvt,
-    SchedKind::kTimeshare,    SchedKind::kRoundRobin,  SchedKind::kLottery,
-    SchedKind::kShardedSfs,   SchedKind::kShardedSfq,  SchedKind::kShardedWfq,
-    SchedKind::kShardedStride, SchedKind::kShardedBvt,
+    SchedKind::kSfs,        SchedKind::kHsfs,       SchedKind::kSfq,
+    SchedKind::kWfq,        SchedKind::kTimeshare,  SchedKind::kRoundRobin,
+    SchedKind::kLottery,    SchedKind::kShardedSfs, SchedKind::kShardedSfq,
+    SchedKind::kShardedWfq,
 };
 
 constexpr QueueBackend kAllQueueBackends[] = {QueueBackend::kSortedList,
@@ -57,12 +55,8 @@ std::string_view SchedKindName(SchedKind kind) {
       return "hsfs";
     case SchedKind::kSfq:
       return "sfq";
-    case SchedKind::kStride:
-      return "stride";
     case SchedKind::kWfq:
       return "wfq";
-    case SchedKind::kBvt:
-      return "bvt";
     case SchedKind::kTimeshare:
       return "timeshare";
     case SchedKind::kRoundRobin:
@@ -75,10 +69,6 @@ std::string_view SchedKindName(SchedKind kind) {
       return "sharded-sfq";
     case SchedKind::kShardedWfq:
       return "sharded-wfq";
-    case SchedKind::kShardedStride:
-      return "sharded-stride";
-    case SchedKind::kShardedBvt:
-      return "sharded-bvt";
   }
   return "unknown";
 }
@@ -100,10 +90,6 @@ std::optional<SchedKind> ShardedKindFor(SchedKind kind) {
       return SchedKind::kShardedSfq;
     case SchedKind::kWfq:
       return SchedKind::kShardedWfq;
-    case SchedKind::kStride:
-      return SchedKind::kShardedStride;
-    case SchedKind::kBvt:
-      return SchedKind::kShardedBvt;
     default:
       return std::nullopt;
   }
@@ -165,6 +151,9 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
     error << "num_cpus must be >= 1 (got " << config.num_cpus << ")";
   } else if (config.quantum <= 0) {
     error << "quantum must be positive (got " << config.quantum << ")";
+  } else if (config.fixed_point_digits > kMaxFixedPointDigits) {
+    error << "fixed_point_digits must be <= " << kMaxFixedPointDigits
+          << " (negative = exact arithmetic; got " << config.fixed_point_digits << ")";
   } else if (config.heuristic_k < 0) {
     error << "heuristic_k must be >= 0 (got " << config.heuristic_k << ")";
   } else if (config.heuristic_refresh_period <= 0) {
@@ -194,12 +183,8 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedKind kind, const SchedConfig& co
       return std::make_unique<HierarchicalSfs>(config);
     case SchedKind::kSfq:
       return std::make_unique<Sfq>(config);
-    case SchedKind::kStride:
-      return std::make_unique<Stride>(config);
     case SchedKind::kWfq:
       return std::make_unique<Wfq>(config);
-    case SchedKind::kBvt:
-      return std::make_unique<Bvt>(config);
     case SchedKind::kTimeshare:
       return std::make_unique<Timeshare>(config);
     case SchedKind::kRoundRobin:
@@ -215,10 +200,6 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedKind kind, const SchedConfig& co
       return std::make_unique<Sharded<Sfq>>(config);
     case SchedKind::kShardedWfq:
       return std::make_unique<Sharded<Wfq>>(config);
-    case SchedKind::kShardedStride:
-      return std::make_unique<Sharded<Stride>>(config);
-    case SchedKind::kShardedBvt:
-      return std::make_unique<Sharded<Bvt>>(config);
   }
   SFS_CHECK(false);
   return nullptr;

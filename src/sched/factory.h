@@ -12,23 +12,21 @@
 
 namespace sfs::sched {
 
+// The values are explicit so that each kind keeps its number when another is
+// deleted: parameterized test instance names print it.
 enum class SchedKind {
-  kSfs,        // surplus fair scheduling (this paper)
-  kHsfs,       // hierarchical SFS (the paper's future-work extension)
-  kSfq,        // start-time fair queueing
-  kStride,     // stride scheduling
-  kWfq,        // weighted fair queueing
-  kBvt,        // borrowed virtual time
-  kTimeshare,  // Linux 2.2-style time sharing
-  kRoundRobin,
-  kLottery,  // lottery scheduling (randomized proportional share)
+  kSfs = 0,        // surplus fair scheduling (this paper)
+  kHsfs = 1,       // hierarchical SFS (the paper's future-work extension)
+  kSfq = 2,        // start-time fair queueing
+  kWfq = 4,        // weighted fair queueing
+  kTimeshare = 6,  // Linux 2.2-style time sharing
+  kRoundRobin = 7,
+  kLottery = 8,  // lottery scheduling (randomized proportional share)
   // Sharded variants: one uniprocessor instance of the policy per CPU behind
   // the steal/rebalance/coupling machinery of sched::Sharded.
-  kShardedSfs,
-  kShardedSfq,
-  kShardedWfq,
-  kShardedStride,
-  kShardedBvt,
+  kShardedSfs = 9,
+  kShardedSfq = 10,
+  kShardedWfq = 11,
 };
 
 // Canonical lower-case name ("sfs", "sharded-sfs", ...).

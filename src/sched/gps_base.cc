@@ -5,14 +5,14 @@ namespace sfs::sched {
 Entity* GpsSchedulerBase::PickMigrationCandidate(double max_weight, double* score) {
   Entity* best = nullptr;
   double best_score = 0.0;
-  // Hoisted: LocalVirtualTime() can itself be a queue walk (WFQ/BVT), so
+  // Hoisted: LocalVirtualTime() can itself be a queue walk (WFQ), so
   // evaluating it per entity would make the scan quadratic.
   const double v = LocalVirtualTime();
   for (Entity* e = weight_queue_.front(); e != nullptr; e = weight_queue_.next(e)) {
     if (e->running || (max_weight > 0.0 && e->weight() >= max_weight)) {
       continue;
     }
-    const double entity_score = e->phi() * (EntityTag(*e) - v);
+    const double entity_score = e->phi() * (e->start_tag() - v);
     // Total order on (score, -tid): the choice does not depend on queue order.
     if (best == nullptr || entity_score > best_score ||
         (entity_score == best_score && e->tid < best->tid)) {

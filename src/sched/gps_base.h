@@ -1,4 +1,4 @@
-// Shared base for GPS-derived schedulers (SFS, SFQ, stride, WFQ, BVT).
+// Shared base for GPS-derived schedulers (SFS, SFQ, WFQ).
 //
 // Maintains the weight-sorted runnable queue from Section 3.1 and invokes the
 // weight readjustment algorithm at every point the paper requires: "every time the

@@ -202,20 +202,16 @@ class Scheduler {
   void AttachEntity(std::unique_ptr<Entity> entity);
 
   // This scheduler's virtual timeline origin for tag translation: the GPS
-  // policies return their system virtual time (minimum primary tag over
+  // policies return their system virtual time (minimum start tag over
   // runnable threads); policies without virtual-time tags return 0.
   virtual double LocalVirtualTime() const { return 0.0; }
 
-  // The entity's position on that timeline (its primary tag): start tag for
-  // SFS/SFQ/WFQ, pass for stride/BVT.
-  virtual double EntityTag(const Entity& e) const { return e.start_tag(); }
-
-  // Phi-weighted lead of `e` over the local virtual time — the SFS surplus
-  // alpha_i = phi_i * (S_i - v) generalized to any tagged policy.  The sharded
-  // layer steals the thread with the greatest score
+  // Phi-weighted lead of `e`'s start tag over the local virtual time — the
+  // SFS surplus alpha_i = phi_i * (S_i - v) generalized to any tagged policy.
+  // The sharded layer steals the thread with the greatest score
   // (GpsSchedulerBase::PickMigrationCandidate).
   double MigrationScore(const Entity& e) const {
-    return e.phi() * (EntityTag(e) - LocalVirtualTime());
+    return e.phi() * (e.start_tag() - LocalVirtualTime());
   }
 
   // --- Introspection ----------------------------------------------------------

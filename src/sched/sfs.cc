@@ -289,7 +289,7 @@ void Sfs::RefreshSurpluses(double v) {
   // near-linear on both backends and O(log t) per misplaced entity on the
   // skip list, and yields the same total (surplus, tid) order a full sort
   // would.  Each entity's whole row is one cache line, and FreshSurplus is
-  // branch-free per entity (warp_eff precomputes the warp_enabled test).
+  // branch-free per entity (an unwarped entity's warp_eff is 0).
   for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
     e->surplus() = FreshSurplus(*e, v);
   }

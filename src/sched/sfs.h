@@ -189,7 +189,7 @@ class Sfs : public GpsSchedulerBase {
   bool MaybeRebase(double v);
 
   // Effective surplus used for dispatch: the paper's alpha_i = phi_i*(S_i - v),
-  // minus the optional latency warp (warp_eff is warp while enabled, else 0).
+  // minus the optional latency warp (warp_eff, 0 when unwarped).
   double FreshSurplus(const Entity& e, double v) const {
     return e.phi() * (e.start_tag() - v - e.warp_eff());
   }

@@ -10,11 +10,8 @@ namespace sfs::sched {
 
 void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double coupling) {
   const double origin = v_dst + coupling * (v_src - v_dst);
-  // Both tag axes are translated with the same rule; each policy reads only
-  // its own (start/finish for SFS/SFQ/WFQ, pass for stride/BVT).
   e.start_tag() = origin + std::max(0.0, e.start_tag() - v_src);
   e.finish_tag() = e.start_tag();
-  e.pass = origin + std::max(0.0, e.pass - v_src);
   e.surplus() = 0.0;
 }
 

@@ -7,7 +7,7 @@
 // schedulers answer that objection with per-CPU run queues plus idle-time work
 // stealing; this layer builds that answer on SFS's own surplus metric:
 //
-//   * one uniprocessor instance of any GPS policy (SFS/SFQ/WFQ/stride/BVT)
+//   * one uniprocessor instance of any GPS policy (SFS/SFQ/WFQ)
 //     per CPU — a shard.  Uniprocessor GPS needs no weight readjustment
 //     (every assignment is feasible), the approach's original selling point;
 //   * weight-balanced placement at arrival (lightest shard by runnable

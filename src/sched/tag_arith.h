@@ -18,13 +18,14 @@
 
 namespace sfs::sched {
 
+// Largest fixed-point digit count TagArith accepts (SchedConfig::fixed_point_digits).
+inline constexpr int kMaxFixedPointDigits = 8;
+
 class TagArith {
  public:
-  // digits < 0: exact double arithmetic.  digits in [0, 8]: emulate the kernel's
-  // 10^digits scaling factor.
-  explicit TagArith(int digits) : digits_(digits), scale_(digits >= 0 ? common::Pow10(digits) : 1) {
-    SFS_CHECK(digits <= 8);
-  }
+  // digits < 0: exact double arithmetic.  digits in [0, kMaxFixedPointDigits]:
+  // emulate the kernel's 10^digits scaling factor.
+  explicit TagArith(int digits) : digits_(digits), scale_(Scale(digits)) {}
 
   bool fixed_point() const { return digits_ >= 0; }
   std::int64_t scale() const { return scale_; }
@@ -47,6 +48,12 @@ class TagArith {
   }
 
  private:
+  // Checked before Pow10, which overflows int64 from 19 digits up.
+  static std::int64_t Scale(int digits) {
+    SFS_CHECK(digits <= kMaxFixedPointDigits);
+    return digits >= 0 ? common::Pow10(digits) : 1;
+  }
+
   int digits_;
   std::int64_t scale_;
 };

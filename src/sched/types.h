@@ -65,8 +65,8 @@ struct SchedConfig {
   int heuristic_refresh_period = 64;
 
   // Enables the weight readjustment algorithm (Section 2.1).  SFS always uses
-  // it; for SFQ/stride/WFQ/BVT it is optional so that the paper's
-  // with/without comparisons (Figure 4) can be run.
+  // it; for SFQ and WFQ it is optional so that the paper's with/without
+  // comparisons (Figure 4) can be run.
   bool use_readjustment = true;
 
   // Rebase threshold for tag wrap-around handling (Section 3.2).  When the
@@ -76,7 +76,7 @@ struct SchedConfig {
   double tag_rebase_threshold = 1e15;
 
   // Backend for every sorted run queue the scheduler maintains (weight, start
-  // tag, surplus, finish tag, pass, ...).  The skip-list backend changes only
+  // tag, surplus, finish tag, ...).  The skip-list backend changes only
   // constants, never decisions.
   QueueBackend queue_backend = QueueBackend::kSortedList;
 

@@ -7,8 +7,8 @@
 // for basing decisions on start tags / surpluses only (Section 2.3: SFS "does not
 // require the quantum length to be known a priori").
 //
-// Like SFQ and stride, WFQ inherits the multiprocessor infeasible-weight
-// pathology; use_readjustment grafts the Section 2.1 algorithm onto it.
+// Like SFQ, WFQ inherits the multiprocessor infeasible-weight pathology;
+// use_readjustment grafts the Section 2.1 algorithm onto it.
 
 #ifndef SFS_SCHED_WFQ_H_
 #define SFS_SCHED_WFQ_H_

@@ -216,5 +216,21 @@ TEST(RunnerTest, DocumentCarriesSpecMetadata) {
   EXPECT_NE(text.find("\"deterministic\": false"), std::string::npos);
 }
 
+TEST(RunnerTest, UnknownSchedulerNamesNameTheExperiment) {
+  Experiment stale;
+  stale.spec.name = "stale_exp";
+  stale.spec.schedulers = {"sfs", "stride", "sharded-bvt"};
+  Experiment current;
+  current.spec.name = "current_exp";
+  current.spec.schedulers = {"sfq", "sharded-wfq"};
+  const std::vector<std::string> errors = UnknownSchedulerErrors({&current, &stale});
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_NE(errors[0].find("stale_exp"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find("\"stride\""), std::string::npos) << errors[0];
+  EXPECT_NE(errors[1].find("\"sharded-bvt\""), std::string::npos) << errors[1];
+  // Every experiment registered in this binary names a real policy.
+  EXPECT_TRUE(UnknownSchedulerErrors(Registry::Instance().Match("")).empty());
+}
+
 }  // namespace
 }  // namespace sfs::harness

@@ -33,13 +33,15 @@ TEST(Example1Test, SfsEliminatesStarvation) {
 
 TEST(Example1Test, StrideAndWfqShareThePathology) {
   // "Many recently proposed GPS-based algorithms ... also suffer from this
-  // drawback": stride and WFQ starve T1 without readjustment too.
-  EXPECT_GT(RunExample1(SchedKind::kStride, false).t1_starvation, Msec(700));
+  // drawback": stride scheduling and WFQ starve T1 without readjustment too.
+  // Stride scheduling's pass rule is SFQ's start-tag rule, so sched::Sfq runs
+  // the stride schedule.
+  EXPECT_GT(RunExample1(SchedKind::kSfq, false).t1_starvation, Msec(700));
   EXPECT_GT(RunExample1(SchedKind::kWfq, false).t1_starvation, Msec(500));
 }
 
 TEST(Example1Test, ReadjustmentRepairsStrideAndWfq) {
-  EXPECT_LT(RunExample1(SchedKind::kStride, true).t1_starvation, Msec(50));
+  EXPECT_LT(RunExample1(SchedKind::kSfq, true).t1_starvation, Msec(50));
   EXPECT_LT(RunExample1(SchedKind::kWfq, true).t1_starvation, Msec(50));
 }
 

@@ -96,8 +96,7 @@ TEST_P(UniprocProportionalTest, TwoToOneWeights) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GpsPolicies, UniprocProportionalTest,
-                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kStride,
-                                           SchedKind::kWfq, SchedKind::kBvt),
+                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            return std::string(SchedKindName(param_info.param));
                          });
@@ -124,7 +123,7 @@ TEST_P(SmpProportionalTest, FeasibleWeightsHonoredOnTwoCpus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GpsPolicies, SmpProportionalTest,
-                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kStride),
+                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            return std::string(SchedKindName(param_info.param));
                          });
@@ -152,8 +151,7 @@ TEST_P(WorkConservationTest, NoIdleWhileBacklogged) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, WorkConservationTest,
-                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kStride,
-                                           SchedKind::kWfq, SchedKind::kBvt,
+                         ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq,
                                            SchedKind::kTimeshare, SchedKind::kRoundRobin),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            std::string name(SchedKindName(param_info.param));

@@ -89,18 +89,6 @@ inline constexpr RecordedRun kRecordedRuns[] = {
      0x0d2d6386ffa7b2b4ULL, 704, 451, 174, 1846321, 59771},
     {sched::SchedKind::kSfq, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL,
      0xe9e9d6478924d54aULL, 1744, 1472, 183, 1180277, 156844},
-    {sched::SchedKind::kStride, 1, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL,
-     0xfe48fcf34a4dcffbULL, 410, 344, 27, 347000, 57339},
-    {sched::SchedKind::kStride, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL,
-     0xaf056491b8c65c2cULL, 1023, 690, 0, 19887466, 32364},
-    {sched::SchedKind::kStride, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL,
-     0x013bd1800a6928aaULL, 86, 64, 7, 26000, 11264},
-    {sched::SchedKind::kStride, 4, 0x12ba8b143454ce8cULL, 0x91482a6c4b619128ULL,
-     0x322b3b5c6b1b10f7ULL, 1643, 997, 196, 7554143, 120383},
-    {sched::SchedKind::kStride, 5, 0x9a7b60a42a4bfd18ULL, 0xaba9f0f54c1fa4f5ULL,
-     0x0d2d6386ffa7b2b4ULL, 704, 451, 174, 1846321, 59771},
-    {sched::SchedKind::kStride, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL,
-     0xe9e9d6478924d54aULL, 1744, 1472, 183, 1180277, 156844},
     {sched::SchedKind::kWfq, 1, 0x9ab149dfe103c7cdULL, 0xbf71a08792a9aa0bULL,
      0x34e87223ec610a8eULL, 347, 310, 12, 347000, 38226},
     {sched::SchedKind::kWfq, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL,
@@ -113,18 +101,6 @@ inline constexpr RecordedRun kRecordedRuns[] = {
      0x986455343c2f5a70ULL, 363, 232, 42, 1516283, 19240},
     {sched::SchedKind::kWfq, 6, 0x064d3d089a594123ULL, 0x361dc690c535eb41ULL,
      0xb862a59d6a6e2e4bULL, 1580, 1370, 91, 1280029, 96119},
-    {sched::SchedKind::kBvt, 1, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL,
-     0xfe48fcf34a4dcffbULL, 410, 344, 27, 347000, 57339},
-    {sched::SchedKind::kBvt, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL,
-     0xaf056491b8c65c2cULL, 1023, 690, 0, 19887466, 32364},
-    {sched::SchedKind::kBvt, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL,
-     0x013bd1800a6928aaULL, 86, 64, 7, 26000, 11264},
-    {sched::SchedKind::kBvt, 4, 0x12ba8b143454ce8cULL, 0x91482a6c4b619128ULL,
-     0x322b3b5c6b1b10f7ULL, 1643, 997, 196, 7554143, 120383},
-    {sched::SchedKind::kBvt, 5, 0x9a7b60a42a4bfd18ULL, 0xaba9f0f54c1fa4f5ULL,
-     0x0d2d6386ffa7b2b4ULL, 704, 451, 174, 1846321, 59771},
-    {sched::SchedKind::kBvt, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL,
-     0xe9e9d6478924d54aULL, 1744, 1472, 183, 1180277, 156844},
     {sched::SchedKind::kTimeshare, 1, 0xca386a1064bacb97ULL, 0x0d27f79ffc00d613ULL,
      0xc2741ae51ff506e4ULL, 1473, 1008, 427, 151635, 359065},
     {sched::SchedKind::kTimeshare, 2, 0xd609b3425f4b61daULL, 0xc48680d51741ec15ULL,

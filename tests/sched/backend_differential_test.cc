@@ -189,7 +189,7 @@ TEST_P(BackendDifferentialTest, DispatchTracesIdenticalAcrossBackends) {
 
 INSTANTIATE_TEST_SUITE_P(AllMigrated, BackendDifferentialTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq,
-                                           SchedKind::kStride, SchedKind::kBvt, SchedKind::kHsfs),
+                                           SchedKind::kHsfs),
                          [](const ::testing::TestParamInfo<SchedKind>& info) {
                            return std::string(SchedKindName(info.param));
                          });

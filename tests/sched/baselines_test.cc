@@ -1,81 +1,17 @@
-// Unit tests for the stride, WFQ and BVT baselines.
+// Unit tests for the WFQ baseline.
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
-#include "src/sched/bvt.h"
-#include "src/sched/sfq.h"
-#include "src/sched/stride.h"
 #include "src/sched/wfq.h"
 
 namespace sfs::sched {
 namespace {
 
-SchedConfig Config(int cpus, bool readjust = true) {
+SchedConfig Config(int cpus) {
   SchedConfig config;
   config.num_cpus = cpus;
-  config.use_readjustment = readjust;
   return config;
 }
-
-// --- stride ---------------------------------------------------------------------
-
-TEST(StrideTest, ProportionalOnUniprocessor) {
-  Stride s(Config(1));
-  s.AddThread(1, 5.0);
-  s.AddThread(2, 1.0);
-  Tick service1 = 0;
-  Tick service2 = 0;
-  for (int i = 0; i < 6000; ++i) {
-    const ThreadId t = s.PickNext(0);
-    s.Charge(t, Msec(10));
-    (t == 1 ? service1 : service2) += Msec(10);
-  }
-  EXPECT_NEAR(static_cast<double>(service1) / static_cast<double>(service2), 5.0, 0.05);
-}
-
-TEST(StrideTest, PassAdvancesInverselyToWeight) {
-  // Readjustment off: with one runnable thread on one CPU the instantaneous
-  // weight would otherwise be normalized to 1.
-  Stride s(Config(1, /*readjust=*/false));
-  s.AddThread(1, 4.0);
-  ASSERT_EQ(s.PickNext(0), 1);
-  s.Charge(1, Msec(80));
-  EXPECT_DOUBLE_EQ(s.Pass(1), static_cast<double>(Msec(80)) / 4.0);
-}
-
-TEST(StrideTest, ArrivalStartsAtGlobalPass) {
-  Stride s(Config(1));
-  s.AddThread(1, 1.0);
-  ASSERT_EQ(s.PickNext(0), 1);
-  s.Charge(1, Msec(300));
-  s.AddThread(2, 1.0);
-  EXPECT_DOUBLE_EQ(s.Pass(2), s.GlobalPass());
-}
-
-TEST(StrideTest, SleeperCannotBankCredit) {
-  Stride s(Config(1));
-  s.AddThread(1, 1.0);
-  s.AddThread(2, 1.0);
-  s.Block(2);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(s.PickNext(0), 1);
-    s.Charge(1, Msec(100));
-  }
-  s.Wakeup(2);
-  EXPECT_DOUBLE_EQ(s.Pass(2), s.GlobalPass());
-}
-
-TEST(StrideTest, ReadjustmentCapsInfeasibleWeight) {
-  Stride s(Config(2, /*readjust=*/true));
-  s.AddThread(1, 100.0);
-  s.AddThread(2, 1.0);
-  s.AddThread(3, 1.0);
-  const double total = s.GetPhi(1) + s.GetPhi(2) + s.GetPhi(3);
-  EXPECT_NEAR(s.GetPhi(1) / total, 0.5, 1e-9);
-}
-
-// --- WFQ ------------------------------------------------------------------------
 
 TEST(WfqTest, PicksMinimumFinishTag) {
   Wfq s(Config(1));
@@ -106,68 +42,6 @@ TEST(WfqTest, FinishTagRecomputedAfterWeightChange) {
   const double f_before = s.FinishTag(1);
   s.SetWeight(1, 4.0);
   EXPECT_LT(s.FinishTag(1), f_before);  // larger weight -> earlier finish
-}
-
-// --- BVT ------------------------------------------------------------------------
-
-TEST(BvtTest, ZeroWarpMatchesSfqDispatchSequence) {
-  // "BVT reduces to SFQ when the latency parameter is set to zero."
-  Bvt bvt(Config(1));
-  Sfq sfq(Config(1));
-  common::Rng rng(12);
-  for (ThreadId tid = 1; tid <= 5; ++tid) {
-    const auto w = static_cast<Weight>(rng.UniformInt(1, 8));
-    bvt.AddThread(tid, w);
-    sfq.AddThread(tid, w);
-  }
-  for (int i = 0; i < 500; ++i) {
-    const ThreadId a = bvt.PickNext(0);
-    const ThreadId b = sfq.PickNext(0);
-    ASSERT_EQ(a, b) << "diverged at decision " << i;
-    const Tick q = Msec(rng.UniformInt(1, 100));
-    bvt.Charge(a, q);
-    sfq.Charge(b, q);
-  }
-}
-
-TEST(BvtTest, WarpGivesDispatchPreference) {
-  Bvt s(Config(1));
-  s.AddThread(1, 1.0);
-  s.AddThread(2, 1.0);
-  // Both at virtual time 0; warping thread 2 pulls its effective VT negative.
-  s.SetWarp(2, static_cast<double>(Msec(50)));
-  EXPECT_EQ(s.PickNext(0), 2);
-  s.Charge(2, Msec(40));
-  // Still warped ahead: effective VT = 40ms - 50ms < 0 <= thread 1.
-  EXPECT_EQ(s.PickNext(0), 2);
-  s.Charge(2, Msec(40));
-  // Warp exhausted: 80ms - 50ms > 0 -> thread 1 runs.
-  EXPECT_EQ(s.PickNext(0), 1);
-}
-
-TEST(BvtTest, WarpRemovalRestoresFairOrder) {
-  Bvt s(Config(1));
-  s.AddThread(1, 1.0);
-  s.AddThread(2, 1.0);
-  s.SetWarp(2, static_cast<double>(Msec(100)));
-  ASSERT_EQ(s.PickNext(0), 2);
-  s.Charge(2, Msec(60));
-  s.SetWarp(2, 0.0);
-  EXPECT_EQ(s.PickNext(0), 1);  // actual VT 0 < 60ms
-}
-
-TEST(BvtTest, ProportionalOverLongRun) {
-  Bvt s(Config(1));
-  s.AddThread(1, 2.0);
-  s.AddThread(2, 1.0);
-  Tick service1 = 0;
-  Tick service2 = 0;
-  for (int i = 0; i < 6000; ++i) {
-    const ThreadId t = s.PickNext(0);
-    s.Charge(t, Msec(10));
-    (t == 1 ? service1 : service2) += Msec(10);
-  }
-  EXPECT_NEAR(static_cast<double>(service1) / static_cast<double>(service2), 2.0, 0.05);
 }
 
 }  // namespace

@@ -8,11 +8,10 @@ namespace sfs::sched {
 namespace {
 
 constexpr SchedKind kAllKinds[] = {
-    SchedKind::kSfs,       SchedKind::kHsfs,        SchedKind::kSfq,
-    SchedKind::kStride,    SchedKind::kWfq,         SchedKind::kBvt,
-    SchedKind::kTimeshare, SchedKind::kRoundRobin,  SchedKind::kLottery,
-    SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
-    SchedKind::kShardedStride, SchedKind::kShardedBvt};
+    SchedKind::kSfs,        SchedKind::kHsfs,       SchedKind::kSfq,
+    SchedKind::kWfq,        SchedKind::kTimeshare,  SchedKind::kRoundRobin,
+    SchedKind::kLottery,    SchedKind::kShardedSfs, SchedKind::kShardedSfq,
+    SchedKind::kShardedWfq};
 
 TEST(FactoryTest, NameParseRoundTrip) {
   for (const SchedKind kind : kAllKinds) {
@@ -70,8 +69,6 @@ TEST(FactoryTest, ShardedKindForMapsEveryGpsPolicy) {
   EXPECT_EQ(ShardedKindFor(SchedKind::kSfs), SchedKind::kShardedSfs);
   EXPECT_EQ(ShardedKindFor(SchedKind::kSfq), SchedKind::kShardedSfq);
   EXPECT_EQ(ShardedKindFor(SchedKind::kWfq), SchedKind::kShardedWfq);
-  EXPECT_EQ(ShardedKindFor(SchedKind::kStride), SchedKind::kShardedStride);
-  EXPECT_EQ(ShardedKindFor(SchedKind::kBvt), SchedKind::kShardedBvt);
   EXPECT_FALSE(ShardedKindFor(SchedKind::kHsfs).has_value());
   EXPECT_FALSE(ShardedKindFor(SchedKind::kTimeshare).has_value());
   EXPECT_FALSE(ShardedKindFor(SchedKind::kShardedSfs).has_value());
@@ -106,9 +103,15 @@ TEST(FactoryTest, MakeSchedulerRejectsUnknownPolicyListingAlternatives) {
   // The message lists the valid alternatives.
   EXPECT_NE(error.find("sfs"), std::string::npos) << error;
   EXPECT_NE(error.find("sharded-sfs"), std::string::npos) << error;
-  EXPECT_NE(error.find("sharded-bvt"), std::string::npos) << error;
+  EXPECT_NE(error.find("sharded-wfq"), std::string::npos) << error;
   // A null error pointer is accepted.
   EXPECT_EQ(MakeScheduler("cfs", SchedConfig{}), nullptr);
+  // Stride and BVT ran SFQ's schedule and were removed; their names are gone
+  // with them rather than kept as aliases.
+  for (const char* removed : {"stride", "bvt", "sharded-stride", "sharded-bvt"}) {
+    EXPECT_EQ(MakeScheduler(removed, SchedConfig{}, &error), nullptr) << removed;
+    EXPECT_NE(error.find("unknown scheduler policy"), std::string::npos) << error;
+  }
 }
 
 TEST(FactoryTest, MakeSchedulerValidatesShardingKnobs) {
@@ -135,6 +138,21 @@ TEST(FactoryTest, MakeSchedulerValidatesShardingKnobs) {
   EXPECT_NE(error.find("num_cpus"), std::string::npos) << error;
 }
 
+TEST(FactoryTest, MakeSchedulerRejectsOutOfRangeFixedPointDigits) {
+  std::string error;
+  SchedConfig config;
+  config.fixed_point_digits = 9;
+  EXPECT_EQ(MakeScheduler("sfq", config, &error), nullptr);
+  EXPECT_NE(error.find("fixed_point_digits"), std::string::npos) << error;
+
+  config.fixed_point_digits = 19;  // 10^19 overflows int64
+  EXPECT_EQ(MakeScheduler("sfs", config, &error), nullptr);
+  EXPECT_NE(error.find("fixed_point_digits"), std::string::npos) << error;
+
+  config.fixed_point_digits = 8;
+  EXPECT_NE(MakeScheduler("sfq", config, &error), nullptr) << error;
+}
+
 TEST(FactoryTest, ValidateSchedConfigAcceptsDefaults) {
   EXPECT_TRUE(ValidateSchedConfig(SchedConfig{}).empty());
 }
@@ -143,8 +161,7 @@ TEST(FactoryTest, ShardedSchedulerNamesExposeThePolicy) {
   SchedConfig config;
   config.num_cpus = 2;
   EXPECT_EQ(CreateScheduler(SchedKind::kShardedSfs, config)->name(), "sharded-SFS");
-  EXPECT_EQ(CreateScheduler(SchedKind::kShardedStride, config)->name(),
-            "sharded-stride+readjust");
+  EXPECT_EQ(CreateScheduler(SchedKind::kShardedSfq, config)->name(), "sharded-SFQ+readjust");
 }
 
 TEST(FactoryTest, SfqVariantsNamedDistinctly) {

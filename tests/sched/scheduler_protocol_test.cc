@@ -213,9 +213,8 @@ TEST_P(ProtocolTest, WorkConservingUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ProtocolTest,
-    ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq, SchedKind::kStride,
-                      SchedKind::kWfq, SchedKind::kBvt, SchedKind::kTimeshare,
-                      SchedKind::kRoundRobin, SchedKind::kLottery),
+    ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq, SchedKind::kWfq,
+                      SchedKind::kTimeshare, SchedKind::kRoundRobin, SchedKind::kLottery),
     [](const ::testing::TestParamInfo<SchedKind>& param_info) {
       std::string name(SchedKindName(param_info.param));
       for (char& c : name) {

@@ -153,6 +153,15 @@ TEST(SfqTest, WokenThreadClampedToVirtualTime) {
   EXPECT_DOUBLE_EQ(s.StartTag(2), s.VirtualTime());
 }
 
+TEST(SfqTest, ReadjustmentCapsInfeasibleWeight) {
+  Sfq s(Config(2, true));
+  s.AddThread(1, 100.0);
+  s.AddThread(2, 1.0);
+  s.AddThread(3, 1.0);
+  const double total = s.GetPhi(1) + s.GetPhi(2) + s.GetPhi(3);
+  EXPECT_NEAR(s.GetPhi(1) / total, 0.5, 1e-9);
+}
+
 TEST(SfqTest, FeasibilityQueryTracksRunnableSet) {
   Sfq s(Config(2, true));
   s.AddThread(1, 2.0);

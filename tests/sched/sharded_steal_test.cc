@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/sched/bvt.h"
 #include "src/sched/sfq.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
-#include "src/sched/stride.h"
 #include "src/sched/wfq.h"
 
 namespace sfs::sched {
@@ -65,7 +63,7 @@ const Entity* ReferenceNominee(GpsSchedulerBase& shard, double max_weight, doubl
     if (!e.runnable || e.running || (max_weight > 0.0 && e.weight() >= max_weight)) {
       return;
     }
-    const double entity_score = e.phi() * (shard.EntityTag(e) - v);
+    const double entity_score = e.phi() * (e.start_tag() - v);
     if (best == nullptr || entity_score > best_score ||
         (entity_score == best_score && e.tid < best->tid)) {
       best = &e;
@@ -129,8 +127,7 @@ PolicyCase Case(const char* name) {
 
 const std::vector<PolicyCase>& Policies() {
   static const std::vector<PolicyCase> policies = {
-      Case<Sfs>("sfs"), Case<Sfq>("sfq"), Case<Wfq>("wfq"), Case<Stride>("stride"),
-      Case<Bvt>("bvt")};
+      Case<Sfs>("sfs"), Case<Sfq>("sfq"), Case<Wfq>("wfq")};
   return policies;
 }
 

@@ -366,8 +366,7 @@ TEST(ShardedTest, CouplingZeroRebasesLeadOntoDestinationVirtualTime) {
 
 TEST(ShardedTest, AllShardedKindsSurviveChurnUnderTheEngine) {
   for (const SchedKind kind :
-       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
-        SchedKind::kShardedStride, SchedKind::kShardedBvt}) {
+       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq}) {
     SchedConfig config = Config(3, Msec(20));
     config.shard_rebalance_period = 32;
     auto scheduler = CreateScheduler(kind, config);
@@ -400,8 +399,7 @@ TEST(ShardedTest, AllShardedKindsSurviveChurnUnderTheEngine) {
 
 TEST(ShardedTest, EveryShardedKindStealsWhenItsShardDrains) {
   for (const SchedKind kind :
-       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
-        SchedKind::kShardedStride, SchedKind::kShardedBvt}) {
+       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq}) {
     auto scheduler = CreateScheduler(kind, Config(2, Msec(10)));
     scheduler->AddThread(1, 1.0);  // shard 0
     scheduler->AddThread(2, 1.0);  // shard 1
