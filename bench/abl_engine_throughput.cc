@@ -109,11 +109,12 @@ SFS_EXPERIMENT(abl_engine_throughput,
 // home-hinted tid % p), where the parallel engine is exact: each cell runs
 // the serial sim::Engine oracle and the parallel engine with W = min(4, p)
 // workers over the identical workload and CHECK-asserts byte-identical
-// per-group fingerprints.  Two big cells extend the axes — t=100k x p=64
-// (oracle + parallel) and t=1M x p=1024 (parallel-only, shorter horizon) —
-// so the engine's headline scale claim is measured, not asserted.  Both are
-// gated behind the same SFS_ENGINE_THROUGHPUT_MAX_THREADS cap as A12's
-// thread axis.  Wall-clock speedup depends on host cores; per-group
+// per-group fingerprints.  Four cells extend the axes: t=1k x p=1024 and
+// t=100k x p=64 and p=1024 (oracle + parallel; the p=64/p=1024 pair at equal
+// t and horizon shows whether per-event cost depends on p), and t=1M x
+// p=1024 (parallel-only, shorter horizon).  All are gated behind the same
+// SFS_ENGINE_THROUGHPUT_MAX_THREADS cap as A12's thread axis; the t=1k x
+// p=1024 cell fits CI's cap, so CI exercises 1024 shards on every push.  Wall-clock speedup depends on host cores; per-group
 // determinism does not, so the JSON document is rerun-comparable anywhere.
 SFS_EXPERIMENT(abl_parallel_engine,
                .description =
@@ -146,7 +147,9 @@ SFS_EXPERIMENT(abl_parallel_engine,
       par_cells.push_back({threads, cpus, horizon, true});
     }
   }
+  par_cells.push_back({1000, 1024, horizon, true});
   par_cells.push_back({100000, 64, sfs::Sec(10), true});
+  par_cells.push_back({100000, 1024, sfs::Sec(10), true});
   par_cells.push_back({1000000, 1024, sfs::Sec(5), false});
 
   Table par_table({"threads", "cpus", "W", "events", "epochs", "mailed", "identical",

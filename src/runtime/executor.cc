@@ -642,7 +642,7 @@ Tick Executor::Run(Tick wall_limit) {
     cpus_.push_back(std::make_unique<Cpu>(config_.park_backend));
   }
 
-  // Dispatch routing: tid-indexed flat vector (the scheduler's by_tid_
+  // Dispatch routing: tid-indexed flat vector (the scheduler's entity-table
   // idiom), so the wakeup path costs an indexed load instead of a hash probe.
   worker_by_tid_.clear();
   sched::ThreadId max_tid = -1;

@@ -164,7 +164,7 @@ class Executor {
   // task holds a CPU; each call should do a small unit (tens of microseconds)
   // of work and report through its WorkResult whether to continue, finish, or
   // block.  Task ids should be small and dense: dispatch routing uses a
-  // tid-indexed flat vector (the scheduler's by_tid_ idiom).
+  // tid-indexed flat vector (the scheduler's entity-table idiom).
   void AddTask(sched::ThreadId tid, sched::Weight weight,
                std::function<WorkResult()> work);
 

@@ -26,4 +26,13 @@ Entity* GpsSchedulerBase::PickMigrationCandidate(double max_weight, double* scor
   return best;
 }
 
+const Entity* GpsSchedulerBase::FindRunnable(ThreadId tid) const {
+  for (const Entity* e = weight_queue_.front(); e != nullptr; e = weight_queue_.next(e)) {
+    if (e->tid == tid) {
+      return e;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace sfs::sched

@@ -42,6 +42,19 @@ class GpsSchedulerBase : public Scheduler {
   // nothing.
   Entity* PickMigrationCandidate(double max_weight = 0.0, double* score = nullptr);
 
+  // The runnable entity `tid` (running or not) if this scheduler holds it,
+  // else nullptr.  Walks the weight queue, never the entity table, so it
+  // reads only entities this scheduler owns: safe under this scheduler's
+  // lock alone even while the shards sharing its table (sched::Sharded) move
+  // `tid` between them.  O(runnable).
+  const Entity* FindRunnable(ThreadId tid) const;
+
+  // True iff PickNext with nothing runnable returns nullptr and changes no
+  // state a later decision reads (statistics counters may still tick).
+  // sched::Sharded keeps a shard whose empty pick would act visible to the
+  // driver, so skipping its pick cannot change a schedule.
+  virtual bool EmptyPickIsNoop() const { return true; }
+
  protected:
   explicit GpsSchedulerBase(const SchedConfig& config)
       : Scheduler(config), arith_(config.fixed_point_digits) {

@@ -41,16 +41,37 @@ common::Mutex& Scheduler::DispatchMutex(CpuId cpu) {
   return dispatch_mu_;
 }
 
+void Scheduler::ShareEntityTable(EntityTable& table) {
+  SFS_CHECK(live_.empty() && own_table_.empty());
+  table_ = &table;
+}
+
+Entity* Scheduler::Lookup(ThreadId tid) const {
+  if (tid < 0 || static_cast<std::size_t>(tid) >= table_->size()) {
+    return nullptr;
+  }
+  Entity* e = (*table_)[static_cast<std::size_t>(tid)].get();
+  // Every entity in an owned table is this scheduler's; a shared table's
+  // slot may hold a peer shard's.
+  if (e == nullptr || table_ == &own_table_) {
+    return e;
+  }
+  const auto row = static_cast<std::size_t>(e->live_index);
+  return e->live_index >= 0 && row < live_.size() && live_[row] == e ? e : nullptr;
+}
+
 void Scheduler::StoreEntity(std::unique_ptr<Entity> entity) {
   Entity& e = *entity;
   SFS_CHECK(e.tid >= 0);
-  if (static_cast<std::size_t>(e.tid) >= by_tid_.size()) {
-    by_tid_.resize(static_cast<std::size_t>(e.tid) + 1);
+  EntityTable& table = *table_;
+  if (static_cast<std::size_t>(e.tid) >= table.size()) {
+    table.resize(static_cast<std::size_t>(e.tid) + 1);
   }
-  SFS_CHECK(by_tid_[static_cast<std::size_t>(e.tid)] == nullptr);  // duplicate tid
+  // Duplicate tid — in a shared table, held by any shard.
+  SFS_CHECK(table[static_cast<std::size_t>(e.tid)] == nullptr);
   e.live_index = static_cast<std::int32_t>(live_.size());
   live_.push_back(&e);
-  by_tid_[static_cast<std::size_t>(e.tid)] = std::move(entity);
+  table[static_cast<std::size_t>(e.tid)] = std::move(entity);
 }
 
 std::unique_ptr<Entity> Scheduler::ReleaseEntity(Entity& e) {
@@ -65,8 +86,7 @@ std::unique_ptr<Entity> Scheduler::ReleaseEntity(Entity& e) {
   last->live_index = e.live_index;
   live_.pop_back();
   e.live_index = -1;
-  std::unique_ptr<Entity> entity = std::move(by_tid_[static_cast<std::size_t>(e.tid)]);
-  return entity;
+  return std::move((*table_)[static_cast<std::size_t>(e.tid)]);
 }
 
 void Scheduler::AddThread(ThreadId tid, Weight weight) {
@@ -188,10 +208,7 @@ void Scheduler::AttachEntity(std::unique_ptr<Entity> entity) {
   // A blocked entity needs no policy action until Wakeup.
 }
 
-bool Scheduler::Contains(ThreadId tid) const {
-  return tid >= 0 && static_cast<std::size_t>(tid) < by_tid_.size() &&
-         by_tid_[static_cast<std::size_t>(tid)] != nullptr;
-}
+bool Scheduler::Contains(ThreadId tid) const { return Lookup(tid) != nullptr; }
 
 bool Scheduler::IsRunnable(ThreadId tid) const { return FindEntity(tid).runnable; }
 
@@ -209,24 +226,17 @@ ThreadId Scheduler::RunningOn(CpuId cpu) const {
 }
 
 Entity& Scheduler::FindEntity(ThreadId tid) {
-  SFS_CHECK(tid >= 0 && static_cast<std::size_t>(tid) < by_tid_.size());
-  Entity* e = by_tid_[static_cast<std::size_t>(tid)].get();
+  Entity* e = Lookup(tid);
   SFS_CHECK(e != nullptr);
   return *e;
 }
 
 const Entity& Scheduler::FindEntity(ThreadId tid) const {
-  SFS_CHECK(tid >= 0 && static_cast<std::size_t>(tid) < by_tid_.size());
-  const Entity* e = by_tid_[static_cast<std::size_t>(tid)].get();
+  const Entity* e = Lookup(tid);
   SFS_CHECK(e != nullptr);
   return *e;
 }
 
-Entity* Scheduler::FindEntityOrNull(ThreadId tid) {
-  if (tid < 0 || static_cast<std::size_t>(tid) >= by_tid_.size()) {
-    return nullptr;
-  }
-  return by_tid_[static_cast<std::size_t>(tid)].get();
-}
+Entity* Scheduler::FindEntityOrNull(ThreadId tid) { return Lookup(tid); }
 
 }  // namespace sfs::sched

@@ -55,6 +55,16 @@
 //         reader-writer lock: with per-CPU dispatchers hammering the
 //         dispatch path, a reader-preferring rwlock (glibc's default) can
 //         starve wakeups for seconds.
+//   * Entity-table reads under a single dispatch lock: a sharded host's
+//     shards share one tid-indexed table (sched::Sharded), and a migration
+//     between two shards rewrites the migrant's slot under those two
+//     shards' mutexes only.  A holder of LockDispatch(cpu) alone may
+//     therefore read the slot of a tid that cpu's shard currently holds —
+//     every write to that slot needs the lock it holds — but never the slot
+//     of a tid that may have left the shard since the lock was last
+//     released: to ask whether such a tid is still here, walk the shard's
+//     own runnable queue (GpsSchedulerBase::FindRunnable).  The table's
+//     size changes only in AddThread, under the exclusive lifecycle lock.
 //   * Lock order: dispatch mutexes are only ever *waited on* in ascending
 //     CPU-id order (LockLifecycle and the sharded steal path both follow
 //     this; out-of-order acquisitions use try_lock), so no cycle of blocking
@@ -171,6 +181,17 @@ class Scheduler {
   // with their own criterion; the default never preempts.
   virtual CpuId SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed);
 
+  // Word `word` of the mask of CPUs on which PickNext may act: bit (cpu % 64)
+  // of word (cpu / 64).  A clear bit promises that PickNext(cpu) on a free
+  // `cpu` would return kInvalidThread and change no state, so a driver may
+  // skip the call (sim::Engine does).  Bits past num_cpus() are unspecified.
+  // The default sets every bit; sched::Sharded clears the bits of shards
+  // with nothing to dispatch or steal.  Exact for single-threaded drivers.
+  virtual std::uint64_t PickMask(std::size_t word) const {
+    (void)word;
+    return ~std::uint64_t{0};
+  }
+
   // Targeted-kick hook (sfs::runtime): the CPU whose LockDispatch satisfies
   // the sanctioned lifecycle relaxation for `tid` — i.e. the dispatch mutex
   // that alone covers Block/Wakeup/SetWeight/SuggestPreemption on it.  Flat
@@ -279,7 +300,7 @@ class Scheduler {
   // against the mutex it locked last.
   virtual common::Mutex& DispatchMutex(CpuId cpu);
 
-  // Lookup helpers; CHECK-fail on unknown tid.
+  // Lookup helpers; CHECK-fail on a tid this scheduler does not hold.
   Entity& FindEntity(ThreadId tid);
   const Entity& FindEntity(ThreadId tid) const;
   Entity* FindEntityOrNull(ThreadId tid);
@@ -299,17 +320,34 @@ class Scheduler {
   }
 
  private:
+  // The sharded host points its shards at its shared table.
+  friend class ShardedScheduler;
+
+  // ThreadId-indexed entity slots (tids are dense small integers; a vector
+  // index beats a hash probe on every Charge/Block/Wakeup).
+  using EntityTable = std::vector<std::unique_ptr<Entity>>;
+
+  // Files this scheduler's entities in `table` instead of its own.  Only
+  // before the first entity is stored.
+  void ShareEntityTable(EntityTable& table);
+
+  // The entity filed under `tid` if this scheduler holds it, else nullptr.
+  Entity* Lookup(ThreadId tid) const;
+
   // Files `entity` under its tid and into the live list.
   void StoreEntity(std::unique_ptr<Entity> entity);
   // Unfiles `e` (swap-and-pop on the live list) and returns its ownership.
   std::unique_ptr<Entity> ReleaseEntity(Entity& e);
 
   SchedConfig config_;
-  // ThreadId-indexed entity table (tids are dense small integers; a vector
-  // index beats the hash probe every Charge/Block/Wakeup paid before), plus
-  // the dense set of live entities for iteration.  Lookup of an absent tid is
-  // a bounds check + null test.
-  std::vector<std::unique_ptr<Entity>> by_tid_;
+  // The entity table: `own_table_` for a flat scheduler; for a shard of
+  // sched::Sharded, the host's table, which files every shard's entities,
+  // so memory is O(t + p) rather than O(t x p).  A slot is this scheduler's
+  // only if the live list below files it (Lookup checks through
+  // live_index), which keeps a peer shard's entity invisible here.
+  EntityTable own_table_;
+  EntityTable* table_ = &own_table_;
+  // The dense set of this scheduler's entities, for iteration and ownership.
   std::vector<Entity*> live_;
   std::vector<ThreadId> running_;
   // Relaxed atomic: Block/Wakeup run under per-shard dispatch mutexes in the

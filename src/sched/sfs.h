@@ -95,6 +95,13 @@ class Sfs : public GpsSchedulerBase {
   // Migration timeline (sched::Sharded): tags live on the start-tag axis.
   double LocalVirtualTime() const override { return VirtualTime(); }
 
+  // An empty pick still rebases once the idle virtual time passes
+  // tag_rebase_threshold, and in heuristic mode it advances the refresh
+  // clock; otherwise it only counts a decision.
+  bool EmptyPickIsNoop() const override {
+    return !heuristic() && idle_virtual_time_ <= config().tag_rebase_threshold;
+  }
+
   // Fresh surplus of a runnable thread at the current virtual time.
   double Surplus(ThreadId tid) const;
 

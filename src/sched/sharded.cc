@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/common/assert.h"
@@ -27,6 +29,7 @@ ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_
     shard->scheduler = make_shard(shard_config);
     SFS_CHECK(shard->scheduler != nullptr);
     SFS_CHECK(shard->scheduler->num_cpus() == 1);
+    static_cast<Scheduler&>(*shard->scheduler).ShareEntityTable(entities_);
     if (common::lock_order::Enabled()) {
       // Rank the dispatch-mutex family so the validator checks ascending
       // CPU-id order across every ShardedScheduler instance in the process.
@@ -35,7 +38,11 @@ ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_
     }
     shards_.push_back(std::move(shard));
   }
-  stealable_ = std::vector<std::atomic<std::uint64_t>>((shards_.size() + 63) / 64);
+  stealable_ = Bitmap((shards_.size() + 63) / 64);
+  runnable_ = Bitmap(stealable_.size());
+  for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
+    SyncShardBits(cpu);  // an empty shard may still have to act on a pick
+  }
   name_ = "sharded-" + std::string(shards_.front()->scheduler->name());
 }
 
@@ -114,7 +121,7 @@ void ShardedScheduler::OnAdmit(Entity& e) {
   Shard& shard = ShardAt(target);
   AddRunnableWeight(shard, e.weight());
   shard.scheduler->AddThread(e.tid, e.weight());
-  SyncStealable(target);
+  SyncShardBits(target);
 }
 
 void ShardedScheduler::OnRemove(Entity& e) {
@@ -123,14 +130,14 @@ void ShardedScheduler::OnRemove(Entity& e) {
     AddRunnableWeight(shard, -e.weight());
   }
   shard.scheduler->RemoveThread(e.tid);
-  SyncStealable(e.partition);
+  SyncShardBits(e.partition);
 }
 
 void ShardedScheduler::OnBlocked(Entity& e) {
   Shard& shard = ShardAt(e.partition);
   AddRunnableWeight(shard, -e.weight());
   shard.scheduler->Block(e.tid);
-  SyncStealable(e.partition);
+  SyncShardBits(e.partition);
 }
 
 void ShardedScheduler::OnWoken(Entity& e) {
@@ -139,7 +146,7 @@ void ShardedScheduler::OnWoken(Entity& e) {
   Shard& shard = ShardAt(e.partition);
   AddRunnableWeight(shard, e.weight());
   shard.scheduler->Wakeup(e.tid);
-  SyncStealable(e.partition);
+  SyncShardBits(e.partition);
 }
 
 void ShardedScheduler::OnWeightChanged(Entity& e, Weight old_weight) {
@@ -156,11 +163,29 @@ Entity* ShardedScheduler::PickNextEntity(CpuId cpu) {
   if (tid == kInvalidThread && config().shard_steal == ShardStealPolicy::kMaxSurplus) {
     tid = TrySteal(cpu);
   }
-  return tid == kInvalidThread ? nullptr : &FindEntity(tid);
+  if (tid == kInvalidThread) {
+    SyncShardBits(cpu);  // an empty pick may have acted (an SFS shard rebased)
+    return nullptr;
+  }
+  // The processor is busy now: a steal source if its shard queues another.
+  Shard& shard = ShardAt(cpu);
+  SetStealSource(shard, shard.scheduler->runnable_count() >= 2);
+  return &FindEntity(tid);
 }
 
 void ShardedScheduler::OnCharge(Entity& e, Tick ran_for) {
-  ShardAt(e.partition).scheduler->Charge(e.tid, ran_for);
+  Shard& shard = ShardAt(e.partition);
+  shard.scheduler->Charge(e.tid, ran_for);
+  SetStealSource(shard, false);  // the processor is free again
+}
+
+std::uint64_t ShardedScheduler::PickMask(std::size_t word) const {
+  if (config().shard_rebalance_period > 0 ||
+      (config().shard_steal == ShardStealPolicy::kMaxSurplus &&
+       steal_sources_.load(std::memory_order_relaxed) > 0)) {
+    return ~std::uint64_t{0};
+  }
+  return runnable_[word].load(std::memory_order_relaxed);
 }
 
 void ShardedScheduler::MaybeRebalance(CpuId dispatching_cpu) {
@@ -235,8 +260,9 @@ ShardedScheduler::StealVictim ShardedScheduler::FindStealVictim(CpuId thief) {
       }
       // Only steal from shards whose processor is busy: a queued thread on an
       // idle source processor will be served locally (cache-warm) as soon as
-      // that processor dispatches — the engine tries every idle CPU on a
-      // wakeup — so pulling it across shards would be a gratuitous migration.
+      // that processor dispatches — the engine offers every idle CPU whose
+      // shard can dispatch a wakeup — so pulling it across shards would be a
+      // gratuitous migration.
       if (RunningOn(source) == kInvalidThread) {
         continue;
       }
@@ -278,34 +304,33 @@ ThreadId ShardedScheduler::TrySteal(CpuId thief) {
     return kInvalidThread;  // contended since nomination: give up this round
   }
   // Re-validate: the victim shard's dispatcher may have dispatched, blocked or
-  // migrated the nominee between the scan and this reacquisition.  (Always
-  // true single-threaded, where nothing ran in between.)  Checked against the
-  // *inner* shard's state only: if the nominee migrated away, the outer
-  // entity's fields are now guarded by locks we do not hold, but inner
-  // membership — and, while a member, runnable/running — is guarded by the
-  // victim lock held here.
-  const Scheduler& source = *ShardAt(victim.shard).scheduler;
-  if (!source.Contains(victim.tid) || !source.IsRunnable(victim.tid) ||
-      source.IsRunning(victim.tid)) {
+  // migrated the nominee between the scan and this reacquisition, and a peer
+  // may since have moved it on between two other shards.  (Always valid
+  // single-threaded, where nothing ran in between.)  Checked by walking the
+  // source's own runnable queue, which the victim lock held here guards: the
+  // nominee's slot in the shared entity table, and its outer entity, may be
+  // being rewritten under locks we do not hold.
+  const Entity* nominee = ShardAt(victim.shard).scheduler->FindRunnable(victim.tid);
+  if (nominee == nullptr || nominee->running) {
     return kInvalidThread;
   }
   Migrate(victim.tid, victim.shard, thief, /*steal=*/true);
   return ShardAt(thief).scheduler->PickNext(0);
 }
 
-void ShardedScheduler::SyncStealable(CpuId cpu) {
-  const auto index = static_cast<std::size_t>(cpu);
-  std::atomic<std::uint64_t>& word = stealable_[index / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
-  const bool stealable = ShardAt(cpu).scheduler->runnable_count() >= 2;
-  // Only this shard's mutex holder writes this bit, so the plain read decides
-  // whether the RMW is needed at all.
-  if (((word.load(std::memory_order_relaxed) & bit) != 0) != stealable) {
-    if (stealable) {
-      word.fetch_or(bit, std::memory_order_relaxed);
-    } else {
-      word.fetch_and(~bit, std::memory_order_relaxed);
-    }
+void ShardedScheduler::SyncShardBits(CpuId cpu) {
+  Shard& shard = ShardAt(cpu);
+  const GpsSchedulerBase& inner = *shard.scheduler;
+  const int runnable = inner.runnable_count();
+  AssignBit(stealable_, cpu, runnable >= 2);
+  AssignBit(runnable_, cpu, runnable >= 1 || !inner.EmptyPickIsNoop());
+  SetStealSource(shard, runnable >= 2 && inner.RunningOn(0) != kInvalidThread);
+}
+
+void ShardedScheduler::SetStealSource(Shard& shard, bool steal_source) {
+  if (steal_source != shard.steal_source) {
+    shard.steal_source = steal_source;
+    steal_sources_.fetch_add(steal_source ? 1 : -1, std::memory_order_relaxed);
   }
 }
 
@@ -326,8 +351,8 @@ void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
   Entity& outer = FindEntity(tid);
   AddRunnableWeight(ShardAt(from), -outer.weight());
   AddRunnableWeight(ShardAt(to), outer.weight());
-  SyncStealable(from);
-  SyncStealable(to);
+  SyncShardBits(from);
+  SyncShardBits(to);
   outer.partition = to;
   (steal ? steals_ : rebalance_migrations_).fetch_add(1, std::memory_order_relaxed);
   // Both migration kinds execute on `to`'s dispatch path (the thief, or the
@@ -337,6 +362,86 @@ void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
     trace_->Record(to, steal ? obs::TraceEventKind::kSteal : obs::TraceEventKind::kRebalance,
                    trace_->now_hint(), tid, from);
   }
+}
+
+std::string ShardedScheduler::CheckInvariants() const {
+  const auto at = [](const char* what, std::int64_t index) {
+    return std::string(what) + " " + std::to_string(index);
+  };
+  int steal_sources = 0;
+  for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
+    const Shard& shard = ShardAt(cpu);
+    const GpsSchedulerBase& inner = *shard.scheduler;
+    const int runnable = inner.runnable_count();
+    if (Stealable(cpu) != (runnable >= 2)) {
+      return at("stealable bit disagrees with the runnable count on shard", cpu);
+    }
+    if (RunnableShard(cpu) != (runnable >= 1 || !inner.EmptyPickIsNoop())) {
+      return at("runnable-shard bit disagrees with the shard on shard", cpu);
+    }
+    if (shard.steal_source != (runnable >= 2 && inner.RunningOn(0) != kInvalidThread)) {
+      return at("steal-source flag disagrees with the shard on shard", cpu);
+    }
+    steal_sources += shard.steal_source ? 1 : 0;
+  }
+  if (steal_sources != steal_sources_.load(std::memory_order_relaxed)) {
+    return "steal-source count disagrees with the shards' flags";
+  }
+
+  std::vector<double> weights(shards_.size(), 0.0);
+  bool integral = true;
+  int filed = 0;
+  for (std::size_t slot = 0; slot < entities_.size(); ++slot) {
+    const Entity* e = entities_[slot].get();
+    const auto tid = static_cast<ThreadId>(slot);
+    if (e == nullptr) {
+      if (Contains(tid)) {
+        return at("no shard files live thread", tid);
+      }
+      continue;
+    }
+    ++filed;
+    if (e->tid != tid) {
+      return at("entity filed under another tid at slot", tid);
+    }
+    CpuId holder = kInvalidCpu;
+    for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
+      if (ShardAt(cpu).scheduler->Contains(tid)) {
+        if (holder != kInvalidCpu) {
+          return at("two shards hold thread", tid);
+        }
+        holder = cpu;
+      }
+    }
+    if (holder == kInvalidCpu) {
+      return at("no shard holds filed thread", tid);
+    }
+    if (!Contains(tid) || FindEntity(tid).partition != holder ||
+        FindEntity(tid).runnable != e->runnable || FindEntity(tid).weight() != e->weight()) {
+      return at("outer entity disagrees with its shard's for thread", tid);
+    }
+    if (e->runnable) {
+      weights[static_cast<std::size_t>(holder)] += e->weight();
+      integral = integral && e->weight() == std::floor(e->weight());
+    }
+  }
+  int live = 0;
+  for (const auto& shard : shards_) {
+    live += shard->scheduler->thread_count();
+  }
+  if (filed != live || filed != thread_count()) {
+    return "the shared table files " + std::to_string(filed) + " entities, the shards hold " +
+           std::to_string(live) + ", the host " + std::to_string(thread_count());
+  }
+  for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
+    const double want = weights[static_cast<std::size_t>(cpu)];
+    const double got = RunnableWeightOf(cpu);
+    if (integral ? got != want : std::abs(got - want) > 1e-9 * (1.0 + std::abs(want))) {
+      return at("runnable weight disagrees with the recomputed sum on shard", cpu) + ": " +
+             std::to_string(got) + " vs " + std::to_string(want);
+    }
+  }
+  return {};
 }
 
 }  // namespace sfs::sched

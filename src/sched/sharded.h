@@ -31,22 +31,45 @@
 // The paper's strawman (PartitionedSfq) is the same machinery with stealing
 // off and coupling 0 — strawman and production design differ only in knobs.
 //
-// Steal cost: a stealable-shard bitmap keeps failed idle picks cheap.  Bit
-// `cpu` is set iff shard `cpu` holds at least two runnable threads; it is
-// resynchronized by every path that changes a shard's runnable count (admit,
-// remove, block, wakeup, and both ends of a migration).  The thief visits
-// only set bits, in ascending CPU order, and never locks a shard whose bit is
-// clear.  Single-threaded this is exact, not a heuristic: a victim must be
-// runnable and not running on a *busy* source, and a busy shard with one
-// runnable thread is running it.  Each visited shard nominates from its
-// weight queue (GpsSchedulerBase::PickMigrationCandidate), which holds only
-// runnable threads, so a failed steal costs O(words + stealable shards x
-// their runnable threads) instead of locking every peer and walking every
-// thread, blocked ones included.  Under concurrency the bitmap is read
-// lock-free and a bit may be stale: a stale clear bit skips the shard exactly
-// as a contended try_lock does (the dispatcher retries at its next
-// decision), and a stale set bit costs one lock and a scan that finds
-// nothing.
+// Two bitmaps, one bit per shard, keep cross-shard questions O(p / 64):
+//
+//   * stealable: bit `cpu` is set iff shard `cpu` holds at least two
+//     runnable threads.  The thief visits only set bits, in ascending CPU
+//     order, and never locks a shard whose bit is clear.  Single-threaded
+//     this is exact, not a heuristic: a victim must be runnable and not
+//     running on a *busy* source, and a busy shard with one runnable thread
+//     is running it.  Each visited shard nominates from its weight queue
+//     (GpsSchedulerBase::PickMigrationCandidate), which holds only runnable
+//     threads, so a failed steal costs O(words + stealable shards x their
+//     runnable threads).
+//   * runnable-shard: bit `cpu` is set iff shard `cpu` holds a runnable
+//     thread, or its policy's empty pick would act
+//     (GpsSchedulerBase::EmptyPickIsNoop: an SFS shard due to rebase).  It
+//     answers Scheduler::PickMask, so sim::Engine calls PickNext only where
+//     it can do something.  A clear bit is not enough on its own: an empty
+//     shard's pick may steal, so PickMask answers all ones while a steal
+//     could succeed (a stealable shard's processor is busy; `steal_sources_`
+//     counts those shards) or while rebalancing is on (every pick advances
+//     the rebalance clock).
+//
+// Both are resynchronized, under the shard's mutex, by every path that
+// changes a shard's runnable count or busy state (admit, remove, block,
+// wakeup, pick, charge, and both ends of a migration).  Under concurrency
+// they are read lock-free and a bit may be stale: a stale clear stealable
+// bit skips the shard exactly as a contended try_lock does (the dispatcher
+// retries at its next decision), and a stale set bit costs one lock and a
+// scan that finds nothing.  Concurrent drivers do not consult PickMask.
+//
+// Entity table: the host keeps its own (outer) entities in its Scheduler
+// table, and every shard files its inner entities in one table the host
+// owns (Scheduler::ShareEntityTable), so memory is O(t + p), not O(t x p).
+// A shard's lookups confirm ownership through its own live list.  The slot
+// of a migrating thread is rewritten under the source's and destination's
+// mutexes only, so a holder of one shard's mutex must never read the slot of
+// a tid that may have left that shard: TrySteal re-validates its nominee,
+// which may have moved between two *other* shards since it was nominated,
+// by walking the source's runnable queue (GpsSchedulerBase::FindRunnable),
+// which the held source lock guards.
 //
 // Concurrency: this layer implements the per-shard half of the Scheduler
 // thread-safety contract.  DispatchMutex(cpu) is the shard's own mutex, so
@@ -122,10 +145,23 @@ class ShardedScheduler : public Scheduler {
   // The stealable-shard bit of `cpu`: set iff the shard held at least two
   // runnable threads when its count last changed (exact single-threaded;
   // see the header comment for the concurrent reading).
-  bool Stealable(CpuId cpu) const {
-    const auto bit = static_cast<std::size_t>(cpu);
-    return ((stealable_[bit / 64].load(std::memory_order_relaxed) >> (bit % 64)) & 1) != 0;
-  }
+  bool Stealable(CpuId cpu) const { return TestBit(stealable_, cpu); }
+
+  // The runnable-shard bit of `cpu` (see the header comment).
+  bool RunnableShard(CpuId cpu) const { return TestBit(runnable_, cpu); }
+
+  // The runnable-shard bitmap word, or all ones while a steal could succeed
+  // or rebalancing is on.
+  std::uint64_t PickMask(std::size_t word) const override;
+
+  // Single-threaded consistency audit for tests: both bitmaps and the
+  // steal-source count equal values recomputed from the shards; the shared
+  // table files exactly the shards' live entities, each held by exactly one
+  // shard, its outer entity's home; per-shard runnable weights equal
+  // recomputed sums (exactly, when every weight is an integer).  Returns an
+  // empty string, or a description of the first violation.  O(t x p); the
+  // scheduler never calls it.
+  std::string CheckInvariants() const;
 
   // Shard-local virtual time as of the last epoch boundary (the parallel
   // engine's conservative synchronization points).  Workers read peer shards'
@@ -189,7 +225,30 @@ class ShardedScheduler : public Scheduler {
     // SuggestPreemption's one-CPU elapsed vector for the inner policy,
     // reused across calls; guarded by `mu`, which every caller holds.
     std::vector<Tick> elapsed_scratch = std::vector<Tick>(1);
+    // Stealable with its processor busy: counted in `steal_sources_`.
+    // Guarded by `mu`.
+    bool steal_source = false;
   };
+
+  using Bitmap = std::vector<std::atomic<std::uint64_t>>;
+  static bool TestBit(const Bitmap& bitmap, CpuId cpu) {
+    const auto bit = static_cast<std::size_t>(cpu);
+    return ((bitmap[bit / 64].load(std::memory_order_relaxed) >> (bit % 64)) & 1) != 0;
+  }
+  // Only `cpu`'s mutex holder writes its bit, so the plain read decides
+  // whether the RMW (peers' bits share the word) is needed at all.
+  static void AssignBit(Bitmap& bitmap, CpuId cpu, bool value) {
+    const auto index = static_cast<std::size_t>(cpu);
+    std::atomic<std::uint64_t>& word = bitmap[index / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if (((word.load(std::memory_order_relaxed) & bit) != 0) != value) {
+      if (value) {
+        word.fetch_or(bit, std::memory_order_relaxed);
+      } else {
+        word.fetch_and(~bit, std::memory_order_relaxed);
+      }
+    }
+  }
 
   Shard& ShardAt(CpuId cpu) { return *shards_[static_cast<std::size_t>(cpu)]; }
   const Shard& ShardAt(CpuId cpu) const { return *shards_[static_cast<std::size_t>(cpu)]; }
@@ -223,18 +282,29 @@ class ShardedScheduler : public Scheduler {
   // kInvalidThread when nothing is stealable.
   ThreadId TrySteal(CpuId thief);
 
-  // Recomputes shard `cpu`'s stealable bit from its runnable count.  Called
-  // under that shard's mutex (or single-threaded) after every change to the
-  // count; an atomic RMW because peers' bits share the word.
-  void SyncStealable(CpuId cpu);
+  // Recomputes shard `cpu`'s stealable and runnable-shard bits and its
+  // steal-source flag.  Called under that shard's mutex (or single-threaded)
+  // after every change to its runnable count or busy state.
+  void SyncShardBits(CpuId cpu);
+
+  // Sets `shard`'s steal-source flag, keeping `steal_sources_` in step.
+  // Under the shard's mutex.  Pick and charge change only the busy state,
+  // so they update the flag alone.
+  void SetStealSource(Shard& shard, bool steal_source);
 
   // Moves a runnable, not-running thread between shards with tag translation.
   void Migrate(ThreadId tid, CpuId from, CpuId to, bool steal);
 
   std::string name_;
+  // Every shard's entities, by tid (see the header comment).  Declared
+  // before `shards_` so the entities outlive the shards' intrusive queues.
+  EntityTable entities_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Stealable-shard bitmap, one bit per CPU (see the header comment).
-  std::vector<std::atomic<std::uint64_t>> stealable_;
+  // One bit per CPU each (see the header comment).
+  Bitmap stealable_;
+  Bitmap runnable_;
+  // Shards whose `steal_source` is set.
+  std::atomic<int> steal_sources_{0};
   std::atomic<int> decisions_since_rebalance_{0};
   std::atomic<std::int64_t> steals_{0};
   std::atomic<std::int64_t> rebalance_migrations_{0};

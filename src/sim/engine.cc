@@ -26,6 +26,10 @@ Engine::Engine(sched::Scheduler& scheduler, EngineConfig config)
   for (auto& cpu : cpus_) {
     cpu.idle_since = 0;
   }
+  idle_.assign((cpus_.size() + 63) / 64, 0);
+  for (std::size_t cpu = 0; cpu < cpus_.size(); ++cpu) {
+    idle_[cpu / 64] |= std::uint64_t{1} << (cpu % 64);
+  }
   preempt_elapsed_.reserve(cpus_.size());
   if (trace_ != nullptr) {
     SFS_CHECK(trace_->num_cpus() >= scheduler.num_cpus());
@@ -129,16 +133,12 @@ void Engine::KillTask(sched::ThreadId tid) {
   SFS_CHECK(t.state_ != Task::State::kExited);
   sched::CpuId freed = sched::kInvalidCpu;
   switch (t.state_) {
-    case Task::State::kRunning: {
-      for (sched::CpuId cpu_id = 0; cpu_id < scheduler_.num_cpus(); ++cpu_id) {
-        if (cpus_[static_cast<std::size_t>(cpu_id)].running == tid) {
-          StopRunning(cpu_id);  // charges; may block/exit via the behaviour
-          freed = cpu_id;
-          break;
-        }
-      }
+    case Task::State::kRunning:
+      // Dispatch stamped last_cpu_, and it holds while the task runs.
+      freed = t.last_cpu_;
+      SFS_DCHECK(cpus_[static_cast<std::size_t>(freed)].running == tid);
+      StopRunning(freed);  // charges; may block/exit via the behaviour
       break;
-    }
     case Task::State::kNew:
       // Not yet arrived: mark exited; the pending arrival event is then ignored.
       t.state_ = Task::State::kExited;
@@ -186,12 +186,9 @@ Tick Engine::ServiceIncludingRunning(sched::ThreadId tid) const {
   const Task& t = task(tid);
   Tick service = t.service();
   if (t.state() == Task::State::kRunning) {
-    for (const auto& cpu : cpus_) {
-      if (cpu.running == tid) {
-        service += std::max<Tick>(0, now_ - cpu.run_start);
-        break;
-      }
-    }
+    const Cpu& cpu = cpus_[static_cast<std::size_t>(t.last_cpu_)];
+    SFS_DCHECK(cpu.running == tid);
+    service += std::max<Tick>(0, now_ - cpu.run_start);
   }
   return service;
 }
@@ -315,14 +312,17 @@ void Engine::HandlePeriodic(std::size_t idx) {
 }
 
 void Engine::PlaceRunnable(sched::ThreadId tid, bool may_preempt) {
-  // Idle processors first.  A dispatch can legitimately come up empty (a
-  // sharded scheduler with stealing disabled only serves its own shard), so
-  // keep trying the remaining idle processors until one accepts work.
-  for (sched::CpuId cpu_id = 0; cpu_id < scheduler_.num_cpus(); ++cpu_id) {
-    Cpu& cpu = cpus_[static_cast<std::size_t>(cpu_id)];
-    if (cpu.running == sched::kInvalidThread) {
+  // Idle processors first, in ascending order, until one accepts work.  A
+  // dispatch can legitimately come up empty (a sharded scheduler with
+  // stealing disabled only serves its own shard); the scheduler's PickMask
+  // names the idle processors whose pick could act at all, so the visit
+  // costs O(p / 64 + candidates), not O(idle processors).
+  for (std::size_t word = 0; word < idle_.size(); ++word) {
+    for (std::uint64_t bits = idle_[word] & scheduler_.PickMask(word); bits != 0;
+         bits &= bits - 1) {
+      const auto cpu_id = static_cast<sched::CpuId>(word * 64 + std::countr_zero(bits));
       Dispatch(cpu_id);
-      if (cpu.running != sched::kInvalidThread) {
+      if (cpus_[static_cast<std::size_t>(cpu_id)].running != sched::kInvalidThread) {
         return;
       }
     }
@@ -382,6 +382,7 @@ void Engine::StopRunning(sched::CpuId cpu_id) {
   }
   cpu.last_thread = tid;
   cpu.running = sched::kInvalidThread;
+  idle_[static_cast<std::size_t>(cpu_id) / 64] |= std::uint64_t{1} << (cpu_id % 64);
   cpu.idle_since = now_;
   ++cpu.timer_stamp;  // invalidate any outstanding timer
 
@@ -398,6 +399,11 @@ void Engine::StopRunning(sched::CpuId cpu_id) {
 void Engine::Dispatch(sched::CpuId cpu_id) {
   Cpu& cpu = cpus_[static_cast<std::size_t>(cpu_id)];
   SFS_CHECK(cpu.running == sched::kInvalidThread);
+  const auto word = static_cast<std::size_t>(cpu_id) / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (cpu_id % 64);
+  if ((scheduler_.PickMask(word) & bit) == 0) {
+    return;  // the pick could only come up empty, changing nothing
+  }
   const std::int64_t scheduler_steals_before = scheduler_.steals();
   const sched::ThreadId tid = scheduler_.PickNext(cpu_id);
   steals_ += scheduler_.steals() - scheduler_steals_before;
@@ -437,6 +443,7 @@ void Engine::Dispatch(sched::CpuId cpu_id) {
 
   t.state_ = Task::State::kRunning;
   cpu.running = tid;
+  idle_[word] &= ~bit;
   cpu.running_slot = slot;
   cpu.dispatch_time = now_;
   cpu.switch_cost = switch_cost;

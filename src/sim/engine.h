@@ -258,6 +258,9 @@ class Engine {
   // integers in practice (sched/types.h), so a flat vector beats a hash map.
   std::vector<std::int32_t> tid_to_slot_;
   std::vector<Cpu> cpus_;
+  // Idle-processor bitmap: bit (cpu % 64) of word (cpu / 64) is set iff
+  // nothing runs on cpu.
+  std::vector<std::uint64_t> idle_;
   std::vector<PeriodicHook> periodic_hooks_;
   std::vector<Tick> preempt_elapsed_;  // reused scratch for SuggestPreemption
 

@@ -279,12 +279,9 @@ Tick ParallelEngine::ServiceIncludingRunning(sched::ThreadId tid) const {
   const Task& t = task(tid);
   Tick service = t.service();
   if (t.state() == Task::State::kRunning) {
-    for (const auto& cpu : cpus_) {
-      if (cpu.running == tid) {
-        service += std::max<Tick>(0, now_ - cpu.run_start);
-        break;
-      }
-    }
+    const Cpu& cpu = cpus_[static_cast<std::size_t>(t.last_cpu_)];
+    SFS_DCHECK(cpu.running == tid);
+    service += std::max<Tick>(0, now_ - cpu.run_start);
   }
   return service;
 }
@@ -339,16 +336,12 @@ void ParallelEngine::KillTask(sched::ThreadId tid) {
   SFS_CHECK(t.state_ != Task::State::kExited);
   sched::CpuId freed = sched::kInvalidCpu;
   switch (t.state_) {
-    case Task::State::kRunning: {
-      for (sched::CpuId cpu_id = 0; cpu_id < scheduler_.num_cpus(); ++cpu_id) {
-        if (cpus_[static_cast<std::size_t>(cpu_id)].running == tid) {
-          StopRunning(*workers_[static_cast<std::size_t>(OwnerOf(cpu_id))], cpu_id);
-          freed = cpu_id;
-          break;
-        }
-      }
+    case Task::State::kRunning:
+      // Dispatch stamped last_cpu_, and it holds while the task runs.
+      freed = t.last_cpu_;
+      SFS_DCHECK(cpus_[static_cast<std::size_t>(freed)].running == tid);
+      StopRunning(*workers_[static_cast<std::size_t>(OwnerOf(freed))], freed);
       break;
-    }
     case Task::State::kNew:
       t.state_ = Task::State::kExited;
       return;
@@ -541,16 +534,17 @@ void ParallelEngine::PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId 
     // path's release of home's dispatch mutex and this hold, a peer may have
     // stolen the now-runnable thread to another shard (the probe would then
     // read a shard whose mutex we do not hold) or run it to exit.  Ask home's
-    // own shard whether it still holds the thread: that membership is exact
-    // under home's mutex — every write that moves a thread onto or off a
-    // shard holds that shard's lock — whereas the thread's recorded shard
-    // (ShardOf) is written by a later steal between two other shards without
-    // home's lock.  A stolen or exited thread simply forgoes the advisory
-    // probe; the serial path (locked_ == false) short-circuits the check
-    // entirely.
+    // own runnable queue whether it still holds the thread: that membership
+    // is exact under home's mutex — every write that moves a thread onto or
+    // off a shard holds that shard's lock — whereas the thread's recorded
+    // shard (ShardOf) and its slot in the shards' shared entity table are
+    // rewritten by a later steal between two other shards without home's
+    // lock.  A stolen or exited thread simply forgoes the advisory probe;
+    // the serial path (locked_ == false) short-circuits the check entirely.
     const bool still_home =
-        !locked_ || (scheduler_.Contains(tid) &&
-                     (sharded_ == nullptr || sharded_->shard(home).Contains(tid)));
+        !locked_ ||
+        (scheduler_.Contains(tid) &&
+         (sharded_ == nullptr || sharded_->shard(home).FindRunnable(tid) != nullptr));
     if (still_home) {
       victim = scheduler_.SuggestPreemption(tid, w.preempt_elapsed);
     }

@@ -5,8 +5,9 @@
 // not-running thread, take the best nominee and apply the affinity rule.  The
 // production path visits only shards whose stealable bit is set and scans
 // only their weight queues; single-threaded it must choose the same victim
-// from the same shard after every operation of a fuzzed lifecycle, and every
-// bit must equal `runnable_count() >= 2`.  p > 64 spans several bitmap words.
+// from the same shard after every operation of a fuzzed lifecycle, every
+// bit must equal `runnable_count() >= 2`, and the host's CheckInvariants
+// audit must pass.  p > 64 spans several bitmap words.
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,7 @@ const std::vector<PolicyCase>& Policies() {
 // Bits, per-shard nominees (with and without a weight cap) and every thief's
 // steal victim against the reference.
 void CheckAgainstReference(StealProbe& s, common::Rng& rng) {
+  ASSERT_EQ(s.CheckInvariants(), "");
   for (CpuId cpu = 0; cpu < s.num_cpus(); ++cpu) {
     ASSERT_EQ(s.Stealable(cpu), s.shard(cpu).runnable_count() >= 2) << "cpu " << cpu;
     for (const double max_weight : {0.0, static_cast<double>(rng.UniformInt(1, 20))}) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -171,6 +172,40 @@ TEST(EngineTest, KillRunningTaskOnShardedSchedulerStealsToRefill) {
   // Two survivors, two CPUs: each owns one from here on, no idling.
   EXPECT_EQ(engine.ServiceIncludingRunning(1) - before_1, Sec(1));
   EXPECT_EQ(engine.ServiceIncludingRunning(3) - before_3, Sec(1));
+  EXPECT_EQ(engine.idle_time(), 0);
+}
+
+// 256 hogs homed one per shard, plus a second hog on shard 255: the running
+// task both lookups must find sits on the last CPU, where a scan over the
+// processors would look last.
+TEST(EngineTest, RunningTaskOnLastOfManyCpus) {
+  constexpr int kCpus = 256;
+  sched::Sharded<sched::Sfs> scheduler(Config(kCpus));
+  Engine engine(scheduler);
+  for (sched::ThreadId tid = 0; tid <= kCpus; ++tid) {
+    auto task = workload::MakeInf(tid, 1.0, "hog");
+    task->set_home_cpu(std::min<sched::CpuId>(tid, kCpus - 1));
+    engine.AddTaskAt(0, std::move(task));
+  }
+  engine.RunUntil(Msec(50));  // inside the first quantum
+  // Thread 255 reached shard 255 first, so it runs there; thread 256 queues.
+  ASSERT_EQ(engine.task(255).state(), Task::State::kRunning);
+  ASSERT_EQ(engine.task(255).last_cpu(), kCpus - 1);
+  ASSERT_EQ(engine.task(256).state(), Task::State::kRunnable);
+  EXPECT_EQ(engine.Service(255), 0);
+  EXPECT_EQ(engine.ServiceIncludingRunning(255), Msec(50));
+  EXPECT_EQ(engine.ServiceIncludingRunning(0), Msec(50));
+  EXPECT_EQ(engine.ServiceIncludingRunning(256), 0);
+
+  engine.KillTask(255);
+  EXPECT_EQ(engine.task(255).state(), Task::State::kExited);
+  EXPECT_EQ(engine.Service(255), Msec(50));
+  // The freed CPU refills from its own shard at once.
+  EXPECT_EQ(engine.task(256).state(), Task::State::kRunning);
+  EXPECT_EQ(engine.task(256).last_cpu(), kCpus - 1);
+  engine.RunUntil(Msec(100));
+  EXPECT_EQ(engine.ServiceIncludingRunning(256), Msec(50));
+  EXPECT_EQ(engine.ServiceIncludingRunning(255), Msec(50));
   EXPECT_EQ(engine.idle_time(), 0);
 }
 
