@@ -7,17 +7,23 @@
 // partition owns a whole CPU while the other partition's three threads squeeze
 // onto one — per-weight service skews badly.  The sweep shows rebalancing
 // period vs fairness and migrations; SFS needs none of it.
+//
+// The strawman is the sharded layer with its production knobs off: one
+// uniprocessor SFQ per CPU, no stealing, independent shard timelines
+// (coupling 0), and only the periodic weight rebalance.
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/assert.h"
 #include "src/common/table.h"
 #include "src/harness/registry.h"
 #include "src/harness/runner.h"
 #include "src/metrics/fairness.h"
-#include "src/sched/partitioned.h"
+#include "src/sched/factory.h"
 #include "src/sched/sfs.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
@@ -32,8 +38,7 @@ struct PartitionOutcome {
   std::int64_t moves = 0;
 };
 
-PartitionOutcome RunPartition(sched::Scheduler& scheduler,
-                              std::int64_t (*moves_after)(sched::Scheduler&)) {
+PartitionOutcome RunPartition(sched::Scheduler& scheduler) {
   sim::Engine engine(scheduler);
   const std::vector<double> weights = {3, 3, 2, 2, 1, 1};
   for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -67,7 +72,7 @@ PartitionOutcome RunPartition(sched::Scheduler& scheduler,
     hi = std::max(hi, services[i] / phis[i]);
   }
   out.max_per_weight_skew = hi / lo;
-  out.moves = moves_after(scheduler);
+  out.moves = scheduler.shard_migrations();
   return out;
 }
 
@@ -99,10 +104,12 @@ SFS_EXPERIMENT(abl_partitioned,
   for (const int every : {0, 512, 64, 8}) {
     sched::SchedConfig config;
     config.num_cpus = 2;
-    sched::PartitionedSfq scheduler(config, every);
-    const PartitionOutcome out = RunPartition(scheduler, [](sched::Scheduler& s) {
-      return static_cast<sched::PartitionedSfq&>(s).rebalance_moves();
-    });
+    config.shard_steal = sched::ShardStealPolicy::kNone;
+    config.shard_rebalance_period = every;
+    config.shard_coupling = 0.0;
+    const std::unique_ptr<sched::Scheduler> scheduler = sched::MakeScheduler("sharded-sfq", config);
+    SFS_CHECK(scheduler != nullptr);
+    const PartitionOutcome out = RunPartition(*scheduler);
     const std::string rebalance =
         every == 0 ? "never" : Table::Cell(static_cast<std::int64_t>(every));
     table.AddRow({"partitioned-SFQ", rebalance, Table::Cell(out.jain, 4),
@@ -113,8 +120,7 @@ SFS_EXPERIMENT(abl_partitioned,
     sched::SchedConfig config;
     config.num_cpus = 2;
     sched::Sfs scheduler(config);
-    const PartitionOutcome out =
-        RunPartition(scheduler, [](sched::Scheduler&) -> std::int64_t { return 0; });
+    const PartitionOutcome out = RunPartition(scheduler);
     table.AddRow({"SFS", "-", Table::Cell(out.jain, 4),
                   Table::Cell(out.max_per_weight_skew, 2), Table::Cell(out.moves)});
     rows.Push(OutcomeToJson("SFS", "-", out));

@@ -117,7 +117,7 @@ struct Entity {
   int priority = 0;               // time-sharing static priority
   CpuId cpu = kInvalidCpu;        // processor currently running this thread
   CpuId last_cpu = kInvalidCpu;   // processor that last ran it (affinity hint)
-  CpuId partition = kInvalidCpu;  // home partition (partitioned baseline only)
+  CpuId partition = kInvalidCpu;  // home shard (ShardedScheduler; seeded by AddThread's hint)
 
   // True while the readjustment algorithm holds this thread's share capped at 1/p.
   // Maintained by ReadjustQueue so that restoring former caps costs O(p), not O(t).
@@ -128,11 +128,11 @@ struct Entity {
   bool running = false;
 
   // Intrusive queue hooks (Section 3.1's three queues plus one generic run queue
-  // used by the non-GPS baselines).
+  // for the policies that need a queue of their own).
   common::ListHook by_weight;   // runnable threads, descending weight
   common::ListHook by_start;    // ascending start tag (SFQ's queue; SFS's phi class)
   common::ListHook by_surplus;  // ascending surplus (SFS heuristic only)
-  common::ListHook by_rq;       // scheduler-specific run queue (RR/timeshare/WFQ/...)
+  common::ListHook by_rq;       // timeshare run queue, WFQ finish queue, H-SFS members
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

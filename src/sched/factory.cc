@@ -1,12 +1,11 @@
 #include "src/sched/factory.h"
 
+#include <cmath>
 #include <initializer_list>
 #include <sstream>
 
 #include "src/common/assert.h"
 #include "src/sched/hsfs.h"
-#include "src/sched/lottery.h"
-#include "src/sched/round_robin.h"
 #include "src/sched/sfq.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
@@ -19,10 +18,8 @@ namespace sfs::sched {
 namespace {
 
 constexpr SchedKind kAllSchedKinds[] = {
-    SchedKind::kSfs,        SchedKind::kHsfs,       SchedKind::kSfq,
-    SchedKind::kWfq,        SchedKind::kTimeshare,  SchedKind::kRoundRobin,
-    SchedKind::kLottery,    SchedKind::kShardedSfs, SchedKind::kShardedSfq,
-    SchedKind::kShardedWfq,
+    SchedKind::kSfs,       SchedKind::kHsfs,       SchedKind::kSfq,        SchedKind::kWfq,
+    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
 };
 
 constexpr QueueBackend kAllQueueBackends[] = {QueueBackend::kSortedList,
@@ -59,10 +56,6 @@ std::string_view SchedKindName(SchedKind kind) {
       return "wfq";
     case SchedKind::kTimeshare:
       return "timeshare";
-    case SchedKind::kRoundRobin:
-      return "rr";
-    case SchedKind::kLottery:
-      return "lottery";
     case SchedKind::kShardedSfs:
       return "sharded-sfs";
     case SchedKind::kShardedSfq:
@@ -166,8 +159,12 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
   } else if (config.shard_rebalance_period < 0) {
     error << "shard_rebalance_period must be >= 0 decisions (0 = never; got "
           << config.shard_rebalance_period << ")";
-  } else if (config.shard_coupling < 0.0 || config.shard_coupling > 1.0) {
+  } else if (!(config.shard_coupling >= 0.0 && config.shard_coupling <= 1.0)) {
+    // Written so that NaN fails too.
     error << "shard_coupling must lie in [0, 1] (got " << config.shard_coupling << ")";
+  } else if (!std::isfinite(config.tag_rebase_threshold) || config.tag_rebase_threshold <= 0.0) {
+    error << "tag_rebase_threshold must be finite and positive (got "
+          << config.tag_rebase_threshold << ")";
   }
   return error.str();
 }
@@ -187,10 +184,6 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedKind kind, const SchedConfig& co
       return std::make_unique<Wfq>(config);
     case SchedKind::kTimeshare:
       return std::make_unique<Timeshare>(config);
-    case SchedKind::kRoundRobin:
-      return std::make_unique<RoundRobin>(config);
-    case SchedKind::kLottery:
-      return std::make_unique<Lottery>(config);
     case SchedKind::kShardedSfs: {
       SchedConfig c = config;
       c.use_readjustment = true;  // match flat SFS (no-op inside 1-CPU shards)

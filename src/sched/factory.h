@@ -20,8 +20,6 @@ enum class SchedKind {
   kSfq = 2,        // start-time fair queueing
   kWfq = 4,        // weighted fair queueing
   kTimeshare = 6,  // Linux 2.2-style time sharing
-  kRoundRobin = 7,
-  kLottery = 8,  // lottery scheduling (randomized proportional share)
   // Sharded variants: one uniprocessor instance of the policy per CPU behind
   // the steal/rebalance/coupling machinery of sched::Sharded.
   kShardedSfs = 9,

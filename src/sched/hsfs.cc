@@ -65,12 +65,10 @@ HierarchicalSfs::HierarchicalSfs(const SchedConfig& config)
 HierarchicalSfs::~HierarchicalSfs() {
   for (auto& [id, node] : nodes_) {
     node->members.Clear();
-    node->rr_members.clear();
   }
 }
 
-void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight,
-                                  IntraClassPolicy policy) {
+void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight) {
   SFS_CHECK(weight > 0);
   SFS_CHECK(nodes_.find(id) == nodes_.end());
   Node& parent_node = FindNode(parent);
@@ -78,7 +76,6 @@ void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight,
   node->id = id;
   node->parent = &parent_node;
   node->weight = weight;
-  node->policy = policy;
   node->members.SetBackend(config().queue_backend);
   parent_node.children.push_back(node.get());
   nodes_.emplace(id, std::move(node));
@@ -134,17 +131,10 @@ double HierarchicalSfs::LevelVirtualTime(const Node& n, const Node* exclude) con
     v = any ? std::min(v, child->start_tag) : child->start_tag;
     any = true;
   }
-  if (n.policy == IntraClassPolicy::kSurplus) {
-    // The member queue is sorted by start tag: the minimum is the front.
-    if (const Entity* front = n.members.front(); front != nullptr) {
-      v = any ? std::min(v, front->start_tag()) : front->start_tag();
-      any = true;
-    }
-  } else {
-    for (const Entity* e : n.rr_members) {
-      v = any ? std::min(v, e->start_tag()) : e->start_tag();
-      any = true;
-    }
+  // The member queue is sorted by start tag: the minimum is the front.
+  if (const Entity* front = n.members.front(); front != nullptr) {
+    v = any ? std::min(v, front->start_tag()) : front->start_tag();
+    any = true;
   }
   return any ? v : n.idle_vt;
 }
@@ -179,19 +169,10 @@ void HierarchicalSfs::RecomputeShares() {
         child->share = 0.0;
       }
     }
-    const auto add_member = [&](Entity* e) {
+    for (Entity* e = n->members.front(); e != nullptr; e = n->members.next(e)) {
       thread_members.push_back(e);
       weights.push_back(e->weight());
       caps.push_back(bandwidth_cpus > 0.0 ? std::min(1.0, 1.0 / bandwidth_cpus) : 0.0);
-    };
-    if (n->policy == IntraClassPolicy::kSurplus) {
-      for (Entity* e = n->members.front(); e != nullptr; e = n->members.next(e)) {
-        add_member(e);
-      }
-    } else {
-      for (Entity* e : n->rr_members) {
-        add_member(e);
-      }
     }
 
     const std::vector<double> shares = WaterFill(weights, caps);
@@ -247,11 +228,7 @@ void HierarchicalSfs::OnAdmit(Entity& e) {
   thread_class_[e.tid] = cls_id;
   e.start_tag() = std::max(e.finish_tag(), LevelVirtualTime(cls));
   e.finish_tag() = e.start_tag();
-  if (cls.policy == IntraClassPolicy::kSurplus) {
-    cls.members.Insert(&e);
-  } else {
-    cls.rr_members.push_back(&e);
-  }
+  cls.members.Insert(&e);
   PropagateRunnable(cls, +1);
   PropagateEligible(cls, +1);
   RecomputeShares();
@@ -260,11 +237,7 @@ void HierarchicalSfs::OnAdmit(Entity& e) {
 void HierarchicalSfs::OnRemove(Entity& e) {
   Node& cls = NodeOf(e);
   if (e.runnable) {
-    if (cls.policy == IntraClassPolicy::kSurplus) {
-      cls.members.Remove(&e);
-    } else {
-      cls.rr_members.erase(&e);
-    }
+    cls.members.Remove(&e);
     PropagateRunnable(cls, -1);
     PropagateEligible(cls, -1);
     RecomputeShares();
@@ -274,11 +247,7 @@ void HierarchicalSfs::OnRemove(Entity& e) {
 
 void HierarchicalSfs::OnBlocked(Entity& e) {
   Node& cls = NodeOf(e);
-  if (cls.policy == IntraClassPolicy::kSurplus) {
-    cls.members.Remove(&e);
-  } else {
-    cls.rr_members.erase(&e);
-  }
+  cls.members.Remove(&e);
   cls.idle_vt = std::max(cls.idle_vt, e.finish_tag());
   PropagateRunnable(cls, -1);
   PropagateEligible(cls, -1);
@@ -288,11 +257,7 @@ void HierarchicalSfs::OnBlocked(Entity& e) {
 void HierarchicalSfs::OnWoken(Entity& e) {
   Node& cls = NodeOf(e);
   e.start_tag() = std::max(e.finish_tag(), LevelVirtualTime(cls));
-  if (cls.policy == IntraClassPolicy::kSurplus) {
-    cls.members.Insert(&e);
-  } else {
-    cls.rr_members.push_back(&e);
-  }
+  cls.members.Insert(&e);
   PropagateRunnable(cls, +1);
   PropagateEligible(cls, +1);
   RecomputeShares();
@@ -330,32 +295,15 @@ Entity* HierarchicalSfs::PickNextEntity(CpuId cpu) {
         best_member = nullptr;
       }
     }
-    if (n->policy == IntraClassPolicy::kRoundRobin) {
-      // Class-specific policy: members take equal turns (FIFO order; OnCharge
-      // rotates the member to the back).  A round-robin member competes against
-      // child classes at surplus 0 - epsilon of nothing: compare with the best
-      // class using surplus 0 (the member queue as a whole is at its turn).
-      for (Entity* e : n->rr_members) {
-        if (!e->running) {
-          if (better(0.0)) {
-            best_surplus = 0.0;
-            best_class = nullptr;
-            best_member = e;
-          }
-          break;
-        }
+    for (Entity* e = n->members.front(); e != nullptr; e = n->members.next(e)) {
+      if (e->running) {
+        continue;
       }
-    } else {
-      for (Entity* e = n->members.front(); e != nullptr; e = n->members.next(e)) {
-        if (e->running) {
-          continue;
-        }
-        const double surplus = e->phi() * (e->start_tag() - v);
-        if (better(surplus)) {
-          best_surplus = surplus;
-          best_class = nullptr;
-          best_member = e;
-        }
+      const double surplus = e->phi() * (e->start_tag() - v);
+      if (better(surplus)) {
+        best_surplus = surplus;
+        best_class = nullptr;
+        best_member = e;
       }
     }
     if (best_member != nullptr) {
@@ -374,15 +322,9 @@ void HierarchicalSfs::OnCharge(Entity& e, Tick ran_for) {
   // Thread tags within its class.
   e.finish_tag() = e.start_tag() + arith_.WeightedService(ran_for, std::max(e.phi(), 1e-12));
   e.start_tag() = e.finish_tag();
-  if (cls.policy == IntraClassPolicy::kRoundRobin) {
-    // Rotate to the back of the member FIFO.
-    cls.rr_members.erase(&e);
-    cls.rr_members.push_back(&e);
-  } else {
-    // The start tag grew: restore the member queue's sorted order.
-    cls.members.Remove(&e);
-    cls.members.InsertFromBack(&e);
-  }
+  // The start tag grew: restore the member queue's sorted order.
+  cls.members.Remove(&e);
+  cls.members.InsertFromBack(&e);
   // Every ancestor class's tags at its own level.
   for (Node* n = &cls; n->parent != nullptr; n = n->parent) {
     const double phi =

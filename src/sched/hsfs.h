@@ -38,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/intrusive_list.h"
 #include "src/sched/run_queue.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/tag_arith.h"
@@ -50,17 +49,7 @@ using ClassId = std::int32_t;
 inline constexpr ClassId kRootClass = 0;
 inline constexpr ClassId kInvalidClass = -1;
 
-// How a class distributes its bandwidth among its *member threads* (Section 5:
-// "such schedulers support class-specific schedulers, in which the bandwidth
-// allocated to a class is distributed among individual threads using a
-// class-specific scheduling policy").  Child classes are always chosen by
-// surplus.
-enum class IntraClassPolicy {
-  kSurplus,     // weighted surplus scheduling (default; flat-SFS semantics)
-  kRoundRobin,  // equal turns regardless of member weights
-};
-
-// Key for a surplus-policy class's member queue: ascending start tag with the
+// Key for a class's member queue: ascending start tag with the
 // library-wide thread-id tie-break, so the class-level virtual time is the
 // front element and iteration order is a deterministic total order.
 struct HsfsByStartAsc {
@@ -78,8 +67,7 @@ class HierarchicalSfs : public Scheduler {
 
   // Creates a scheduling class under `parent` with relative weight `weight`
   // among its siblings.  Classes may nest arbitrarily deep.
-  void CreateClass(ClassId id, ClassId parent, Weight weight,
-                   IntraClassPolicy policy = IntraClassPolicy::kSurplus);
+  void CreateClass(ClassId id, ClassId parent, Weight weight);
 
   // Changes a class's weight on the fly.
   void SetClassWeight(ClassId id, Weight weight);
@@ -121,7 +109,6 @@ class HierarchicalSfs : public Scheduler {
     std::vector<Node*> children;
 
     Weight weight = 1.0;
-    IntraClassPolicy policy = IntraClassPolicy::kSurplus;
     // Share of the whole machine, from the per-level readjustment.
     double share = 0.0;
 
@@ -133,13 +120,10 @@ class HierarchicalSfs : public Scheduler {
     Tick total_service = 0;   // aggregate leaf service (survives departures)
     double idle_vt = 0.0;     // level virtual time frozen while nothing runnable
 
-    // Runnable threads directly attached to this class.  Surplus-policy
-    // classes keep them sorted by (start tag, tid) on the backend-selectable
-    // run queue — the level virtual time is then the front element.
-    // Round-robin classes need rotation order, which no key expresses, so they
-    // keep the FIFO list; exactly one of the two is populated, per `policy`.
+    // Runnable threads directly attached to this class, sorted by (start tag,
+    // tid) on the backend-selectable run queue — the level virtual time is
+    // then the front element.
     RunQueue<Entity, &Entity::by_rq, HsfsByStartAsc> members;
-    common::IntrusiveList<Entity, &Entity::by_rq> rr_members;
   };
 
   Node& FindNode(ClassId id);

@@ -251,10 +251,11 @@ class Scheduler {
 
   // Conservative-epoch synchronization hook (sim::ParallelEngine): invoked
   // once per epoch boundary, single-threaded, with every worker parked at the
-  // barrier, at simulated time `now`.  Policies may snapshot or republish
-  // cross-shard state here (sched::Sharded exposes per-shard virtual times);
-  // the default does nothing.  Must not change any scheduling decision —
-  // single-threaded drivers never call it.
+  // barrier, at simulated time `now`.  No policy in the library overrides it
+  // (migration translates tags from the shards' live virtual times); it is a
+  // seam for observers, such as perfbench's timing wrapper, which stamps epoch
+  // lengths here.  Must not change any scheduling decision — single-threaded
+  // drivers never call it.
   virtual void OnEpochBoundary(Tick now) { (void)now; }
 
   // Threads the scheduler itself moved between internal shards: idle-pull

@@ -101,14 +101,6 @@ CpuId ShardedScheduler::LightestShard() const {
   return best;
 }
 
-void ShardedScheduler::OnEpochBoundary(Tick now) {
-  (void)now;
-  for (const auto& shard : shards_) {
-    shard->epoch_virtual_time.store(shard->scheduler->LocalVirtualTime(),
-                                    std::memory_order_relaxed);
-  }
-}
-
 void ShardedScheduler::OnAdmit(Entity& e) {
   // A pre-set partition is a placement hint (Scheduler::AddThread's `home`
   // overload): admit there instead of balancing, so placement is a pure

@@ -33,9 +33,10 @@ enum class QueueBackend {
 };
 
 // Victim-selection policy for the sharded scheduling layer's idle-pull work
-// stealing (sched::Sharded).  Kept an enum so the strawman (no stealing, the
-// paper's Section 1.2 partitioned design) and the production answer share one
-// code path and differ only in this knob.
+// stealing (sched::ShardedScheduler).  The paper's Section 1.2 partitioned
+// strawman is sharded-sfq with kNone, coupling 0 and a chosen rebalance
+// period, so it and the production answer share one code path and differ only
+// in knobs.
 enum class ShardStealPolicy {
   kNone,        // never steal: a shard whose queue drains idles (partitioned)
   kMaxSurplus,  // idle CPU pulls the highest-surplus stealable thread

@@ -234,7 +234,7 @@ void Engine::HandleArrival(TaskSlot slot) {
       t.state_ = Task::State::kRunnable;
       scheduler_.AddThread(tid, t.weight(), t.home_cpu_);
       NotifySchedEvent(SchedEvent::kArrival, t);
-      PlaceRunnable(tid, config_.preempt_on_arrival);
+      PlaceRunnable(tid);
       break;
     }
     case Action::Kind::kBlock: {
@@ -293,7 +293,7 @@ void Engine::HandleWakeup(TaskSlot slot) {
         return;
     }
   }
-  PlaceRunnable(tid, /*may_preempt=*/true);
+  PlaceRunnable(tid);
 }
 
 void Engine::HandleCpuTimer(sched::CpuId cpu_id, std::uint64_t stamp) {
@@ -311,7 +311,7 @@ void Engine::HandlePeriodic(std::size_t idx) {
   Push(now_ + periodic_hooks_[idx].period, EventKind::kPeriodic, static_cast<std::int32_t>(idx));
 }
 
-void Engine::PlaceRunnable(sched::ThreadId tid, bool may_preempt) {
+void Engine::PlaceRunnable(sched::ThreadId tid) {
   // Idle processors first, in ascending order, until one accepts work.  A
   // dispatch can legitimately come up empty (a sharded scheduler with
   // stealing disabled only serves its own shard); the scheduler's PickMask
@@ -326,9 +326,6 @@ void Engine::PlaceRunnable(sched::ThreadId tid, bool may_preempt) {
         return;
       }
     }
-  }
-  if (!may_preempt) {
-    return;  // queued; it will compete at the next scheduling point
   }
   // All busy: ask the policy whether this wakeup warrants preemption, giving it
   // the tick handler's view of how long each runner has held its processor.

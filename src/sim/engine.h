@@ -59,12 +59,6 @@ struct EngineConfig {
   // is re-dispatched back-to-back.  0 disables the model.
   Tick cache_restore_per_kb = 0;
 
-  // Whether a *newly arrived* thread may preempt a running one.  Linux 2.2 calls
-  // reschedule_idle() from wake_up_process() for forked children as well as for
-  // wakeups, so the faithful default is true; experiments with rapid arrival
-  // chains (Figure 5) are mildly sensitive to it, hence the explicit knob.
-  bool preempt_on_arrival = true;
-
   // Observability sink (sim-tick clock domain).  When set, the engine records
   // grants, preemptions, run intervals, charges and lifecycle events into the
   // trace's rings and also hands the trace to the scheduler (steal/rebalance/
@@ -215,9 +209,11 @@ class Engine {
   void HandleCpuTimer(sched::CpuId cpu_id, std::uint64_t stamp);
   void HandlePeriodic(std::size_t idx);
 
-  // Makes a newly runnable thread run somewhere if it should: idle CPU first,
-  // then (if `may_preempt`) the scheduler's preemption suggestion.
-  void PlaceRunnable(sched::ThreadId tid, bool may_preempt);
+  // Makes a newly arrived or woken thread run somewhere if it should: idle CPU
+  // first, then the scheduler's preemption suggestion.  Arrivals take the
+  // preemption check too, as Linux 2.2 calls reschedule_idle() from
+  // wake_up_process() for forked children as well as for wakeups.
+  void PlaceRunnable(sched::ThreadId tid);
 
   // Charges the thread running on `cpu_id` for the time used, frees the CPU, and
   // applies the behaviour's next action if its compute burst just completed.

@@ -390,7 +390,7 @@ void ParallelEngine::HandleArrival(Worker& w, TaskSlot slot) {
           home = sharded_->ShardOf(tid);  // where the policy actually put it
         }
       }
-      PlaceRunnable(w, tid, home, config_.preempt_on_arrival);
+      PlaceRunnable(w, tid, home);
       break;
     }
     case Action::Kind::kBlock: {
@@ -483,7 +483,7 @@ void ParallelEngine::HandleWakeup(Worker& w, TaskSlot slot, sched::CpuId home) {
     scheduler_.Wakeup(tid);
     NotifySchedEvent(w, SchedEvent::kWakeup, t);
   }
-  PlaceRunnable(w, tid, home, /*may_preempt=*/true);
+  PlaceRunnable(w, tid, home);
 }
 
 void ParallelEngine::HandleCpuTimer(Worker& w, sched::CpuId cpu_id, std::uint64_t stamp) {
@@ -502,8 +502,7 @@ void ParallelEngine::HandlePeriodic(Worker& w, std::size_t idx) {
        static_cast<std::int32_t>(idx));
 }
 
-void ParallelEngine::PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId home,
-                                   bool may_preempt) {
+void ParallelEngine::PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId home) {
   // Idle owned processors first (the serial engine scans all processors; the
   // confinement to owned ones is the engine's one placement divergence at
   // workers > 1, bounded by the peers' epoch idle-kicks).
@@ -515,9 +514,6 @@ void ParallelEngine::PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId 
         return;
       }
     }
-  }
-  if (!may_preempt) {
-    return;
   }
   w.preempt_elapsed.assign(cpus_.size(), 0);
   for (sched::CpuId cpu_id = w.cpu_begin; cpu_id < w.cpu_end; ++cpu_id) {

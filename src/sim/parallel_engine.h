@@ -16,10 +16,9 @@
 //     steal / rebalance, the full lifecycle lock for arrivals and exits), so
 //     it is always *safe*, merely not time-ordered across workers.
 //   * At each epoch boundary every worker parks on a barrier; the last
-//     arriver runs Scheduler::OnEpochBoundary(now) single-threaded (the
-//     sharded layer republishes shard-local virtual times there — the
-//     cross-shard virtual-time coupling point), then all workers enter the
-//     next epoch together.
+//     arriver runs Scheduler::OnEpochBoundary(now) single-threaded (an
+//     observer's hook; no library policy acts there), then all workers enter
+//     the next epoch together.
 //   * A wakeup whose home shard belongs to another worker is mailed through
 //     a per-(target, source) MPSC mailbox (common::MpscMailbox) and drained
 //     at the target's next epoch start, in source order, with the wakeup
@@ -95,7 +94,6 @@ struct ParallelEngineConfig {
   // Cost model knobs, exactly as EngineConfig (engine.h documents them).
   Tick context_switch_cost = 0;
   Tick cache_restore_per_kb = 0;
-  bool preempt_on_arrival = true;
 
   // Observability.  At workers > 1 the trace needs per-worker lifecycle
   // rings (added automatically) and `metrics` must have been built with at
@@ -317,7 +315,7 @@ class ParallelEngine {
 
   // `home` is the woken/arrived thread's home shard — the dispatch-mutex key
   // for SuggestPreemption under the lock relaxation (scheduler.h).
-  void PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId home, bool may_preempt);
+  void PlaceRunnable(Worker& w, sched::ThreadId tid, sched::CpuId home);
   void StopRunning(Worker& w, sched::CpuId cpu_id);
   void Dispatch(Worker& w, sched::CpuId cpu_id);
 

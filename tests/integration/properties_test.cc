@@ -152,7 +152,7 @@ TEST_P(WorkConservationTest, NoIdleWhileBacklogged) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, WorkConservationTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq,
-                                           SchedKind::kTimeshare, SchedKind::kRoundRobin),
+                                           SchedKind::kTimeshare),
                          [](const ::testing::TestParamInfo<SchedKind>& param_info) {
                            std::string name(SchedKindName(param_info.param));
                            for (char& c : name) {

@@ -113,30 +113,6 @@ inline constexpr RecordedRun kRecordedRuns[] = {
      0x987dc327137ddd56ULL, 733, 486, 181, 1257944, 60037},
     {sched::SchedKind::kTimeshare, 6, 0xd69020de5634efb2ULL, 0xe842186d80e8b5aaULL,
      0x8453d30d923c1e23ULL, 1237, 1197, 20, 1034000, 189810},
-    {sched::SchedKind::kRoundRobin, 1, 0x05d99b4e5b49b1c1ULL, 0xfd144bc7f4fd83f1ULL,
-     0xecc091b296563273ULL, 583, 418, 0, 149907, 151110},
-    {sched::SchedKind::kRoundRobin, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL,
-     0x47e82ba04236ab7eULL, 576, 452, 0, 22532237, 16271},
-    {sched::SchedKind::kRoundRobin, 3, 0x507de36fbc7ec40fULL, 0xf13ee00a0e16a46eULL,
-     0x794b45e66b5bdf53ULL, 135, 84, 0, 0, 5124},
-    {sched::SchedKind::kRoundRobin, 4, 0x610967f2a24b9bbfULL, 0x7888e89d395bab02ULL,
-     0x5f80fec25e8ff431ULL, 537, 414, 0, 2617889, 0},
-    {sched::SchedKind::kRoundRobin, 5, 0x617d3d452e781e39ULL, 0xc0a5a5bb2f8c3db9ULL,
-     0x61eff7589d82eeecULL, 424, 246, 0, 1375098, 31899},
-    {sched::SchedKind::kRoundRobin, 6, 0x229ae60480c36a0dULL, 0x6e6821108530bc38ULL,
-     0xa5e5e7fae090d587ULL, 1215, 1181, 0, 1034000, 205165},
-    {sched::SchedKind::kLottery, 1, 0xcbc9b7bcd1680fa9ULL, 0x0742f8292ba8e781ULL,
-     0x0f1abb04b95f2998ULL, 352, 309, 0, 142905, 86505},
-    {sched::SchedKind::kLottery, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL,
-     0x47e82ba04236ab7eULL, 576, 452, 0, 22532237, 16271},
-    {sched::SchedKind::kLottery, 3, 0xd6d02d5e60efc7e8ULL, 0xf8341293d1fc4f14ULL,
-     0xdb1468ab9f27e883ULL, 85, 61, 0, 0, 1769},
-    {sched::SchedKind::kLottery, 4, 0xa9913eacd1923ad8ULL, 0xa31254fd9c4e0f2dULL,
-     0x99f02ea47d705981ULL, 482, 389, 0, 2402000, 0},
-    {sched::SchedKind::kLottery, 5, 0x3b380ba674b1e123ULL, 0x5add4b1a36b603dcULL,
-     0xc8af7e415f08f4fcULL, 341, 204, 0, 1351131, 17787},
-    {sched::SchedKind::kLottery, 6, 0x24aab6883f41c510ULL, 0x1fb5e8c7c843013eULL,
-     0x500232d16a2bdaa5ULL, 1209, 1181, 0, 1034000, 155215},
 };
 
 }  // namespace sfs::eval

@@ -1,16 +1,17 @@
-// Tests for the alternative designs the paper discusses: the partitioned
-// per-processor approach (Section 1.2) and lottery scheduling [30], plus the
-// class-specific round-robin policy in hierarchical SFS (Section 5).
+// Tests for the alternative design the paper discusses and rejects: the
+// partitioned per-processor approach (Section 1.2), built as the sharded
+// layer's strawman configuration.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <vector>
 
-#include "src/common/rng.h"
-#include "src/sched/hsfs.h"
-#include "src/sched/lottery.h"
-#include "src/sched/partitioned.h"
-#include "src/sched/sfs.h"
+#include "src/common/assert.h"
+#include "src/sched/factory.h"
+#include "src/sched/sharded.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
 
@@ -24,30 +25,42 @@ SchedConfig Config(int cpus, Tick quantum = kDefaultQuantum) {
   return config;
 }
 
+// The partitioned strawman: one uniprocessor SFQ per CPU, no stealing,
+// independent shard timelines (coupling 0), and only the periodic weight
+// rebalance every `rebalance_every` decisions (0 = never).
+std::unique_ptr<ShardedScheduler> Partitioned(SchedConfig config, int rebalance_every) {
+  config.shard_steal = ShardStealPolicy::kNone;
+  config.shard_rebalance_period = rebalance_every;
+  config.shard_coupling = 0.0;
+  std::unique_ptr<Scheduler> scheduler = MakeScheduler("sharded-sfq", config);
+  SFS_CHECK(dynamic_cast<ShardedScheduler*>(scheduler.get()) != nullptr);
+  return std::unique_ptr<ShardedScheduler>(static_cast<ShardedScheduler*>(scheduler.release()));
+}
+
 // --- partitioned per-processor SFQ ----------------------------------------------
 
 TEST(PartitionedTest, ArrivalsBalanceByWeight) {
-  PartitionedSfq s(Config(2), /*rebalance_every=*/0);
-  s.AddThread(1, 4.0);
-  s.AddThread(2, 3.0);
-  s.AddThread(3, 2.0);  // joins the lighter partition (3.0 < 4.0)
-  const auto weights = s.PartitionWeights();
+  const auto s = Partitioned(Config(2), /*rebalance_every=*/0);
+  s->AddThread(1, 4.0);
+  s->AddThread(2, 3.0);
+  s->AddThread(3, 2.0);  // joins the lighter partition (3.0 < 4.0)
+  const auto weights = s->ShardRunnableWeights();
   EXPECT_DOUBLE_EQ(weights[0] + weights[1], 9.0);
   EXPECT_DOUBLE_EQ(std::max(weights[0], weights[1]), 5.0);
 }
 
 TEST(PartitionedTest, PerPartitionProportionalAllocation) {
   // Two threads pinned to the same partition split it by weight.
-  PartitionedSfq s(Config(2), 0);
-  s.AddThread(1, 10.0);  // partition 0
-  s.AddThread(2, 3.0);   // partition 1
-  s.AddThread(3, 1.0);   // partition 1 (lighter: 3 < 10)
+  const auto s = Partitioned(Config(2), 0);
+  s->AddThread(1, 10.0);  // partition 0
+  s->AddThread(2, 3.0);   // partition 1
+  s->AddThread(3, 1.0);   // partition 1 (lighter: 3 < 10)
   Tick service2 = 0;
   Tick service3 = 0;
   for (int i = 0; i < 4000; ++i) {
-    const ThreadId t = s.PickNext(1);
+    const ThreadId t = s->PickNext(1);
     ASSERT_TRUE(t == 2 || t == 3);
-    s.Charge(t, Msec(10));
+    s->Charge(t, Msec(10));
     (t == 2 ? service2 : service3) += Msec(10);
   }
   EXPECT_NEAR(static_cast<double>(service2) / static_cast<double>(service3), 3.0, 0.1);
@@ -56,21 +69,21 @@ TEST(PartitionedTest, PerPartitionProportionalAllocation) {
 TEST(PartitionedTest, NotGloballyWorkConserving) {
   // The paper's core criticism: a CPU whose partition empties idles even while
   // the other partition is backlogged.
-  PartitionedSfq s(Config(2), 0);
-  s.AddThread(1, 1.0);
-  s.AddThread(2, 1.0);
-  s.AddThread(3, 1.0);
+  const auto s = Partitioned(Config(2), 0);
+  s->AddThread(1, 1.0);
+  s->AddThread(2, 1.0);
+  s->AddThread(3, 1.0);
   // Threads 1 -> partition 0; 2 -> partition 1; 3 -> one of them.
   // Block whatever lives in partition 0.
-  const ThreadId on0 = s.PickNext(0);
+  const ThreadId on0 = s->PickNext(0);
   ASSERT_NE(on0, kInvalidThread);
-  s.Charge(on0, Msec(10));
-  s.Block(on0);
+  s->Charge(on0, Msec(10));
+  s->Block(on0);
   // If partition 0 is now empty, CPU 0 idles despite backlog elsewhere.
-  const auto weights = s.PartitionWeights();
+  const auto weights = s->ShardRunnableWeights();
   if (weights[0] == 0.0) {
-    EXPECT_EQ(s.PickNext(0), kInvalidThread);
-    EXPECT_GT(s.runnable_count(), 0);
+    EXPECT_EQ(s->PickNext(0), kInvalidThread);
+    EXPECT_GT(s->runnable_count(), 0);
   } else {
     SUCCEED();  // thread 3 landed on partition 0; symmetric case
   }
@@ -80,24 +93,24 @@ TEST(PartitionedTest, DeparturesCauseImbalanceRebalanceRepairs) {
   // Without rebalancing, departures skew the partitions; with it, the weights
   // re-equalize (at the cost of migrations).
   auto imbalance_after_churn = [](int rebalance_every) {
-    PartitionedSfq s(Config(2, Msec(10)), rebalance_every);
+    const auto s = Partitioned(Config(2, Msec(10)), rebalance_every);
     for (ThreadId tid = 1; tid <= 8; ++tid) {
-      s.AddThread(tid, 1.0);
+      s->AddThread(tid, 1.0);
     }
     // Remove three threads that share a partition (ids 1,3,5 alternate in).
     for (ThreadId tid : {1, 3, 5}) {
-      s.RemoveThread(tid);
+      s->RemoveThread(tid);
     }
     // Drive some decisions so rebalancing gets a chance to run.
     for (int i = 0; i < 200; ++i) {
       for (CpuId c = 0; c < 2; ++c) {
-        const ThreadId t = s.PickNext(c);
+        const ThreadId t = s->PickNext(c);
         if (t != kInvalidThread) {
-          s.Charge(t, Msec(10));
+          s->Charge(t, Msec(10));
         }
       }
     }
-    const auto weights = s.PartitionWeights();
+    const auto weights = s->ShardRunnableWeights();
     return std::abs(weights[0] - weights[1]);
   };
   EXPECT_GT(imbalance_after_churn(0), 0.9);       // stuck imbalanced
@@ -105,30 +118,30 @@ TEST(PartitionedTest, DeparturesCauseImbalanceRebalanceRepairs) {
 }
 
 TEST(PartitionedTest, RebalanceMovesAreCounted) {
-  PartitionedSfq s(Config(2, Msec(10)), /*rebalance_every=*/4);
+  const auto s = Partitioned(Config(2, Msec(10)), /*rebalance_every=*/4);
   for (ThreadId tid = 1; tid <= 6; ++tid) {
-    s.AddThread(tid, 1.0);
+    s->AddThread(tid, 1.0);
   }
   for (ThreadId tid : {1, 3}) {
-    s.RemoveThread(tid);
+    s->RemoveThread(tid);
   }
   for (int i = 0; i < 50; ++i) {
     for (CpuId c = 0; c < 2; ++c) {
-      const ThreadId t = s.PickNext(c);
+      const ThreadId t = s->PickNext(c);
       if (t != kInvalidThread) {
-        s.Charge(t, Msec(10));
+        s->Charge(t, Msec(10));
       }
     }
   }
-  EXPECT_GE(s.rebalance_moves(), 1);
+  EXPECT_GE(s->shard_migrations(), 1);
 }
 
 TEST(PartitionedTest, GlobalUnfairnessUnderImbalance) {
   // 3 equal-weight threads, 2 CPUs, no rebalancing: the lone thread on its own
   // partition gets a full CPU while the other two split one — 2:1 instead of
   // the global 1:1:1 a multiprocessor-fair scheduler delivers (Section 1.2).
-  PartitionedSfq scheduler(Config(2), 0);
-  sim::Engine engine(scheduler);
+  const auto scheduler = Partitioned(Config(2), 0);
+  sim::Engine engine(*scheduler);
   for (ThreadId tid = 1; tid <= 3; ++tid) {
     engine.AddTaskAt(0, workload::MakeInf(tid, 1.0, "t"));
   }
@@ -139,123 +152,6 @@ TEST(PartitionedTest, GlobalUnfairnessUnderImbalance) {
   }
   std::sort(services.begin(), services.end());
   EXPECT_NEAR(static_cast<double>(services[2]) / static_cast<double>(services[0]), 2.0, 0.1);
-}
-
-// --- lottery ----------------------------------------------------------------------
-
-TEST(LotteryTest, ProportionalInExpectation) {
-  Lottery s(Config(1, Msec(10)), /*seed=*/7);
-  s.AddThread(1, 3.0);
-  s.AddThread(2, 1.0);
-  Tick service1 = 0;
-  Tick service2 = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const ThreadId t = s.PickNext(0);
-    s.Charge(t, Msec(10));
-    (t == 1 ? service1 : service2) += Msec(10);
-  }
-  EXPECT_NEAR(static_cast<double>(service1) / static_cast<double>(service2), 3.0, 0.15);
-}
-
-TEST(LotteryTest, DeterministicForFixedSeed) {
-  auto run = [] {
-    Lottery s(Config(1, Msec(10)), 99);
-    s.AddThread(1, 2.0);
-    s.AddThread(2, 1.0);
-    std::vector<ThreadId> picks;
-    for (int i = 0; i < 100; ++i) {
-      const ThreadId t = s.PickNext(0);
-      picks.push_back(t);
-      s.Charge(t, Msec(10));
-    }
-    return picks;
-  };
-  EXPECT_EQ(run(), run());
-}
-
-TEST(LotteryTest, MemorylessnessAvoidsExample1Starvation) {
-  // Lottery has no tags to catch up: the late arrival in the Example 1 workload
-  // is never starved (its win probability is immediate) — a qualitative
-  // difference from SFQ that highlights *why* SFQ starves (tag debt).
-  Lottery s(Config(2, Msec(1)), 3);
-  s.AddThread(1, 1.0);
-  s.AddThread(2, 10.0);
-  for (int i = 0; i < 1000; ++i) {
-    const ThreadId a = s.PickNext(0);
-    const ThreadId b = s.PickNext(1);
-    s.Charge(a, Msec(1));
-    s.Charge(b, Msec(1));
-  }
-  s.AddThread(3, 1.0);
-  // Thread 1 keeps winning draws right away.
-  int t1_runs = 0;
-  for (int i = 0; i < 300; ++i) {
-    const ThreadId a = s.PickNext(0);
-    const ThreadId b = s.PickNext(1);
-    t1_runs += (a == 1 || b == 1) ? 1 : 0;
-    s.Charge(a, Msec(1));
-    s.Charge(b, Msec(1));
-  }
-  EXPECT_GT(t1_runs, 10);
-}
-
-TEST(LotteryTest, HighVarianceVersusSfs) {
-  // Over a short horizon, lottery's allocation error is far larger than SFS's
-  // deterministic few-quanta bound.
-  auto spread = [](Scheduler& s) {
-    s.AddThread(1, 1.0);
-    s.AddThread(2, 1.0);
-    Tick service1 = 0;
-    Tick service2 = 0;
-    for (int i = 0; i < 100; ++i) {
-      const ThreadId t = s.PickNext(0);
-      s.Charge(t, Msec(10));
-      (t == 1 ? service1 : service2) += Msec(10);
-    }
-    return std::abs(service1 - service2);
-  };
-  Sfs sfs(Config(1, Msec(10)));
-  Lottery lottery(Config(1, Msec(10)), 11);
-  EXPECT_LE(spread(sfs), Msec(10));      // within one quantum
-  EXPECT_GT(spread(lottery), Msec(20));  // random-walk excursion
-}
-
-// --- class-specific policies in H-SFS ----------------------------------------------
-
-TEST(HsfsPolicyTest, RoundRobinClassIgnoresMemberWeights) {
-  HierarchicalSfs s(Config(1));
-  s.CreateClass(1, kRootClass, 1.0, IntraClassPolicy::kRoundRobin);
-  s.AddThreadToClass(10, 9.0, 1);  // weight ignored inside an RR class
-  s.AddThreadToClass(11, 1.0, 1);
-  Tick service10 = 0;
-  Tick service11 = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const ThreadId t = s.PickNext(0);
-    s.Charge(t, Msec(10));
-    (t == 10 ? service10 : service11) += Msec(10);
-  }
-  EXPECT_NEAR(static_cast<double>(service10) / static_cast<double>(service11), 1.0, 0.05);
-}
-
-TEST(HsfsPolicyTest, RoundRobinClassStillGetsItsClassShare) {
-  // Class A (RR inside, weight 1) vs class B (surplus inside, weight 1): the
-  // inter-class split stays 1:1 regardless of the intra-class policies.
-  HierarchicalSfs s(Config(1));
-  s.CreateClass(1, kRootClass, 1.0, IntraClassPolicy::kRoundRobin);
-  s.CreateClass(2, kRootClass, 1.0, IntraClassPolicy::kSurplus);
-  s.AddThreadToClass(10, 1.0, 1);
-  s.AddThreadToClass(11, 1.0, 1);
-  s.AddThreadToClass(20, 2.0, 2);
-  s.AddThreadToClass(21, 1.0, 2);
-  for (int i = 0; i < 4000; ++i) {
-    const ThreadId t = s.PickNext(0);
-    s.Charge(t, Msec(10));
-  }
-  EXPECT_NEAR(static_cast<double>(s.ClassService(1)) / static_cast<double>(s.ClassService(2)),
-              1.0, 0.1);
-  // Inside class 2 the 2:1 weights are honoured.
-  EXPECT_NEAR(static_cast<double>(s.TotalService(20)) / static_cast<double>(s.TotalService(21)),
-              2.0, 0.15);
 }
 
 }  // namespace

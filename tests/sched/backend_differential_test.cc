@@ -18,7 +18,6 @@
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
 #include "src/sched/hsfs.h"
-#include "src/sched/partitioned.h"
 #include "src/sched/sfs.h"
 
 namespace sfs::sched {
@@ -166,13 +165,13 @@ void DriveLockstep(SchedKind kind, std::uint64_t seed, int ops, int cpus) {
   auto b = CreateScheduler(kind, skip_config);
 
   if (kind == SchedKind::kHsfs) {
-    // Exercise the hierarchy: two surplus classes and one round-robin class,
-    // threads routed round-robin among root and the classes.
+    // Exercise the hierarchy: two classes under the root and one nested
+    // class, threads routed round-robin among root and the classes.
     for (Scheduler* s : {a.get(), b.get()}) {
       auto* h = static_cast<HierarchicalSfs*>(s);
       h->CreateClass(1, kRootClass, 4.0);
       h->CreateClass(2, kRootClass, 2.0);
-      h->CreateClass(3, 1, 1.0, IntraClassPolicy::kRoundRobin);
+      h->CreateClass(3, 1, 1.0);
     }
   }
   DriveLockstepOn(*a, *b, kind == SchedKind::kHsfs, seed, ops, cpus);
@@ -212,17 +211,23 @@ TEST(BackendDifferentialSpecialTest, HeuristicSfsTracesIdenticalAcrossBackends) 
 }
 
 TEST(BackendDifferentialSpecialTest, PartitionedSfqTracesIdenticalAcrossBackends) {
-  // Not factory-constructible (extra rebalance knob), but migrated onto the
-  // RunQueue abstraction all the same: per-partition queues plus the periodic
-  // rebalancing move pattern must be backend-invariant.
+  // The paper's partitioned strawman (sharded SFQ without stealing, with
+  // independent shard timelines and a rebalance every 32 decisions):
+  // per-partition queues plus the periodic rebalancing move pattern must be
+  // backend-invariant.
   for (const std::uint64_t seed : {11ULL, 42ULL}) {
     SchedConfig config;
     config.num_cpus = 4;
+    config.shard_steal = ShardStealPolicy::kNone;
+    config.shard_rebalance_period = 32;
+    config.shard_coupling = 0.0;
     SchedConfig skip_config = config;
     skip_config.queue_backend = QueueBackend::kSkipList;
-    PartitionedSfq a(config, /*rebalance_every=*/32);
-    PartitionedSfq b(skip_config, /*rebalance_every=*/32);
-    DriveLockstepOn(a, b, /*route_classes=*/false, seed, /*ops=*/1200, /*cpus=*/4);
+    auto a = MakeScheduler("sharded-sfq", config);
+    auto b = MakeScheduler("sharded-sfq", skip_config);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    DriveLockstepOn(*a, *b, /*route_classes=*/false, seed, /*ops=*/1200, /*cpus=*/4);
   }
 }
 

@@ -4,14 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace sfs::sched {
 namespace {
 
 constexpr SchedKind kAllKinds[] = {
-    SchedKind::kSfs,        SchedKind::kHsfs,       SchedKind::kSfq,
-    SchedKind::kWfq,        SchedKind::kTimeshare,  SchedKind::kRoundRobin,
-    SchedKind::kLottery,    SchedKind::kShardedSfs, SchedKind::kShardedSfq,
-    SchedKind::kShardedWfq};
+    SchedKind::kSfs,       SchedKind::kHsfs,       SchedKind::kSfq,        SchedKind::kWfq,
+    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq};
 
 TEST(FactoryTest, NameParseRoundTrip) {
   for (const SchedKind kind : kAllKinds) {
@@ -106,9 +107,11 @@ TEST(FactoryTest, MakeSchedulerRejectsUnknownPolicyListingAlternatives) {
   EXPECT_NE(error.find("sharded-wfq"), std::string::npos) << error;
   // A null error pointer is accepted.
   EXPECT_EQ(MakeScheduler("cfs", SchedConfig{}), nullptr);
-  // Stride and BVT ran SFQ's schedule and were removed; their names are gone
-  // with them rather than kept as aliases.
-  for (const char* removed : {"stride", "bvt", "sharded-stride", "sharded-bvt"}) {
+  // Stride and BVT ran SFQ's schedule, and round-robin and lottery had no
+  // experiment; all were removed, and their names are gone with them rather
+  // than kept as aliases.
+  for (const char* removed :
+       {"stride", "bvt", "sharded-stride", "sharded-bvt", "rr", "lottery"}) {
     EXPECT_EQ(MakeScheduler(removed, SchedConfig{}, &error), nullptr) << removed;
     EXPECT_NE(error.find("unknown scheduler policy"), std::string::npos) << error;
   }
@@ -117,9 +120,14 @@ TEST(FactoryTest, MakeSchedulerRejectsUnknownPolicyListingAlternatives) {
 TEST(FactoryTest, MakeSchedulerValidatesShardingKnobs) {
   std::string error;
   SchedConfig config;
-  config.shard_coupling = 1.5;
-  EXPECT_EQ(MakeScheduler("sharded-sfs", config, &error), nullptr);
-  EXPECT_NE(error.find("shard_coupling"), std::string::npos) << error;
+  // NaN passes a plain range test (every comparison with it is false), and
+  // the sharded constructor's CHECK would then abort instead of reporting.
+  for (const double coupling : {1.5, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    config.shard_coupling = coupling;
+    EXPECT_EQ(MakeScheduler("sharded-sfs", config, &error), nullptr) << coupling;
+    EXPECT_NE(error.find("shard_coupling"), std::string::npos) << error;
+  }
 
   config = SchedConfig{};
   config.shard_rebalance_period = -3;
@@ -136,6 +144,24 @@ TEST(FactoryTest, MakeSchedulerValidatesShardingKnobs) {
   config.num_cpus = 0;
   EXPECT_EQ(MakeScheduler("sfs", config, &error), nullptr);
   EXPECT_NE(error.find("num_cpus"), std::string::npos) << error;
+}
+
+TEST(FactoryTest, MakeSchedulerRequiresFinitePositiveTagRebaseThreshold) {
+  // A threshold <= 0 or NaN fails SFS's `v <= threshold` test whenever the
+  // virtual time is positive, so every decision would rebase every entity; an
+  // infinite one would switch tag rebasing off.
+  for (const double threshold : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    std::string error;
+    SchedConfig config;
+    config.tag_rebase_threshold = threshold;
+    EXPECT_EQ(MakeScheduler("sfs", config, &error), nullptr) << threshold;
+    EXPECT_NE(error.find("tag_rebase_threshold"), std::string::npos) << error;
+  }
+  SchedConfig config;
+  config.tag_rebase_threshold = 1000.0;
+  std::string error;
+  EXPECT_NE(MakeScheduler("sfs", config, &error), nullptr) << error;
 }
 
 TEST(FactoryTest, MakeSchedulerRejectsOutOfRangeFixedPointDigits) {

@@ -198,8 +198,7 @@ TEST_P(ParallelEngineOracleTest, WorkersOneWithHintsIsByteIdenticalToEngine) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ParallelEngineOracleTest,
     ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq, SchedKind::kWfq,
-                      SchedKind::kTimeshare, SchedKind::kRoundRobin, SchedKind::kLottery,
-                      SchedKind::kShardedSfs),
+                      SchedKind::kTimeshare, SchedKind::kShardedSfs),
     [](const ::testing::TestParamInfo<SchedKind>& param_info) {
       std::string name(sched::SchedKindName(param_info.param));
       for (char& c : name) {
