@@ -91,9 +91,6 @@ SFS_EXPERIMENT(abl_sharded,
     for (const Contender& contender : kContenders) {
       SchedConfig config;
       config.num_cpus = cell.cpus;
-      // The O(log t) backend keeps the 10k-thread cells affordable; the
-      // backend never changes decisions (abl_scaling_backends proves it).
-      config.queue_backend = sfs::sched::QueueBackend::kSkipList;
       config.shard_steal = contender.steal;
       config.shard_rebalance_period = contender.rebalance_period;
       config.shard_coupling = contender.coupling;

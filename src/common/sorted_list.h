@@ -12,9 +12,15 @@
 //     on almost-sorted input,
 //   * bounded scans of the first k elements for the Section 3.2 heuristic.
 //
-// Stability/determinism: ties are kept in insertion order (strictly-less comparisons),
-// which makes every scheduler in this library deterministic where the paper says
-// "ties are broken arbitrarily".
+// Determinism contract, relied on by every scheduler in this library (the paper
+// says "ties are broken arbitrarily"; here they never are):
+//   * ascending key order with FIFO among equal keys (strictly-less
+//     comparisons), for Insert, InsertFromBack and Reposition alike;
+//   * every scheduler key ends in a ThreadId tie-break, so queue order — and
+//     therefore every dispatch decision — is a total order;
+//   * Remove accepts an element whose key was already mutated (the
+//     tag-update-then-reposition pattern of OnCharge): removal is by link,
+//     never by key.
 
 #ifndef SFS_COMMON_SORTED_LIST_H_
 #define SFS_COMMON_SORTED_LIST_H_
@@ -105,10 +111,34 @@ class SortedList {
     return moved;
   }
 
-  // Repositions a single element whose key changed.  O(distance moved).
+  // Repositions a single element whose key changed, the rest of the list being
+  // sorted.  O(distance moved): walks backward from the old predecessor when
+  // the key dropped below it, else forward from the old successor.  Lands
+  // where Remove + Insert would: after every element with an equal key.
   void Reposition(T* elem) {
+    const auto key = KeyFn::Key(*elem);
+    T* before = list_.prev(elem);
+    T* after = list_.next(elem);
     list_.erase(elem);
-    Insert(elem);
+    if (before != nullptr && key < KeyFn::Key(*before)) {
+      while (before != nullptr && key < KeyFn::Key(*before)) {
+        before = list_.prev(before);
+      }
+      if (before == nullptr) {
+        list_.push_front(elem);
+      } else {
+        list_.insert_after(before, elem);
+      }
+      return;
+    }
+    while (after != nullptr && !(key < KeyFn::Key(*after))) {
+      after = list_.next(after);
+    }
+    if (after == nullptr) {
+      list_.push_back(elem);
+    } else {
+      list_.insert_before(after, elem);
+    }
   }
 
   // Calls `fn(elem)` for the first `k` elements (front of the queue = smallest keys).
@@ -137,9 +167,9 @@ class SortedList {
   }
 
   // Debug helper: true iff keys are in non-decreasing order.
-  bool IsSorted() {
+  bool IsSorted() const {
     const T* prev = nullptr;
-    for (T* cur : list_) {
+    for (const T* cur : list_) {
       if (prev != nullptr && KeyFn::Key(*cur) < KeyFn::Key(*prev)) {
         return false;
       }

@@ -311,11 +311,10 @@ double GmsDeviationForArrivals(sched::SchedKind kind, const std::vector<TimedArr
   return metrics::MaxGmsDeviation(actual, fluid);
 }
 
-RunScalingResult RunScaling(sched::QueueBackend backend, int threads, int cpus, Tick horizon,
-                            std::uint64_t seed, Tick quantum) {
+RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t seed,
+                            Tick quantum) {
   SFS_CHECK(threads >= 1);
   SchedConfig config = BaseConfig(cpus, quantum, /*readjust=*/true);
-  config.queue_backend = backend;
   sched::Sfs sfs(config);
   sim::Engine engine(sfs);
   engine.ReserveTasks(static_cast<std::size_t>(threads));
@@ -394,11 +393,6 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
                                            std::uint64_t seed, const ObsSinks& sinks) {
   SFS_CHECK(threads >= 1);
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  // The repo-default run-queue backend, which is also the fastest here: the
-  // runnable set stays small (mostly-blocked sleepers), so sorted-list scans
-  // beat skip-list pointer chasing and the event queue's share of the per-
-  // event cost is maximized.
-  config.queue_backend = sched::QueueBackend::kSortedList;
   sched::Sfs sfs(config);
 
   sim::EngineConfig engine_config;
@@ -466,7 +460,6 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
   SFS_CHECK(workers == 0 || workers == groups);
 
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  config.queue_backend = sched::QueueBackend::kSortedList;
   // Partitioned sharding (DESIGN.md §10): stealing, rebalancing and virtual-
   // time coupling all off, and every task home-hinted below.  This is the
   // configuration under which the parallel engine is *exact*, so per-group

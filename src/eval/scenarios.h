@@ -147,13 +147,10 @@ double GmsDeviationForArrivals(sched::SchedKind kind, const std::vector<TimedArr
                                int fixed_point_digits = -1, bool scheduler_readjust = true);
 
 // ---------------------------------------------------------------------------
-// Run-queue backend scaling (ablation A9): SFS with `threads` compute-bound
-// threads of seeded random weights on `cpus` processors, driven to `horizon`
-// on the given run-queue backend.  Returns schedule-derived metrics that must
-// be byte-identical across backends for the same seed — the determinism proof
-// behind SchedConfig::queue_backend — plus wall-clock cost per decision
-// (reported only under --timing; everything else is a pure function of the
-// seed).
+// Exact SFS decision scaling (ablation A9): SFS with `threads` compute-bound
+// threads of seeded random weights on `cpus` processors, driven to
+// `horizon`.  Returns schedule-derived metrics, each a pure function of the
+// seed, plus wall-clock cost per decision (reported only under --timing).
 struct RunScalingResult {
   std::int64_t decisions = 0;           // engine dispatches over the horizon
   std::uint64_t schedule_fingerprint = 0;  // FNV-1a over every run interval
@@ -162,8 +159,8 @@ struct RunScalingResult {
   std::int64_t refresh_repositions = 0;  // entities the refreshes repositioned
   double wall_ns_per_decision = 0.0;    // wall clock; Reporter::Timing only
 };
-RunScalingResult RunScaling(sched::QueueBackend backend, int threads, int cpus, Tick horizon,
-                            std::uint64_t seed, Tick quantum = kDefaultQuantum);
+RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t seed,
+                            Tick quantum = kDefaultQuantum);
 
 // ---------------------------------------------------------------------------
 // Engine event-loop throughput (ablation A12): `threads` tasks total on

@@ -22,9 +22,6 @@ constexpr SchedKind kAllSchedKinds[] = {
     SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
 };
 
-constexpr QueueBackend kAllQueueBackends[] = {QueueBackend::kSortedList,
-                                              QueueBackend::kSkipList};
-
 constexpr ShardStealPolicy kAllStealPolicies[] = {ShardStealPolicy::kNone,
                                                   ShardStealPolicy::kMaxSurplus};
 
@@ -88,25 +85,6 @@ std::optional<SchedKind> ShardedKindFor(SchedKind kind) {
   }
 }
 
-std::string_view QueueBackendName(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kSortedList:
-      return "sorted_list";
-    case QueueBackend::kSkipList:
-      return "skip_list";
-  }
-  return "unknown";
-}
-
-std::optional<QueueBackend> ParseQueueBackend(std::string_view name) {
-  for (QueueBackend backend : kAllQueueBackends) {
-    if (name == QueueBackendName(backend)) {
-      return backend;
-    }
-  }
-  return std::nullopt;
-}
-
 std::string_view ShardStealPolicyName(ShardStealPolicy policy) {
   switch (policy) {
     case ShardStealPolicy::kNone:
@@ -130,10 +108,6 @@ std::string KnownSchedKindNames() {
   return JoinNames<SchedKind>(kAllSchedKinds, SchedKindName);
 }
 
-std::string KnownQueueBackendNames() {
-  return JoinNames<QueueBackend>(kAllQueueBackends, QueueBackendName);
-}
-
 std::string KnownShardStealPolicyNames() {
   return JoinNames<ShardStealPolicy>(kAllStealPolicies, ShardStealPolicyName);
 }
@@ -152,8 +126,6 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
   } else if (config.heuristic_refresh_period <= 0) {
     error << "heuristic_refresh_period must be positive (got "
           << config.heuristic_refresh_period << ")";
-  } else if (QueueBackendName(config.queue_backend) == std::string_view("unknown")) {
-    error << "unknown queue backend; known backends: " << KnownQueueBackendNames();
   } else if (ShardStealPolicyName(config.shard_steal) == std::string_view("unknown")) {
     error << "unknown shard steal policy; known policies: " << KnownShardStealPolicyNames();
   } else if (config.shard_rebalance_period < 0) {

@@ -38,13 +38,6 @@ std::optional<SchedKind> ParseSchedKind(std::string_view name);
 // already-sharded kinds.
 std::optional<SchedKind> ShardedKindFor(SchedKind kind);
 
-// Canonical lower-case run-queue backend name ("sorted_list", "skip_list"),
-// used in benchmark output and experiment labels.
-std::string_view QueueBackendName(QueueBackend backend);
-
-// Parses a canonical backend name; nullopt if unknown.
-std::optional<QueueBackend> ParseQueueBackend(std::string_view name);
-
 // Canonical lower-case steal-policy name ("none", "max_surplus").
 std::string_view ShardStealPolicyName(ShardStealPolicy policy);
 
@@ -53,12 +46,11 @@ std::optional<ShardStealPolicy> ParseShardStealPolicy(std::string_view name);
 
 // Comma-separated lists of every known canonical name, for error messages.
 std::string KnownSchedKindNames();
-std::string KnownQueueBackendNames();
 std::string KnownShardStealPolicyNames();
 
 // Validates a configuration: returns an empty string when usable, otherwise a
-// message naming the offending knob (queue backend, steal policy, rebalance
-// period, coupling, ...) and the accepted values.
+// message naming the offending knob (steal policy, rebalance period,
+// coupling, ...) and the accepted values.
 std::string ValidateSchedConfig(const SchedConfig& config);
 
 // Constructs the scheduler.  SchedConfig::use_readjustment selects the

@@ -11,7 +11,7 @@ namespace sfs::sched {
 GmsReference::GmsReference(int num_cpus) : num_cpus_(num_cpus) { SFS_CHECK(num_cpus >= 1); }
 
 void GmsReference::AddThread(ThreadId tid, Weight weight, Tick now) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   AdvanceTo(now);
   auto [it, inserted] = members_.emplace(tid, Member{});
   SFS_CHECK(inserted);
@@ -48,7 +48,7 @@ void GmsReference::Wakeup(ThreadId tid, Tick now) {
 }
 
 void GmsReference::SetWeight(ThreadId tid, Weight weight, Tick now) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   AdvanceTo(now);
   Find(tid).weight = weight;
   rates_dirty_ = true;

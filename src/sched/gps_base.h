@@ -57,9 +57,7 @@ class GpsSchedulerBase : public Scheduler {
 
  protected:
   explicit GpsSchedulerBase(const SchedConfig& config)
-      : Scheduler(config), arith_(config.fixed_point_digits) {
-    weight_queue_.SetBackend(config.queue_backend);
-  }
+      : Scheduler(config), arith_(config.fixed_point_digits) {}
 
   // Adds a (newly runnable) entity to the weight queue and readjusts.
   // Returns true iff any instantaneous weight changed.

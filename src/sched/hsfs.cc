@@ -58,7 +58,6 @@ HierarchicalSfs::HierarchicalSfs(const SchedConfig& config)
   root->id = kRootClass;
   root->weight = 1.0;
   root->share = 1.0;
-  root->members.SetBackend(config.queue_backend);
   nodes_.emplace(kRootClass, std::move(root));
 }
 
@@ -69,21 +68,20 @@ HierarchicalSfs::~HierarchicalSfs() {
 }
 
 void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   SFS_CHECK(nodes_.find(id) == nodes_.end());
   Node& parent_node = FindNode(parent);
   auto node = std::make_unique<Node>();
   node->id = id;
   node->parent = &parent_node;
   node->weight = weight;
-  node->members.SetBackend(config().queue_backend);
   parent_node.children.push_back(node.get());
   nodes_.emplace(id, std::move(node));
   RecomputeShares();
 }
 
 void HierarchicalSfs::SetClassWeight(ClassId id, Weight weight) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   SFS_CHECK(id != kRootClass);
   FindNode(id).weight = weight;
   RecomputeShares();

@@ -38,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sched/run_queue.h"
+#include "src/common/sorted_list.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/tag_arith.h"
 
@@ -121,9 +121,8 @@ class HierarchicalSfs : public Scheduler {
     double idle_vt = 0.0;     // level virtual time frozen while nothing runnable
 
     // Runnable threads directly attached to this class, sorted by (start tag,
-    // tid) on the backend-selectable run queue — the level virtual time is
-    // then the front element.
-    RunQueue<Entity, &Entity::by_rq, HsfsByStartAsc> members;
+    // tid) — the level virtual time is then the front element.
+    common::SortedList<Entity, &Entity::by_rq, HsfsByStartAsc> members;
   };
 
   Node& FindNode(ClassId id);

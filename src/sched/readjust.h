@@ -33,8 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/entity.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
@@ -44,7 +44,7 @@ namespace sfs::sched {
 struct ByWeightDesc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {-e.weight(), e.tid}; }
 };
-using WeightQueue = RunQueue<Entity, &Entity::by_weight, ByWeightDesc>;
+using WeightQueue = common::SortedList<Entity, &Entity::by_weight, ByWeightDesc>;
 
 // Single-pass O(n) equivalent of the Figure 2 recursion.  `weights` must be
 // sorted in descending order; returns the instantaneous weights in the same

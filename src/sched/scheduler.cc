@@ -95,7 +95,7 @@ void Scheduler::AddThread(ThreadId tid, Weight weight) {
 
 void Scheduler::AddThread(ThreadId tid, Weight weight, CpuId home) {
   SFS_CHECK(tid != kInvalidThread);
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   auto entity = std::make_unique<Entity>();
   entity->tid = tid;
   entity->weight() = weight;
@@ -140,7 +140,7 @@ void Scheduler::Wakeup(ThreadId tid) {
 }
 
 void Scheduler::SetWeight(ThreadId tid, Weight weight) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(IsValidWeight(weight));
   Entity& e = FindEntity(tid);
   const Weight old_weight = e.weight();
   e.weight() = weight;

@@ -319,6 +319,12 @@ class Scheduler {
       fn(*entity);
     }
   }
+  template <typename Fn>
+  void ForEachEntity(Fn&& fn) const {
+    for (const Entity* entity : live_) {
+      fn(*entity);
+    }
+  }
 
  private:
   // The sharded host points its shards at its shared table.

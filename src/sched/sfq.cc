@@ -4,9 +4,7 @@
 
 namespace sfs::sched {
 
-Sfq::Sfq(const SchedConfig& config) : GpsSchedulerBase(config) {
-  queue_.SetBackend(config.queue_backend);
-}
+Sfq::Sfq(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Sfq::~Sfq() { queue_.Clear(); }
 

@@ -15,15 +15,15 @@
 
 #include <utility>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
 struct SfqByStartAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
 };
-using SfqQueue = RunQueue<Entity, &Entity::by_start, SfqByStartAsc>;
+using SfqQueue = common::SortedList<Entity, &Entity::by_start, SfqByStartAsc>;
 
 class Sfq : public GpsSchedulerBase {
  public:

@@ -19,7 +19,6 @@ bool Precedes(double s, const Entity* e, double best_s, const Entity* best) {
 Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {
   SFS_CHECK(config.heuristic_k >= 0);
   SFS_CHECK(config.heuristic_refresh_period > 0);
-  surplus_queue_.SetBackend(config.queue_backend);
 }
 
 Sfs::~Sfs() {
@@ -72,7 +71,6 @@ void Sfs::File(Entity& e, PhiClass* cls) {
     if (free_classes_.empty()) {
       cls = &classes_.emplace_back();
       cls->slot = static_cast<std::int32_t>(classes_.size() - 1);
-      cls->queue.SetBackend(config().queue_backend);
     } else {
       cls = free_classes_.back();
       free_classes_.pop_back();
@@ -286,8 +284,7 @@ void Sfs::RefreshSurpluses(double v) {
   // reposition only the entities whose order actually changed.  Between
   // refreshes surpluses shift by -phi_i * dv, so relative order moves only
   // across different phis and the queue stays almost sorted — Resort() is
-  // near-linear on both backends and O(log t) per misplaced entity on the
-  // skip list, and yields the same total (surplus, tid) order a full sort
+  // near-linear and yields the same total (surplus, tid) order a full sort
   // would.  Each entity's whole row is one cache line, and FreshSurplus is
   // branch-free per entity (an unwarped entity's warp_eff is 0).
   for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
@@ -325,10 +322,6 @@ bool Sfs::MaybeRebase(double v) {
   });
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
   last_refresh_v_ -= delta;
-  // Start tags shifted in place; surpluses are untouched by the shift.
-  for (PhiClass* cls : active_) {
-    cls->queue.SyncKeys();
-  }
   ++rebases_;
   return true;
 }
@@ -403,6 +396,72 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
     }
   }
   return affine != nullptr ? affine : head;
+}
+
+std::string Sfs::CheckInvariants() const {
+  const auto at = [](const char* what, std::int64_t index) {
+    return std::string(what) + " " + std::to_string(index);
+  };
+  std::size_t filed = 0;
+  for (std::size_t pos = 0; pos < active_.size(); ++pos) {
+    const PhiClass& cls = *active_[pos];
+    if (cls.active_pos != pos || cls.queue.empty()) {
+      return at("active phi class misfiled at slot", cls.slot);
+    }
+    const Entity* prev = nullptr;
+    for (const Entity* e = cls.queue.front(); e != nullptr; e = cls.queue.next(e)) {
+      ++filed;
+      if (prev != nullptr && !(ByStartTagAsc::Key(*prev) < ByStartTagAsc::Key(*e))) {
+        return at("phi class out of (start tag, tid) order at thread", e->tid);
+      }
+      if (!e->runnable || e->phi_class() != cls.slot) {
+        return at("phi class files a blocked or foreign thread", e->tid);
+      }
+      if (e->phi() != cls.phi || e->warp_eff() != cls.warp_eff) {
+        return at("(phi, warp_eff) disagrees with its class for thread", e->tid);
+      }
+      prev = e;
+    }
+  }
+  const auto runnable = static_cast<std::size_t>(runnable_count());
+  if (filed != filed_ || filed != runnable) {
+    return "the phi classes file " + std::to_string(filed) + " threads, the count says " +
+           std::to_string(filed_) + ", " + std::to_string(runnable) + " are runnable";
+  }
+  std::string violation;
+  std::size_t runnable_seen = 0;
+  ForEachEntity([&](const Entity& e) {
+    runnable_seen += e.runnable ? 1 : 0;
+    if (violation.empty() && e.runnable != (e.phi_class() >= 0)) {
+      violation = at("filed state disagrees with runnable state for thread", e.tid);
+    }
+  });
+  if (!violation.empty()) {
+    return violation;
+  }
+  if (runnable_seen != runnable || weight_queue().size() != runnable || !weight_queue().IsSorted() ||
+      (heuristic() && (surplus_queue_.size() != runnable || !surplus_queue_.IsSorted()))) {
+    return "a run queue does not hold exactly the runnable set in order";
+  }
+  double phi_sum = 0.0;
+  for (const Entity* e = weight_queue().front(); e != nullptr; e = weight_queue().next(e)) {
+    if (!e->runnable) {
+      return at("weight queue holds blocked thread", e->tid);
+    }
+    if (!e->capped && e->phi() != e->weight()) {
+      return at("uncapped phi differs from the requested weight for thread", e->tid);
+    }
+    phi_sum += e->phi();
+  }
+  if (config().use_readjustment && runnable > static_cast<std::size_t>(num_cpus())) {
+    const double cap = phi_sum / num_cpus();
+    for (const Entity* e = weight_queue().front(); e != nullptr; e = weight_queue().next(e)) {
+      if (e->phi() > cap * (1.0 + 1e-9)) {
+        return at("infeasible phi survived readjustment for thread", e->tid);
+      }
+    }
+  }
+  return {};
 }
 
 ThreadId Sfs::PeekExactPick(CpuId cpu) {

@@ -39,9 +39,7 @@
 //     heads) and the last k of the weight queue, and pick the least fresh
 //     surplus among them.  Only this mode keeps a surplus queue, refreshed and
 //     resorted every heuristic_refresh_period decisions or after a phi change;
-//   * every queue sits on the backend selected by SchedConfig::queue_backend
-//     (paper-faithful sorted list, or the O(log t) indexed skip list of
-//     Section 3.2's "binary search" remark);
+//   * every queue is the paper's sorted list (common::SortedList);
 //   * optional fixed-point tag arithmetic with a 10^n scaling factor;
 //   * tag wrap-around handling: all tags are periodically rebased against the
 //     minimum start tag.
@@ -51,11 +49,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
@@ -66,8 +65,8 @@ struct BySurplusAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.surplus(), e.tid}; }
 };
 
-using StartTagQueue = RunQueue<Entity, &Entity::by_start, ByStartTagAsc>;
-using SurplusQueue = RunQueue<Entity, &Entity::by_surplus, BySurplusAsc>;
+using StartTagQueue = common::SortedList<Entity, &Entity::by_start, ByStartTagAsc>;
+using SurplusQueue = common::SortedList<Entity, &Entity::by_surplus, BySurplusAsc>;
 
 class Sfs : public GpsSchedulerBase {
  public:
@@ -112,6 +111,16 @@ class Sfs : public GpsSchedulerBase {
   // (kInvalidThread if none).  Exact mode only; audits and tests compare it
   // against a brute-force scan.
   ThreadId PeekExactPick(CpuId cpu);
+
+  // Single-threaded consistency audit for tests: every phi class is non-empty
+  // and ascending in (S, tid), and each filed thread is runnable and carries
+  // its class's (phi, warp_eff); exactly the runnable threads are filed; the
+  // weight queue (and, in heuristic mode, the surplus queue) holds exactly
+  // the runnable set; an uncapped thread's phi is its requested weight; with
+  // readjustment on and more than p threads runnable, every phi is at most
+  // sum(phi) / p, up to rounding.  Returns an empty string, or a description
+  // of the first violation.  O(t); the scheduler never calls it.
+  std::string CheckInvariants() const;
 
   // Result of comparing the Section 3.2 heuristic against the exact algorithm for
   // the next dispatch decision on `cpu`, without mutating scheduler state.  Used
@@ -184,9 +193,8 @@ class Sfs : public GpsSchedulerBase {
   void DequeueRunnable(Entity& e);
 
   // Heuristic mode only: recomputes every surplus against `v` in one pass over
-  // the surplus queue, then incrementally restores its order — only entities
-  // whose new key breaks the ascending run are pulled out and re-inserted
-  // (O(log t) each on the skip-list backend).
+  // the surplus queue, then restores its order by insertion sort — only
+  // entities whose new key breaks the ascending run move.
   void RefreshSurpluses(double v);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase

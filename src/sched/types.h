@@ -3,6 +3,7 @@
 #ifndef SFS_SCHED_TYPES_H_
 #define SFS_SCHED_TYPES_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "src/common/time.h"
@@ -18,19 +19,15 @@ inline constexpr ThreadId kInvalidThread = -1;
 using CpuId = std::int32_t;
 inline constexpr CpuId kInvalidCpu = -1;
 
-// Relative share request (the paper's w_i).  Positive; need not be integral —
-// the readjustment algorithm produces fractional instantaneous weights.
+// Relative share request (the paper's w_i).  Finite and positive; need not be
+// integral — the readjustment algorithm produces fractional instantaneous
+// weights.
 using Weight = double;
 
-// Run-queue backend for the GPS scheduler family's sorted queues (Section 3.2:
-// insertion is O(t) on the kernel's sorted lists; "binary search" — here an
-// indexed skip list — shaves it to O(log t)).  Both backends obey the same
-// ascending-key, FIFO-among-ties ordering contract, and every queue key carries
-// a thread-id tie-break, so schedules are byte-identical across backends.
-enum class QueueBackend {
-  kSortedList,  // paper-faithful linear-scan sorted list (default)
-  kSkipList,    // indexed skip list, O(log t) insert/reposition
-};
+// True iff `w` is a usable requested weight.  An infinite weight would make
+// the runnable weight sum infinite, so readjustment could never cap it, and
+// its surplus phi * (S - v) is NaN at S = v, so flat SFS would never run it.
+inline bool IsValidWeight(Weight w) { return std::isfinite(w) && w > 0; }
 
 // Victim-selection policy for the sharded scheduling layer's idle-pull work
 // stealing (sched::ShardedScheduler).  The paper's Section 1.2 partitioned
@@ -75,11 +72,6 @@ struct SchedConfig {
   // rebased against the minimum start tag.  Kept low enough to exercise the
   // path in tests; high enough to be invisible in normal runs.
   double tag_rebase_threshold = 1e15;
-
-  // Backend for every sorted run queue the scheduler maintains (weight, start
-  // tag, surplus, finish tag, ...).  The skip-list backend changes only
-  // constants, never decisions.
-  QueueBackend queue_backend = QueueBackend::kSortedList;
 
   // Processor-affinity extension (Section 5 future work): when > 0, a dispatch
   // may pick any thread whose surplus is within this many ticks of the minimum,

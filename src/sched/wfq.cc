@@ -4,9 +4,7 @@
 
 namespace sfs::sched {
 
-Wfq::Wfq(const SchedConfig& config) : GpsSchedulerBase(config) {
-  queue_.SetBackend(config.queue_backend);
-}
+Wfq::Wfq(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Wfq::~Wfq() { queue_.Clear(); }
 

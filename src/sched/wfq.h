@@ -15,15 +15,15 @@
 
 #include <utility>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
 struct ByFinishAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.finish_tag(), e.tid}; }
 };
-using FinishQueue = RunQueue<Entity, &Entity::by_rq, ByFinishAsc>;
+using FinishQueue = common::SortedList<Entity, &Entity::by_rq, ByFinishAsc>;
 
 class Wfq : public GpsSchedulerBase {
  public:

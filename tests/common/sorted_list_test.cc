@@ -236,6 +236,37 @@ TEST(SortedListPropertyTest, RandomOperationsStaySorted) {
   q.Clear();
 }
 
+// Property: Reposition lands exactly where Remove + Insert would, FIFO among
+// ties included.  Keys come from a handful of values, so most moves cross or
+// join a run of equal keys, in either direction.
+TEST(SortedListPropertyTest, RepositionMatchesRemoveAndInsertOnTies) {
+  Rng rng(999);
+  constexpr int kItems = 48;
+  std::vector<Item> local(kItems);
+  std::vector<Item> reference(kItems);
+  Queue q_local;
+  Queue q_reference;
+  for (int i = 0; i < kItems; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    local[idx].id = reference[idx].id = i;
+    local[idx].key = reference[idx].key = static_cast<double>(rng.UniformInt(0, 5));
+    q_local.Insert(&local[idx]);
+    q_reference.Insert(&reference[idx]);
+  }
+  for (int step = 0; step < 5000; ++step) {
+    const auto idx = rng.NextBounded(kItems);
+    const double key = static_cast<double>(rng.UniformInt(0, 5));
+    local[idx].key = key;
+    reference[idx].key = key;
+    q_local.Reposition(&local[idx]);
+    q_reference.Remove(&reference[idx]);
+    q_reference.Insert(&reference[idx]);
+    ASSERT_EQ(Ids(q_local), Ids(q_reference)) << "step " << step;
+  }
+  q_local.Clear();
+  q_reference.Clear();
+}
+
 // Property: Resort() restores order from arbitrary key perturbations.
 TEST(SortedListPropertyTest, ResortAlwaysRestoresOrder) {
   Rng rng(888);

@@ -66,8 +66,8 @@ std::unique_ptr<sched::Scheduler> DrawScheduler(SchedKind kind, common::Rng& rng
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
-  config.queue_backend =
-      rng.Bernoulli(0.5) ? sched::QueueBackend::kSkipList : sched::QueueBackend::kSortedList;
+  // Once the run-queue backend; still drawn so the recorded runs keep their draws.
+  (void)rng.Bernoulli(0.5);
   SchedKind effective_kind = kind;
   if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {
     bool use_sharded = rng.Bernoulli(0.5);

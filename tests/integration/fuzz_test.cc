@@ -6,23 +6,24 @@
 //
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6); CI sets a
 // small value to keep the suite under a minute on slow runners.
-// SFS_FUZZ_QUEUE_BACKEND ("sorted_list" / "skip_list") pins the run-queue
-// backend; unset, each seed draws one at random so both are fuzzed.
 // SFS_FUZZ_SHARDED ("0" / "1") pins whether GPS policies run behind the
 // sharded per-CPU layer; unset, each seed draws it (plus random steal,
 // rebalance and coupling knobs) so flat and sharded variants are both fuzzed.
 // A sharded seed also audits the sharded layer's whole state
-// (ShardedScheduler::CheckInvariants) after every lifecycle event and every
-// run interval.
+// (ShardedScheduler::CheckInvariants), and a flat sfs seed the phi classes and
+// run queues (Sfs::CheckInvariants), after every lifecycle event and every run
+// interval.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
+#include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
@@ -41,14 +42,8 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
-  // Fuzz both run-queue backends: per-seed draw, overridable via env.
-  config.queue_backend =
-      rng.Bernoulli(0.5) ? sched::QueueBackend::kSkipList : sched::QueueBackend::kSortedList;
-  if (const char* env = std::getenv("SFS_FUZZ_QUEUE_BACKEND"); env != nullptr) {
-    const auto parsed = sched::ParseQueueBackend(env);
-    EXPECT_TRUE(parsed.has_value()) << "bad SFS_FUZZ_QUEUE_BACKEND: " << env;
-    config.queue_backend = parsed.value_or(config.queue_backend);
-  }
+  // Once the run-queue backend; still drawn so each seed keeps its workload.
+  (void)rng.Bernoulli(0.5);
   // Sharded dimension: GPS policies also run behind per-CPU shards with
   // randomized steal/rebalance/coupling knobs, drawn per seed.
   SchedKind effective_kind = kind;
@@ -75,13 +70,19 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
   // The audit hooks only read, so they move no random draw and no decision.
   // The first violation is kept; later ones usually repeat it.
   std::string violation;
+  std::function<std::string()> check_invariants;
   if (const auto* sharded = dynamic_cast<const sched::ShardedScheduler*>(scheduler.get());
       sharded != nullptr) {
-    const auto audit = [sharded, &violation](const char* after, ThreadId tid, Tick now) {
+    check_invariants = [sharded] { return sharded->CheckInvariants(); };
+  } else if (const auto* sfs = dynamic_cast<const sched::Sfs*>(scheduler.get()); sfs != nullptr) {
+    check_invariants = [sfs] { return sfs->CheckInvariants(); };
+  }
+  if (check_invariants) {
+    const auto audit = [&check_invariants, &violation](const char* after, ThreadId tid, Tick now) {
       if (!violation.empty()) {
         return;
       }
-      if (std::string found = sharded->CheckInvariants(); !found.empty()) {
+      if (std::string found = check_invariants(); !found.empty()) {
         violation = found + " (after " + after + " of tid " + std::to_string(tid) + " at t=" +
                     std::to_string(now) + ")";
       }

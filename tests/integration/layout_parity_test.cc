@@ -59,8 +59,8 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
-  config.queue_backend =
-      rng.Bernoulli(0.5) ? sched::QueueBackend::kSkipList : sched::QueueBackend::kSortedList;
+  // Once the run-queue backend; still drawn so the recorded runs keep their draws.
+  (void)rng.Bernoulli(0.5);
   SchedKind effective_kind = kind;
   if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {
     if (rng.Bernoulli(0.5)) {

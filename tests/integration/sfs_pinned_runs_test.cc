@@ -6,8 +6,7 @@
 //   * eval::HeuristicAccuracy over k in {1, 4, 16}, t in {32, 256} and
 //     p in {2, 8} — the Figure 3 audit compares every heuristic decision
 //     with the exact answer, so both paths feed these numbers;
-//   * run and lifecycle fingerprints of engine runs with heuristic_k = 4 on
-//     both queue backends;
+//   * run and lifecycle fingerprints of engine runs with heuristic_k = 4;
 //   * the same for exact-mode runs with the affinity window and latency
 //     warps switched on, the two exact-pick variants the recorded workload
 //     fingerprints elsewhere never enable.
@@ -31,7 +30,6 @@
 namespace sfs::eval {
 namespace {
 
-using sched::QueueBackend;
 using sched::ThreadId;
 
 struct AccuracyPin {
@@ -59,7 +57,6 @@ TEST(SfsPinnedRunsTest, HeuristicAccuracyUnchanged) {
 
 struct RunCase {
   int heuristic_k;
-  QueueBackend backend;
   int cpus;
   Tick affinity_tolerance;
   bool warps;
@@ -68,17 +65,17 @@ struct RunCase {
 };
 
 constexpr RunCase kRunPins[] = {
-    {4, QueueBackend::kSortedList, 4, 0, false,  //
+    {4, 4, 0, false,  //
      0xeca3ed6341de1e6aULL, 0xf58349de20b5d0d8ULL},
-    {4, QueueBackend::kSkipList, 3, 0, false,  //
+    {4, 3, 0, false,  //
      0xe321ab619d2cc4bdULL, 0x284589d5540f2b13ULL},
-    {4, QueueBackend::kSortedList, 4, Msec(30), true,  //
+    {4, 4, Msec(30), true,  //
      0xccc2a839d2b40470ULL, 0x1d3e295d47fc82ddULL},
-    {0, QueueBackend::kSortedList, 4, Msec(30), false,  //
+    {0, 4, Msec(30), false,  //
      0x70a34428776f3da0ULL, 0x176b3497852d7689ULL},
-    {0, QueueBackend::kSkipList, 3, Msec(50), true,  //
+    {0, 3, Msec(50), true,  //
      0xd327a1c353025572ULL, 0x8a3a09fe06285269ULL},
-    {0, QueueBackend::kSortedList, 2, 0, true,  //
+    {0, 2, 0, true,  //
      0x18f2b6718275bae0ULL, 0x870ec8d2bf53b45cULL},
 };
 
@@ -93,7 +90,6 @@ std::pair<std::uint64_t, std::uint64_t> RunPinned(const RunCase& c) {
   config.quantum = Msec(40);
   config.heuristic_k = c.heuristic_k;
   config.heuristic_refresh_period = 16;
-  config.queue_backend = c.backend;
   config.affinity_tolerance = c.affinity_tolerance;
   sched::Sfs sfs(config);
   sim::EngineConfig engine_config;

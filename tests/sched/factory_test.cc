@@ -28,16 +28,6 @@ TEST(FactoryTest, UnknownNameIsNullopt) {
   EXPECT_FALSE(ParseSchedKind("SFS").has_value());  // names are lower-case
 }
 
-TEST(FactoryTest, QueueBackendNameParseRoundTrip) {
-  for (const QueueBackend backend : {QueueBackend::kSortedList, QueueBackend::kSkipList}) {
-    const auto parsed = ParseQueueBackend(QueueBackendName(backend));
-    ASSERT_TRUE(parsed.has_value()) << QueueBackendName(backend);
-    EXPECT_EQ(*parsed, backend);
-  }
-  EXPECT_FALSE(ParseQueueBackend("btree").has_value());
-  EXPECT_FALSE(ParseQueueBackend("").has_value());
-}
-
 TEST(FactoryTest, CreatesEveryKind) {
   SchedConfig config;
   config.num_cpus = 2;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/sched/sfs.h"
 
 namespace sfs::sched {
@@ -28,6 +30,9 @@ TEST(ProtocolDeathTest, NonPositiveWeight) {
   Sfs s(Config(1));
   EXPECT_DEATH(s.AddThread(1, 0.0), "CHECK failed");
   EXPECT_DEATH(s.AddThread(2, -1.0), "CHECK failed");
+  EXPECT_DEATH(s.AddThread(3, std::numeric_limits<double>::infinity()), "CHECK failed");
+  s.AddThread(4, 1.0);
+  EXPECT_DEATH(s.SetWeight(4, std::numeric_limits<double>::infinity()), "CHECK failed");
 }
 
 TEST(ProtocolDeathTest, PickOnOccupiedCpu) {

@@ -18,23 +18,25 @@
 //   * readjustment cap flips (weights far above the others) and weight
 //     changes of running and blocked threads;
 //   * tag rebases (a low tag_rebase_threshold) and fixed-point tags;
-//   * both queue backends, at p = 1, 2 and 16.
+//   * p = 1, 2 and 16, with the scheduler built by the factory.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sched/factory.h"
 #include "src/sched/sfs.h"
 
 namespace sfs::sched {
 namespace {
 
-using Params = std::tuple<QueueBackend, int /*cpus*/>;
+using Params = std::tuple<SchedKind, int /*cpus*/>;
 
 constexpr double kHugeWarp = -1e19;  // rounds S - v - warp to multiples of 2048
 
@@ -155,16 +157,16 @@ struct Coverage {
   std::int64_t refiles = 0;
 };
 
-Coverage Fuzz(QueueBackend backend, int cpus, std::uint64_t seed, int ops) {
+Coverage Fuzz(SchedKind kind, int cpus, std::uint64_t seed, int ops) {
   common::Rng rng(seed * 7919 + static_cast<std::uint64_t>(cpus));
   SchedConfig config;
   config.num_cpus = cpus;
-  config.queue_backend = backend;
   config.affinity_tolerance = rng.Bernoulli(0.5) ? Msec(rng.UniformInt(1, 40)) : 0;
   config.tag_rebase_threshold = rng.Bernoulli(0.5) ? 5e3 : 1e15;
   config.fixed_point_digits = rng.Bernoulli(0.25) ? static_cast<int>(rng.UniformInt(0, 3)) : -1;
   const bool huge_warps = rng.Bernoulli(0.5);
-  Sfs s(config);
+  const std::unique_ptr<Scheduler> owner = CreateScheduler(kind, config);
+  Sfs& s = dynamic_cast<Sfs&>(*owner);
 
   // Power-of-two weights produce exact cross-class surplus ties; 3 and 0.75
   // produce inexact tags; 500 is infeasible next to the rest and gets capped.
@@ -290,10 +292,10 @@ Coverage Fuzz(QueueBackend backend, int cpus, std::uint64_t seed, int ops) {
 }
 
 TEST_P(SfsClassPickTest, ExactPickMatchesBruteForceArgmin) {
-  const auto [backend, cpus] = GetParam();
+  const auto [kind, cpus] = GetParam();
   Coverage total;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const Coverage c = Fuzz(backend, cpus, seed, /*ops=*/1500);
+    const Coverage c = Fuzz(kind, cpus, seed, /*ops=*/1500);
     if (HasFailure()) {
       return;
     }
@@ -325,13 +327,13 @@ TEST(SfsRoundingTieTest, WithinAClassTheLowerTidWins) {
   EXPECT_EQ(s.PickNext(0), 1);
 }
 
+// Instances keep the names sorted_p<cpus> they had when the run queue was
+// selectable.
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndCpus, SfsClassPickTest,
-    ::testing::Combine(::testing::Values(QueueBackend::kSortedList, QueueBackend::kSkipList),
-                       ::testing::Values(1, 2, 16)),
+    ::testing::Combine(::testing::Values(SchedKind::kSfs), ::testing::Values(1, 2, 16)),
     [](const ::testing::TestParamInfo<Params>& info) {
-      const bool skip = std::get<0>(info.param) == QueueBackend::kSkipList;
-      return std::string(skip ? "skip" : "sorted") + "_p" + std::to_string(std::get<1>(info.param));
+      return "sorted_p" + std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace
