@@ -53,9 +53,11 @@ SFS_EXPERIMENT(abl_decision_scaling,
     reporter.Timing("ns_per_decision/" + std::to_string(threads), run.wall_ns_per_decision);
   }
   table.Print(reporter.out());
-  reporter.out() << "\nExpected: ns/decision grows with t.  A decision visits every phi\n"
-                 << "class head, then walks the entities tied with the head's surplus;\n"
-                 << "threads of one weight share a start tag here (all arrive at t=0 and\n"
-                 << "run in lockstep), so that walk is O(t).\n";
+  reporter.out() << "\nExpected: ns/decision nearly flat in t.  Threads of one weight share\n"
+                 << "a start tag here (all arrive at t=0 and run in lockstep), but a\n"
+                 << "decision visits one head per run of equal start tags in each phi\n"
+                 << "class, plus at most p running members, and an admission finds its\n"
+                 << "place through one bucket per distinct weight.  What growth remains\n"
+                 << "is cache misses on a larger working set.\n";
   reporter.Set("rows", std::move(rows));
 }

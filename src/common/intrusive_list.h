@@ -8,7 +8,7 @@
 //
 // Element recovery is hook-address arithmetic: the hook's offset inside T is a
 // compile-time constant of the `Hook` member pointer, so a hook is two pointers
-// — 16 bytes, not 24.  An Entity carries four hooks, so the saved owner
+// — 16 bytes, not 24.  An Entity carries five hooks, so the saved owner
 // pointers are what keep it at three cache lines (see entity.h).
 
 #ifndef SFS_COMMON_INTRUSIVE_LIST_H_

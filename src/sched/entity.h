@@ -127,12 +127,17 @@ struct Entity {
   bool runnable = false;
   bool running = false;
 
-  // Intrusive queue hooks (Section 3.1's three queues plus one generic run queue
-  // for the policies that need a queue of their own).
+  // Intrusive queue hooks (Section 3.1's three queues, one generic run queue
+  // for the policies that need a queue of their own, and SFS's run heads).
+  // The fifth hook fills the last 16 bytes of the third line: the cold
+  // fields have no spare bytes left, so another member costs a fourth line.
   common::ListHook by_weight;   // runnable threads, descending weight
   common::ListHook by_start;    // ascending start tag (SFQ's queue; SFS's phi class)
   common::ListHook by_surplus;  // ascending surplus (SFS heuristic only)
   common::ListHook by_rq;       // timeshare run queue, WFQ finish queue, H-SFS members
+  // Linked while this entity is the first of its phi class's run of equal
+  // start tags (Sfs::PhiClass::runs).
+  common::ListHook by_run;
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

@@ -79,7 +79,7 @@ class GpsSchedulerBase : public Scheduler {
   bool UpdateWeight(Entity& e, Weight old_weight) {
     if (weight_queue_.contains(&e)) {
       runnable_weight_sum_ += e.weight() - old_weight;
-      weight_queue_.Reposition(&e);
+      weight_queue_.Reposition(&e, old_weight);
       // An uncapped thread's instantaneous weight must track the new request
       // (ReadjustQueue only rewrites the phis of threads entering or leaving
       // the cap set); a capped thread's phi is recomputed by the pass below.

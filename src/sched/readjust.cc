@@ -1,5 +1,7 @@
 #include "src/sched/readjust.h"
 
+#include <utility>
+
 #include "src/common/assert.h"
 
 namespace sfs::sched {

@@ -26,25 +26,19 @@
 //     tests/sched/readjust_test.cc (Figure2Reference);
 //   * `ReadjustQueue` — the production form used by the schedulers: iterative,
 //     early-exiting, operating in place on the weight-sorted entity queue.
+//     That queue (`WeightQueue`, weight_queue.h) keeps the exact descending
+//     (weight, tid) list order and indexes it by distinct weight only to make
+//     insertion cheap, so the pass reads the same list either way.
 
 #ifndef SFS_SCHED_READJUST_H_
 #define SFS_SCHED_READJUST_H_
 
-#include <utility>
 #include <vector>
 
-#include "src/common/sorted_list.h"
 #include "src/sched/entity.h"
+#include "src/sched/weight_queue.h"
 
 namespace sfs::sched {
-
-// Key for the weight-sorted queue: descending by requested weight.  The thread id
-// tie-break makes every queue ordering in the library a deterministic total order
-// (the paper's "ties are broken arbitrarily" made reproducible).
-struct ByWeightDesc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {-e.weight(), e.tid}; }
-};
-using WeightQueue = common::SortedList<Entity, &Entity::by_weight, ByWeightDesc>;
 
 // Single-pass O(n) equivalent of the Figure 2 recursion.  `weights` must be
 // sorted in descending order; returns the instantaneous weights in the same

@@ -23,7 +23,8 @@ Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {
 
 Sfs::~Sfs() {
   for (PhiClass& cls : classes_) {
-    cls.queue.Clear();
+    cls.runs.clear();
+    cls.queue.clear();
   }
   surplus_queue_.Clear();
 }
@@ -81,13 +82,73 @@ void Sfs::File(Entity& e, PhiClass* cls) {
     active_.push_back(cls);
   }
   e.phi_class() = cls->slot;
-  cls->queue.Insert(&e);
+  Link(*cls, e, /*from_back=*/false);
   ++filed_;
+}
+
+void Sfs::Link(PhiClass& cls, Entity& e, bool from_back) {
+  const double s = e.start_tag();
+  Entity* run = nullptr;    // head of the run holding start tag s
+  Entity* after = nullptr;  // first head past s
+  if (from_back) {
+    Entity* h = cls.runs.back();
+    for (; h != nullptr && s < h->start_tag(); h = cls.runs.prev(h)) {
+      after = h;
+    }
+    if (h != nullptr && h->start_tag() == s) {
+      run = h;
+    }
+  } else {
+    Entity* h = cls.runs.front();
+    while (h != nullptr && h->start_tag() < s) {
+      h = cls.runs.next(h);
+    }
+    if (h != nullptr && h->start_tag() == s) {
+      run = h;
+      after = cls.runs.next(h);
+    } else {
+      after = h;
+    }
+  }
+  if (run == nullptr) {
+    // A start tag no member holds: e opens a run of its own.
+    if (after == nullptr) {
+      cls.queue.push_back(&e);
+      cls.runs.push_back(&e);
+    } else {
+      cls.queue.insert_before(after, &e);
+      cls.runs.insert_before(after, &e);
+    }
+    return;
+  }
+  Entity* cur = after != nullptr ? cls.queue.prev(after) : cls.queue.back();  // run's tail
+  while (cur != run && e.tid < cur->tid) {
+    cur = cls.queue.prev(cur);
+  }
+  if (e.tid < cur->tid) {
+    // Precedes the old head: e heads the run now.
+    cls.queue.insert_before(run, &e);
+    cls.runs.insert_before(run, &e);
+    cls.runs.erase(run);
+  } else {
+    cls.queue.insert_after(cur, &e);
+  }
+}
+
+void Sfs::Unlink(PhiClass& cls, Entity& e) {
+  if (e.by_run.linked()) {
+    Entity* next = cls.NextInRun(&e);
+    if (next != nullptr) {
+      cls.runs.insert_after(&e, next);
+    }
+    cls.runs.erase(&e);
+  }
+  cls.queue.erase(&e);
 }
 
 void Sfs::Unfile(Entity& e) {
   PhiClass* cls = &classes_[static_cast<std::size_t>(e.phi_class())];
-  cls->queue.Remove(&e);
+  Unlink(*cls, e);
   e.phi_class() = -1;
   --filed_;
   if (!cls->queue.empty()) {
@@ -221,9 +282,9 @@ void Sfs::OnCharge(Entity& e, Tick ran_for) {
   e.start_tag() = e.finish_tag();
   // Reposition within its class (phi did not change); the key grew, so scan
   // from the back.
-  StartTagQueue& queue = classes_[static_cast<std::size_t>(e.phi_class())].queue;
-  queue.Remove(&e);
-  queue.InsertFromBack(&e);
+  PhiClass& cls = classes_[static_cast<std::size_t>(e.phi_class())];
+  Unlink(cls, e);
+  Link(cls, e, /*from_back=*/true);
   if (heuristic()) {
     e.surplus() = FreshSurplus(e, VirtualTime());
     surplus_queue_.Remove(&e);
@@ -336,10 +397,14 @@ Entity* Sfs::LeastSurplus(double v, double* surplus) {
     }
   };
   for (PhiClass* cls : active_) {
-    StartTagQueue& queue = cls->queue;
-    Entity* head = queue.front();
-    while (head != nullptr && head->running) {
-      head = queue.next(head);
+    // Members of one run share their surplus and ascend by tid, so a run's
+    // only candidate is its first idle member.
+    Entity* run = cls->runs.front();
+    Entity* head = nullptr;
+    for (; run != nullptr; run = cls->runs.next(run)) {
+      if ((head = cls->FirstIdle(run)) != nullptr) {
+        break;
+      }
     }
     if (head == nullptr) {
       continue;
@@ -351,15 +416,14 @@ Entity* Sfs::LeastSurplus(double v, double* surplus) {
     consider(head, s);
     // Within a class surplus is non-decreasing in (S, tid) order, but two
     // different start tags can round to the same surplus.  Such a rounding
-    // tie is decided by tid, so walk the run of entities sharing the head's
+    // tie is decided by tid, so walk the later runs sharing the head's
     // surplus.
-    for (Entity* e = queue.next(head); e != nullptr; e = queue.next(e)) {
-      const double es = FreshSurplus(*e, v);
-      if (es != s) {
+    for (run = cls->runs.next(run); run != nullptr; run = cls->runs.next(run)) {
+      if (FreshSurplus(*run, v) != s) {
         break;
       }
-      if (!e->running) {
-        consider(e, es);
+      if (Entity* e = cls->FirstIdle(run); e != nullptr) {
+        consider(e, s);
       }
     }
   }
@@ -378,20 +442,25 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
   // Affinity extension: accept a slightly-larger surplus to stay cache-warm —
   // the least (surplus, tid) thread that last ran on `cpu` within the window.
   // Surplus is non-decreasing along each class, so each walk stops at the
-  // first entity past the window.
+  // first run past the window or past the best match so far; within a run
+  // (one surplus, ascending tids) the first match is the run's best.
   const double window = head_surplus + static_cast<double>(config().affinity_tolerance);
   Entity* affine = nullptr;
   double affine_surplus = 0.0;
   for (PhiClass* cls : active_) {
-    StartTagQueue& queue = cls->queue;
-    for (Entity* e = queue.front(); e != nullptr; e = queue.next(e)) {
-      const double s = FreshSurplus(*e, v);
-      if (s > window) {
+    for (Entity* run = cls->runs.front(); run != nullptr; run = cls->runs.next(run)) {
+      const double s = FreshSurplus(*run, v);
+      if (s > window || (affine != nullptr && s > affine_surplus)) {
         break;
       }
-      if (!e->running && e->last_cpu == cpu && Precedes(s, e, affine_surplus, affine)) {
-        affine = e;
-        affine_surplus = s;
+      for (Entity* e = run; e != nullptr; e = cls->NextInRun(e)) {
+        if (!e->running && e->last_cpu == cpu) {
+          if (Precedes(s, e, affine_surplus, affine)) {
+            affine = e;
+            affine_surplus = s;
+          }
+          break;
+        }
       }
     }
   }
@@ -409,10 +478,20 @@ std::string Sfs::CheckInvariants() const {
       return at("active phi class misfiled at slot", cls.slot);
     }
     const Entity* prev = nullptr;
+    const Entity* next_head = cls.runs.front();
     for (const Entity* e = cls.queue.front(); e != nullptr; e = cls.queue.next(e)) {
       ++filed;
       if (prev != nullptr && !(ByStartTagAsc::Key(*prev) < ByStartTagAsc::Key(*e))) {
         return at("phi class out of (start tag, tid) order at thread", e->tid);
+      }
+      if (e->by_run.linked()) {
+        if (e != next_head) {
+          return at("run list skips or misorders the run head", e->tid);
+        }
+        next_head = cls.runs.next(e);
+      } else if (prev == nullptr || prev->start_tag() != e->start_tag()) {
+        return at("unlinked run head: start tag differs from its predecessor's at thread",
+                  e->tid);
       }
       if (!e->runnable || e->phi_class() != cls.slot) {
         return at("phi class files a blocked or foreign thread", e->tid);
@@ -421,6 +500,9 @@ std::string Sfs::CheckInvariants() const {
         return at("(phi, warp_eff) disagrees with its class for thread", e->tid);
       }
       prev = e;
+    }
+    if (next_head != nullptr) {
+      return at("run list links a thread its class does not hold", next_head->tid);
     }
   }
   const auto runnable = static_cast<std::size_t>(runnable_count());
@@ -439,9 +521,12 @@ std::string Sfs::CheckInvariants() const {
   if (!violation.empty()) {
     return violation;
   }
-  if (runnable_seen != runnable || weight_queue().size() != runnable || !weight_queue().IsSorted() ||
+  if (runnable_seen != runnable || weight_queue().size() != runnable ||
       (heuristic() && (surplus_queue_.size() != runnable || !surplus_queue_.IsSorted()))) {
     return "a run queue does not hold exactly the runnable set in order";
+  }
+  if (std::string index = weight_queue().CheckIndex(); !index.empty()) {
+    return index;
   }
   double phi_sum = 0.0;
   for (const Entity* e = weight_queue().front(); e != nullptr; e = weight_queue().next(e)) {

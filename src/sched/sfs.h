@@ -22,18 +22,23 @@
 //
 // Engineering of Section 3, and where it departs:
 //   * the descending-weight queue of Section 3.1 lives in GpsSchedulerBase and
-//     drives the O(p) readjustment;
+//     drives the O(p) readjustment; it indexes its runs of equal weight, so
+//     an admission finds its place in O(log distinct weights) plus a tid
+//     walk inside one run (weight_queue.h);
 //   * the exact decision does not keep the paper's sorted surplus queue.
 //     Threads with equal phi (and equal latency warp) rank by surplus exactly
 //     as they rank by start tag, so runnable threads are filed in *phi
 //     classes* — one start-tag-ordered queue per distinct (phi, warp_eff)
 //     pair — and the least-surplus thread is the least-surplus head among the
-//     classes.  v is the least class head start tag.  A decision costs
-//     O(classes + p), a charge re-files one thread within its class, and a
-//     readjustment re-files only the threads whose phi changed (O(p) of
-//     them); neither a decision nor a charge walks the runnable set.  DESIGN.md §3
-//     gives the monotonicity argument that makes the result identical to a
-//     full surplus sort, rounding ties included;
+//     classes.  v is the least class head start tag.  Threads of one class
+//     with equal start tags share one surplus; each class links the first
+//     member of every such run, so the pick visits run heads, never a run's
+//     tail.  A decision costs O(classes + p + rounding ties), a charge
+//     re-files one thread within its class, and a readjustment re-files only
+//     the threads whose phi changed (O(p) of them); neither a decision, a
+//     charge nor an admission walks the runnable set.  DESIGN.md §3 gives the
+//     monotonicity argument that makes the result identical to a full
+//     surplus sort, rounding ties included;
 //   * optional scheduling heuristic (Figure 3): examine the first k threads of
 //     the surplus queue, of the start-tag order (a k-way merge of the class
 //     heads) and the last k of the weight queue, and pick the least fresh
@@ -65,7 +70,6 @@ struct BySurplusAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.surplus(), e.tid}; }
 };
 
-using StartTagQueue = common::SortedList<Entity, &Entity::by_start, ByStartTagAsc>;
 using SurplusQueue = common::SortedList<Entity, &Entity::by_surplus, BySurplusAsc>;
 
 class Sfs : public GpsSchedulerBase {
@@ -114,12 +118,16 @@ class Sfs : public GpsSchedulerBase {
 
   // Single-threaded consistency audit for tests: every phi class is non-empty
   // and ascending in (S, tid), and each filed thread is runnable and carries
-  // its class's (phi, warp_eff); exactly the runnable threads are filed; the
-  // weight queue (and, in heuristic mode, the surplus queue) holds exactly
-  // the runnable set; an uncapped thread's phi is its requested weight; with
-  // readjustment on and more than p threads runnable, every phi is at most
-  // sum(phi) / p, up to rounding.  Returns an empty string, or a description
-  // of the first violation.  O(t); the scheduler never calls it.
+  // its class's (phi, warp_eff); every member that is not a run head shares
+  // its predecessor's start tag, and the run list links exactly the heads, in
+  // queue order; exactly the runnable threads are filed; the weight queue
+  // (and, in heuristic mode, the surplus queue) holds exactly the runnable
+  // set, and the weight queue's bucket index matches its runs of equal
+  // weight (WeightQueue::CheckIndex); an uncapped thread's phi is its
+  // requested weight; with readjustment on and more than p threads runnable,
+  // every phi is at most sum(phi) / p, up to rounding.  Returns an empty
+  // string, or a description of the first violation.  O(t); the scheduler
+  // never calls it.
   std::string CheckInvariants() const;
 
   // Result of comparing the Section 3.2 heuristic against the exact algorithm for
@@ -166,13 +174,33 @@ class Sfs : public GpsSchedulerBase {
  private:
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
   // (start tag, tid) order.  Surplus phi * (S - v - warp_eff) is
-  // non-decreasing along that order (DESIGN.md §3).
+  // non-decreasing along that order (DESIGN.md §3), and threads with equal
+  // start tags have bit-identical surpluses.  `runs` links the first member
+  // of each such run of equal start tags, in queue order, so a walk can step
+  // from one distinct start tag to the next without visiting the members
+  // between; a run's members follow its head in ascending tid order.
   struct PhiClass {
     Weight phi = 0.0;
     double warp_eff = 0.0;
     std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
     std::size_t active_pos = 0;  // index in active_
-    StartTagQueue queue;
+    common::IntrusiveList<Entity, &Entity::by_start> queue;
+    common::IntrusiveList<Entity, &Entity::by_run> runs;
+
+    // The member after `e` in e's run, or nullptr at the run's end.
+    Entity* NextInRun(Entity* e) {
+      Entity* n = queue.next(e);
+      return n != nullptr && !n->by_run.linked() ? n : nullptr;
+    }
+    // The first not-running member of the run headed by `head`, or nullptr.
+    // Every running member is skipped at most once per walk: at most p.
+    Entity* FirstIdle(Entity* head) {
+      Entity* e = head;
+      while (e != nullptr && e->running) {
+        e = NextInRun(e);
+      }
+      return e;
+    }
   };
 
   bool heuristic() const { return config().heuristic_k > 0; }
@@ -184,6 +212,14 @@ class Sfs : public GpsSchedulerBase {
   // takes it out and recycles a class it leaves empty.
   void File(Entity& e, PhiClass* cls);
   void Unfile(Entity& e);
+  // Links `e` into cls's queue at its (S, tid) position, and into the run
+  // list when it opens or heads a run: walks the run heads (from the front,
+  // or from the back when `from_back`) to the run of e's start tag, then
+  // places e in that run by tid from the run's tail.  Unlink takes e out and
+  // hands a run's head role to its next member; it reads no keys, so it may
+  // follow a tag update.
+  static void Link(PhiClass& cls, Entity& e, bool from_back);
+  static void Unlink(PhiClass& cls, Entity& e);
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
   void Refile(Entity& e);
 

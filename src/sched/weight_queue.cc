@@ -1,0 +1,121 @@
+#include "src/sched/weight_queue.h"
+
+#include <algorithm>
+#include <cstdint>
+
+#include "src/common/assert.h"
+
+namespace sfs::sched {
+
+std::vector<WeightQueue::Bucket>::iterator WeightQueue::LowerBound(Weight w) {
+  return std::lower_bound(buckets_.begin(), buckets_.end(), w,
+                          [](const Bucket& b, Weight weight) { return b.weight > weight; });
+}
+
+void WeightQueue::Insert(Entity* e) {
+  const auto it = LowerBound(e->weight());
+  if (it == buckets_.end() || it->weight != e->weight()) {
+    // A weight no queued thread has: its run goes in front of the next
+    // lighter run, or last.
+    if (it == buckets_.end()) {
+      list_.push_back(e);
+    } else {
+      list_.insert_before(it->first, e);
+    }
+    buckets_.insert(it, Bucket{e->weight(), e, e});
+    return;
+  }
+  // Place by tid inside the run, walking in from the end with the nearer tid
+  // (members ascend by tid, so the position does not depend on the end).
+  Bucket& b = *it;
+  const std::int64_t tid = e->tid;
+  if (tid - b.first->tid < std::int64_t{b.last->tid} - tid) {
+    Entity* cur = b.first;
+    while (cur->tid <= tid) {
+      if (cur == b.last) {
+        list_.insert_after(cur, e);
+        b.last = e;
+        return;
+      }
+      cur = list_.next(cur);
+    }
+    list_.insert_before(cur, e);
+    if (cur == b.first) {
+      b.first = e;
+    }
+    return;
+  }
+  Entity* cur = b.last;
+  while (tid < cur->tid) {
+    if (cur == b.first) {
+      list_.insert_before(cur, e);
+      b.first = e;
+      return;
+    }
+    cur = list_.prev(cur);
+  }
+  list_.insert_after(cur, e);
+  if (cur == b.last) {
+    b.last = e;
+  }
+}
+
+void WeightQueue::Unlink(Entity* e, Weight filed_weight) {
+  const auto it = LowerBound(filed_weight);
+  SFS_DCHECK(it != buckets_.end() && it->weight == filed_weight);
+  if (it->first == e) {
+    if (it->last == e) {
+      buckets_.erase(it);
+    } else {
+      it->first = list_.next(e);
+    }
+  } else if (it->last == e) {
+    it->last = list_.prev(e);
+  }
+  list_.erase(e);
+}
+
+void WeightQueue::Reposition(Entity* e, Weight old_weight) {
+  if (e->weight() == old_weight) {
+    return;  // same key, same place
+  }
+  Unlink(e, old_weight);
+  Insert(e);
+}
+
+void WeightQueue::Clear() {
+  list_.clear();
+  buckets_.clear();
+}
+
+std::string WeightQueue::CheckIndex() const {
+  const auto at = [](const char* what, ThreadId tid) {
+    return std::string(what) + " " + std::to_string(tid);
+  };
+  std::size_t bucket = 0;
+  const Entity* prev = nullptr;
+  for (const Entity* e : list_) {
+    if (prev != nullptr && !(ByWeightDesc::Key(*prev) < ByWeightDesc::Key(*e))) {
+      return at("weight queue out of (-weight, tid) order at thread", e->tid);
+    }
+    if (prev == nullptr || prev->weight() != e->weight()) {
+      if (bucket == buckets_.size() || buckets_[bucket].weight != e->weight() ||
+          buckets_[bucket].first != e) {
+        return at("no weight bucket starts at the run opened by thread", e->tid);
+      }
+      ++bucket;
+    }
+    const Entity* next = list_.next(e);
+    if ((next == nullptr || next->weight() != e->weight()) && buckets_[bucket - 1].last != e) {
+      return at("the weight bucket does not end at the run closed by thread", e->tid);
+    }
+    prev = e;
+  }
+  if (bucket != buckets_.size()) {
+    return "the weight queue holds " + std::to_string(bucket) + " distinct weights, its index " +
+           std::to_string(buckets_.size());
+  }
+  return {};
+}
+
+}  // namespace sfs::sched

@@ -1,7 +1,8 @@
-// Pinned SFS decision paths.  Each expected value below was recorded from the
-// surplus-queue implementation of the exact algorithm (a global start-tag
-// queue and a surplus queue refreshed and resorted whenever v advanced),
-// before the exact pick moved to per-phi start-tag classes:
+// Pinned SFS decision paths.  The first three groups of expected values were
+// recorded from the surplus-queue implementation of the exact algorithm (a
+// global start-tag queue and a surplus queue refreshed and resorted whenever
+// v advanced), before the exact pick moved to per-phi start-tag classes; the
+// decision-scaling rows at the end say where they come from:
 //
 //   * eval::HeuristicAccuracy over k in {1, 4, 16}, t in {32, 256} and
 //     p in {2, 8} — the Figure 3 audit compares every heuristic decision
@@ -162,6 +163,33 @@ TEST(SfsPinnedRunsTest, EngineRunsUnchanged) {
     const auto [run, life] = RunPinned(c);
     EXPECT_EQ(run, c.run_fingerprint) << "k=" << c.heuristic_k << " p=" << c.cpus;
     EXPECT_EQ(life, c.lifecycle_fingerprint) << "k=" << c.heuristic_k << " p=" << c.cpus;
+  }
+}
+
+// Ablation A9's lockstep regime (eval::RunScaling, p=2, every thread
+// arriving at t=0 with an integer weight in 1..20, so whole phi classes share
+// start tags), at the horizon abl_decision_scaling uses for these sizes.
+// Recorded from the exact pick that walked every entity tied with a class
+// head's surplus, before runs of equal start tags were skipped.
+struct ScalingPin {
+  int threads;
+  std::int64_t decisions;
+  std::uint64_t schedule_fingerprint;
+  std::int64_t full_refreshes;
+};
+
+constexpr ScalingPin kScalingPins[] = {
+    {10, 3002, 0x534094b6cbdcd42aULL, 2039},
+    {100, 3002, 0xfe8200e3dac67e13ULL, 468},
+    {1000, 3002, 0x7d82e111ff0f7f75ULL, 34},
+};
+
+TEST(SfsPinnedRunsTest, DecisionScalingRunsUnchanged) {
+  for (const ScalingPin& pin : kScalingPins) {
+    const RunScalingResult run = RunScaling(pin.threads, /*cpus=*/2, Sec(300), /*seed=*/1);
+    EXPECT_EQ(run.decisions, pin.decisions) << "t=" << pin.threads;
+    EXPECT_EQ(run.schedule_fingerprint, pin.schedule_fingerprint) << "t=" << pin.threads;
+    EXPECT_EQ(run.full_refreshes, pin.full_refreshes) << "t=" << pin.threads;
   }
 }
 

@@ -1,0 +1,240 @@
+// Lockstep workloads for the exact SFS pick's run skipping.
+//
+// Within a phi class, threads with equal start tags form a run with one
+// surplus; the pick visits each run's first idle member and skips the rest.
+// These workloads make such runs long and keep them so: threads arrive in
+// bursts at one virtual time (a whole class starts on one tag), every charge
+// is the same quantum (a class advances in lockstep), and several CPUs pick
+// before any charges, so a run's first members are often running when the
+// next pick arrives.  After every operation the pick for each free CPU must
+// equal a brute-force argmin over all runnable, not-running threads — the
+// least (phi * (S - v), tid), with the affinity window on top when it is on —
+// and Sfs::CheckInvariants() must hold.  No thread ever blocks.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/sched/sfs.h"
+
+namespace sfs::sched {
+namespace {
+
+using Params = std::tuple<int /*cpus*/, bool /*affinity*/>;
+
+class SfsRunSkipTest : public ::testing::TestWithParam<Params> {};
+
+struct Model {
+  std::vector<ThreadId> live;
+  std::vector<CpuId> last_cpu;       // by tid; CPU of the last Charge
+  std::vector<ThreadId> running_on;  // by CPU
+};
+
+ThreadId BrutePick(const Sfs& s, const Model& m, CpuId cpu, Tick tolerance) {
+  double v = 0.0;
+  bool any = false;
+  for (const ThreadId tid : m.live) {
+    if (s.IsRunnable(tid) && (!any || s.StartTag(tid) < v)) {
+      v = s.StartTag(tid);
+      any = true;
+    }
+  }
+  auto surplus = [&](ThreadId tid) { return s.GetPhi(tid) * (s.StartTag(tid) - v); };
+  auto better = [](double s1, ThreadId t1, double s2, ThreadId t2) {
+    return s1 < s2 || (s1 == s2 && t1 < t2);
+  };
+  ThreadId best = kInvalidThread;
+  double best_s = 0.0;
+  for (const ThreadId tid : m.live) {
+    if (s.IsRunning(tid)) {
+      continue;
+    }
+    const double a = surplus(tid);
+    if (best == kInvalidThread || better(a, tid, best_s, best)) {
+      best = tid;
+      best_s = a;
+    }
+  }
+  if (best == kInvalidThread || tolerance <= 0 ||
+      m.last_cpu[static_cast<std::size_t>(best)] == cpu) {
+    return best;
+  }
+  ThreadId affine = kInvalidThread;
+  double affine_s = 0.0;
+  for (const ThreadId tid : m.live) {
+    if (s.IsRunning(tid) || m.last_cpu[static_cast<std::size_t>(tid)] != cpu) {
+      continue;
+    }
+    const double a = surplus(tid);
+    if (a <= best_s + static_cast<double>(tolerance) &&
+        (affine == kInvalidThread || better(a, tid, affine_s, affine))) {
+      affine = tid;
+      affine_s = a;
+    }
+  }
+  return affine != kInvalidThread ? affine : best;
+}
+
+bool Check(Sfs& s, const Model& m, Tick tolerance, const std::string& where) {
+  EXPECT_EQ(s.CheckInvariants(), "") << where;
+  for (CpuId cpu = 0; cpu < s.num_cpus(); ++cpu) {
+    if (m.running_on[static_cast<std::size_t>(cpu)] == kInvalidThread) {
+      EXPECT_EQ(s.PeekExactPick(cpu), BrutePick(s, m, cpu, tolerance)) << where << " cpu " << cpu;
+    }
+  }
+  return !::testing::Test::HasFailure();
+}
+
+// Picks whose winner shares its class and start tag with a running thread of
+// lower tid: the winner's run was entered past a running first member.
+struct Coverage {
+  std::int64_t picks_past_running_head = 0;
+  std::int64_t longest_run = 0;
+};
+
+Coverage Lockstep(int cpus, bool affinity, std::uint64_t seed, int ops) {
+  common::Rng rng(seed * 104729 + static_cast<std::uint64_t>(cpus));
+  SchedConfig config;
+  config.num_cpus = cpus;
+  const Tick quantum = Msec(10);
+  const Tick tolerance = affinity ? Msec(25) : 0;
+  config.affinity_tolerance = tolerance;
+  Sfs s(config);
+
+  // Power-of-two weights: q / phi is exact, so members of a class that ran
+  // equally often keep bit-identical start tags.
+  const double weights[] = {1.0, 2.0, 4.0};
+  auto random_weight = [&] { return weights[rng.NextBounded(3)]; };
+  const auto max_live = static_cast<std::size_t>(8 * cpus + 24);
+
+  Model m;
+  m.running_on.assign(static_cast<std::size_t>(cpus), kInvalidThread);
+  ThreadId next_tid = 0;
+  // A burst of arrivals with no decision between them: all start at one v.
+  auto burst = [&](int n) {
+    for (int i = 0; i < n && m.live.size() < max_live; ++i) {
+      const ThreadId tid = next_tid++;
+      m.live.push_back(tid);
+      m.last_cpu.push_back(kInvalidCpu);
+      s.AddThread(tid, random_weight());
+    }
+  };
+  burst(4 * cpus + 8);
+
+  Coverage coverage;
+  for (int op = 0; op < ops; ++op) {
+    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+    const int choice = static_cast<int>(rng.UniformInt(0, 9));
+    if (choice <= 3) {
+      // Fill every free CPU, lowest first.
+      for (CpuId cpu = 0; cpu < cpus; ++cpu) {
+        if (m.running_on[static_cast<std::size_t>(cpu)] != kInvalidThread) {
+          continue;
+        }
+        const ThreadId expected = BrutePick(s, m, cpu, tolerance);
+        const ThreadId picked = s.PickNext(cpu);
+        EXPECT_EQ(picked, expected) << where << " cpu " << cpu;
+        if (picked != expected) {
+          return coverage;
+        }
+        m.running_on[static_cast<std::size_t>(cpu)] = picked;
+        for (const ThreadId r : m.running_on) {
+          if (r != kInvalidThread && r < picked && s.GetPhi(r) == s.GetPhi(picked) &&
+              s.StartTag(r) == s.StartTag(picked)) {
+            ++coverage.picks_past_running_head;
+            break;
+          }
+        }
+      }
+    } else if (choice <= 6) {
+      // Charge one quantum on every busy CPU, or on a random half of them,
+      // leaving the rest running into the next picks.
+      const bool all = rng.Bernoulli(0.5);
+      for (CpuId cpu = 0; cpu < cpus; ++cpu) {
+        const ThreadId tid = m.running_on[static_cast<std::size_t>(cpu)];
+        if (tid == kInvalidThread || (!all && rng.Bernoulli(0.5))) {
+          continue;
+        }
+        s.Charge(tid, quantum);
+        m.running_on[static_cast<std::size_t>(cpu)] = kInvalidThread;
+        m.last_cpu[static_cast<std::size_t>(tid)] = cpu;
+      }
+    } else if (choice == 7) {
+      burst(static_cast<int>(rng.UniformInt(1, cpus + 4)));
+    } else if (choice == 8) {
+      std::vector<ThreadId> idle;
+      for (const ThreadId tid : m.live) {
+        if (!s.IsRunning(tid)) {
+          idle.push_back(tid);
+        }
+      }
+      if (idle.size() > 2) {
+        const ThreadId tid = idle[rng.NextBounded(idle.size())];
+        s.RemoveThread(tid);
+        m.live.erase(std::find(m.live.begin(), m.live.end(), tid));
+      }
+    } else {
+      const ThreadId tid = m.live[rng.NextBounded(m.live.size())];
+      s.SetWeight(tid, random_weight());
+    }
+    if (!Check(s, m, tolerance, where)) {
+      return coverage;
+    }
+    // Longest run of equal (phi, S) among runnable threads.
+    std::vector<std::pair<double, double>> keys;
+    for (const ThreadId tid : m.live) {
+      keys.emplace_back(s.GetPhi(tid), s.StartTag(tid));
+    }
+    std::sort(keys.begin(), keys.end());
+    std::int64_t run = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      run = i > 0 && keys[i] == keys[i - 1] ? run + 1 : 1;
+      coverage.longest_run = std::max(coverage.longest_run, run);
+    }
+  }
+  for (const ThreadId tid : m.running_on) {
+    if (tid != kInvalidThread) {
+      s.Charge(tid, quantum);
+    }
+  }
+  for (const ThreadId tid : m.live) {
+    s.RemoveThread(tid);
+  }
+  EXPECT_EQ(s.phi_classes(), 0U);
+  return coverage;
+}
+
+TEST_P(SfsRunSkipTest, LockstepPickMatchesBruteForce) {
+  const auto [cpus, affinity] = GetParam();
+  Coverage total;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Coverage c = Lockstep(cpus, affinity, seed, /*ops=*/600);
+    if (HasFailure()) {
+      return;
+    }
+    total.picks_past_running_head += c.picks_past_running_head;
+    total.longest_run = std::max(total.longest_run, c.longest_run);
+  }
+  // The workload did what it is for: long runs, entered past running heads
+  // (on one CPU nothing else runs, so there is no such pick to make).
+  EXPECT_GE(total.longest_run, 8);
+  if (cpus > 1) {
+    EXPECT_GT(total.picks_past_running_head, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cpus, SfsRunSkipTest,
+    ::testing::Combine(::testing::Values(1, 2, 16), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<Params>& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_affinity" : "_no_affinity");
+    });
+
+}  // namespace
+}  // namespace sfs::sched

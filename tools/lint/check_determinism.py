@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Determinism lint for the fingerprint-feeding subsystems.
 
-The repo's determinism contract (DESIGN.md §11, tests/eval/determinism_test.cc)
-requires that every schedule and lifecycle fingerprint be byte-identical across
-runs, machines, and shard counts.  That breaks the moment iteration order,
+The repo's determinism contract (DESIGN.md §11) requires that every schedule
+and lifecycle fingerprint be byte-identical across runs, machines, and shard
+counts.  The tests that enforce it are tests/integration/obs_determinism_test.cc,
+tests/integration/layout_parity_test.cc and
+tests/integration/sfs_pinned_runs_test.cc.  That breaks the moment iteration order,
 keys, or timing leak into scheduling decisions, so this checker rejects the
 known leak classes in src/{sched,sim,eval,obs,runtime}:
 
