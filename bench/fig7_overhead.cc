@@ -20,6 +20,7 @@
 #include <string>
 
 #include "src/common/table.h"
+#include "src/eval/heuristic_sfs.h"
 #include "src/harness/registry.h"
 #include "src/harness/runner.h"
 #include "src/sched/factory.h"
@@ -36,11 +37,13 @@ using sfs::sched::Scheduler;
 using sfs::sched::ThreadId;
 
 // One full reschedule on CPU 0 with `threads` runnable 0 KB processes.
+// `heuristic_k` > 0 times the Section 3.2 heuristic model instead of `kind`.
 double RescheduleNsPerOp(SchedKind kind, int heuristic_k, int threads) {
   SchedConfig config;
   config.num_cpus = 2;
-  config.heuristic_k = heuristic_k;
-  auto scheduler = CreateScheduler(kind, config);
+  const std::unique_ptr<Scheduler> scheduler =
+      heuristic_k > 0 ? std::make_unique<sfs::eval::HeuristicSfs>(config, heuristic_k)
+                      : CreateScheduler(kind, config);
   for (ThreadId tid = 0; tid < threads; ++tid) {
     scheduler->AddThread(tid, 1.0 + (tid % 7));
   }
@@ -132,7 +135,7 @@ SFS_EXPERIMENT(fig7_overhead,
       {"sharded_sfs", SchedKind::kShardedSfs, 0},
   };
   // 2..50 processes, matching the x-axis of Figure 7 (plus larger counts to
-  // show the asymptotic trend the heuristic flattens).
+  // show the asymptotic trend).
   const int process_counts[] = {2, 10, 18, 26, 34, 42, 50, 100, 400};
 
   Table table({"scheduler", "processes", "ns/reschedule"});
@@ -154,10 +157,11 @@ SFS_EXPERIMENT(fig7_overhead,
       << "class only, so by a few hundred processes it is cheaper than time\n"
       << "sharing, which scans every runnable process per decision, and SFQ,\n"
       << "which re-sorts a charged thread into one queue of them all.  The\n"
-      << "k=20 heuristic merges k entries across those classes and is slower\n"
-      << "than the exact pick beyond a handful of processes; it remains for\n"
-      << "Figure 3's accuracy study.  The sharded variant keeps each decision\n"
-      << "shard-local.  All are negligible against the 200 ms quantum.\n";
+      << "k=20 heuristic keeps a surplus order of every process and is slower\n"
+      << "than the exact pick beyond a handful of processes; it remains, as an\n"
+      << "evaluation model, for Figure 3's accuracy study.  The sharded variant\n"
+      << "keeps each decision shard-local.  All are negligible against the\n"
+      << "200 ms quantum.\n";
   reporter.Metric("schedulers_measured", static_cast<std::int64_t>(std::size(configs)));
   reporter.Metric("process_counts_measured",
                   static_cast<std::int64_t>(std::size(process_counts)));

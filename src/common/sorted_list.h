@@ -1,21 +1,24 @@
 // Sorted intrusive list — the run-queue structure from Section 3.1.
 //
-// The kernel implementation keeps three queues of runnable threads, each maintained
-// in sorted order by a key that occasionally changes (weight, start tag, surplus).
-// This container reproduces that structure: a doubly-linked intrusive list kept
-// sorted by a caller-supplied key extractor, with
-//   * sorted insertion by linear scan (the kernel used the same; Section 3.2 notes
-//     binary search would shave the constant but the list is the data structure),
+// The paper's kernel keeps its queues of runnable threads in sorted order by a
+// key that occasionally changes.  This container reproduces that structure for
+// the policies that order one queue by a single tag — SFQ's start-tag queue,
+// WFQ's finish-tag queue and H-SFS's class members: a doubly-linked intrusive
+// list kept sorted by a caller-supplied key extractor, with
+//   * sorted insertion by linear scan from either end (the kernel used the
+//     same; Section 3.2 notes binary search would shave the constant but the
+//     list is the data structure),
 //   * O(1) removal,
 //   * `Resort()` — in-place insertion sort, chosen by the paper because the queue is
-//     "mostly in sorted order" after surplus updates and insertion sort is near-linear
-//     on almost-sorted input,
-//   * bounded scans of the first k elements for the Section 3.2 heuristic.
+//     "mostly in sorted order" after key updates and insertion sort is near-linear
+//     on almost-sorted input.
+// SFS itself files threads in phi classes and a weight queue of its own
+// (sched::Sfs, sched::WeightQueue).
 //
 // Determinism contract, relied on by every scheduler in this library (the paper
 // says "ties are broken arbitrarily"; here they never are):
 //   * ascending key order with FIFO among equal keys (strictly-less
-//     comparisons), for Insert, InsertFromBack and Reposition alike;
+//     comparisons), for Insert and InsertFromBack alike;
 //   * every scheduler key ends in a ThreadId tie-break, so queue order — and
 //     therefore every dispatch decision — is a total order;
 //   * Remove accepts an element whose key was already mutated (the
@@ -77,21 +80,16 @@ class SortedList {
 
   void Remove(T* elem) { list_.erase(elem); }
 
-  T* PopFront() { return list_.pop_front(); }
-
   void Clear() { list_.clear(); }
 
   // Re-establishes sorted order after keys changed, via insertion sort.  Near-linear
-  // when the list is already mostly sorted (the common case after a virtual-time
-  // advance recomputes all surpluses; see Section 3.2).  Returns the number of
-  // elements moved — an element moves exactly when its key dropped below the
-  // running maximum of the elements before it.
-  std::size_t Resort() {
+  // when the list is already mostly sorted (WFQ re-predicting every finish tag
+  // after a readjustment moves only the threads whose phi changed).
+  void Resort() {
     T* first = list_.front();
     if (first == nullptr) {
-      return 0;
+      return;
     }
-    std::size_t moved = 0;
     T* cur = list_.next(first);
     while (cur != nullptr) {
       T* following = list_.next(cur);
@@ -104,78 +102,9 @@ class SortedList {
         }
         list_.erase(cur);
         list_.insert_before(scan, cur);
-        ++moved;
       }
       cur = following;
     }
-    return moved;
-  }
-
-  // Repositions a single element whose key changed, the rest of the list being
-  // sorted.  O(distance moved): walks backward from the old predecessor when
-  // the key dropped below it, else forward from the old successor.  Lands
-  // where Remove + Insert would: after every element with an equal key.
-  void Reposition(T* elem) {
-    const auto key = KeyFn::Key(*elem);
-    T* before = list_.prev(elem);
-    T* after = list_.next(elem);
-    list_.erase(elem);
-    if (before != nullptr && key < KeyFn::Key(*before)) {
-      while (before != nullptr && key < KeyFn::Key(*before)) {
-        before = list_.prev(before);
-      }
-      if (before == nullptr) {
-        list_.push_front(elem);
-      } else {
-        list_.insert_after(before, elem);
-      }
-      return;
-    }
-    while (after != nullptr && !(key < KeyFn::Key(*after))) {
-      after = list_.next(after);
-    }
-    if (after == nullptr) {
-      list_.push_back(elem);
-    } else {
-      list_.insert_before(after, elem);
-    }
-  }
-
-  // Calls `fn(elem)` for the first `k` elements (front of the queue = smallest keys).
-  // Returns the number visited.  Used by the Section 3.2 scheduling heuristic.
-  template <typename Fn>
-  std::size_t ForFirstK(std::size_t k, Fn&& fn) {
-    std::size_t visited = 0;
-    for (T* cur = list_.front(); cur != nullptr && visited < k; cur = list_.next(cur)) {
-      fn(cur);
-      ++visited;
-    }
-    return visited;
-  }
-
-  // Calls `fn(elem)` for the last `k` elements, scanning backwards.  The heuristic
-  // examines the weight queue (descending weights) from the back, i.e. smallest
-  // weights first (paper footnote 8).
-  template <typename Fn>
-  std::size_t ForLastK(std::size_t k, Fn&& fn) {
-    std::size_t visited = 0;
-    for (T* cur = list_.back(); cur != nullptr && visited < k; cur = list_.prev(cur)) {
-      fn(cur);
-      ++visited;
-    }
-    return visited;
-  }
-
-  // Debug helper: true iff keys are in non-decreasing order.
-  bool IsSorted() const {
-    const T* prev = nullptr;
-    for (const T* cur : list_) {
-      if (prev != nullptr && KeyFn::Key(*cur) < KeyFn::Key(*prev)) {
-        return false;
-      }
-      prev = cur;
-    }
-    return true;
   }
 
  private:

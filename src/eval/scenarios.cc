@@ -9,6 +9,7 @@
 #include "src/common/assert.h"
 #include "src/common/fingerprint.h"
 #include "src/common/rng.h"
+#include "src/eval/heuristic_sfs.h"
 #include "src/metrics/fairness.h"
 #include "src/metrics/service_sampler.h"
 #include "src/sched/gms.h"
@@ -105,9 +106,7 @@ Example2Result RunExample2(sched::SchedKind kind, int heavy_weight, int light_th
 
 double HeuristicAccuracy(int runnable, int k, int cpus, int decisions, std::uint64_t seed) {
   SFS_CHECK(runnable > cpus);
-  SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  config.heuristic_k = k;
-  sched::Sfs sfs(config);
+  HeuristicSfs sfs(BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true), k);
   common::Rng rng(seed);
 
   for (ThreadId tid = 0; tid < runnable; ++tid) {
@@ -132,7 +131,7 @@ double HeuristicAccuracy(int runnable, int k, int cpus, int decisions, std::uint
     sfs.Charge(victim, Msec(rng.UniformInt(1, 200)));
     const bool audit = i >= runnable * 4;  // skip the tag-spreading warm-up
     if (audit) {
-      const auto verdict = sfs.AuditHeuristic(k);
+      const auto verdict = sfs.AuditHeuristic();
       ++total;
       if (verdict.heuristic_pick == verdict.exact_pick) {
         ++hits;

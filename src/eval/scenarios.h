@@ -79,8 +79,8 @@ Example2Result RunExample2(sched::SchedKind kind, int heavy_weight = 50,
 // ---------------------------------------------------------------------------
 // Figure 3 (Section 3.2): efficacy of the scheduling heuristic.
 // Quad-processor system with `runnable` compute-bound threads of random weights;
-// drives SFS in heuristic mode and audits every decision against the exact
-// algorithm.  Returns the percentage of decisions where the heuristic picked the
+// drives the heuristic model (eval::HeuristicSfs, default refresh period) and
+// audits every decision against the exact algorithm.  Returns the percentage of decisions where the heuristic picked the
 // true minimum-surplus thread.
 double HeuristicAccuracy(int runnable, int k, int cpus = 4, int decisions = 4000,
                          std::uint64_t seed = 42);

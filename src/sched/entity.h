@@ -2,12 +2,12 @@
 //
 // One Entity exists per thread known to a scheduler.  It carries the union of the
 // state used by the schedulers in this library; each scheduler uses the subset it
-// needs.  All queue membership is intrusive (Section 3.1 keeps each runnable thread
-// on three sorted queues simultaneously), so entities are never copied or moved
-// while linked.
+// needs.  All queue membership is intrusive (a runnable SFS thread sits on the
+// weight queue and in its phi class, where Section 3.1 kept three sorted queues),
+// so entities are never copied or moved while linked.
 //
 // Hot/cold split: the fields read on every Charge/Pick — weight, phi, the
-// virtual-time tags, the surplus and the SFS phi-class slot — are packed into
+// virtual-time tags, the latency warp and the SFS phi-class slot — are packed into
 // EntityHotRow, exactly one cache line placed first in the Entity, so the
 // entity's first line IS its scheduling state and a random touch (wakeup,
 // charge, queue-scan key read) never fans out across the struct.  The cold
@@ -23,10 +23,10 @@
 //     *independent* line per touch — the row region never rides the adjacent-
 //     line prefetch of the entity's own lines — ~15% regression.
 // Keeping the row inside the entity costs a streaming pass its unit stride,
-// but the only such pass left is the k-bounded heuristic's periodic surplus
-// refresh (Sfs::RefreshSurpluses, O(runnable), heuristic mode only — the
-// exact algorithm reads just the heads of its phi classes), while every hot
-// path pays the random-touch cost, so the inline row wins.  The SFS latency
+// but no scheduling decision streams over the entities (the exact SFS pick
+// reads just the heads of its phi classes; only audits, tag rebases and the
+// evaluation-only heuristic model walk them all), while every hot path pays
+// the random-touch cost, so the inline row wins.  The SFS latency
 // warp lives in the row as warp_eff, 0 for an unwarped thread, so the surplus
 // formula subtracts it unconditionally with no per-entity branch.
 
@@ -49,11 +49,10 @@ struct alignas(64) EntityHotRow {
   Weight phi = 1.0;         // instantaneous weight phi_i (readjusted)
   double start_tag = 0.0;   // S_i
   double finish_tag = 0.0;  // F_i
-  double surplus = 0.0;     // alpha_i = phi_i * (S_i - v), heuristic SFS only
   double warp_eff = 0.0;    // SFS latency warp (Sfs::SetWarp); 0 = none
   // SFS phi class holding this runnable entity (Sfs::PhiClass slot), or -1.
   std::int32_t phi_class = -1;
-  // 12 bytes of the line left for the next hot field.
+  // 20 bytes of the line left for the next hot fields.
 };
 static_assert(sizeof(EntityHotRow) == 64, "row must stay exactly one cache line");
 
@@ -83,12 +82,6 @@ struct Entity {
   double start_tag() const { return row().start_tag; }
   double& finish_tag() { return row().finish_tag; }
   double finish_tag() const { return row().finish_tag; }
-
-  // SFS surplus alpha_i = phi_i * (S_i - v), the key of the heuristic's
-  // surplus queue.  The exact algorithm never stores it (Sfs computes fresh
-  // surpluses at the heads of its phi classes).
-  double& surplus() { return row().surplus; }
-  double surplus() const { return row().surplus; }
 
   // Slot of the Sfs phi class this entity is filed in while runnable; -1
   // while blocked, detached or owned by another policy.
@@ -127,14 +120,13 @@ struct Entity {
   bool runnable = false;
   bool running = false;
 
-  // Intrusive queue hooks (Section 3.1's three queues, one generic run queue
-  // for the policies that need a queue of their own, and SFS's run heads).
-  // The fifth hook fills the last 16 bytes of the third line: the cold
-  // fields have no spare bytes left, so another member costs a fourth line.
-  common::ListHook by_weight;   // runnable threads, descending weight
-  common::ListHook by_start;    // ascending start tag (SFQ's queue; SFS's phi class)
-  common::ListHook by_surplus;  // ascending surplus (SFS heuristic only)
-  common::ListHook by_rq;       // timeshare run queue, WFQ finish queue, H-SFS members
+  // Intrusive queue hooks (Section 3.1's weight and start-tag queues, one
+  // generic run queue for the policies that need a queue of their own, and
+  // SFS's run heads).  They leave 16 spare bytes at the end of the third
+  // line; a member past those costs a fourth line.
+  common::ListHook by_weight;  // runnable threads, descending weight
+  common::ListHook by_start;   // ascending start tag (SFQ's queue; SFS's phi class)
+  common::ListHook by_rq;      // timeshare run queue, WFQ finish queue, H-SFS members
   // Linked while this entity is the first of its phi class's run of equal
   // start tags (Sfs::PhiClass::runs).
   common::ListHook by_run;

@@ -121,11 +121,6 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
   } else if (config.fixed_point_digits > kMaxFixedPointDigits) {
     error << "fixed_point_digits must be <= " << kMaxFixedPointDigits
           << " (negative = exact arithmetic; got " << config.fixed_point_digits << ")";
-  } else if (config.heuristic_k < 0) {
-    error << "heuristic_k must be >= 0 (got " << config.heuristic_k << ")";
-  } else if (config.heuristic_refresh_period <= 0) {
-    error << "heuristic_refresh_period must be positive (got "
-          << config.heuristic_refresh_period << ")";
   } else if (ShardStealPolicyName(config.shard_steal) == std::string_view("unknown")) {
     error << "unknown shard steal policy; known policies: " << KnownShardStealPolicyNames();
   } else if (config.shard_rebalance_period < 0) {

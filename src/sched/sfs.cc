@@ -16,17 +16,13 @@ bool Precedes(double s, const Entity* e, double best_s, const Entity* best) {
 
 }  // namespace
 
-Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {
-  SFS_CHECK(config.heuristic_k >= 0);
-  SFS_CHECK(config.heuristic_refresh_period > 0);
-}
+Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Sfs::~Sfs() {
   for (PhiClass& cls : classes_) {
     cls.runs.clear();
     cls.queue.clear();
   }
-  surplus_queue_.Clear();
 }
 
 double Sfs::VirtualTime() const {
@@ -52,10 +48,7 @@ void Sfs::SetWarp(ThreadId tid, double warp) {
   if (e.phi_class() >= 0) {
     Refile(e);
   }
-  if (e.runnable && heuristic()) {
-    e.surplus() = FreshSurplus(e, VirtualTime());
-    surplus_queue_.Reposition(&e);
-  }
+  OnWarpChanged(e);
 }
 
 Sfs::PhiClass* Sfs::FindClass(Weight phi, double warp_eff) {
@@ -170,9 +163,7 @@ void Sfs::Refile(Entity& e) {
   if (to == from) {
     return;  // SetWarp to the warp it already had
   }
-  if (!heuristic()) {
-    ++refresh_repositions_;
-  }
+  ++refresh_repositions_;
   if (to == nullptr && from->queue.size() == 1) {
     // Sole member moving to a pair no class holds: relabel in place.
     from->phi = e.phi();
@@ -185,7 +176,7 @@ void Sfs::Refile(Entity& e) {
 
 void Sfs::OnPhiChanged(Entity& e) {
   // The entity being admitted or retired is not filed yet (or any more); it
-  // is filed with its final phi by EnqueueRunnable.
+  // is filed with its final phi by OnAdmit, OnWoken or OnAttach.
   if (e.phi_class() >= 0) {
     Refile(e);
   }
@@ -198,12 +189,12 @@ void Sfs::OnAdmit(Entity& e) {
   if (AdmitWeight(e)) {
     need_refresh_ = true;
   }
-  EnqueueRunnable(e);
+  File(e, FindClass(e.phi(), e.warp_eff()));
 }
 
 void Sfs::OnRemove(Entity& e) {
   if (e.runnable) {
-    DequeueRunnable(e);
+    Unfile(e);
     if (RetireWeight(e)) {
       need_refresh_ = true;
     }
@@ -211,7 +202,7 @@ void Sfs::OnRemove(Entity& e) {
 }
 
 void Sfs::OnBlocked(Entity& e) {
-  DequeueRunnable(e);
+  Unfile(e);
   if (RetireWeight(e)) {
     need_refresh_ = true;
   }
@@ -228,7 +219,7 @@ void Sfs::OnWoken(Entity& e) {
   if (AdmitWeight(e)) {
     need_refresh_ = true;
   }
-  EnqueueRunnable(e);
+  File(e, FindClass(e.phi(), e.warp_eff()));
 }
 
 void Sfs::OnAttach(Entity& e) {
@@ -239,7 +230,7 @@ void Sfs::OnAttach(Entity& e) {
   if (AdmitWeight(e)) {
     need_refresh_ = true;
   }
-  EnqueueRunnable(e);
+  File(e, FindClass(e.phi(), e.warp_eff()));
 }
 
 void Sfs::OnWeightChanged(Entity& e, Weight old_weight) {
@@ -248,31 +239,23 @@ void Sfs::OnWeightChanged(Entity& e, Weight old_weight) {
   }
 }
 
-Entity* Sfs::PickNextEntity(CpuId cpu) {
+Entity* Sfs::PickNextEntity(CpuId cpu) { return ExactPick(cpu, BeginDecision()); }
+
+double Sfs::BeginDecision() {
   double v = VirtualTime();
   if (MaybeRebase(v)) {
     v = VirtualTime();
   }
   ++decisions_;
-
-  if (!heuristic()) {
-    // Exact algorithm: the classes are always in order, so there is nothing
-    // to refresh.  Count the decisions at which the surplus-queue algorithm
-    // would have refreshed (see full_refreshes()).
-    if (need_refresh_ || v != last_refresh_v_) {
-      last_refresh_v_ = v;
-      need_refresh_ = false;
-      ++full_refreshes_;
-    }
-    return ExactPick(cpu, v);
+  // The classes are always in order, so there is nothing to refresh.  Count
+  // the decisions at which the surplus-queue algorithm would have refreshed
+  // (see full_refreshes()).
+  if (need_refresh_ || v != last_refresh_v_) {
+    last_refresh_v_ = v;
+    need_refresh_ = false;
+    ++full_refreshes_;
   }
-
-  // Heuristic (Section 3.2): bounded examination; periodic full refresh keeps the
-  // surplus queue ordering accurate between heuristic decisions.
-  if (need_refresh_ || ++decisions_since_refresh_ >= config().heuristic_refresh_period) {
-    RefreshSurpluses(v);
-  }
-  return HeuristicPick(v, config().heuristic_k, cpu);
+  return v;
 }
 
 void Sfs::OnCharge(Entity& e, Tick ran_for) {
@@ -285,11 +268,6 @@ void Sfs::OnCharge(Entity& e, Tick ran_for) {
   PhiClass& cls = classes_[static_cast<std::size_t>(e.phi_class())];
   Unlink(cls, e);
   Link(cls, e, /*from_back=*/true);
-  if (heuristic()) {
-    e.surplus() = FreshSurplus(e, VirtualTime());
-    surplus_queue_.Remove(&e);
-    surplus_queue_.InsertFromBack(&e);
-  }
   if (filed_ == 1) {
     // Only this thread runnable: remember its finish tag for the idle rule.
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
@@ -325,39 +303,6 @@ CpuId Sfs::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) {
   return victim;
 }
 
-void Sfs::EnqueueRunnable(Entity& e) {
-  if (heuristic()) {
-    e.surplus() = FreshSurplus(e, VirtualTime());
-    surplus_queue_.Insert(&e);
-  }
-  File(e, FindClass(e.phi(), e.warp_eff()));
-}
-
-void Sfs::DequeueRunnable(Entity& e) {
-  Unfile(e);
-  if (heuristic()) {
-    surplus_queue_.Remove(&e);
-  }
-}
-
-void Sfs::RefreshSurpluses(double v) {
-  // Incremental refresh: recompute every surplus in place, then let the queue
-  // reposition only the entities whose order actually changed.  Between
-  // refreshes surpluses shift by -phi_i * dv, so relative order moves only
-  // across different phis and the queue stays almost sorted — Resort() is
-  // near-linear and yields the same total (surplus, tid) order a full sort
-  // would.  Each entity's whole row is one cache line, and FreshSurplus is
-  // branch-free per entity (an unwarped entity's warp_eff is 0).
-  for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-    e->surplus() = FreshSurplus(*e, v);
-  }
-  refresh_repositions_ += static_cast<std::int64_t>(surplus_queue_.Resort());
-  last_refresh_v_ = v;
-  need_refresh_ = false;
-  decisions_since_refresh_ = 0;
-  ++full_refreshes_;
-}
-
 bool Sfs::MaybeRebase(double v) {
   if (v <= config().tag_rebase_threshold) {
     return false;
@@ -372,7 +317,7 @@ bool Sfs::MaybeRebase(double v) {
   //     identical and keeps them bounded;
   //   * `last_refresh_v_` must shift with the tags unconditionally, or the
   //     `v != last_refresh_v_` check desynchronizes and every subsequent
-  //     decision counts (heuristic mode: pays) a spurious full refresh.
+  //     decision counts a spurious full refresh.
   const double delta = v;
   ForEachEntity([delta](Entity& e) {
     e.start_tag() -= delta;
@@ -521,9 +466,8 @@ std::string Sfs::CheckInvariants() const {
   if (!violation.empty()) {
     return violation;
   }
-  if (runnable_seen != runnable || weight_queue().size() != runnable ||
-      (heuristic() && (surplus_queue_.size() != runnable || !surplus_queue_.IsSorted()))) {
-    return "a run queue does not hold exactly the runnable set in order";
+  if (runnable_seen != runnable || weight_queue().size() != runnable) {
+    return "the runnable count disagrees with the entity table or the weight queue";
   }
   if (std::string index = weight_queue().CheckIndex(); !index.empty()) {
     return index;
@@ -550,98 +494,8 @@ std::string Sfs::CheckInvariants() const {
 }
 
 ThreadId Sfs::PeekExactPick(CpuId cpu) {
-  SFS_CHECK(!heuristic());
   const Entity* e = ExactPick(cpu, VirtualTime());
   return e == nullptr ? kInvalidThread : e->tid;
-}
-
-template <typename Fn>
-void Sfs::ForFirstKByStartTag(std::size_t k, Fn&& fn) {
-  // (S, tid) is a total order, so merging the classes' queues yields exactly
-  // the order one global start-tag queue would hold.  The cursors stay
-  // sorted by key: the front cursor's entry is visited, then that cursor
-  // advances and sinks past the cursors with smaller keys.
-  auto by_key = [](const MergeCursor& a, const MergeCursor& b) { return a.key < b.key; };
-  merge_.clear();
-  for (PhiClass* cls : active_) {
-    Entity* head = cls->queue.front();
-    merge_.push_back({ByStartTagAsc::Key(*head), head, cls});
-  }
-  std::sort(merge_.begin(), merge_.end(), by_key);
-  std::size_t first = 0;  // cursors before `first` are exhausted
-  for (std::size_t visited = 0; visited < k && first < merge_.size(); ++visited) {
-    MergeCursor& cursor = merge_[first];
-    fn(cursor.e);
-    cursor.e = cursor.cls->queue.next(cursor.e);
-    if (cursor.e == nullptr) {
-      ++first;
-      continue;
-    }
-    cursor.key = ByStartTagAsc::Key(*cursor.e);
-    for (std::size_t i = first; i + 1 < merge_.size() && merge_[i + 1].key < merge_[i].key; ++i) {
-      std::swap(merge_[i], merge_[i + 1]);
-    }
-  }
-}
-
-Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
-  Entity* best = nullptr;
-  double best_surplus = 0.0;
-  Entity* best_affine = nullptr;
-  double best_affine_surplus = 0.0;
-  auto consider = [&](Entity* e) {
-    if (e->running) {
-      return;
-    }
-    const double s = FreshSurplus(*e, v);
-    if (Precedes(s, e, best_surplus, best)) {
-      best = e;
-      best_surplus = s;
-    }
-    if (cpu != kInvalidCpu && e->last_cpu == cpu &&
-        Precedes(s, e, best_affine_surplus, best_affine)) {
-      best_affine = e;
-      best_affine_surplus = s;
-    }
-  };
-  const auto kk = static_cast<std::size_t>(k);
-  surplus_queue_.ForFirstK(kk, consider);
-  ForFirstKByStartTag(kk, consider);
-  // The weight queue is descending; examine it backwards — smallest weights first
-  // (footnote 8).
-  weight_queue().ForLastK(kk, consider);
-  if (best == nullptr) {
-    // Degenerate small k: every examined thread is already running on another
-    // processor.  Fall back to the surplus queue head scan (at most p-1 skips).
-    for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-      if (!e->running) {
-        return e;
-      }
-    }
-    return nullptr;
-  }
-  if (best_affine != nullptr && best_affine != best &&
-      best_affine_surplus <= best_surplus + static_cast<double>(config().affinity_tolerance)) {
-    return best_affine;
-  }
-  return best;
-}
-
-Sfs::HeuristicAudit Sfs::AuditHeuristic(int k) {
-  SFS_CHECK(heuristic());
-  HeuristicAudit audit;
-  const double v = VirtualTime();
-  Entity* h = HeuristicPick(v, k, kInvalidCpu);
-  if (h != nullptr) {
-    audit.heuristic_pick = h->tid;
-    audit.heuristic_surplus = FreshSurplus(*h, v);
-  }
-  double exact_surplus = 0.0;
-  if (Entity* exact = LeastSurplus(v, &exact_surplus); exact != nullptr) {
-    audit.exact_pick = exact->tid;
-    audit.exact_surplus = exact_surplus;
-  }
-  return audit;
 }
 
 }  // namespace sfs::sched

@@ -39,12 +39,10 @@
 //     charge nor an admission walks the runnable set.  DESIGN.md §3 gives the
 //     monotonicity argument that makes the result identical to a full
 //     surplus sort, rounding ties included;
-//   * optional scheduling heuristic (Figure 3): examine the first k threads of
-//     the surplus queue, of the start-tag order (a k-way merge of the class
-//     heads) and the last k of the weight queue, and pick the least fresh
-//     surplus among them.  Only this mode keeps a surplus queue, refreshed and
-//     resorted every heuristic_refresh_period decisions or after a phi change;
-//   * every queue is the paper's sorted list (common::SortedList);
+//   * the paper's k-bounded scheduling heuristic (Figure 3) is not a mode of
+//     this class: the exact decision above is cheaper at every measured size,
+//     so the heuristic is an evaluation model (eval::HeuristicSfs) that reuses
+//     the protected decision prologue, phi classes and surplus helpers below;
 //   * optional fixed-point tag arithmetic with a 10^n scaling factor;
 //   * tag wrap-around handling: all tags are periodically rebased against the
 //     minimum start tag.
@@ -58,7 +56,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/sorted_list.h"
+#include "src/common/intrusive_list.h"
 #include "src/sched/gps_base.h"
 
 namespace sfs::sched {
@@ -66,11 +64,6 @@ namespace sfs::sched {
 struct ByStartTagAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
 };
-struct BySurplusAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.surplus(), e.tid}; }
-};
-
-using SurplusQueue = common::SortedList<Entity, &Entity::by_surplus, BySurplusAsc>;
 
 class Sfs : public GpsSchedulerBase {
  public:
@@ -99,10 +92,9 @@ class Sfs : public GpsSchedulerBase {
   double LocalVirtualTime() const override { return VirtualTime(); }
 
   // An empty pick still rebases once the idle virtual time passes
-  // tag_rebase_threshold, and in heuristic mode it advances the refresh
-  // clock; otherwise it only counts a decision.
+  // tag_rebase_threshold; otherwise it only counts a decision.
   bool EmptyPickIsNoop() const override {
-    return !heuristic() && idle_virtual_time_ <= config().tag_rebase_threshold;
+    return idle_virtual_time_ <= config().tag_rebase_threshold;
   }
 
   // Fresh surplus of a runnable thread at the current virtual time.
@@ -112,8 +104,8 @@ class Sfs : public GpsSchedulerBase {
   double FinishTag(ThreadId tid) const { return FindEntity(tid).finish_tag(); }
 
   // The thread the next PickNext(cpu) would dispatch, without dispatching it
-  // (kInvalidThread if none).  Exact mode only; audits and tests compare it
-  // against a brute-force scan.
+  // (kInvalidThread if none).  Audits and tests compare it against a
+  // brute-force scan.
   ThreadId PeekExactPick(CpuId cpu);
 
   // Single-threaded consistency audit for tests: every phi class is non-empty
@@ -121,39 +113,24 @@ class Sfs : public GpsSchedulerBase {
   // its class's (phi, warp_eff); every member that is not a run head shares
   // its predecessor's start tag, and the run list links exactly the heads, in
   // queue order; exactly the runnable threads are filed; the weight queue
-  // (and, in heuristic mode, the surplus queue) holds exactly the runnable
-  // set, and the weight queue's bucket index matches its runs of equal
-  // weight (WeightQueue::CheckIndex); an uncapped thread's phi is its
+  // holds exactly the runnable set, and its bucket index matches its runs of
+  // equal weight (WeightQueue::CheckIndex); an uncapped thread's phi is its
   // requested weight; with readjustment on and more than p threads runnable,
   // every phi is at most sum(phi) / p, up to rounding.  Returns an empty
   // string, or a description of the first violation.  O(t); the scheduler
   // never calls it.
   std::string CheckInvariants() const;
 
-  // Result of comparing the Section 3.2 heuristic against the exact algorithm for
-  // the next dispatch decision on `cpu`, without mutating scheduler state.  Used
-  // to reproduce Figure 3.  Heuristic mode only (heuristic_k > 0): the audited
-  // surplus queue exists only there.
-  struct HeuristicAudit {
-    ThreadId heuristic_pick = kInvalidThread;
-    ThreadId exact_pick = kInvalidThread;
-    double heuristic_surplus = 0.0;
-    double exact_surplus = 0.0;
-  };
-  HeuristicAudit AuditHeuristic(int k);
-
   // Counters for the overhead benchmarks.
   std::int64_t decisions() const { return decisions_; }
-  // Heuristic mode: surplus-queue refresh passes.  Exact mode: decisions that
-  // found v advanced or some phi changed since the previous decision — the
-  // decisions at which Section 3.2's exact algorithm recomputes and resorts
-  // every surplus, and at which this one does no surplus work at all.
+  // Decisions that found v advanced or some phi changed since the previous
+  // decision — the decisions at which Section 3.2's exact algorithm
+  // recomputes and resorts every surplus, and at which this one does no
+  // surplus work at all.
   std::int64_t full_refreshes() const { return full_refreshes_; }
   std::int64_t rebases() const { return rebases_; }
-  // Heuristic mode: entities re-inserted by the incremental surplus refresh
-  // (those whose surplus-queue order actually changed).  Exact mode: threads
-  // re-filed into another phi class because readjustment, a weight change or
-  // a warp change rewrote their (phi, warp_eff) pair.
+  // Threads re-filed into another phi class because readjustment, a weight
+  // change or a warp change rewrote their (phi, warp_eff) pair.
   std::int64_t refresh_repositions() const { return refresh_repositions_; }
 
   // Phi classes currently holding runnable threads; never more than the
@@ -171,7 +148,10 @@ class Sfs : public GpsSchedulerBase {
   void OnAttach(Entity& e) override;
   void OnPhiChanged(Entity& e) override;
 
- private:
+  // Called by SetWarp once `e`'s new warp is in place (and, if runnable, `e`
+  // is re-filed).  The default does nothing.
+  virtual void OnWarpChanged(Entity& e) { (void)e; }
+
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
   // (start tag, tid) order.  Surplus phi * (S - v - warp_eff) is
   // non-decreasing along that order (DESIGN.md §3), and threads with equal
@@ -203,8 +183,25 @@ class Sfs : public GpsSchedulerBase {
     }
   };
 
-  bool heuristic() const { return config().heuristic_k > 0; }
+  // Opens a dispatch decision: reads v, rebases the tags when v passed
+  // tag_rebase_threshold (re-reading v), and counts the decision (decisions(),
+  // full_refreshes()).  Returns the virtual time to decide against.
+  double BeginDecision();
 
+  // The non-empty phi classes, in no particular order.
+  const std::vector<PhiClass*>& active_classes() const { return active_; }
+
+  // Effective surplus used for dispatch: the paper's alpha_i = phi_i*(S_i - v),
+  // minus the optional latency warp (warp_eff, 0 when unwarped).
+  static double FreshSurplus(const Entity& e, double v) {
+    return e.phi() * (e.start_tag() - v - e.warp_eff());
+  }
+
+  // The not-running runnable thread with the least (fresh surplus, tid), or
+  // nullptr; `surplus` receives its surplus.
+  Entity* LeastSurplus(double v, double* surplus);
+
+ private:
   // The non-empty class holding (phi, warp_eff), or nullptr.
   PhiClass* FindClass(Weight phi, double warp_eff);
   // Files a runnable entity into `cls`, the class of its current (phi,
@@ -223,38 +220,13 @@ class Sfs : public GpsSchedulerBase {
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
   void Refile(Entity& e);
 
-  // Inserts a runnable entity into its phi class and, in heuristic mode, into
-  // the surplus queue with a fresh surplus value.
-  void EnqueueRunnable(Entity& e);
-  void DequeueRunnable(Entity& e);
-
-  // Heuristic mode only: recomputes every surplus against `v` in one pass over
-  // the surplus queue, then restores its order by insertion sort — only
-  // entities whose new key breaks the ascending run move.
-  void RefreshSurpluses(double v);
-
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
   // threshold: shifts every tag (runnable and blocked) down by the minimum start
   // tag.  Relative order and surpluses are invariant under the shift.  Returns
   // true iff it rebased.
   bool MaybeRebase(double v);
 
-  // Effective surplus used for dispatch: the paper's alpha_i = phi_i*(S_i - v),
-  // minus the optional latency warp (warp_eff, 0 when unwarped).
-  double FreshSurplus(const Entity& e, double v) const {
-    return e.phi() * (e.start_tag() - v - e.warp_eff());
-  }
-
-  // The not-running runnable thread with the least (fresh surplus, tid), or
-  // nullptr; `surplus` receives its surplus.
-  Entity* LeastSurplus(double v, double* surplus);
   Entity* ExactPick(CpuId cpu, double v);
-  Entity* HeuristicPick(double v, int k, CpuId cpu);
-
-  // Visits the first `k` runnable threads in ascending (start tag, tid) order
-  // — a k-way merge of the class heads.
-  template <typename Fn>
-  void ForFirstKByStartTag(std::size_t k, Fn&& fn);
 
   // Class slots (a deque: stable addresses, neighbouring classes share
   // lines); a slot whose class emptied is parked on free_classes_ and reused,
@@ -268,15 +240,6 @@ class Sfs : public GpsSchedulerBase {
   std::vector<PhiClass*> active_;
   std::size_t filed_ = 0;  // runnable threads across all classes
 
-  // Heuristic mode only.
-  SurplusQueue surplus_queue_;
-  struct MergeCursor {
-    std::pair<double, ThreadId> key;  // e's (start tag, tid), read once
-    Entity* e;
-    PhiClass* cls;
-  };
-  std::vector<MergeCursor> merge_;  // ForFirstKByStartTag's cursors, reused
-
   // Virtual time bookkeeping.  `idle_virtual_time_` implements "the virtual time
   // ... is set to the finish tag of the thread that ran last" when no thread is
   // runnable.  `need_refresh_` starts true so `last_refresh_v_` is only ever
@@ -286,7 +249,6 @@ class Sfs : public GpsSchedulerBase {
   double last_refresh_v_ = 0.0;
   bool need_refresh_ = true;
 
-  int decisions_since_refresh_ = 0;
   std::int64_t decisions_ = 0;
   std::int64_t full_refreshes_ = 0;
   std::int64_t rebases_ = 0;

@@ -14,7 +14,6 @@ void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double couplin
   const double origin = v_dst + coupling * (v_src - v_dst);
   e.start_tag() = origin + std::max(0.0, e.start_tag() - v_src);
   e.finish_tag() = e.start_tag();
-  e.surplus() = 0.0;
 }
 
 ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_shard)

@@ -104,7 +104,7 @@ namespace sfs::sched {
 // is preserved; `coupling` in [0, 1] blends the translation origin between
 // v_dst (0, fully relative) and v_src (1, absolute tags — shared timeline).
 // The finish tag collapses onto the start tag (a runnable migrant carries no
-// pending wakeup credit) and the surplus is recomputed on attach.
+// pending wakeup credit).
 void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double coupling);
 
 class ShardedScheduler : public Scheduler {

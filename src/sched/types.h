@@ -52,16 +52,6 @@ struct SchedConfig {
   // factor, Section 3.2).  Negative = exact double arithmetic.
   int fixed_point_digits = -1;
 
-  // SFS scheduling heuristic (Section 3.2): examine the first `heuristic_k`
-  // threads of each of the three queues instead of recomputing every surplus.
-  // 0 disables the heuristic (exact algorithm).
-  int heuristic_k = 0;
-
-  // With the heuristic enabled, do a full surplus refresh + resort every this
-  // many scheduling decisions ("infrequent updates and sorting are still
-  // required to maintain a high accuracy of the heuristic").
-  int heuristic_refresh_period = 64;
-
   // Enables the weight readjustment algorithm (Section 2.1).  SFS always uses
   // it; for SFQ and WFQ it is optional so that the paper's with/without
   // comparisons (Figure 4) can be run.

@@ -61,6 +61,16 @@ void WeightQueue::Insert(Entity* e) {
 }
 
 void WeightQueue::Unlink(Entity* e, Weight filed_weight) {
+  // With a neighbour of its filed weight on both sides, `e` is neither the
+  // first nor the last member of its run, so no bucket changes.  (Only `e`'s
+  // weight may differ from the one it was filed with.)
+  const Entity* before = list_.prev(e);
+  const Entity* after = list_.next(e);
+  if (before != nullptr && after != nullptr && before->weight() == filed_weight &&
+      after->weight() == filed_weight) {
+    list_.erase(e);
+    return;
+  }
   const auto it = LowerBound(filed_weight);
   SFS_DCHECK(it != buckets_.end() && it->weight == filed_weight);
   if (it->first == e) {

@@ -2,17 +2,20 @@
 // distinct weight.
 //
 // The list order is the paper's: descending requested weight, ties broken by
-// ascending tid, so the readjustment pass (Figure 2), the heuristic's
-// last-k scan and every other reader walk exactly the list a plain sorted
-// insert would build.  What changes is how a thread finds its place.  Weights
+// ascending tid, so the readjustment pass (Figure 2), the migration-victim
+// scan (GpsSchedulerBase::PickMigrationCandidate), the heuristic model's
+// last-k scan (eval::HeuristicSfs) and every other reader walk exactly the
+// list a plain sorted insert would build.  What changes is how a thread finds its place.  Weights
 // repeat heavily in practice (integer weights, a handful of job classes), so
 // besides the list the queue keeps one *bucket* per distinct weight present:
 // the weight and the first and last member of its run in the list, in a
 // contiguous array sorted by descending weight.  An insert binary-searches
 // the buckets and then places the thread by tid inside its run, walking in
 // from whichever end of the run has the nearer tid; a new weight opens a
-// bucket in front of the next lighter run.  A removal is O(1) unless it
-// empties a bucket (then O(distinct weights) to close it).  A plain sorted
+// bucket in front of the next lighter run.  A removal from inside a run is
+// O(1): both list neighbours share its weight, so no bucket moves.  Removing
+// a run's first or last member binary-searches the buckets to move that end,
+// and emptying a bucket costs O(distinct weights) to close it.  A plain sorted
 // insert instead scans the list from its heaviest end, O(t) per admission.
 //
 // The bucket array only grows to the peak number of distinct runnable
@@ -57,8 +60,9 @@ class WeightQueue {
 
   void Clear();
 
-  // Calls `fn(e)` for the last `k` entries, lightest first (the heuristic
-  // examines the smallest weights first, paper footnote 8).
+  // Calls `fn(e)` for the last `k` entries, lightest first (the Section 3.2
+  // heuristic, eval::HeuristicSfs, examines the smallest weights first,
+  // paper footnote 8).
   template <typename Fn>
   void ForLastK(std::size_t k, Fn&& fn) {
     std::size_t visited = 0;

@@ -36,6 +36,16 @@ std::vector<int> Ids(Queue& q) {
   return ids;
 }
 
+// True iff the keys are non-decreasing front to back.
+bool IsSorted(Queue& q) {
+  for (Item* it = q.front(); it != nullptr && q.next(it) != nullptr; it = q.next(it)) {
+    if (q.next(it)->key < it->key) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(SortedListTest, InsertKeepsAscendingOrder) {
   Queue q;
   Item a{3.0, 1}, b{1.0, 2}, c{2.0, 3};
@@ -43,8 +53,12 @@ TEST(SortedListTest, InsertKeepsAscendingOrder) {
   q.Insert(&b);
   q.Insert(&c);
   EXPECT_EQ(Ids(q), (std::vector<int>{2, 3, 1}));
-  EXPECT_TRUE(q.IsSorted());
-  q.Clear();
+  EXPECT_TRUE(IsSorted(q));
+  q.Remove(&b);  // removal is by link: the front, then the rest
+  EXPECT_EQ(Ids(q), (std::vector<int>{3, 1}));
+  q.Remove(&a);
+  q.Remove(&c);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(SortedListTest, TiesKeepFifoOrder) {
@@ -64,12 +78,12 @@ TEST(SortedListTest, InsertFromBackEquivalentOrder) {
   q.InsertFromBack(&b);
   q.InsertFromBack(&c);
   EXPECT_EQ(Ids(q), (std::vector<int>{2, 1, 3}));
-  EXPECT_TRUE(q.IsSorted());
+  EXPECT_TRUE(IsSorted(q));
   q.Clear();
 }
 
 TEST(SortedListTest, InsertFromBackTieParityWithInsert) {
-  // Sfs::OnCharge re-queues via InsertFromBack while admissions use Insert;
+  // Sfq::OnCharge re-queues via InsertFromBack while admissions use Insert;
   // determinism requires both paths to file an equal key *after* the existing
   // ties (FIFO among ties), i.e. the back-scan must stop at the last equal
   // element and insert after it, never before.
@@ -114,29 +128,6 @@ TEST(SortedListTest, InsertAndInsertFromBackInterleavedIdenticalOrder) {
   via_back.Clear();
 }
 
-TEST(SortedListTest, RemoveAndPopFront) {
-  Queue q;
-  Item a{1.0, 1}, b{2.0, 2};
-  q.Insert(&a);
-  q.Insert(&b);
-  EXPECT_EQ(q.PopFront(), &a);
-  q.Remove(&b);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(SortedListTest, RepositionAfterKeyChange) {
-  Queue q;
-  Item a{1.0, 1}, b{2.0, 2}, c{3.0, 3};
-  q.Insert(&a);
-  q.Insert(&b);
-  q.Insert(&c);
-  a.key = 10.0;
-  q.Reposition(&a);
-  EXPECT_EQ(Ids(q), (std::vector<int>{2, 3, 1}));
-  EXPECT_TRUE(q.IsSorted());
-  q.Clear();
-}
-
 TEST(SortedListTest, ResortFixesPerturbedKeys) {
   Queue q;
   std::vector<Item> items(6);
@@ -151,51 +142,13 @@ TEST(SortedListTest, ResortFixesPerturbedKeys) {
   items[1].key = 4.5;
   items[4].key = 0.5;
   q.Resort();
-  EXPECT_TRUE(q.IsSorted());
+  EXPECT_TRUE(IsSorted(q));
   EXPECT_EQ(Ids(q), (std::vector<int>{0, 4, 2, 3, 1, 5}));
   q.Clear();
 }
 
-TEST(SortedListTest, ForFirstKVisitsSmallest) {
-  Queue q;
-  std::vector<Item> items(5);
-  for (int i = 0; i < 5; ++i) {
-    items[static_cast<std::size_t>(i)].key = static_cast<double>(10 - i);
-    items[static_cast<std::size_t>(i)].id = i;
-    q.Insert(&items[static_cast<std::size_t>(i)]);
-  }
-  std::vector<int> seen;
-  const std::size_t visited = q.ForFirstK(3, [&](Item* it) { seen.push_back(it->id); });
-  EXPECT_EQ(visited, 3u);
-  EXPECT_EQ(seen, (std::vector<int>{4, 3, 2}));  // keys 6, 7, 8
-  q.Clear();
-}
-
-TEST(SortedListTest, ForLastKVisitsLargestBackwards) {
-  Queue q;
-  std::vector<Item> items(5);
-  for (int i = 0; i < 5; ++i) {
-    items[static_cast<std::size_t>(i)].key = static_cast<double>(i);
-    items[static_cast<std::size_t>(i)].id = i;
-    q.Insert(&items[static_cast<std::size_t>(i)]);
-  }
-  std::vector<int> seen;
-  q.ForLastK(2, [&](Item* it) { seen.push_back(it->id); });
-  EXPECT_EQ(seen, (std::vector<int>{4, 3}));
-  q.Clear();
-}
-
-TEST(SortedListTest, ForFirstKMoreThanSizeVisitsAll) {
-  Queue q;
-  Item a{1.0, 1};
-  q.Insert(&a);
-  std::size_t count = 0;
-  EXPECT_EQ(q.ForFirstK(10, [&](Item*) { ++count; }), 1u);
-  EXPECT_EQ(count, 1u);
-  q.Clear();
-}
-
-// Property: any random sequence of insert/remove/reposition keeps sorted order.
+// Property: any random sequence of insert, remove and rekey-then-resort keeps
+// sorted order.
 TEST(SortedListPropertyTest, RandomOperationsStaySorted) {
   Rng rng(777);
   std::vector<Item> pool(64);
@@ -228,43 +181,12 @@ TEST(SortedListPropertyTest, RandomOperationsStaySorted) {
     } else if (op == 2 && !in_queue.empty()) {
       const auto idx = rng.NextBounded(in_queue.size());
       in_queue[idx]->key = rng.UniformDouble(0.0, 100.0);
-      q.Reposition(in_queue[idx]);
+      q.Resort();
     }
-    ASSERT_TRUE(q.IsSorted()) << "step " << step;
+    ASSERT_TRUE(IsSorted(q)) << "step " << step;
     ASSERT_EQ(q.size(), in_queue.size());
   }
   q.Clear();
-}
-
-// Property: Reposition lands exactly where Remove + Insert would, FIFO among
-// ties included.  Keys come from a handful of values, so most moves cross or
-// join a run of equal keys, in either direction.
-TEST(SortedListPropertyTest, RepositionMatchesRemoveAndInsertOnTies) {
-  Rng rng(999);
-  constexpr int kItems = 48;
-  std::vector<Item> local(kItems);
-  std::vector<Item> reference(kItems);
-  Queue q_local;
-  Queue q_reference;
-  for (int i = 0; i < kItems; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    local[idx].id = reference[idx].id = i;
-    local[idx].key = reference[idx].key = static_cast<double>(rng.UniformInt(0, 5));
-    q_local.Insert(&local[idx]);
-    q_reference.Insert(&reference[idx]);
-  }
-  for (int step = 0; step < 5000; ++step) {
-    const auto idx = rng.NextBounded(kItems);
-    const double key = static_cast<double>(rng.UniformInt(0, 5));
-    local[idx].key = key;
-    reference[idx].key = key;
-    q_local.Reposition(&local[idx]);
-    q_reference.Remove(&reference[idx]);
-    q_reference.Insert(&reference[idx]);
-    ASSERT_EQ(Ids(q_local), Ids(q_reference)) << "step " << step;
-  }
-  q_local.Clear();
-  q_reference.Clear();
 }
 
 // Property: Resort() restores order from arbitrary key perturbations.
@@ -284,7 +206,7 @@ TEST(SortedListPropertyTest, ResortAlwaysRestoresOrder) {
       }
     }
     q.Resort();
-    EXPECT_TRUE(q.IsSorted());
+    EXPECT_TRUE(IsSorted(q));
     EXPECT_EQ(q.size(), 40u);
     q.Clear();
   }

@@ -7,7 +7,8 @@
 //   * eval::HeuristicAccuracy over k in {1, 4, 16}, t in {32, 256} and
 //     p in {2, 8} — the Figure 3 audit compares every heuristic decision
 //     with the exact answer, so both paths feed these numbers;
-//   * run and lifecycle fingerprints of engine runs with heuristic_k = 4;
+//   * run and lifecycle fingerprints of engine runs of the heuristic at
+//     k = 4 (eval::HeuristicSfs, refresh period 16);
 //   * the same for exact-mode runs with the affinity window and latency
 //     warps switched on, the two exact-pick variants the recorded workload
 //     fingerprints elsewhere never enable.
@@ -18,11 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/fingerprint.h"
 #include "src/common/rng.h"
+#include "src/eval/heuristic_sfs.h"
 #include "src/eval/scenarios.h"
 #include "src/sched/sfs.h"
 #include "src/sim/engine.h"
@@ -57,7 +60,7 @@ TEST(SfsPinnedRunsTest, HeuristicAccuracyUnchanged) {
 }
 
 struct RunCase {
-  int heuristic_k;
+  int heuristic_k;  // 0: the exact sched::Sfs
   int cpus;
   Tick affinity_tolerance;
   bool warps;
@@ -89,10 +92,12 @@ std::pair<std::uint64_t, std::uint64_t> RunPinned(const RunCase& c) {
   sched::SchedConfig config;
   config.num_cpus = c.cpus;
   config.quantum = Msec(40);
-  config.heuristic_k = c.heuristic_k;
-  config.heuristic_refresh_period = 16;
   config.affinity_tolerance = c.affinity_tolerance;
-  sched::Sfs sfs(config);
+  const std::unique_ptr<sched::Sfs> scheduler =
+      c.heuristic_k > 0
+          ? std::make_unique<HeuristicSfs>(config, c.heuristic_k, /*refresh_period=*/16)
+          : std::make_unique<sched::Sfs>(config);
+  sched::Sfs& sfs = *scheduler;
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(50);
   sim::Engine engine(sfs, engine_config);

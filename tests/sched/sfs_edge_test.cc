@@ -1,6 +1,5 @@
 // Additional SFS edge-case and equivalence tests: tag rebasing with sleepers,
-// fixed-point vs exact decision agreement, heuristic refresh behaviour, and
-// weight-change corner cases.
+// fixed-point vs exact decision agreement, and weight-change corner cases.
 
 #include <gtest/gtest.h>
 
@@ -112,35 +111,6 @@ TEST(SfsEdgeTest, WeightChangeOnBlockedThreadAppliesOnWake) {
   // On wake the readjustment caps the now-infeasible request at share 1/2.
   const double total = s.GetPhi(1) + s.GetPhi(2) + s.GetPhi(3);
   EXPECT_NEAR(s.GetPhi(3) / total, 0.5, 1e-9);
-}
-
-TEST(SfsEdgeTest, HeuristicModeStaysProportionalOverLongRuns) {
-  SchedConfig config = Config(2, Msec(20));
-  config.heuristic_k = 10;
-  Sfs s(config);
-  common::Rng rng(555);
-  std::vector<Weight> weights = {1, 2, 3, 4, 5, 6, 7, 8};
-  for (ThreadId tid = 1; tid <= 8; ++tid) {
-    s.AddThread(tid, weights[static_cast<std::size_t>(tid - 1)]);
-  }
-  std::vector<std::pair<ThreadId, CpuId>> running;
-  for (CpuId c = 0; c < 2; ++c) {
-    running.emplace_back(s.PickNext(c), c);
-  }
-  for (int i = 0; i < 20000; ++i) {
-    const auto [t, c] = running.front();
-    running.erase(running.begin());
-    s.Charge(t, Msec(20));
-    running.emplace_back(s.PickNext(c), c);
-  }
-  // Weighted service should be near-equal across threads (feasible weights):
-  // total weight 36, so thread i's share = w_i/36 of 2 CPUs.
-  for (ThreadId tid = 1; tid <= 8; ++tid) {
-    const double got = static_cast<double>(s.TotalService(tid));
-    const double expected = 20000.0 * static_cast<double>(Msec(20)) / 2.0 * 2.0 *
-                            weights[static_cast<std::size_t>(tid - 1)] / 36.0;
-    EXPECT_NEAR(got / expected, 1.0, 0.05) << "thread " << tid;
-  }
 }
 
 TEST(SfsEdgeTest, ManyCpusFewThreadsAllRun) {

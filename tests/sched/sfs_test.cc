@@ -225,28 +225,6 @@ TEST(SfsTest, FixedPointModeMatchesExactProportions) {
   EXPECT_NEAR(static_cast<double>(service2) / static_cast<double>(service1), 7.0 / 3.0, 0.05);
 }
 
-TEST(SfsTest, HeuristicAuditAgreesWhenKCoversQueue) {
-  SchedConfig config = Config(2);
-  config.heuristic_k = 64;  // covers the whole (small) queue: always exact
-  Sfs s(config);
-  common::Rng rng(41);
-  for (ThreadId tid = 1; tid <= 10; ++tid) {
-    s.AddThread(tid, static_cast<double>(rng.UniformInt(1, 10)));
-  }
-  std::vector<std::pair<ThreadId, CpuId>> running;
-  for (CpuId c = 0; c < 2; ++c) {
-    running.emplace_back(s.PickNext(c), c);
-  }
-  for (int i = 0; i < 300; ++i) {
-    const auto [victim, cpu] = running.front();
-    running.erase(running.begin());
-    s.Charge(victim, Msec(rng.UniformInt(1, 200)));
-    const auto audit = s.AuditHeuristic(config.heuristic_k);
-    EXPECT_EQ(audit.heuristic_pick, audit.exact_pick);
-    running.emplace_back(s.PickNext(cpu), cpu);
-  }
-}
-
 TEST(SfsTest, DecisionCountersAdvance) {
   Sfs s(Config(1));
   s.AddThread(1, 1.0);

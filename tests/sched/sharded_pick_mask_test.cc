@@ -43,20 +43,18 @@ class Readable : public Policy, public EntityReader {
 
 struct PolicyCase {
   const char* name;
-  int heuristic_k;  // SFS heuristic mode when > 0: no empty pick is a no-op
   ShardedScheduler::ShardFactory factory;
 };
 
 template <typename Policy>
-PolicyCase Case(const char* name, int heuristic_k = 0) {
-  return {name, heuristic_k, [](const SchedConfig& config) {
+PolicyCase Case(const char* name) {
+  return {name, [](const SchedConfig& config) {
             return std::make_unique<Readable<Policy>>(config);
           }};
 }
 
 const std::vector<PolicyCase>& Policies() {
-  static const std::vector<PolicyCase> policies = {
-      Case<Sfs>("sfs"), Case<Sfs>("sfs_heuristic", /*heuristic_k=*/2), Case<Sfq>("sfq")};
+  static const std::vector<PolicyCase> policies = {Case<Sfs>("sfs"), Case<Sfq>("sfq")};
   return policies;
 }
 
@@ -124,7 +122,6 @@ void Fuzz(const PolicyCase& policy, bool steal, int rebalance, double coupling, 
   SchedConfig config;
   config.num_cpus = cpus;
   config.quantum = Msec(10);
-  config.heuristic_k = policy.heuristic_k;
   config.shard_steal = steal ? ShardStealPolicy::kMaxSurplus : ShardStealPolicy::kNone;
   config.shard_rebalance_period = rebalance;
   config.shard_coupling = coupling;
@@ -279,7 +276,7 @@ TEST_P(ShardedPickMaskTest, SkippedPicksAreNoOps) {
       ASSERT_NO_FATAL_FAILURE(
           Fuzz(policy, steal, rebalance, coupling, cpus, seed, ops, counts));
     }
-    if (policy.heuristic_k == 0 && rebalance == 0) {
+    if (rebalance == 0) {
       // The mask did its job (it skipped picks) and the rebase exception
       // was exercised (an empty shard's pick was offered and rebased).
       EXPECT_GT(counts.skipped, 0) << policy.name;
