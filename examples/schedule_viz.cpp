@@ -5,8 +5,10 @@
 //      spurts; the SFS chart shows the fine interleaving the paper credits
 //      for proportionate allocation (Section 4.3).
 //   2. A Perfetto trace per scheduler (chrome trace-event JSON written next
-//      to the binary as schedule_viz_<scheduler>.json), recorded by attaching
-//      an obs::Trace to the engine and exported with obs::PerfettoExporter.
+//      to the binary as schedule_viz_<scheduler>.json), exported with
+//      obs::PerfettoExporter.
+//
+// Both views read the one obs::Trace attached to the engine.
 //
 // Perfetto workflow: open https://ui.perfetto.dev, "Open trace file", pick
 // schedule_viz_sfq.json.  Each simulated CPU is one track ("cpu0", "cpu1");
@@ -29,7 +31,6 @@
 #include "src/sched/factory.h"
 #include "src/sim/engine.h"
 #include "src/sim/gantt.h"
-#include "src/sim/trace.h"
 #include "src/workload/workloads.h"
 
 namespace {
@@ -42,12 +43,12 @@ void Render(sched::SchedKind kind, const std::string& out_dir) {
   auto scheduler = CreateScheduler(kind, config);
 
   // One ring per CPU plus the lifecycle ring; 1<<16 records per ring covers
-  // the full 12 s at this workload's dispatch rate without wrapping.
-  obs::Trace obs_trace(config.num_cpus, /*capacity_per_ring=*/1 << 16);
+  // the full 12 s at this workload's dispatch rate without wrapping, which
+  // RenderGantt CHECKs.
+  obs::Trace trace(config.num_cpus, /*capacity_per_ring=*/1 << 16);
   sim::EngineConfig engine_config;
-  engine_config.trace = &obs_trace;
+  engine_config.trace = &trace;
   sim::Engine engine(*scheduler, engine_config);
-  sim::TraceRecorder trace(engine);
 
   sched::ThreadId next_tid = 1;
   engine.AddTaskAt(0, workload::MakeInf(next_tid++, 20.0, "T1"));
@@ -75,9 +76,9 @@ void Render(sched::SchedKind kind, const std::string& out_dir) {
             << RenderGantt(trace, options) << '\n';
 
   const std::string path = out_dir + "/schedule_viz_" + std::string(scheduler->name()) + ".json";
-  if (obs::PerfettoExporter::WriteFile(obs_trace, path)) {
+  if (obs::PerfettoExporter::WriteFile(trace, path)) {
     std::cout << "wrote " << path << "  (open in ui.perfetto.dev; "
-              << obs_trace.total_records() << " records, " << obs_trace.total_dropped()
+              << trace.total_records() << " records, " << trace.total_dropped()
               << " dropped)\n\n";
   } else {
     std::cout << "FAILED to write " << path << "\n\n";

@@ -7,27 +7,6 @@
 
 namespace sfs::common {
 
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 void SampleSet::Add(double x) {
   samples_.push_back(x);
   sorted_ = false;
@@ -75,27 +54,5 @@ double SampleSet::Percentile(double p) const {
   rank = std::min(rank, samples_.size() - 1);
   return samples_[rank];
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  SFS_CHECK(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
 
 }  // namespace sfs::common

@@ -1,35 +1,12 @@
-// Small statistics accumulators used by the metrics library and benchmarks.
+// Sample statistics used by the metrics library, the runtime and benchmarks.
 
 #ifndef SFS_COMMON_STATS_H_
 #define SFS_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace sfs::common {
-
-// Streaming count/mean/variance/min/max (Welford's algorithm); O(1) space.
-class RunningStat {
- public:
-  void Add(double x);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Stores every sample; supports exact percentiles.  Use for modest sample counts
 // (response times, per-decision latencies).
@@ -51,30 +28,6 @@ class SampleSet {
   mutable bool sorted_ = false;
 
   void EnsureSorted() const;
-};
-
-// Fixed-width histogram over [lo, hi) with `buckets` bins plus under/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace sfs::common

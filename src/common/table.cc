@@ -72,17 +72,4 @@ void Table::Print(std::ostream& os) const {
   }
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << (c == 0 ? "" : ",") << cells[c];
-    }
-    os << '\n';
-  };
-  print_row(columns_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 }  // namespace sfs::common

@@ -1,7 +1,7 @@
-// Fixed-width table / CSV emitter.
+// Fixed-width table emitter.
 //
 // Benchmark binaries print the same rows and series the paper's tables and figures
-// report; this helper keeps that output aligned and optionally machine-readable.
+// report; this helper keeps that output aligned.
 
 #ifndef SFS_COMMON_TABLE_H_
 #define SFS_COMMON_TABLE_H_
@@ -27,9 +27,6 @@ class Table {
 
   // Pretty-prints with aligned columns and a header rule.
   void Print(std::ostream& os) const;
-
-  // Comma-separated output (header + rows).
-  void PrintCsv(std::ostream& os) const;
 
   std::size_t row_count() const { return rows_.size(); }
 

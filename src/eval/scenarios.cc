@@ -44,6 +44,39 @@ SeriesResult CollectSeries(const metrics::ServiceSampler& sampler, std::string s
   return result;
 }
 
+// Mirrors every scheduler-visible lifecycle event of `engine` into `gms`.
+void MirrorIntoGms(sim::Engine& engine, sched::GmsReference& gms) {
+  engine.SetSchedEventHook([&gms](sim::SchedEvent event, const sim::Task& task, Tick now) {
+    switch (event) {
+      case sim::SchedEvent::kArrival:
+        gms.AddThread(task.tid(), task.weight(), now);
+        break;
+      case sim::SchedEvent::kDeparture:
+        gms.RemoveThread(task.tid(), now);
+        break;
+      case sim::SchedEvent::kBlock:
+        gms.Block(task.tid(), now);
+        break;
+      case sim::SchedEvent::kWakeup:
+        gms.Wakeup(task.tid(), now);
+        break;
+    }
+  });
+}
+
+// FNV-1a over every completed run interval of `engine`: any divergence in any
+// dispatch decision — order, processor, start time or length — changes the
+// value.
+void FingerprintRuns(sim::Engine& engine, common::Fnv1a& fingerprint) {
+  engine.SetRunIntervalHook(
+      [&fingerprint](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
+        fingerprint.Mix(static_cast<std::uint64_t>(start));
+        fingerprint.Mix(static_cast<std::uint64_t>(len));
+        fingerprint.Mix(static_cast<std::uint64_t>(cpu));
+        fingerprint.Mix(static_cast<std::uint64_t>(tid));
+      });
+}
+
 }  // namespace
 
 const std::vector<Tick>& SeriesResult::Of(const std::string& label) const {
@@ -275,22 +308,7 @@ double GmsDeviationForArrivals(sched::SchedKind kind, const std::vector<TimedArr
   sim::Engine engine(*scheduler);
   sched::GmsReference gms(cpus);
 
-  engine.SetSchedEventHook([&gms](sim::SchedEvent event, const sim::Task& task, Tick now) {
-    switch (event) {
-      case sim::SchedEvent::kArrival:
-        gms.AddThread(task.tid(), task.weight(), now);
-        break;
-      case sim::SchedEvent::kDeparture:
-        gms.RemoveThread(task.tid(), now);
-        break;
-      case sim::SchedEvent::kBlock:
-        gms.Block(task.tid(), now);
-        break;
-      case sim::SchedEvent::kWakeup:
-        gms.Wakeup(task.tid(), now);
-        break;
-    }
-  });
+  MirrorIntoGms(engine, gms);
 
   std::vector<ThreadId> tids;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -328,16 +346,8 @@ RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t s
     engine.AddTaskAt(0, workload::MakeInf(tid, weights[static_cast<std::size_t>(i)], "w"));
   }
 
-  // FNV-1a over every completed run interval: any divergence in any dispatch
-  // decision — order, processor, start time or length — changes the value.
   common::Fnv1a fingerprint;
-  engine.SetRunIntervalHook(
-      [&fingerprint](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        fingerprint.Mix(static_cast<std::uint64_t>(start));
-        fingerprint.Mix(static_cast<std::uint64_t>(len));
-        fingerprint.Mix(static_cast<std::uint64_t>(cpu));
-        fingerprint.Mix(static_cast<std::uint64_t>(tid));
-      });
+  FingerprintRuns(engine, fingerprint);
 
   const auto wall_start = std::chrono::steady_clock::now();
   engine.RunUntil(horizon);
@@ -401,13 +411,7 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
   engine.ReserveTasks(static_cast<std::size_t>(threads) + 4);
 
   common::Fnv1a run_fp;
-  engine.SetRunIntervalHook(
-      [&run_fp](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
-      });
+  FingerprintRuns(engine, run_fp);
   common::Fnv1a life_fp;
   engine.SetSchedEventHook(
       [&life_fp](sim::SchedEvent event, const sim::Task& task, Tick now) {
@@ -622,31 +626,10 @@ ShardedFairnessResult RunShardedFairness(std::string_view policy,
   engine.ReserveTasks(static_cast<std::size_t>(threads));
   sched::GmsReference gms(config.num_cpus);
 
-  engine.SetSchedEventHook([&gms](sim::SchedEvent event, const sim::Task& task, Tick now) {
-    switch (event) {
-      case sim::SchedEvent::kArrival:
-        gms.AddThread(task.tid(), task.weight(), now);
-        break;
-      case sim::SchedEvent::kDeparture:
-        gms.RemoveThread(task.tid(), now);
-        break;
-      case sim::SchedEvent::kBlock:
-        gms.Block(task.tid(), now);
-        break;
-      case sim::SchedEvent::kWakeup:
-        gms.Wakeup(task.tid(), now);
-        break;
-    }
-  });
+  MirrorIntoGms(engine, gms);
 
   common::Fnv1a fingerprint;
-  engine.SetRunIntervalHook(
-      [&fingerprint](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        fingerprint.Mix(static_cast<std::uint64_t>(start));
-        fingerprint.Mix(static_cast<std::uint64_t>(len));
-        fingerprint.Mix(static_cast<std::uint64_t>(cpu));
-        fingerprint.Mix(static_cast<std::uint64_t>(tid));
-      });
+  FingerprintRuns(engine, fingerprint);
 
   common::Rng rng(seed);
   std::vector<double> weights(static_cast<std::size_t>(threads));

@@ -37,16 +37,4 @@ const std::vector<Tick>& ServiceSampler::Series(std::string_view label) const {
   return it->second;
 }
 
-std::vector<Tick> ServiceSampler::Increments(std::string_view label) const {
-  const auto& s = Series(label);
-  std::vector<Tick> inc;
-  inc.reserve(s.size());
-  Tick prev = 0;
-  for (Tick v : s) {
-    inc.push_back(v - prev);
-    prev = v;
-  }
-  return inc;
-}
-
 }  // namespace sfs::metrics

@@ -29,10 +29,6 @@ class ServiceSampler {
   // Cumulative service (ticks) of `label` at each sample point.
   const std::vector<Tick>& Series(std::string_view label) const;
 
-  // Convenience: service increments between consecutive samples (the slope that
-  // makes starvation visible as a run of zeros).
-  std::vector<Tick> Increments(std::string_view label) const;
-
   const std::vector<std::string>& labels() const { return labels_; }
 
  private:

@@ -50,17 +50,6 @@ HistogramSnapshot LogHistogram::Snapshot() const {
   return HistogramSnapshot(std::move(buckets), count, sum, min, max);
 }
 
-Counter& MetricsRegistry::GetCounter(std::string_view name) {
-  common::MutexLock lock(mu_);
-  for (auto& [known, counter] : counters_) {
-    if (known == name) {
-      return *counter;
-    }
-  }
-  counters_.emplace_back(std::string(name), std::make_unique<Counter>(num_shards_));
-  return *counters_.back().second;
-}
-
 LogHistogram& MetricsRegistry::GetHistogram(std::string_view name) {
   common::MutexLock lock(mu_);
   for (auto& [known, histogram] : histograms_) {

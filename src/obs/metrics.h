@@ -1,12 +1,12 @@
-// obs::MetricsRegistry — named counters and log2-bucket latency histograms
-// with lock-free per-CPU accumulation and merge-on-read.
+// obs::MetricsRegistry — named log2-bucket latency histograms with lock-free
+// per-CPU accumulation and merge-on-read.
 //
-// Recording model: every counter/histogram is sharded `num_shards` ways (one
-// shard per CPU / dispatcher thread).  A writer touches only its own shard's
-// cache line with relaxed atomics, so concurrent dispatcher threads never
-// contend; readers merge all shards on demand (Snapshot / value), which is
-// safe to run concurrently with writers — a snapshot is a slightly stale but
-// torn-free view.
+// Recording model: every histogram is sharded `num_shards` ways (one shard
+// per CPU / dispatcher thread).  A writer touches only its own shard's cache
+// line with relaxed atomics, so concurrent dispatcher threads never contend;
+// readers merge all shards on demand (Snapshot), which is safe to run
+// concurrently with writers — a snapshot is a slightly stale but torn-free
+// view.
 //
 // Histograms are HDR-style: values bucket by power-of-two octave subdivided
 // into 2^kSubBits sub-buckets, giving a worst-case relative quantization
@@ -14,8 +14,8 @@
 // for p50/p99/p999 latency columns at constant memory.  Values <= 0 land in
 // bucket 0; values below 2^(kSubBits+1) are recorded exactly.
 //
-// Registration (GetCounter/GetHistogram) takes a mutex and may allocate; do
-// it at setup time and cache the reference.  Recording never allocates.
+// Registration (GetHistogram) takes a mutex and may allocate; do it at setup
+// time and cache the reference.  Recording never allocates.
 
 #ifndef SFS_OBS_METRICS_H_
 #define SFS_OBS_METRICS_H_
@@ -156,31 +156,6 @@ class LogHistogram {
   std::vector<Shard> shards_;
 };
 
-// Monotonic counter with the same sharding discipline as LogHistogram.
-class Counter {
- public:
-  explicit Counter(int num_shards) : shards_(static_cast<std::size_t>(num_shards)) {}
-
-  void Add(int shard, std::int64_t delta = 1) {
-    SFS_DCHECK(shard >= 0 && static_cast<std::size_t>(shard) < shards_.size());
-    shards_[static_cast<std::size_t>(shard)].v.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  std::int64_t value() const {
-    std::int64_t total = 0;
-    for (const auto& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<std::int64_t> v{0};
-  };
-  std::vector<Shard> shards_;
-};
-
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(int num_shards) : num_shards_(num_shards) {
@@ -192,33 +167,13 @@ class MetricsRegistry {
 
   // Registers on first use; returns a stable reference.  Takes a mutex — call
   // at setup time and cache the result.
-  Counter& GetCounter(std::string_view name) SFS_EXCLUDES(mu_);
   LogHistogram& GetHistogram(std::string_view name) SFS_EXCLUDES(mu_);
 
   int num_shards() const { return num_shards_; }
 
-  // Iterate in registration order (deterministic for deterministic setup).
-  // Lock-free by contract, not by analysis: reporting runs after every
-  // registration is done (setup-time-only registration is the class contract
-  // above), so the vectors are structurally stable here.
-  template <typename Fn>
-  void ForEachCounter(Fn&& fn) const SFS_NO_THREAD_SAFETY_ANALYSIS {
-    for (const auto& [name, counter] : counters_) {
-      fn(name, *counter);
-    }
-  }
-  template <typename Fn>
-  void ForEachHistogram(Fn&& fn) const SFS_NO_THREAD_SAFETY_ANALYSIS {
-    for (const auto& [name, histogram] : histograms_) {
-      fn(name, *histogram);
-    }
-  }
-
  private:
   int num_shards_;
   mutable common::Mutex mu_;  // registration only; recording never takes it
-  std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_
-      SFS_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::unique_ptr<LogHistogram>>> histograms_
       SFS_GUARDED_BY(mu_);
 };

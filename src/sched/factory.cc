@@ -19,7 +19,7 @@ namespace {
 
 constexpr SchedKind kAllSchedKinds[] = {
     SchedKind::kSfs,       SchedKind::kHsfs,       SchedKind::kSfq,        SchedKind::kWfq,
-    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq,
+    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq,
 };
 
 constexpr ShardStealPolicy kAllStealPolicies[] = {ShardStealPolicy::kNone,
@@ -57,8 +57,6 @@ std::string_view SchedKindName(SchedKind kind) {
       return "sharded-sfs";
     case SchedKind::kShardedSfq:
       return "sharded-sfq";
-    case SchedKind::kShardedWfq:
-      return "sharded-wfq";
   }
   return "unknown";
 }
@@ -78,8 +76,6 @@ std::optional<SchedKind> ShardedKindFor(SchedKind kind) {
       return SchedKind::kShardedSfs;
     case SchedKind::kSfq:
       return SchedKind::kShardedSfq;
-    case SchedKind::kWfq:
-      return SchedKind::kShardedWfq;
     default:
       return std::nullopt;
   }
@@ -121,6 +117,12 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
   } else if (config.fixed_point_digits > kMaxFixedPointDigits) {
     error << "fixed_point_digits must be <= " << kMaxFixedPointDigits
           << " (negative = exact arithmetic; got " << config.fixed_point_digits << ")";
+  } else if (config.affinity_tolerance < 0) {
+    // Flat SFS treats every value <= 0 as off, but the sharded steal path
+    // adds the value to the cache-warm nominee's score, so the two layers
+    // would read a negative tolerance differently.
+    error << "affinity_tolerance must be >= 0 ticks (0 = affinity-blind; got "
+          << config.affinity_tolerance << ")";
   } else if (ShardStealPolicyName(config.shard_steal) == std::string_view("unknown")) {
     error << "unknown shard steal policy; known policies: " << KnownShardStealPolicyNames();
   } else if (config.shard_rebalance_period < 0) {
@@ -158,8 +160,6 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedKind kind, const SchedConfig& co
     }
     case SchedKind::kShardedSfq:
       return std::make_unique<Sharded<Sfq>>(config);
-    case SchedKind::kShardedWfq:
-      return std::make_unique<Sharded<Wfq>>(config);
   }
   SFS_CHECK(false);
   return nullptr;

@@ -24,7 +24,6 @@ enum class SchedKind {
   // the steal/rebalance/coupling machinery of sched::Sharded.
   kShardedSfs = 9,
   kShardedSfq = 10,
-  kShardedWfq = 11,
 };
 
 // Canonical lower-case name ("sfs", "sharded-sfs", ...).

@@ -27,9 +27,6 @@ class GpsSchedulerBase : public Scheduler {
     return IsFeasible(weight_queue_, runnable_weight_sum_, num_cpus());
   }
 
-  // Number of readjustment passes that modified at least one phi.
-  std::int64_t readjust_changes() const { return readjust_changes_; }
-
   // Best thread to migrate away (sched::Sharded's steal and rebalance
   // victim): the runnable, not-running entity with the highest
   // MigrationScore (ties broken toward the lowest tid, so the choice is
@@ -107,7 +104,6 @@ class GpsSchedulerBase : public Scheduler {
     const bool changed =
         ReadjustQueue(weight_queue_, runnable_weight_sum_, num_cpus(), readjust_state_);
     if (changed) {
-      ++readjust_changes_;
       for (Entity* e : readjust_state_.changed) {
         OnPhiChanged(*e);
       }
@@ -136,7 +132,6 @@ class GpsSchedulerBase : public Scheduler {
   ReadjustState readjust_state_;
   double runnable_weight_sum_ = 0.0;
   TagArith arith_;
-  std::int64_t readjust_changes_ = 0;
 };
 
 }  // namespace sfs::sched

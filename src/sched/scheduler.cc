@@ -7,6 +7,7 @@ namespace sfs::sched {
 Scheduler::Scheduler(const SchedConfig& config) : config_(config) {
   SFS_CHECK(config_.num_cpus >= 1);
   SFS_CHECK(config_.quantum > 0);
+  SFS_CHECK(config_.affinity_tolerance >= 0);
   running_.assign(static_cast<std::size_t>(config_.num_cpus), kInvalidThread);
 }
 

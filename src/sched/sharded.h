@@ -7,7 +7,7 @@
 // schedulers answer that objection with per-CPU run queues plus idle-time work
 // stealing; this layer builds that answer on SFS's own surplus metric:
 //
-//   * one uniprocessor instance of any GPS policy (SFS/SFQ/WFQ)
+//   * one uniprocessor instance of a GPS policy (SFS or SFQ)
 //     per CPU — a shard.  Uniprocessor GPS needs no weight readjustment
 //     (every assignment is feasible), the approach's original selling point;
 //   * weight-balanced placement at arrival (lightest shard by runnable
@@ -294,6 +294,8 @@ class ShardedScheduler : public Scheduler {
 };
 
 // One uniprocessor `Policy` instance per CPU behind the sharding machinery.
+// `Policy` must report its LocalVirtualTime, which anchors tag translation at
+// migration: Sfs and Sfq do; Wfq is flat-only.
 template <typename Policy>
 class Sharded : public ShardedScheduler {
  public:

@@ -68,6 +68,7 @@ struct SchedConfig {
   // preferring one that last ran on the dispatching CPU (cache-warm).  0 keeps
   // the paper's affinity-blind SFS.  The sharded layer honours the same
   // tolerance when choosing a steal victim (prefer cache-warm candidates).
+  // Negative values are rejected.
   Tick affinity_tolerance = 0;
 
   // --- sched::Sharded knobs (per-CPU shards; ignored by flat schedulers) ------

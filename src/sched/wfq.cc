@@ -68,21 +68,6 @@ void Wfq::OnWeightChanged(Entity& e, Weight old_weight) {
   }
 }
 
-void Wfq::OnAttach(Entity& e) {
-  // Migrated entity: keep the translated start tag (no wakeup-style clamp);
-  // the finish tag is a prediction and is recomputed here.
-  if (AdmitWeight(e)) {
-    // phi changed for some threads (possible when attached to a multi-CPU
-    // instance with readjustment): re-predict all finish tags, as OnAdmit does.
-    for (Entity* it = queue_.front(); it != nullptr; it = queue_.next(it)) {
-      it->finish_tag() = PredictFinish(*it);
-    }
-    queue_.Resort();
-  }
-  e.finish_tag() = PredictFinish(e);
-  queue_.Insert(&e);
-}
-
 Entity* Wfq::PickNextEntity(CpuId cpu) {
   (void)cpu;
   for (Entity* e = queue_.front(); e != nullptr; e = queue_.next(e)) {

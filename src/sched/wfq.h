@@ -9,6 +9,8 @@
 //
 // Like SFQ, WFQ inherits the multiprocessor infeasible-weight pathology;
 // use_readjustment grafts the Section 2.1 algorithm onto it.
+//
+// Flat only: no figure runs per-CPU WFQ, so it has no sched::Sharded variant.
 
 #ifndef SFS_SCHED_WFQ_H_
 #define SFS_SCHED_WFQ_H_
@@ -39,10 +41,6 @@ class Wfq : public GpsSchedulerBase {
   double VirtualTime() const;
   double FinishTag(ThreadId tid) const { return FindEntity(tid).finish_tag(); }
 
-  // Migration timeline (sched::Sharded): start tags anchor the translation;
-  // finish tags are re-predicted on attach.
-  double LocalVirtualTime() const override { return VirtualTime(); }
-
  protected:
   void OnAdmit(Entity& e) override;
   void OnRemove(Entity& e) override;
@@ -51,7 +49,6 @@ class Wfq : public GpsSchedulerBase {
   void OnWeightChanged(Entity& e, Weight old_weight) override;
   Entity* PickNextEntity(CpuId cpu) override;
   void OnCharge(Entity& e, Tick ran_for) override;
-  void OnAttach(Entity& e) override;
 
  private:
   // Predicted finish tag assuming a full nominal quantum.

@@ -112,7 +112,8 @@ class Engine {
   void SetSchedEventHook(std::function<void(SchedEvent, const Task&, Tick)> fn);
 
   // Observes every completed run interval: (start, length, cpu, tid).  Used by
-  // sim::TraceRecorder for spurt analysis.
+  // the schedule fingerprints of eval::RunScaling and friends; the same
+  // intervals reach an attached obs::Trace as kRun records.
   void SetRunIntervalHook(std::function<void(Tick, Tick, sched::CpuId, sched::ThreadId)> fn);
 
   // --- execution ---------------------------------------------------------------

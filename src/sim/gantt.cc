@@ -7,13 +7,32 @@
 
 namespace sfs::sim {
 
-std::string RenderGantt(const TraceRecorder& trace, const GanttOptions& options) {
+namespace {
+
+// Calls fn(start, length, tid) for every kRun record of the CPU rings.
+template <typename Fn>
+void ForEachRun(const obs::Trace& trace, Fn&& fn) {
+  for (int cpu = 0; cpu < trace.num_cpus(); ++cpu) {
+    trace.ring(cpu).ForEach([&](const obs::TraceRecord& record) {
+      if (record.kind == obs::TraceEventKind::kRun) {
+        fn(record.ts, record.arg, static_cast<sched::ThreadId>(record.tid));
+      }
+    });
+  }
+}
+
+}  // namespace
+
+std::string RenderGantt(const obs::Trace& trace, const GanttOptions& options) {
   SFS_CHECK(options.width > 0);
+  for (int cpu = 0; cpu < trace.num_cpus(); ++cpu) {
+    SFS_CHECK(trace.ring(cpu).dropped() == 0);
+  }
   Tick to = options.to;
   if (to == 0) {
-    for (const auto& interval : trace.intervals()) {
-      to = std::max(to, interval.start + interval.length);
-    }
+    ForEachRun(trace, [&to](Tick start, Tick length, sched::ThreadId) {
+      to = std::max(to, start + length);
+    });
   }
   const Tick from = options.from;
   if (to <= from) {
@@ -26,15 +45,15 @@ std::string RenderGantt(const TraceRecorder& trace, const GanttOptions& options)
   for (const auto& [tid, label] : options.rows) {
     occupancy[tid].assign(static_cast<std::size_t>(options.width), 0.0);
   }
-  for (const auto& interval : trace.intervals()) {
-    auto it = occupancy.find(interval.tid);
+  ForEachRun(trace, [&](Tick start, Tick length, sched::ThreadId tid) {
+    auto it = occupancy.find(tid);
     if (it == occupancy.end()) {
-      continue;
+      return;
     }
-    const Tick lo = std::max(from, interval.start);
-    const Tick hi = std::min(to, interval.start + interval.length);
+    const Tick lo = std::max(from, start);
+    const Tick hi = std::min(to, start + length);
     if (hi <= lo) {
-      continue;
+      return;
     }
     auto first = static_cast<int>(static_cast<double>(lo - from) / slice);
     auto last = static_cast<int>(static_cast<double>(hi - from - 1) / slice);
@@ -49,7 +68,7 @@ std::string RenderGantt(const TraceRecorder& trace, const GanttOptions& options)
         it->second[static_cast<std::size_t>(col)] += overlap / slice;
       }
     }
-  }
+  });
 
   std::size_t label_width = 0;
   for (const auto& [tid, label] : options.rows) {

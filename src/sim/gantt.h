@@ -1,8 +1,9 @@
 // ASCII Gantt rendering of schedule traces.
 //
-// Turns a TraceRecorder's run intervals into a per-thread occupancy chart, the
-// quickest way to *see* the dynamics the paper describes (SFQ's spurts, SFS's
-// fine interleaving, starvation windows).  Used by examples/schedule_viz.
+// Turns the run intervals an engine records in its obs::Trace into a
+// per-thread occupancy chart, the quickest way to *see* the dynamics the paper
+// describes (SFQ's spurts, SFS's fine interleaving, starvation windows).  Used
+// by examples/schedule_viz.
 
 #ifndef SFS_SIM_GANTT_H_
 #define SFS_SIM_GANTT_H_
@@ -11,7 +12,8 @@
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/sim/trace.h"
+#include "src/obs/trace.h"
+#include "src/sched/types.h"
 
 namespace sfs::sim {
 
@@ -26,7 +28,10 @@ struct GanttOptions {
 // Renders one row per requested thread; each column covers (to-from)/width of
 // time and is filled with a block glyph scaled by the thread's occupancy of
 // that slice (' ', '.', ':', '#' for 0, <25%, <75%, >=75% of one CPU).
-std::string RenderGantt(const TraceRecorder& trace, const GanttOptions& options);
+// Reads the kRun records of the CPU rings (ts = start, arg = length, ring =
+// CPU).  CHECK-fails if a CPU ring dropped records: a wrapped ring would draw
+// a busy thread as idle.
+std::string RenderGantt(const obs::Trace& trace, const GanttOptions& options);
 
 }  // namespace sfs::sim
 

@@ -1,4 +1,4 @@
-// Unit tests for the statistics accumulators.
+// Unit tests for common::SampleSet.
 
 #include "src/common/stats.h"
 
@@ -6,36 +6,6 @@
 
 namespace sfs::common {
 namespace {
-
-TEST(RunningStatTest, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, SingleValue) {
-  RunningStat s;
-  s.Add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, MeanVarianceMinMax) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(v);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
 
 TEST(SampleSetTest, PercentileNearestRank) {
   SampleSet s;
@@ -70,23 +40,6 @@ TEST(SampleSetTest, EmptyReturnsZeros) {
   SampleSet s;
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.Percentile(99), 0.0);
-}
-
-TEST(HistogramTest, BucketsAndBounds) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bucket 0
-  h.Add(9.9);   // bucket 4
-  h.Add(5.0);   // bucket 2
-  h.Add(-1.0);  // underflow
-  h.Add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(2), 6.0);
 }
 
 }  // namespace

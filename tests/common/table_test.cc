@@ -1,4 +1,4 @@
-// Unit tests for the table/CSV emitter.
+// Unit tests for the table emitter.
 
 #include "src/common/table.h"
 
@@ -26,14 +26,6 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("long-name"), std::string::npos);
   EXPECT_NE(out.find("----"), std::string::npos);
-}
-
-TEST(TableTest, CsvOutput) {
-  Table t({"x", "y"});
-  t.AddRow({"1", "2"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
 }
 
 TEST(TableTest, RowCountTracks) {

@@ -222,7 +222,7 @@ TEST(RunnerTest, UnknownSchedulerNamesNameTheExperiment) {
   stale.spec.schedulers = {"sfs", "stride", "sharded-bvt"};
   Experiment current;
   current.spec.name = "current_exp";
-  current.spec.schedulers = {"sfq", "sharded-wfq"};
+  current.spec.schedulers = {"sfq", "sharded-sfq"};
   const std::vector<std::string> errors = UnknownSchedulerErrors({&current, &stale});
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_NE(errors[0].find("stale_exp"), std::string::npos) << errors[0];

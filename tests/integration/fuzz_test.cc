@@ -44,7 +44,7 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
   config.quantum = Msec(rng.UniformInt(5, 200));
   // Once the run-queue backend; still drawn so each seed keeps its workload.
   (void)rng.Bernoulli(0.5);
-  // Sharded dimension: GPS policies also run behind per-CPU shards with
+  // Sharded dimension: SFS and SFQ also run behind per-CPU shards with
   // randomized steal/rebalance/coupling knobs, drawn per seed.
   SchedKind effective_kind = kind;
   if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {

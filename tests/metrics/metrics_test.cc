@@ -80,20 +80,6 @@ TEST(ServiceSamplerTest, AggregatesByLabel) {
   EXPECT_EQ(sampler.times().back(), Sec(2));
 }
 
-TEST(ServiceSamplerTest, IncrementsDeriveFromSeries) {
-  sched::SchedConfig config;
-  config.num_cpus = 1;
-  sched::Sfs scheduler(config);
-  sim::Engine engine(scheduler);
-  engine.AddTaskAt(0, workload::MakeInf(1, 1.0, "t"));
-  ServiceSampler sampler(engine, Msec(250), {"t"});
-  engine.RunUntil(Sec(1));
-  const auto inc = sampler.Increments("t");
-  ASSERT_EQ(inc.size(), 4u);
-  EXPECT_EQ(inc[0], Msec(250));
-  EXPECT_EQ(inc[1], Msec(250));
-}
-
 TEST(ServiceSamplerTest, UntrackedLabelsIgnored) {
   sched::SchedConfig config;
   config.num_cpus = 1;

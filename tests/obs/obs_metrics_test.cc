@@ -132,36 +132,15 @@ TEST(LogHistogramTest, ConcurrentShardedRecordingIsTornFree) {
   EXPECT_DOUBLE_EQ(snap.max(), 999.0);
 }
 
-TEST(CounterTest, SumsAcrossShards) {
-  Counter counter(3);
-  counter.Add(0, 5);
-  counter.Add(1);
-  counter.Add(2, 10);
-  EXPECT_EQ(counter.value(), 16);
-}
-
 TEST(MetricsRegistryTest, RegisterOnFirstUseReturnsStableReferences) {
   MetricsRegistry registry(2);
-  Counter& c1 = registry.GetCounter("dispatches");
-  Counter& c2 = registry.GetCounter("dispatches");
-  EXPECT_EQ(&c1, &c2);
   LogHistogram& h1 = registry.GetHistogram("latency");
   LogHistogram& h2 = registry.GetHistogram("latency");
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h1.num_shards(), 2);
-  c1.Add(0, 3);
-  EXPECT_EQ(c2.value(), 3);
-}
-
-TEST(MetricsRegistryTest, IteratesInRegistrationOrder) {
-  MetricsRegistry registry(1);
-  registry.GetHistogram("b");
-  registry.GetHistogram("a");
-  registry.GetHistogram("c");
-  std::vector<std::string> names;
-  registry.ForEachHistogram(
-      [&](const std::string& name, const LogHistogram&) { names.push_back(name); });
-  EXPECT_EQ(names, (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_NE(&registry.GetHistogram("other"), &h1);
+  h1.Record(0, 3);
+  EXPECT_EQ(h2.Snapshot().count(), 1u);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace {
 
 constexpr SchedKind kAllKinds[] = {
     SchedKind::kSfs,       SchedKind::kHsfs,       SchedKind::kSfq,        SchedKind::kWfq,
-    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq};
+    SchedKind::kTimeshare, SchedKind::kShardedSfs, SchedKind::kShardedSfq};
 
 TEST(FactoryTest, NameParseRoundTrip) {
   for (const SchedKind kind : kAllKinds) {
@@ -59,7 +59,8 @@ TEST(FactoryTest, SfsAlwaysReadjustsEvenIfConfigSaysNo) {
 TEST(FactoryTest, ShardedKindForMapsEveryGpsPolicy) {
   EXPECT_EQ(ShardedKindFor(SchedKind::kSfs), SchedKind::kShardedSfs);
   EXPECT_EQ(ShardedKindFor(SchedKind::kSfq), SchedKind::kShardedSfq);
-  EXPECT_EQ(ShardedKindFor(SchedKind::kWfq), SchedKind::kShardedWfq);
+  // No figure runs per-CPU WFQ, so flat WFQ has no sharded variant.
+  EXPECT_FALSE(ShardedKindFor(SchedKind::kWfq).has_value());
   EXPECT_FALSE(ShardedKindFor(SchedKind::kHsfs).has_value());
   EXPECT_FALSE(ShardedKindFor(SchedKind::kTimeshare).has_value());
   EXPECT_FALSE(ShardedKindFor(SchedKind::kShardedSfs).has_value());
@@ -94,14 +95,14 @@ TEST(FactoryTest, MakeSchedulerRejectsUnknownPolicyListingAlternatives) {
   // The message lists the valid alternatives.
   EXPECT_NE(error.find("sfs"), std::string::npos) << error;
   EXPECT_NE(error.find("sharded-sfs"), std::string::npos) << error;
-  EXPECT_NE(error.find("sharded-wfq"), std::string::npos) << error;
+  EXPECT_NE(error.find("sharded-sfq"), std::string::npos) << error;
   // A null error pointer is accepted.
   EXPECT_EQ(MakeScheduler("cfs", SchedConfig{}), nullptr);
-  // Stride and BVT ran SFQ's schedule, and round-robin and lottery had no
-  // experiment; all were removed, and their names are gone with them rather
-  // than kept as aliases.
+  // Stride and BVT ran SFQ's schedule, and round-robin, lottery and per-CPU
+  // WFQ had no experiment; all were removed, and their names are gone with
+  // them rather than kept as aliases.
   for (const char* removed :
-       {"stride", "bvt", "sharded-stride", "sharded-bvt", "rr", "lottery"}) {
+       {"stride", "bvt", "sharded-stride", "sharded-bvt", "rr", "lottery", "sharded-wfq"}) {
     EXPECT_EQ(MakeScheduler(removed, SchedConfig{}, &error), nullptr) << removed;
     EXPECT_NE(error.find("unknown scheduler policy"), std::string::npos) << error;
   }
@@ -152,6 +153,25 @@ TEST(FactoryTest, MakeSchedulerRequiresFinitePositiveTagRebaseThreshold) {
   config.tag_rebase_threshold = 1000.0;
   std::string error;
   EXPECT_NE(MakeScheduler("sfs", config, &error), nullptr) << error;
+}
+
+TEST(FactoryTest, MakeSchedulerRejectsNegativeAffinityTolerance) {
+  // Flat SFS reads any tolerance <= 0 as off, but the steal path adds it to
+  // the cache-warm nominee's score, so at -1 a tie would no longer go to the
+  // cache-warm thread: a negative value has no single meaning.
+  for (const char* policy : {"sfs", "sharded-sfs"}) {
+    std::string error;
+    SchedConfig config;
+    config.affinity_tolerance = -1;
+    EXPECT_EQ(MakeScheduler(policy, config, &error), nullptr) << policy;
+    EXPECT_NE(error.find("affinity_tolerance"), std::string::npos) << error;
+    // Direct construction CHECKs it too.
+    EXPECT_DEATH(CreateScheduler(*ParseSchedKind(policy), config), "CHECK failed");
+  }
+  SchedConfig config;
+  config.affinity_tolerance = 0;
+  std::string error;
+  EXPECT_NE(MakeScheduler("sharded-sfs", config, &error), nullptr) << error;
 }
 
 TEST(FactoryTest, MakeSchedulerRejectsOutOfRangeFixedPointDigits) {

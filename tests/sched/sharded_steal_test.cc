@@ -22,7 +22,6 @@
 #include "src/sched/sfq.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
-#include "src/sched/wfq.h"
 
 namespace sfs::sched {
 namespace {
@@ -127,8 +126,7 @@ PolicyCase Case(const char* name) {
 }
 
 const std::vector<PolicyCase>& Policies() {
-  static const std::vector<PolicyCase> policies = {
-      Case<Sfs>("sfs"), Case<Sfq>("sfq"), Case<Wfq>("wfq")};
+  static const std::vector<PolicyCase> policies = {Case<Sfs>("sfs"), Case<Sfq>("sfq")};
   return policies;
 }
 

@@ -365,8 +365,7 @@ TEST(ShardedTest, CouplingZeroRebasesLeadOntoDestinationVirtualTime) {
 // --- factory-built sharded policies under the engine ---------------------------
 
 TEST(ShardedTest, AllShardedKindsSurviveChurnUnderTheEngine) {
-  for (const SchedKind kind :
-       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq}) {
+  for (const SchedKind kind : {SchedKind::kShardedSfs, SchedKind::kShardedSfq}) {
     SchedConfig config = Config(3, Msec(20));
     config.shard_rebalance_period = 32;
     auto scheduler = CreateScheduler(kind, config);
@@ -398,8 +397,7 @@ TEST(ShardedTest, AllShardedKindsSurviveChurnUnderTheEngine) {
 }
 
 TEST(ShardedTest, EveryShardedKindStealsWhenItsShardDrains) {
-  for (const SchedKind kind :
-       {SchedKind::kShardedSfs, SchedKind::kShardedSfq, SchedKind::kShardedWfq}) {
+  for (const SchedKind kind : {SchedKind::kShardedSfs, SchedKind::kShardedSfq}) {
     auto scheduler = CreateScheduler(kind, Config(2, Msec(10)));
     scheduler->AddThread(1, 1.0);  // shard 0
     scheduler->AddThread(2, 1.0);  // shard 1
