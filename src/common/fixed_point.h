@@ -5,20 +5,14 @@
 // point operation in SFS by a constant factor [10^n] ... we found a scaling factor of
 // 10^4 to be adequate for most purposes."
 //
-// Two forms are provided:
-//   * `FixedPoint<Digits>` — a compile-time-scaled value type with full operator
-//     support, mirroring how the kernel patch stored start/finish tags.  All
-//     intermediate products go through 128-bit arithmetic so that the only rounding
-//     is the deliberate quantization to 10^-Digits.
-//   * `ScaledDiv`/`Pow10` — free helpers for runtime-selected scaling factors, used by
-//     the scheduler's TagArith policy so that the scaling factor can be swept at run
-//     time (ablation A1) without template explosion.
+// `ScaledDiv`/`Pow10` are free helpers for runtime-selected scaling factors, used by
+// the scheduler's TagArith policy so that the scaling factor can be swept at run
+// time (ablation A1).  Intermediate products go through 128-bit arithmetic so that
+// the only rounding is the deliberate quantization to 10^-digits.
 
 #ifndef SFS_COMMON_FIXED_POINT_H_
 #define SFS_COMMON_FIXED_POINT_H_
 
-#include <cmath>
-#include <compare>
 #include <cstdint>
 
 #include "src/common/assert.h"
@@ -43,67 +37,6 @@ constexpr std::int64_t ScaledDiv(std::int64_t num, std::int64_t scale, std::int6
   const __int128 q = (wide >= 0) ? (wide + half) / den : (wide - half) / den;
   return static_cast<std::int64_t>(q);
 }
-
-// A decimal fixed-point number with `Digits` places after the decimal point,
-// stored as a scaled 64-bit integer.
-template <int Digits>
-class FixedPoint {
-  static_assert(Digits >= 0 && Digits <= 9, "scaling factor must fit comfortably in int64");
-
- public:
-  static constexpr std::int64_t kScale = Pow10(Digits);
-
-  constexpr FixedPoint() = default;
-
-  // Conversions are explicit and named: fixed-point code should show where
-  // quantization happens.
-  static constexpr FixedPoint FromRaw(std::int64_t raw) { return FixedPoint(raw); }
-  static constexpr FixedPoint FromInt(std::int64_t v) { return FixedPoint(v * kScale); }
-  static FixedPoint FromDouble(double v) {
-    return FixedPoint(static_cast<std::int64_t>(std::llround(v * static_cast<double>(kScale))));
-  }
-  // round(num/den) in this fixed-point representation.
-  static constexpr FixedPoint FromRatio(std::int64_t num, std::int64_t den) {
-    return FixedPoint(ScaledDiv(num, kScale, den));
-  }
-
-  constexpr std::int64_t raw() const { return raw_; }
-  constexpr double ToDouble() const { return static_cast<double>(raw_) / static_cast<double>(kScale); }
-  // Truncates toward zero, like integer division in the kernel.
-  constexpr std::int64_t ToInt() const { return raw_ / kScale; }
-
-  constexpr FixedPoint operator+(FixedPoint o) const { return FixedPoint(raw_ + o.raw_); }
-  constexpr FixedPoint operator-(FixedPoint o) const { return FixedPoint(raw_ - o.raw_); }
-  constexpr FixedPoint operator-() const { return FixedPoint(-raw_); }
-
-  // Full-precision multiply/divide with a single rounding step at the end.
-  constexpr FixedPoint operator*(FixedPoint o) const {
-    return FixedPoint(ScaledDiv(raw_, o.raw_, kScale));
-  }
-  constexpr FixedPoint operator/(FixedPoint o) const {
-    SFS_DCHECK(o.raw_ != 0);
-    return FixedPoint(ScaledDiv(raw_, kScale, o.raw_));
-  }
-
-  constexpr FixedPoint& operator+=(FixedPoint o) {
-    raw_ += o.raw_;
-    return *this;
-  }
-  constexpr FixedPoint& operator-=(FixedPoint o) {
-    raw_ -= o.raw_;
-    return *this;
-  }
-
-  constexpr auto operator<=>(const FixedPoint&) const = default;
-
- private:
-  constexpr explicit FixedPoint(std::int64_t raw) : raw_(raw) {}
-
-  std::int64_t raw_ = 0;
-};
-
-// The paper's recommended configuration.
-using Fixed4 = FixedPoint<4>;
 
 }  // namespace sfs::common
 

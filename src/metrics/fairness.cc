@@ -7,23 +7,6 @@
 
 namespace sfs::metrics {
 
-double WeightedServiceSpread(const std::vector<double>& services,
-                             const std::vector<double>& phis) {
-  SFS_CHECK(services.size() == phis.size());
-  if (services.empty()) {
-    return 0.0;
-  }
-  double lo = services[0] / phis[0];
-  double hi = lo;
-  for (std::size_t i = 1; i < services.size(); ++i) {
-    SFS_CHECK(phis[i] > 0);
-    const double x = services[i] / phis[i];
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-  }
-  return hi - lo;
-}
-
 double JainIndex(const std::vector<double>& services, const std::vector<double>& phis) {
   SFS_CHECK(services.size() == phis.size());
   if (services.empty()) {
@@ -74,16 +57,6 @@ Tick LongestStarvation(const std::vector<Tick>& cumulative_series, Tick period) 
     prev = v;
   }
   return longest;
-}
-
-double TailSlopeRatio(const std::vector<Tick>& num, const std::vector<Tick>& den,
-                      std::size_t from) {
-  SFS_CHECK(num.size() == den.size());
-  SFS_CHECK(from < num.size());
-  const double dn = static_cast<double>(num.back() - num[from]);
-  const double dd = static_cast<double>(den.back() - den[from]);
-  SFS_CHECK(dd != 0.0);
-  return dn / dd;
 }
 
 }  // namespace sfs::metrics

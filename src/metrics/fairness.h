@@ -7,18 +7,11 @@
 #ifndef SFS_METRICS_FAIRNESS_H_
 #define SFS_METRICS_FAIRNESS_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "src/common/time.h"
 
 namespace sfs::metrics {
-
-// Max pairwise difference of weighted services |A_i/phi_i - A_j/phi_j| — the
-// quantity GMS keeps at zero for continuously-runnable threads (Equation 2).
-// `services` and `phis` are parallel arrays.
-double WeightedServiceSpread(const std::vector<double>& services,
-                             const std::vector<double>& phis);
 
 // Jain's fairness index over x_i = A_i / phi_i; 1.0 = perfectly proportional.
 double JainIndex(const std::vector<double>& services, const std::vector<double>& phis);
@@ -31,11 +24,6 @@ double MaxGmsDeviation(const std::vector<double>& actual, const std::vector<doub
 // 4(a)) shows a window comparable to the starvation duration; a fairly treated
 // thread shows ~0.
 Tick LongestStarvation(const std::vector<Tick>& cumulative_series, Tick period);
-
-// Ratio of two slopes over the tail [from, end) of sampled series; used to check
-// that e.g. a 1:2 weight assignment yields a ~2.0 service-rate ratio.
-double TailSlopeRatio(const std::vector<Tick>& num, const std::vector<Tick>& den,
-                      std::size_t from);
 
 }  // namespace sfs::metrics
 

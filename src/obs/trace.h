@@ -141,16 +141,6 @@ class Trace {
     return rings_[static_cast<std::size_t>(num_cpus_) + 1 + static_cast<std::size_t>(worker)];
   }
 
-  // Iterates every ring's surviving records, per-CPU rings first (ascending),
-  // then the shared lifecycle ring, then any per-worker lifecycle rings.
-  // `fn(record)`; offline use only.
-  template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    for (const TraceRing& r : rings_) {
-      r.ForEach(fn);
-    }
-  }
-
   std::uint64_t total_records() const {
     std::uint64_t n = 0;
     for (const TraceRing& r : rings_) {

@@ -28,13 +28,14 @@ class GpsSchedulerBase : public Scheduler {
   }
 
   // Best thread to migrate away (sched::Sharded's steal and rebalance
-  // victim): the runnable, not-running entity with the highest
-  // MigrationScore (ties broken toward the lowest tid, so the choice is
-  // deterministic).  `max_weight` > 0 restricts candidates to weights
-  // strictly below it (the rebalancer's "move only if the imbalance shrinks"
-  // constraint).  Returns nullptr if no entity qualifies; otherwise `score`
-  // (when non-null) receives the winner's MigrationScore — the virtual time
-  // is evaluated once for the whole scan, not per entity.  Scans the weight
+  // victim): the runnable, not-running entity with the highest migration
+  // score phi * (start_tag - LocalVirtualTime()), the SFS surplus alpha_i
+  // generalized to any tagged policy (ties broken toward the lowest tid, so
+  // the choice is deterministic).  `max_weight` > 0 restricts candidates to
+  // weights strictly below it (the rebalancer's "move only if the imbalance
+  // shrinks" constraint).  Returns nullptr if no entity qualifies; otherwise
+  // `score` (when non-null) receives the winner's score — the virtual time is
+  // evaluated once for the whole scan, not per entity.  Scans the weight
   // queue, which holds exactly the runnable set, so blocked threads cost
   // nothing.
   Entity* PickMigrationCandidate(double max_weight = 0.0, double* score = nullptr);

@@ -80,13 +80,6 @@ void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight) {
   RecomputeShares();
 }
 
-void HierarchicalSfs::SetClassWeight(ClassId id, Weight weight) {
-  SFS_CHECK(IsValidWeight(weight));
-  SFS_CHECK(id != kRootClass);
-  FindNode(id).weight = weight;
-  RecomputeShares();
-}
-
 void HierarchicalSfs::AddThreadToClass(ThreadId tid, Weight weight, ClassId cls) {
   RouteThread(tid, cls);
   AddThread(tid, weight);

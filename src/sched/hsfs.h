@@ -69,9 +69,6 @@ class HierarchicalSfs : public Scheduler {
   // among its siblings.  Classes may nest arbitrarily deep.
   void CreateClass(ClassId id, ClassId parent, Weight weight);
 
-  // Changes a class's weight on the fly.
-  void SetClassWeight(ClassId id, Weight weight);
-
   // Adds a thread into `cls` (instead of the root class).  `weight` is the
   // thread's share relative to its class siblings.
   void AddThreadToClass(ThreadId tid, Weight weight, ClassId cls);

@@ -238,6 +238,4 @@ const Entity& Scheduler::FindEntity(ThreadId tid) const {
   return *e;
 }
 
-Entity* Scheduler::FindEntityOrNull(ThreadId tid) { return Lookup(tid); }
-
 }  // namespace sfs::sched

@@ -227,14 +227,6 @@ class Scheduler {
   // runnable threads); policies without virtual-time tags return 0.
   virtual double LocalVirtualTime() const { return 0.0; }
 
-  // Phi-weighted lead of `e`'s start tag over the local virtual time — the
-  // SFS surplus alpha_i = phi_i * (S_i - v) generalized to any tagged policy.
-  // The sharded layer steals the thread with the greatest score
-  // (GpsSchedulerBase::PickMigrationCandidate).
-  double MigrationScore(const Entity& e) const {
-    return e.phi() * (e.start_tag() - LocalVirtualTime());
-  }
-
   // --- Introspection ----------------------------------------------------------
 
   bool Contains(ThreadId tid) const;
@@ -304,7 +296,6 @@ class Scheduler {
   // Lookup helpers; CHECK-fail on a tid this scheduler does not hold.
   Entity& FindEntity(ThreadId tid);
   const Entity& FindEntity(ThreadId tid) const;
-  Entity* FindEntityOrNull(ThreadId tid);
 
   // Entities currently running, indexed by CPU (kInvalidThread slots are free CPUs).
   const std::vector<ThreadId>& running_threads() const { return running_; }

@@ -14,8 +14,8 @@
 //     weight); wakeups rejoin their home shard (cache affinity);
 //   * idle-pull work stealing inside PickNextEntity: a shard with nothing
 //     runnable pulls the *highest-surplus* stealable thread from its peers
-//     (Scheduler::MigrationScore, the SFS alpha_i generalized to any tagged
-//     policy), honoring SchedConfig::affinity_tolerance by preferring a
+//     (the migration score phi * (S - v), the SFS alpha_i generalized to any
+//     tagged policy), honoring SchedConfig::affinity_tolerance by preferring a
 //     cache-warm candidate within the tolerance;
 //   * optional periodic surplus-aware rebalancing — the paper's "periodic
 //     repartitioning", moving the highest-surplus movable threads from the
@@ -181,7 +181,7 @@ class ShardedScheduler : public Scheduler {
   common::Mutex& DispatchMutex(CpuId cpu) override;
 
   // The idle-pull victim `thief` would take: across the other shards, the
-  // best nominee by MigrationScore, or a cache-warm one within
+  // best nominee by migration score, or a cache-warm one within
   // affinity_tolerance of it.  Each source is locked only while it
   // nominates, so the result must be re-validated before acting on it
   // (TrySteal does).  {kInvalidThread, kInvalidCpu} when nothing is

@@ -25,8 +25,9 @@
 // tick included.  Tasks live in a dense slot arena indexed by the events
 // themselves, and observer hooks are null-checked once per notification —
 // steady-state simulation performs no allocations in the event loop.
-// Recorded golden fingerprints (event_queue_fuzz_test, layout_parity_test)
-// pin this order.
+// The recorded runs in tests/integration/recorded_runs.h
+// (EventQueueFuzzTest.WheelAndHeapTracesAreByteIdentical,
+// LayoutParityTest.BatchedAndUnbatchedDrainsAreByteIdentical) pin this order.
 
 #ifndef SFS_SIM_ENGINE_H_
 #define SFS_SIM_ENGINE_H_

@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "src/common/rng.h"
-
 namespace sfs::common {
 namespace {
 
@@ -39,97 +35,6 @@ TEST(ScaledDivTest, LargeIntermediateUses128Bits) {
   const std::int64_t num = 4'000'000'000'000LL;
   const std::int64_t scale = 1'000'000;
   EXPECT_EQ(ScaledDiv(num, scale, 2), num * (scale / 2));
-}
-
-TEST(FixedPointTest, IntRoundTrip) {
-  const auto x = Fixed4::FromInt(42);
-  EXPECT_EQ(x.ToInt(), 42);
-  EXPECT_DOUBLE_EQ(x.ToDouble(), 42.0);
-  EXPECT_EQ(x.raw(), 420000);
-}
-
-TEST(FixedPointTest, FromDoubleQuantizes) {
-  const auto x = Fixed4::FromDouble(1.00005);
-  // Rounds to nearest 1e-4: either 1.0000 or 1.0001 depending on binary repr.
-  EXPECT_NEAR(x.ToDouble(), 1.0001, 1e-4);
-}
-
-TEST(FixedPointTest, FromRatioMatchesPaperUpdate) {
-  // F = S + q/w with q = 200 (ms) and w = 3, scaling 1e4: 666667 raw.
-  const auto incr = Fixed4::FromRatio(200, 3);
-  EXPECT_EQ(incr.raw(), 666667);
-  EXPECT_NEAR(incr.ToDouble(), 66.6667, 1e-4);
-}
-
-TEST(FixedPointTest, AdditionSubtraction) {
-  const auto a = Fixed4::FromDouble(1.5);
-  const auto b = Fixed4::FromDouble(0.25);
-  EXPECT_DOUBLE_EQ((a + b).ToDouble(), 1.75);
-  EXPECT_DOUBLE_EQ((a - b).ToDouble(), 1.25);
-  EXPECT_DOUBLE_EQ((-b).ToDouble(), -0.25);
-}
-
-TEST(FixedPointTest, CompoundAssignment) {
-  auto a = Fixed4::FromInt(1);
-  a += Fixed4::FromInt(2);
-  EXPECT_EQ(a.ToInt(), 3);
-  a -= Fixed4::FromInt(1);
-  EXPECT_EQ(a.ToInt(), 2);
-}
-
-TEST(FixedPointTest, MultiplicationExactness) {
-  const auto a = Fixed4::FromDouble(2.5);
-  const auto b = Fixed4::FromDouble(4.0);
-  EXPECT_DOUBLE_EQ((a * b).ToDouble(), 10.0);
-}
-
-TEST(FixedPointTest, DivisionRounding) {
-  const auto a = Fixed4::FromInt(1);
-  const auto b = Fixed4::FromInt(3);
-  EXPECT_NEAR((a / b).ToDouble(), 0.3333, 1e-4);
-}
-
-TEST(FixedPointTest, ComparisonOperators) {
-  const auto a = Fixed4::FromDouble(1.0);
-  const auto b = Fixed4::FromDouble(1.0001);
-  EXPECT_LT(a, b);
-  EXPECT_LE(a, a);
-  EXPECT_GT(b, a);
-  EXPECT_EQ(a, Fixed4::FromDouble(1.0));
-  EXPECT_NE(a, b);
-}
-
-TEST(FixedPointTest, ScaleConstant) {
-  EXPECT_EQ(Fixed4::kScale, 10000);
-  EXPECT_EQ(FixedPoint<0>::kScale, 1);
-  EXPECT_EQ(FixedPoint<8>::kScale, 100000000);
-}
-
-// Property: fixed-point arithmetic tracks double arithmetic within quantization.
-TEST(FixedPointPropertyTest, TracksDoubleWithinQuantization) {
-  Rng rng(123);
-  for (int i = 0; i < 2000; ++i) {
-    const double x = rng.UniformDouble(-1000.0, 1000.0);
-    const double y = rng.UniformDouble(0.1, 1000.0);
-    const auto fx = Fixed4::FromDouble(x);
-    const auto fy = Fixed4::FromDouble(y);
-    EXPECT_NEAR((fx + fy).ToDouble(), x + y, 2e-4);
-    EXPECT_NEAR((fx - fy).ToDouble(), x - y, 2e-4);
-    EXPECT_NEAR((fx / fy).ToDouble(), x / y, 2e-4 + std::abs(x / y) * 1e-3);
-  }
-}
-
-// Property: FromRatio agrees with exact rational rounding for random inputs.
-TEST(FixedPointPropertyTest, FromRatioIsNearestRepresentable) {
-  Rng rng(321);
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t num = rng.UniformInt(0, 1'000'000);
-    const std::int64_t den = rng.UniformInt(1, 10'000);
-    const auto f = Fixed4::FromRatio(num, den);
-    const double exact = static_cast<double>(num) / static_cast<double>(den);
-    // Nearest multiple of 1e-4 is within half a quantum of the exact value.
-    EXPECT_NEAR(f.ToDouble(), exact, 0.5 / 10000.0 + 1e-9);
-  }
 }
 
 }  // namespace

@@ -7,194 +7,44 @@
 //     per-event (unbatched) drain for every scheduler kind on randomized
 //     workloads (recorded_runs.h, seeds 1-6): both fingerprints, per-task
 //     services and the accounting counters.
-//  2. Golden fingerprints: the run/lifecycle FNV-1a fingerprints for seed 1,
-//     recorded from the pre-refactor AoS build (verified byte-identical over
-//     the full fig/abl suite when the layout change landed), are pinned as
-//     constants.
+//  2. Seed 1, the run recorded from the pre-refactor AoS build (verified
+//     byte-identical over the full fig/abl suite when the layout change
+//     landed), always runs: it is recorded_runs.h's seed-1 row for each kind.
 //
-// This workload is the one event_queue_fuzz_test builds (same draws, same
-// seed stream, no environment overrides).  SFS_FUZZ_SEEDS bounds the seeds
-// tried per policy (default 6, at most the recorded 6), as in fuzz_test.cc.
-// The golden constants always use seed 1.  A third check reads only the
-// recorded rows: no two flat kinds may record the same run on every seed.
+// The workload is the shared one (fuzz_workload.h), with no environment
+// overrides, and every run is audited (AuditFor).  SFS_FUZZ_SEEDS bounds the
+// seeds tried per policy (default 6, at most the recorded 6).  A third check
+// reads only the recorded rows: no two flat kinds may record the same run on
+// every seed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <iterator>
 #include <map>
-#include <string>
 #include <vector>
 
-#include "src/common/fingerprint.h"
-#include "src/common/rng.h"
 #include "src/sched/factory.h"
-#include "src/sim/engine.h"
-#include "src/workload/workloads.h"
+#include "tests/integration/fuzz_workload.h"
 #include "tests/integration/recorded_runs.h"
+#include "tests/sched_kind_param_name.h"
 
 namespace sfs::eval {
 namespace {
 
 using sched::SchedKind;
-using sched::ThreadId;
-
-struct TraceResult {
-  std::uint64_t run_fingerprint = 0;
-  std::uint64_t lifecycle_fingerprint = 0;
-  std::vector<Tick> services;
-  std::int64_t events = 0;
-  std::int64_t dispatches = 0;
-  std::int64_t preemptions = 0;
-  Tick idle = 0;
-  Tick ctx_cost = 0;
-};
-
-// One randomized workload on the serial engine.  All randomness flows through
-// Rng(seed) (no environment overrides: the golden constants below depend on
-// the seed alone).
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
-  common::Rng rng(seed);
-  sched::SchedConfig config;
-  config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
-  config.quantum = Msec(rng.UniformInt(5, 200));
-  // Once the run-queue backend; still drawn so the recorded runs keep their draws.
-  (void)rng.Bernoulli(0.5);
-  SchedKind effective_kind = kind;
-  if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {
-    if (rng.Bernoulli(0.5)) {
-      effective_kind = *sharded_kind;
-      config.shard_steal = rng.Bernoulli(0.75) ? sched::ShardStealPolicy::kMaxSurplus
-                                               : sched::ShardStealPolicy::kNone;
-      config.shard_rebalance_period =
-          rng.Bernoulli(0.5) ? static_cast<int>(rng.UniformInt(4, 256)) : 0;
-      config.shard_coupling = 0.5 * static_cast<double>(rng.UniformInt(0, 2));
-    }
-  }
-  auto scheduler = CreateScheduler(effective_kind, config);
-
-  sim::EngineConfig engine_config;
-  engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  sim::Engine engine(*scheduler, engine_config);
-
-  TraceResult result;
-  common::Fnv1a run_fp;
-  common::Fnv1a life_fp;
-  engine.SetRunIntervalHook(
-      [&run_fp](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
-      });
-  engine.SetSchedEventHook(
-      [&life_fp](sim::SchedEvent event, const sim::Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
-      });
-
-  ThreadId next_tid = 1;
-  std::vector<ThreadId> hogs;
-  const int n_hogs = static_cast<int>(rng.UniformInt(1, 6));
-  for (int i = 0; i < n_hogs; ++i) {
-    hogs.push_back(next_tid);
-    engine.AddTaskAt(Msec(rng.UniformInt(0, 2000)),
-                     workload::MakeInf(next_tid++, static_cast<double>(rng.UniformInt(1, 30)),
-                                       "hog"));
-  }
-  const int n_interact = static_cast<int>(rng.UniformInt(0, 3));
-  for (int i = 0; i < n_interact; ++i) {
-    workload::Interact::Params params;
-    params.mean_think = Msec(rng.UniformInt(20, 200));
-    params.burst = Msec(rng.UniformInt(1, 10));
-    params.seed = seed + static_cast<std::uint64_t>(i);
-    engine.AddTaskAt(Msec(rng.UniformInt(0, 1000)),
-                     workload::MakeInteract(next_tid++, 1.0, params, nullptr, "interact"));
-  }
-  // Same-tick arrivals via the exit hook: the batched drain's hardest case —
-  // DrainCurrent must pick re-pushed events up behind the detached chain in
-  // (time, insertion) order.
-  engine.SetExitHook([&next_tid, &rng](sim::Engine& e, sim::Task& task) {
-    if (task.label() == "short") {
-      e.AddTaskAt(e.now() + Msec(rng.UniformInt(0, 50)),
-                  workload::MakeFixedWork(next_tid++, static_cast<double>(rng.UniformInt(1, 10)),
-                                          Msec(rng.UniformInt(10, 400)), "short"));
-    }
-  });
-  engine.AddTaskAt(0, workload::MakeFixedWork(next_tid++, 2.0, Msec(100), "short"));
-
-  // Mid-run weight surgery and a kill: exercises the detach/attach paths and
-  // the live-list swap-and-pop while queues are hot.
-  engine.AddPeriodicHook(Msec(777), [&](sim::Engine& e) {
-    if (!hogs.empty() && e.HasTask(hogs[0])) {
-      const auto state = e.task(hogs[0]).state();
-      if (state != sim::Task::State::kExited && state != sim::Task::State::kNew &&
-          rng.Bernoulli(0.5)) {
-        e.scheduler().SetWeight(hogs[0], static_cast<double>(rng.UniformInt(1, 50)));
-      }
-    }
-  });
-  const Tick kill_at = Msec(rng.UniformInt(2500, 5000));
-  engine.AddPeriodicHook(kill_at, [&, done = false](sim::Engine& e) mutable {
-    if (!done && hogs.size() > 1 && e.HasTask(hogs[1]) &&
-        e.task(hogs[1]).state() != sim::Task::State::kExited) {
-      e.KillTask(hogs[1]);
-      done = true;
-    }
-  });
-
-  engine.RunUntil(Sec(10));
-
-  engine.ForEachTask(
-      [&](const sim::Task& task) { result.services.push_back(engine.Service(task.tid())); });
-  result.run_fingerprint = run_fp.value();
-  result.lifecycle_fingerprint = life_fp.value();
-  result.events = engine.events_processed();
-  result.dispatches = engine.dispatches();
-  result.preemptions = engine.preemptions();
-  result.idle = engine.idle_time();
-  result.ctx_cost = engine.total_context_switch_cost();
-  return result;
-}
-
-std::uint64_t FuzzSeedCount() {
-  if (const char* env = std::getenv("SFS_FUZZ_SEEDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<std::uint64_t>(parsed);
-    }
-  }
-  return 6;
-}
-
-// Seed-1 fingerprints recorded from the pre-SoA (AoS Entity, per-event drain)
-// build; kWfq's was re-recorded with recorded_runs.h's kWfq rows.  Regenerate by printing RunOnce(kind, 1) only if a deliberate
-// schedule-affecting change lands — never to paper over an accidental one.
-struct Golden {
-  SchedKind kind;
-  std::uint64_t run_fingerprint;
-  std::uint64_t lifecycle_fingerprint;
-};
-constexpr Golden kGoldenSeed1[] = {
-    {SchedKind::kSfs, 0x459d8a0cdb6aec1dULL, 0xde697eef39eb32cfULL},
-    {SchedKind::kHsfs, 0x5a2009a9f9770094ULL, 0xea51daadf4ddfa30ULL},
-    {SchedKind::kSfq, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL},
-    {SchedKind::kWfq, 0xc04bc135d7809e74ULL, 0xfb6e61dce195998dULL},
-    {SchedKind::kTimeshare, 0xca386a1064bacb97ULL, 0x0d27f79ffc00d613ULL},
-};
 
 class LayoutParityTest : public ::testing::TestWithParam<SchedKind> {};
 
 TEST_P(LayoutParityTest, BatchedAndUnbatchedDrainsAreByteIdentical) {
-  const std::uint64_t seeds = std::min(FuzzSeedCount(), kRecordedSeeds);
+  const std::uint64_t seeds = std::min(FuzzSeedCount(6), kRecordedSeeds);
   std::uint64_t checked = 0;
   for (const RecordedRun& unbatched : kRecordedRuns) {
     if (unbatched.kind != GetParam() || unbatched.seed > seeds) {
       continue;
     }
-    const TraceResult batched = RunOnce(GetParam(), unbatched.seed);
+    const TraceResult batched = RunFuzzWorkload(GetParam(), unbatched.seed, /*honor_env=*/false);
     EXPECT_EQ(batched.run_fingerprint, unbatched.run_fingerprint) << "seed " << unbatched.seed;
     EXPECT_EQ(batched.lifecycle_fingerprint, unbatched.lifecycle_fingerprint)
         << "seed " << unbatched.seed;
@@ -211,11 +61,11 @@ TEST_P(LayoutParityTest, BatchedAndUnbatchedDrainsAreByteIdentical) {
 }
 
 TEST_P(LayoutParityTest, MatchesPreRefactorGoldenFingerprints) {
-  for (const Golden& golden : kGoldenSeed1) {
-    if (golden.kind != GetParam()) {
+  for (const RecordedRun& golden : kRecordedRuns) {
+    if (golden.kind != GetParam() || golden.seed != 1) {
       continue;
     }
-    const TraceResult run = RunOnce(GetParam(), /*seed=*/1);
+    const TraceResult run = RunFuzzWorkload(GetParam(), /*seed=*/1, /*honor_env=*/false);
     EXPECT_EQ(run.run_fingerprint, golden.run_fingerprint);
     EXPECT_EQ(run.lifecycle_fingerprint, golden.lifecycle_fingerprint);
   }
@@ -240,15 +90,7 @@ TEST(RecordedRunsTest, EveryFlatKindIsDistinguishable) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, LayoutParityTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq,
                                            SchedKind::kWfq, SchedKind::kTimeshare),
-                         [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-                           std::string name(sched::SchedKindName(param_info.param));
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         SchedKindParamName);
 
 }  // namespace
 }  // namespace sfs::eval

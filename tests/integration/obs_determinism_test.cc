@@ -9,21 +9,25 @@
 // three; the traced runs additionally sanity-check the recorded streams
 // against the engine's own counters.
 //
+// The untraced run is also audited (AuditFor).  This workload's draws are
+// its own, not fuzz_workload.h's: a 5 s horizon, a kill at 1.333 s, at least
+// two hogs and fixed sharded knobs.
+//
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 4).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "src/common/fingerprint.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sched/factory.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
+#include "tests/integration/fuzz_workload.h"
+#include "tests/sched_kind_param_name.h"
 
 namespace sfs::eval {
 namespace {
@@ -72,22 +76,11 @@ RunResult RunOnce(SchedKind kind, std::uint64_t seed, const Sinks& sinks) {
   engine_config.metrics = sinks.metrics;
   sim::Engine engine(*scheduler, engine_config);
 
-  RunResult result;
-  common::Fnv1a run_fp;
-  common::Fnv1a life_fp;
-  engine.SetRunIntervalHook(
-      [&run_fp](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
-      });
-  engine.SetSchedEventHook(
-      [&life_fp](sim::SchedEvent event, const sim::Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
-      });
+  RunObserver observer;
+  if (sinks.trace == nullptr && sinks.metrics == nullptr) {
+    observer.audit = AuditFor(*scheduler);
+  }
+  observer.Attach(engine);
 
   ThreadId next_tid = 1;
   std::vector<ThreadId> hogs;
@@ -124,11 +117,13 @@ RunResult RunOnce(SchedKind kind, std::uint64_t seed, const Sinks& sinks) {
   });
 
   engine.RunUntil(Sec(5));
+  EXPECT_EQ(observer.violation, "") << "kind=" << sched::SchedKindName(kind) << " seed=" << seed;
 
+  RunResult result;
   engine.ForEachTask(
       [&](const sim::Task& task) { result.services.push_back(engine.Service(task.tid())); });
-  result.run_fingerprint = run_fp.value();
-  result.lifecycle_fingerprint = life_fp.value();
+  result.run_fingerprint = observer.run_fp.value();
+  result.lifecycle_fingerprint = observer.life_fp.value();
   result.events = engine.events_processed();
   result.dispatches = engine.dispatches();
   result.preemptions = engine.preemptions();
@@ -136,20 +131,10 @@ RunResult RunOnce(SchedKind kind, std::uint64_t seed, const Sinks& sinks) {
   return result;
 }
 
-std::uint64_t FuzzSeedCount() {
-  if (const char* env = std::getenv("SFS_FUZZ_SEEDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<std::uint64_t>(parsed);
-    }
-  }
-  return 4;
-}
-
 class ObsDeterminismTest : public ::testing::TestWithParam<SchedKind> {};
 
 TEST_P(ObsDeterminismTest, TracingOnOrOffProducesByteIdenticalSchedules) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
+  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(4); ++seed) {
     const RunResult off = RunOnce(GetParam(), seed, {});
 
     // Roomy rings: nothing drops, so every grant/charge pair is retained.
@@ -188,15 +173,7 @@ TEST_P(ObsDeterminismTest, TracingOnOrOffProducesByteIdenticalSchedules) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ObsDeterminismTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq,
                                            SchedKind::kWfq, SchedKind::kTimeshare),
-                         [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-                           std::string name(sched::SchedKindName(param_info.param));
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         SchedKindParamName);
 
 }  // namespace
 }  // namespace sfs::eval

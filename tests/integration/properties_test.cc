@@ -15,6 +15,7 @@
 #include "src/sched/gms.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
+#include "tests/sched_kind_param_name.h"
 
 namespace sfs::eval {
 namespace {
@@ -97,9 +98,7 @@ TEST_P(UniprocProportionalTest, TwoToOneWeights) {
 
 INSTANTIATE_TEST_SUITE_P(GpsPolicies, UniprocProportionalTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq),
-                         [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-                           return std::string(SchedKindName(param_info.param));
-                         });
+                         SchedKindParamName);
 
 // --- multiprocessor proportionality for feasible weights --------------------------
 
@@ -124,9 +123,7 @@ TEST_P(SmpProportionalTest, FeasibleWeightsHonoredOnTwoCpus) {
 
 INSTANTIATE_TEST_SUITE_P(GpsPolicies, SmpProportionalTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kSfq),
-                         [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-                           return std::string(SchedKindName(param_info.param));
-                         });
+                         SchedKindParamName);
 
 // --- work conservation under mixed blocking workloads ------------------------------
 
@@ -153,15 +150,7 @@ TEST_P(WorkConservationTest, NoIdleWhileBacklogged) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, WorkConservationTest,
                          ::testing::Values(SchedKind::kSfs, SchedKind::kSfq, SchedKind::kWfq,
                                            SchedKind::kTimeshare),
-                         [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-                           std::string name(SchedKindName(param_info.param));
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         SchedKindParamName);
 
 // --- starvation freedom under infeasible weights for SFS ---------------------------
 

@@ -1,6 +1,7 @@
-// Recorded serial-engine runs of the randomized integration workload that
-// event_queue_fuzz_test and layout_parity_test both build (same draws, same
-// seed stream, no environment overrides): every scheduler kind, seeds 1-6.
+// Recorded serial-engine runs of the randomized integration workload
+// (fuzz_workload.h, RunFuzzWorkload with no environment overrides): every
+// scheduler kind, seeds 1-6.  event_queue_fuzz_test and layout_parity_test
+// compare against them.
 //
 // Each row was recorded from two reference drains of the engine: the
 // binary-heap event queue and the per-event (unbatched) timing-wheel drain.

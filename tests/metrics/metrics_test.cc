@@ -12,14 +12,6 @@
 namespace sfs::metrics {
 namespace {
 
-TEST(FairnessTest, WeightedServiceSpreadZeroWhenProportional) {
-  EXPECT_DOUBLE_EQ(WeightedServiceSpread({30.0, 10.0}, {3.0, 1.0}), 0.0);
-}
-
-TEST(FairnessTest, WeightedServiceSpreadDetectsSkew) {
-  EXPECT_DOUBLE_EQ(WeightedServiceSpread({40.0, 10.0}, {3.0, 1.0}), 40.0 / 3.0 - 10.0);
-}
-
 TEST(FairnessTest, JainIndexOneForProportional) {
   EXPECT_NEAR(JainIndex({30.0, 10.0, 20.0}, {3.0, 1.0, 2.0}), 1.0, 1e-12);
 }
@@ -43,12 +35,6 @@ TEST(FairnessTest, LongestStarvationFindsZeroRun) {
 TEST(FairnessTest, LongestStarvationZeroWhenAlwaysProgressing) {
   const std::vector<Tick> series = {0, 1, 2, 3};
   EXPECT_EQ(LongestStarvation(series, Msec(100)), 0);
-}
-
-TEST(FairnessTest, TailSlopeRatio) {
-  const std::vector<Tick> a = {0, 10, 20, 30};
-  const std::vector<Tick> b = {0, 5, 10, 15};
-  EXPECT_DOUBLE_EQ(TailSlopeRatio(a, b, 1), 2.0);
 }
 
 TEST(ResponseTest, SummarizeComputesStats) {

@@ -110,16 +110,6 @@ TEST(TraceTest, RecordsRouteToTheOwningRing) {
   EXPECT_EQ(trace.ring(2).at(1).kind, TraceEventKind::kSteal);
 }
 
-TEST(TraceTest, ForEachRecordVisitsCpuRingsThenLifecycle) {
-  Trace trace(/*num_cpus=*/2, /*capacity_per_ring=*/4);
-  trace.Record(1, TraceEventKind::kGrant, 10, 1);
-  trace.Record(0, TraceEventKind::kGrant, 20, 2);
-  trace.RecordLifecycle(TraceEventKind::kDeparture, 30, 1);
-  std::vector<int> cpus;
-  trace.ForEachRecord([&](const TraceRecord& r) { cpus.push_back(r.cpu); });
-  EXPECT_EQ(cpus, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(TraceTest, NowHintRoundTrips) {
   Trace trace(1);
   EXPECT_EQ(trace.now_hint(), 0);

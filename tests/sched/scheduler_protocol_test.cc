@@ -10,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
+#include "tests/sched_kind_param_name.h"
 
 namespace sfs::sched {
 namespace {
@@ -215,15 +216,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ProtocolTest,
     ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq, SchedKind::kWfq,
                       SchedKind::kTimeshare),
-    [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-      std::string name(SchedKindName(param_info.param));
-      for (char& c : name) {
-        if (c == '-') {
-          c = '_';
-        }
-      }
-      return name;
-    });
+    SchedKindParamName);
 
 }  // namespace
 }  // namespace sfs::sched

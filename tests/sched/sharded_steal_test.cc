@@ -1,13 +1,13 @@
 // Differential test of the sharded layer's steal selection
 // (ShardedScheduler::FindStealVictim) against the exhaustive reference it
 // replaced: lock every peer shard, walk every entity it knows (blocked ones
-// included), nominate each busy shard's highest-MigrationScore runnable,
-// not-running thread, take the best nominee and apply the affinity rule.  The
-// production path visits only shards whose stealable bit is set and scans
-// only their weight queues; single-threaded it must choose the same victim
-// from the same shard after every operation of a fuzzed lifecycle, every
-// bit must equal `runnable_count() >= 2`, and the host's CheckInvariants
-// audit must pass.  p > 64 spans several bitmap words.
+// included), nominate each busy shard's runnable, not-running thread with the
+// highest migration score phi * (S - v), take the best nominee and apply the
+// affinity rule.  The production path visits only shards whose stealable
+// bit is set and scans only their weight queues; single-threaded it must
+// choose the same victim from the same shard after every operation of a
+// fuzzed lifecycle, every bit must equal `runnable_count() >= 2`, and the
+// host's CheckInvariants audit must pass.  p > 64 spans several bitmap words.
 
 #include <gtest/gtest.h>
 

@@ -22,13 +22,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/fingerprint.h"
 #include "src/sched/factory.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
+#include "tests/sched_kind_param_name.h"
 
 namespace sfs::sim {
 namespace {
@@ -199,15 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ParallelEngineOracleTest,
     ::testing::Values(SchedKind::kSfs, SchedKind::kHsfs, SchedKind::kSfq, SchedKind::kWfq,
                       SchedKind::kTimeshare, SchedKind::kShardedSfs),
-    [](const ::testing::TestParamInfo<SchedKind>& param_info) {
-      std::string name(sched::SchedKindName(param_info.param));
-      for (char& c : name) {
-        if (c == '-') {
-          c = '_';
-        }
-      }
-      return name;
-    });
+    SchedKindParamName);
 
 // --- workers > 1, partitioned: exactness per shard group ---------------------
 

@@ -3,11 +3,11 @@
 
 The repo's determinism contract (DESIGN.md §11) requires that every schedule
 and lifecycle fingerprint be byte-identical across runs, machines, and shard
-counts.  The tests that enforce it are tests/integration/obs_determinism_test.cc,
-tests/integration/layout_parity_test.cc and
-tests/integration/sfs_pinned_runs_test.cc.  That breaks the moment iteration order,
-keys, or timing leak into scheduling decisions, so this checker rejects the
-known leak classes in src/{sched,sim,eval,obs,runtime}:
+counts.  The tests that enforce it are ObsDeterminismTest (tracing on or
+off), EventQueueFuzzTest and LayoutParityTest (the recorded runs of
+tests/integration/recorded_runs.h) and SfsPinnedRunsTest.  That breaks the
+moment iteration order, keys, or timing leak into scheduling decisions, so
+this checker rejects the known leak classes in src/{sched,sim,eval,obs,runtime}:
 
   unordered-iteration   range-for / .begin() traversal of a container declared
                         as std::unordered_{map,set,...} anywhere in src/.
