@@ -153,9 +153,8 @@ ModeResult RunMode(const ModeSpec& mode, int cpus) {
 // --- wake-path section: the real runtime's targeted wake path -----------------
 //
 // Unlike the protocol harness above, this runs the actual runtime::Executor on
-// a blocking workload: the timer applies a wakeup directly when the home
-// shard's dispatch lock is free, otherwise pushes it to the home dispatcher's
-// mailbox, and either way kicks that one CPU.
+// a blocking workload: the timer pushes every wakeup to the home dispatcher's
+// mailbox and kicks that one CPU; the home dispatcher applies it.
 
 struct WakeResult {
   HistogramSnapshot lock_wait;      // per-decision dispatch-lock wait, ns

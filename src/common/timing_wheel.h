@@ -54,8 +54,8 @@ class TimingWheel {
   }
 
   // Enqueues `value` at `time`.  `time` must be >= 0 and >= the time of the
-  // last PopFront() (the discrete-event invariant: no event schedules work in
-  // the past).
+  // last drained tick (the discrete-event invariant: no event schedules work
+  // in the past).
   void Push(std::int64_t time, const T& value) {
     SFS_DCHECK(time >= 0);
     const auto t = static_cast<std::uint64_t>(time);
@@ -130,13 +130,12 @@ class TimingWheel {
   }
 
   // Dequeues and invokes `fn(value)` for every event at the tick NextTime()
-  // just reported, returning the number drained.  Only valid immediately after
-  // a successful NextTime().  Detaching the whole level-0 chain up front lets
-  // the hot loop walk a linked list with next-node prefetch instead of
-  // re-deriving the slot per event; the outer loop re-checks the slot because
-  // `fn` may push new events at this same tick (they chain behind the detached
-  // batch, exactly as PopFront() would see them), so the invocation order is
-  // identical to a NextTime()/PopFront() loop.
+  // just reported, in FIFO order, returning the number drained.  Only valid
+  // immediately after a successful NextTime().  Detaching the whole level-0
+  // chain up front lets the hot loop walk a linked list with next-node
+  // prefetch instead of re-deriving the slot per event; the outer loop
+  // re-checks the slot because `fn` may push new events at this same tick:
+  // they run in this same drain, after every event already pending at it.
   template <typename Fn>
   std::size_t DrainCurrent(Fn&& fn) {
     Slot& slot = slots_[SlotIndex(0, current_)];
@@ -160,25 +159,6 @@ class TimingWheel {
       }
     }
     return drained;
-  }
-
-  // Dequeues the event at the time NextTime() just reported.  Only valid
-  // immediately after a successful NextTime() (possibly interleaved with
-  // pushes).
-  T PopFront() {
-    Slot& slot = slots_[SlotIndex(0, current_)];
-    Node* node = slot.head;
-    SFS_CHECK(node != nullptr);
-    SFS_DCHECK(node->time == current_);
-    slot.head = node->next;
-    if (slot.head == nullptr) {
-      slot.tail = nullptr;
-      ClearOccupied(0, SlotInLevel(0, current_));
-    }
-    T value = node->value;
-    FreeNode(node);
-    --size_;
-    return value;
   }
 
  private:

@@ -27,7 +27,6 @@ std::int64_t DurationNs(Clock::duration d) {
 Executor::Executor(sched::Scheduler& scheduler, const Config& config)
     : scheduler_(scheduler), config_(config), trace_(config.trace) {
   SFS_CHECK(config_.quantum > 0);
-  idle_recheck_ = config_.idle_recheck > 0 ? config_.idle_recheck : config_.quantum;
   if (config_.metrics != nullptr) {
     SFS_CHECK(config_.metrics->num_shards() >= scheduler.num_cpus());
     metrics_ = config_.metrics;
@@ -37,7 +36,6 @@ Executor::Executor(sched::Scheduler& scheduler, const Config& config)
   }
   dispatch_hist_ = &metrics_->GetHistogram("exec/dispatch_latency_ns");
   lock_wait_hist_ = &metrics_->GetHistogram("exec/lock_wait_ns");
-  run_hist_ = &metrics_->GetHistogram("exec/run_interval_ns");
   wake_apply_hist_ = &metrics_->GetHistogram("exec/wake_apply_ns");
   wake_dispatch_hist_ = &metrics_->GetHistogram("exec/wake_to_dispatch_ns");
   if (trace_ != nullptr) {
@@ -162,9 +160,9 @@ void Executor::KickAfterStateChange(sched::CpuId hint) {
   // Round-robin from hint+1 so repeated kicks fan work out across CPUs
   // instead of hammering one neighbour.  The parked flag is advisory: a CPU
   // between its empty pick and its park is invisible here, and one that just
-  // woke may eat a kick for nothing — either way the idle_recheck backstop
-  // bounds the cost, and the unconditional home-CPU kick on every wakeup
-  // means no wakeup depends on this scan for liveness.
+  // woke may eat a kick for nothing — either way the quantum-long idle
+  // recheck bounds the cost, and the unconditional home-CPU kick on every
+  // wakeup means no wakeup depends on this scan for liveness.
   const std::size_t n = cpus_.size();
   for (std::size_t i = 1; i <= n; ++i) {
     Cpu& c = *cpus_[(static_cast<std::size_t>(hint) + i) % n];
@@ -191,89 +189,68 @@ void Executor::StopAll() {
   timer_cv_.NotifyAll();
 }
 
-bool Executor::ApplyWakeupLocked(sched::CpuId home, sched::ThreadId tid,
-                                 Clock::time_point due, std::vector<Tick>& elapsed_scratch,
-                                 PreemptPoke* poke) {
-  *poke = PreemptPoke{};
-  // The producer validated nothing (the timer holds no scheduler lock when it
-  // routes or try-locks); do it here.  The thread may have exited since
-  // blocking (stale wakeup), and the runnable re-check is defensive against
-  // duplicate deliveries.
-  if (!scheduler_.Contains(tid) || scheduler_.IsRunnable(tid)) {
-    return false;
-  }
-  // The home recorded at Block time must still be the shard this dispatch
-  // lock covers — a blocked thread cannot migrate (scheduler contract).
-  SFS_DCHECK(scheduler_.HomeCpu(tid) == sched::kInvalidCpu ||
-             scheduler_.HomeCpu(tid) == home);
-  scheduler_.Wakeup(tid);
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  const Clock::time_point now = Clock::now();
-  wake_apply_hist_->Record(home, std::max<std::int64_t>(0, DurationNs(now - due)));
-  WorkerByTid(tid).wake_pending_ns.store(WallNs(due), std::memory_order_relaxed);
-  if (trace_) {
-    // Own ring: the wakeup transition belongs to the home dispatcher, keeping
-    // the per-CPU rings single-writer.
-    trace_->Record(home, obs::TraceEventKind::kWakeup, WallNs(now), tid);
-  }
-  // reschedule_idle(): does the wakeup warrant preempting a running thread?
-  // elapsed[c] approximates each CPU's uncharged run time from the
-  // executor's own grant bookkeeping (advisory atomics — reading the
-  // scheduler's per-CPU running table here would race foreign shards).
-  const Tick now_ticks = ToTicks(now - t0_);
-  elapsed_scratch.assign(cpus_.size(), 0);
-  for (std::size_t c = 0; c < cpus_.size(); ++c) {
-    if (cpus_[c]->running_hint.load(std::memory_order_relaxed) != sched::kInvalidThread) {
-      elapsed_scratch[c] = std::max<Tick>(
-          0, now_ticks - cpus_[c]->grant_at.load(std::memory_order_relaxed));
-    }
-  }
-  const sched::CpuId target_cpu = scheduler_.SuggestPreemption(tid, elapsed_scratch);
-  if (target_cpu != sched::kInvalidCpu) {
-    // Safe under this dispatch lock: sharded policies only ever suggest the
-    // woken thread's home shard (ours), and flat policies' dispatch lock is
-    // global.
-    const sched::ThreadId target_tid = scheduler_.RunningOn(target_cpu);
-    if (target_tid != sched::kInvalidThread) {
-      *poke = PreemptPoke{target_cpu, target_tid};
-    }
-  }
-  return true;
-}
-
-int Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
+void Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
   Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
-  int woken = 0;
   cpu.mailbox.DrainAll([&](WakeMsg&& msg) {
-    PreemptPoke poke;
-    if (!ApplyWakeupLocked(cpu_idx, msg.tid, msg.due, cpu.elapsed_scratch, &poke)) {
+    // The timer validated nothing (it holds no scheduler lock when it
+    // routes); do it here.  The thread may have exited since blocking (stale
+    // wakeup), and the runnable re-check is defensive against duplicate
+    // deliveries.
+    if (!scheduler_.Contains(msg.tid) || scheduler_.IsRunnable(msg.tid)) {
       return;
     }
-    if (poke.cpu != sched::kInvalidCpu) {
-      cpu.pokes.push_back(poke);
+    // The home recorded at Block time must still be the shard this dispatch
+    // lock covers — a blocked thread cannot migrate (scheduler contract).
+    SFS_DCHECK(scheduler_.HomeCpu(msg.tid) == sched::kInvalidCpu ||
+               scheduler_.HomeCpu(msg.tid) == cpu_idx);
+    scheduler_.Wakeup(msg.tid);
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    const Clock::time_point now = Clock::now();
+    wake_apply_hist_->Record(cpu_idx, std::max<std::int64_t>(0, DurationNs(now - msg.due)));
+    WorkerByTid(msg.tid).wake_pending_ns.store(WallNs(msg.due), std::memory_order_relaxed);
+    if (trace_) {
+      // Own ring: the wakeup transition belongs to the home dispatcher,
+      // keeping the per-CPU rings single-writer.
+      trace_->Record(cpu_idx, obs::TraceEventKind::kWakeup, WallNs(now), msg.tid);
     }
-    ++woken;
+    // reschedule_idle(): does the wakeup warrant preempting a running thread?
+    // elapsed[c] approximates each CPU's uncharged run time from the
+    // executor's own grant bookkeeping (advisory atomics — reading the
+    // scheduler's per-CPU running table here would race foreign shards).
+    const Tick now_ticks = ToTicks(now - t0_);
+    cpu.elapsed_scratch.assign(cpus_.size(), 0);
+    for (std::size_t c = 0; c < cpus_.size(); ++c) {
+      if (cpus_[c]->running_hint.load(std::memory_order_relaxed) != sched::kInvalidThread) {
+        cpu.elapsed_scratch[c] = std::max<Tick>(
+            0, now_ticks - cpus_[c]->grant_at.load(std::memory_order_relaxed));
+      }
+    }
+    const sched::CpuId target_cpu = scheduler_.SuggestPreemption(msg.tid, cpu.elapsed_scratch);
+    if (target_cpu != sched::kInvalidCpu) {
+      // Safe under this dispatch lock: sharded policies only ever suggest the
+      // woken thread's home shard (ours), and flat policies' dispatch lock is
+      // global.
+      const sched::ThreadId target_tid = scheduler_.RunningOn(target_cpu);
+      if (target_tid != sched::kInvalidThread) {
+        cpu.pokes.push_back(PreemptPoke{target_cpu, target_tid});
+      }
+    }
   });
-  return woken;
-}
-
-void Executor::PokePreempt(const PreemptPoke& poke) {
-  Cpu& target = *cpus_[static_cast<std::size_t>(poke.cpu)];
-  common::MutexLock lk(target.mu);
-  // Only preempt if that CPU's dispatcher still has this worker granted and
-  // its report is not already in the mailbox; the flag store happens under
-  // target.mu so it cannot race a Grant-time clear (which also holds
-  // target.mu) and truncate an unrelated fresh slice.
-  if (target.running_tid == poke.tid && !target.preempt_sent && !target.report.has_value()) {
-    target.preempt_sent = true;
-    target.preempt_sent_at = Clock::now();
-    WorkerByTid(poke.tid).preempt.store(true, std::memory_order_relaxed);
-  }
 }
 
 void Executor::ApplyPreemptPokes(Cpu& cpu) {
   for (const PreemptPoke& poke : cpu.pokes) {
-    PokePreempt(poke);
+    Cpu& target = *cpus_[static_cast<std::size_t>(poke.cpu)];
+    common::MutexLock lk(target.mu);
+    // Only preempt if that CPU's dispatcher still has this worker granted and
+    // its report is not already in the mailbox; the flag store happens under
+    // target.mu so it cannot race a Grant-time clear (which also holds
+    // target.mu) and truncate an unrelated fresh slice.
+    if (target.running_tid == poke.tid && !target.preempt_sent && !target.report.has_value()) {
+      target.preempt_sent = true;
+      target.preempt_sent_at = Clock::now();
+      WorkerByTid(poke.tid).preempt.store(true, std::memory_order_relaxed);
+    }
   }
   cpu.pokes.clear();
 }
@@ -402,7 +379,7 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
       // passing, shutdown); the bounded deadline is only the backstop for the
       // advisory parked-flag scan in KickAfterStateChange.
       const Clock::time_point park_deadline =
-          std::min(wall_end_, Clock::now() + FromTicks(idle_recheck_));
+          std::min(wall_end_, Clock::now() + FromTicks(config_.quantum));
       cpu.parked.store(true, std::memory_order_seq_cst);
       if (!stop_.load()) {
         cpu.park.ParkUntil(park_token, park_deadline);
@@ -520,10 +497,9 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     }
     cpu.running_hint.store(sched::kInvalidThread, std::memory_order_relaxed);
     running_cpus_.fetch_sub(1, std::memory_order_relaxed);
-    const std::int64_t slice_ns = DurationNs(report.yielded_at - picked);
-    run_hist_->Record(cpu_idx, slice_ns);
     if (trace_) {
-      trace_->Record(cpu_idx, obs::TraceEventKind::kRun, WallNs(picked), tid, slice_ns);
+      trace_->Record(cpu_idx, obs::TraceEventKind::kRun, WallNs(picked), tid,
+                     DurationNs(report.yielded_at - picked));
       if (preempt_sent && report.preempt_observed) {
         // Recorded here (not where the flag was set) so pokers never write
         // another CPU's ring; arg = flag-set-to-yield latency, ns.
@@ -547,7 +523,6 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
 
 void Executor::TimerLoop() {
   std::vector<PendingWakeup> due;
-  std::vector<Tick> elapsed;
   for (;;) {
     due.clear();
     {
@@ -582,43 +557,12 @@ void Executor::TimerLoop() {
       }
     }
     for (const PendingWakeup& wake : due) {
+      // Route the wakeup to its home CPU — one wait-free push, one targeted
+      // kick.  The home dispatcher applies Wakeup under its own dispatch lock
+      // (mailbox drain), so this thread touches no scheduler state.  The kick
+      // is unconditional: wakeup liveness must not depend on the advisory
+      // parked-flag scan.
       Cpu& home = *cpus_[static_cast<std::size_t>(wake.home)];
-      // Fast path: if the home shard's dispatch lock is free RIGHT NOW, apply
-      // the wakeup here — the thread becomes runnable (pickable and
-      // steal-visible) immediately, instead of after the OS gets around to
-      // scheduling the home dispatcher to drain its mailbox, which on an
-      // oversubscribed host can take a full scheduling round.  TryLock means
-      // a descheduled lock holder can never convoy the timer; the mailbox
-      // below stays the contended-case fallback.  Excluded when tracing
-      // (per-CPU rings are single-writer: only the home dispatcher may write
-      // ring `home`).
-      if (trace_ == nullptr) {
-        PreemptPoke poke;
-        bool applied = false;
-        {
-          auto guard = scheduler_.TryLockDispatch(wake.home);
-          if (guard.owns_lock()) {
-            applied = true;
-            ApplyWakeupLocked(wake.home, wake.tid, wake.at, elapsed, &poke);
-          }
-        }
-        if (applied) {
-          if (poke.tid != sched::kInvalidThread) {
-            PokePreempt(poke);  // guard released above: Cpu::mu is a leaf
-          }
-          // Unconditional home kick (wakeup liveness must not depend on the
-          // advisory parked-flag scan), then the usual single-kick fan-out for
-          // a busy home whose queued thread a parked peer could steal.
-          home.park.Kick();
-          kicks_.fetch_add(1, std::memory_order_relaxed);
-          KickAfterStateChange(wake.home);
-          continue;
-        }
-      }
-      // Contended (or traced) path: route the wakeup to its home CPU — one
-      // wait-free push, one targeted kick.  The home dispatcher applies Wakeup
-      // under its own dispatch lock (mailbox drain), so this thread touches
-      // no scheduler state.
       home.mailbox.Push(WakeMsg{wake.tid, wake.at});
       home.park.Kick();
       kicks_.fetch_add(1, std::memory_order_relaxed);

@@ -26,13 +26,13 @@
 //     condition variable (1.01 vs 30.18 kicks per wakeup at p=8).  The
 //     Prepare-token-before-final-look protocol (parking.h) makes a kick that
 //     races between an empty pick and the park impossible to lose.
-//   * WAKEUP ROUTING — the timer applies an expired wakeup itself when the
-//     woken thread's *home* shard (Scheduler::HomeCpu, the one whose
-//     LockDispatch covers the lifecycle relaxation of the scheduler contract)
-//     is free right now (TryLockDispatch, so a descheduled lock holder can
-//     never convoy it) and tracing is off.  Otherwise it pushes a message to
-//     the home CPU's wait-free MPSC mailbox (common::MpscMailbox) and kicks
-//     that slot.
+//   * WAKEUP ROUTING — the timer never applies a wakeup itself: it pushes
+//     each expired one to the woken thread's *home* CPU (the CPU that
+//     charged the Block, whose LockDispatch covers the lifecycle relaxation
+//     of the scheduler contract) through that CPU's wait-free MPSC mailbox
+//     (common::MpscMailbox), kicks that slot and nudges its report wait.
+//     The timer touches no scheduler state, and traced and untraced runs take
+//     the same path.
 //   * DECISION BATCHING — the home dispatcher drains its mailbox (applying
 //     Wakeup + SuggestPreemption per message) and runs PickNext under ONE
 //     LockDispatch hold.  Preempt pokes suggested by the drain are applied
@@ -50,10 +50,9 @@
 // unconditionally; after a successful pick, the dispatcher passes the baton —
 // if runnable work remains beyond what is running, it kicks one more parked
 // CPU (round-robin) so queued work fans out one CPU at a time instead of
-// waking the whole herd.  A parked dispatcher also re-checks on a bounded
-// timeout (Config::idle_recheck, default = quantum) as a belt-and-braces
-// backstop, so a missed heuristic kick costs at most one recheck period, not
-// liveness.  Only shutdown kicks every slot.
+// waking the whole herd.  A parked dispatcher also re-checks after one
+// quantum as a belt-and-braces backstop, so a missed heuristic kick costs at
+// most one quantum, not liveness.  Only shutdown kicks every slot.
 //
 // Lock order (validated in debug builds): dispatch mutexes < everything
 // else.  Cpu::mu and Worker::mu are leaf locks; the runtime never acquires a
@@ -115,11 +114,6 @@ class Executor {
     // platforms without an affinity syscall.
     bool pin_dispatchers = false;
 
-    // How long a parked dispatcher sleeps before re-checking for work on its
-    // own (the backstop for the single-kick heuristics above).  0 = use
-    // `quantum`.
-    Tick idle_recheck = 0;
-
     // Force the parking backend (tests cover both on any host); kAuto picks
     // futex on Linux.
     common::ParkingSlot::Backend park_backend = common::ParkingSlot::Backend::kAuto;
@@ -130,7 +124,8 @@ class Executor {
     // slices, preemptions and the block/wakeup transitions it applies into
     // its own CPU ring; arrivals and departures go to the lifecycle ring
     // under the lifecycle lock.  nullptr (the default) costs one predicted
-    // branch per site and the executor's behaviour is unchanged.
+    // branch per site; attached or not, the executor takes the same wake and
+    // dispatch paths (recording never changes a decision).
     obs::Trace* trace = nullptr;
 
     // Metrics registry the latency histograms live in.  When null the
@@ -199,12 +194,9 @@ class Executor {
   // including idle picks.
   obs::HistogramSnapshot lock_wait_latencies() const { return lock_wait_hist_->Snapshot(); }
 
-  // Wall length of each completed run slice (nanoseconds, grant to yield).
-  obs::HistogramSnapshot run_interval_lengths() const { return run_hist_->Snapshot(); }
-
   // Timer-due instant -> Scheduler::Wakeup applied (nanoseconds): the wake
-  // path's queueing delay through the timer's try-lock or mailbox + kick +
-  // drain.
+  // path's queueing delay through the mailbox push + kick + the home
+  // dispatcher's drain.  One sample per wakeups() increment.
   obs::HistogramSnapshot wake_apply_latencies() const {
     return wake_apply_hist_->Snapshot();
   }
@@ -333,29 +325,22 @@ class Executor {
                     Clock::time_point preempt_sent_at);
 
   // Applies every queued wakeup for `cpu`: Wakeup + wake bookkeeping +
-  // SuggestPreemption per message, pokes parked into cpu.pokes.  Caller holds
-  // LockDispatch(cpu).  Returns the number of threads woken.
-  int DrainMailboxLocked(sched::CpuId cpu);
-  // Applies ONE wakeup for a thread homed on `home`; caller holds
-  // LockDispatch(home).  Stale wakeups (thread exited, or already runnable
-  // from a duplicate delivery) return false untouched.  *poke receives any
-  // suggested preemption (cpu == kInvalidCpu when none) for the caller to
-  // deliver after releasing the guard.  When trace_ is set the caller must be
-  // `home`'s own dispatcher (the wakeup record goes to ring `home`).
-  bool ApplyWakeupLocked(sched::CpuId home, sched::ThreadId tid, Clock::time_point due,
-                         std::vector<Tick>& elapsed_scratch, PreemptPoke* poke);
-  // Applies (and clears) cpu.pokes; caller must NOT hold any scheduler lock.
+  // SuggestPreemption per message, suggested preemptions pushed onto
+  // cpu.pokes.  Stale messages (thread exited, or already runnable from a
+  // duplicate delivery) are dropped.  Called only by `cpu`'s own dispatcher,
+  // holding LockDispatch(cpu).
+  void DrainMailboxLocked(sched::CpuId cpu);
+  // Sets each poke's preempt flag if its thread is still the one granted on
+  // the poked CPU, then clears cpu.pokes; caller must NOT hold any scheduler
+  // lock (Cpu::mu is a leaf).
   void ApplyPreemptPokes(Cpu& cpu);
-  // Sets poke.tid's preempt flag if it is still the thread granted on
-  // poke.cpu; caller must NOT hold any scheduler lock (Cpu::mu is a leaf).
-  void PokePreempt(const PreemptPoke& poke);
 
   // Kick every slot (shutdown).
   void KickAllParked();
   // "Scheduler state changed, somebody idle may have work": if runnable work
   // exceeds the running CPUs, wake one parked CPU (round-robin from
   // `hint`+1), or none if all are busy.  The parked-flag scan is advisory — a
-  // miss costs one idle_recheck period, never liveness.
+  // miss costs one quantum-long idle recheck, never liveness.
   void KickAfterStateChange(sched::CpuId hint);
 
   void StopAll();
@@ -371,7 +356,6 @@ class Executor {
 
   sched::Scheduler& scheduler_;
   Config config_;
-  Tick idle_recheck_ = 0;  // resolved from config (0 -> quantum)
 
   // Metrics plumbing: external registry or private fallback, plus resolved
   // histogram handles (registration takes a lock; recording must not).
@@ -379,7 +363,6 @@ class Executor {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::LogHistogram* dispatch_hist_ = nullptr;
   obs::LogHistogram* lock_wait_hist_ = nullptr;
-  obs::LogHistogram* run_hist_ = nullptr;
   obs::LogHistogram* wake_apply_hist_ = nullptr;
   obs::LogHistogram* wake_dispatch_hist_ = nullptr;
   obs::Trace* trace_ = nullptr;  // == config_.trace

@@ -17,10 +17,6 @@ Scheduler::DispatchGuard Scheduler::LockDispatch(CpuId cpu) {
   return DispatchGuard(DispatchMutex(cpu));
 }
 
-Scheduler::DispatchGuard Scheduler::TryLockDispatch(CpuId cpu) {
-  return DispatchGuard(DispatchMutex(cpu), std::try_to_lock);
-}
-
 Scheduler::LifecycleGuard Scheduler::LockLifecycle() {
   // Every distinct dispatch mutex in ascending CPU-id order.  A policy's CPUs
   // either share one mutex (flat schedulers: lock it once, not num_cpus

@@ -46,12 +46,16 @@
 //         mutations (Add/Remove/Detach/Attach) still take the full lifecycle
 //         lock; that exclusivity is what makes entity-table reads safe for
 //         holders of any single dispatch mutex.  sim::ParallelEngine's
-//         wakeup/block hot path is built on this relaxation.  It
-//         acquires every distinct dispatch mutex, so it is exclusive against
-//         every concurrent LockDispatch *and* other lifecycle calls, and a
-//         lifecycle holder may additionally perform dispatch-path operations
-//         (the Charge-then-Block sequence must be atomic or another
-//         dispatcher could pick the thread in between).  Deliberately not a
+//         wakeup/block hot path and runtime::Executor's wake path are built
+//         on this relaxation: the executor's timer thread calls no entry
+//         point at all — it routes each wakeup to the home CPU's dispatcher,
+//         which applies Wakeup + SuggestPreemption under its own
+//         LockDispatch(home).  LockLifecycle itself acquires every distinct
+//         dispatch mutex, so it is exclusive against every concurrent
+//         LockDispatch *and* other lifecycle calls, and a lifecycle holder
+//         may additionally perform dispatch-path operations (the
+//         Charge-then-Block sequence must be atomic or another dispatcher
+//         could pick the thread in between).  Deliberately not a
 //         reader-writer lock: with per-CPU dispatchers hammering the
 //         dispatch path, a reader-preferring rwlock (glibc's default) can
 //         starve wakeups for seconds.
@@ -122,13 +126,6 @@ class Scheduler {
   // Acquires the lock covering PickNext/Charge/QuantumFor on `cpu`.
   DispatchGuard LockDispatch(CpuId cpu);
 
-  // Non-blocking LockDispatch: the returned guard is unowned (owns_lock()
-  // false) when the mutex is contended.  The runtime's timer uses this for
-  // its wakeup fast path — apply the wakeup directly while the home shard is
-  // free, fall back to the mailbox when its dispatcher holds the lock —
-  // so a descheduled lock holder can never convoy the timer.
-  DispatchGuard TryLockDispatch(CpuId cpu);
-
   // Acquires the exclusive lock covering every other entry point (and, while
   // held, the dispatch path on any CPU as well).
   LifecycleGuard LockLifecycle();
@@ -192,16 +189,17 @@ class Scheduler {
     return ~std::uint64_t{0};
   }
 
-  // Targeted-kick hook (sfs::runtime): the CPU whose LockDispatch satisfies
-  // the sanctioned lifecycle relaxation for `tid` — i.e. the dispatch mutex
-  // that alone covers Block/Wakeup/SetWeight/SuggestPreemption on it.  Flat
-  // policies return kInvalidCpu meaning *any* CPU works (they have one
-  // dispatch mutex, so every LockDispatch is the lock); sched::Sharded
-  // returns the thread's current shard.  Call while holding LockDispatch on
-  // the result (or LockLifecycle); for a *blocked* thread the answer is
-  // additionally stable without any lock — a blocked thread cannot migrate —
-  // which is what lets a driver route a wakeup message to the home
-  // dispatcher's mailbox and kick only that CPU.
+  // The CPU whose LockDispatch satisfies the sanctioned lifecycle relaxation
+  // for `tid` — i.e. the dispatch mutex that alone covers
+  // Block/Wakeup/SetWeight/SuggestPreemption on it.  Flat policies return
+  // kInvalidCpu meaning *any* CPU works (they have one dispatch mutex, so
+  // every LockDispatch is the lock); sched::Sharded returns the thread's
+  // current shard.  Call while holding LockDispatch on the result (or
+  // LockLifecycle); for a *blocked* thread the answer is additionally stable
+  // without any lock — a blocked thread cannot migrate.  That stability is
+  // what lets sfs::runtime route every wakeup to the CPU that charged the
+  // Block: that CPU's dispatcher applies it from its mailbox under its own
+  // LockDispatch, and a debug check there asserts HomeCpu agrees.
   virtual CpuId HomeCpu(ThreadId tid) const {
     (void)tid;
     return kInvalidCpu;

@@ -14,7 +14,9 @@ namespace sfs::common {
 namespace {
 
 // Payload mirroring the engine's event: the value carries the sequence number
-// so pop order can be audited against the (time, seq) contract.
+// so drain order can be audited against the (time, seq) contract.  Events are
+// dequeued the way both engines dequeue them: NextTime() finds a tick,
+// DrainCurrent() runs every event at it.
 struct Ev {
   std::int64_t time = 0;
   std::uint64_t seq = 0;
@@ -22,13 +24,22 @@ struct Ev {
 
 using Wheel = TimingWheel<Ev>;
 
+// Drains the tick the last successful NextTime() reported.
+std::vector<Ev> DrainTick(Wheel& wheel) {
+  std::vector<Ev> out;
+  const std::size_t drained = wheel.DrainCurrent([&](const Ev& ev) { out.push_back(ev); });
+  EXPECT_EQ(drained, out.size());
+  return out;
+}
+
 std::vector<Ev> Drain(Wheel& wheel, std::int64_t until) {
   std::vector<Ev> out;
   std::int64_t t = 0;
   while (wheel.NextTime(until, &t)) {
-    const Ev ev = wheel.PopFront();
-    EXPECT_EQ(ev.time, t);
-    out.push_back(ev);
+    for (const Ev& ev : DrainTick(wheel)) {
+      EXPECT_EQ(ev.time, t);
+      out.push_back(ev);
+    }
   }
   return out;
 }
@@ -48,7 +59,9 @@ TEST(TimingWheelTest, SingleEvent) {
   std::int64_t t = 0;
   ASSERT_TRUE(wheel.NextTime(100, &t));
   EXPECT_EQ(t, 42);
-  EXPECT_EQ(wheel.PopFront().time, 42);
+  const auto tick = DrainTick(wheel);
+  ASSERT_EQ(tick.size(), 1u);
+  EXPECT_EQ(tick[0].time, 42);
   EXPECT_TRUE(wheel.empty());
 }
 
@@ -71,7 +84,7 @@ TEST(TimingWheelTest, BeyondBoundLeavesFuturePushesLegal) {
   wheel.Push(500, {500, 1});
   ASSERT_TRUE(wheel.NextTime(1'000'000, &t));
   EXPECT_EQ(t, 500);
-  wheel.PopFront();
+  EXPECT_EQ(DrainTick(wheel).size(), 1u);
   ASSERT_TRUE(wheel.NextTime(1'000'000, &t));
   EXPECT_EQ(t, 1'000'000);
 }
@@ -94,16 +107,28 @@ TEST(TimingWheelTest, SameTickPushDuringDrainPopsThisTick) {
   // the engine relies on this for exit-hook chains.
   Wheel wheel;
   wheel.Push(5, {5, 0});
+  wheel.Push(5, {5, 1});
   std::int64_t t = 0;
   ASSERT_TRUE(wheel.NextTime(10, &t));
-  EXPECT_EQ(wheel.PopFront().seq, 0u);
-  wheel.Push(5, {5, 1});
-  wheel.Push(6, {6, 2});
-  ASSERT_TRUE(wheel.NextTime(10, &t));
   EXPECT_EQ(t, 5);
-  EXPECT_EQ(wheel.PopFront().seq, 1u);
+  std::vector<Ev> fired;
+  wheel.DrainCurrent([&](const Ev& ev) {
+    fired.push_back(ev);
+    if (ev.seq == 0) {  // the handler re-pushes at its own tick and the next
+      wheel.Push(5, {5, 2});
+      wheel.Push(6, {6, 3});
+    }
+  });
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].seq, 0u);
+  EXPECT_EQ(fired[1].seq, 1u);
+  EXPECT_EQ(fired[2].seq, 2u);
+  EXPECT_EQ(fired[2].time, 5);
   ASSERT_TRUE(wheel.NextTime(10, &t));
   EXPECT_EQ(t, 6);
+  const auto next = DrainTick(wheel);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].seq, 3u);
 }
 
 TEST(TimingWheelTest, CrossLevelCascadePreservesFifo) {
@@ -132,7 +157,7 @@ TEST(TimingWheelTest, LateInsertAtSameTimeAsCascadedEventKeepsSeqOrder) {
   // Draining to 99'999 cascades the 100'000 event down to level 0.
   ASSERT_TRUE(wheel.NextTime(99'999, &t));
   EXPECT_EQ(t, 99'999);
-  wheel.PopFront();
+  EXPECT_EQ(DrainTick(wheel).size(), 1u);
   // A fresh same-time push must file *behind* the cascaded older event.
   wheel.Push(t_far, {t_far, 2});
   const auto out = Drain(wheel, t_far);
@@ -154,7 +179,8 @@ TEST(TimingWheelTest, ReserveDoesNotDisturbPendingEvents) {
 
 // Differential against a (time, seq) min-heap over a seeded random schedule
 // with interleaved pushes and bounded drains — the wheel's substitutability
-// contract in one property.
+// contract in one property.  Some handlers push again from inside the drain,
+// at their own tick or later, as the engines' event handlers do.
 TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
   struct HeapGreater {
     bool operator()(const Ev& a, const Ev& b) const {
@@ -188,13 +214,20 @@ TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
       const std::int64_t until = now + static_cast<std::int64_t>(rng.UniformInt(0, 200'000));
       std::int64_t t = 0;
       while (wheel.NextTime(until, &t)) {
-        const Ev got = wheel.PopFront();
-        ASSERT_FALSE(heap.empty()) << "seed " << seed;
-        const Ev want = heap.top();
-        heap.pop();
-        ASSERT_EQ(got.time, want.time) << "seed " << seed;
-        ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
-        now = got.time;
+        wheel.DrainCurrent([&](const Ev& got) {
+          ASSERT_FALSE(heap.empty()) << "seed " << seed;
+          const Ev want = heap.top();
+          heap.pop();
+          ASSERT_EQ(got.time, want.time) << "seed " << seed;
+          ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
+          if (rng.UniformInt(0, 7) == 0) {
+            const std::int64_t dt = rng.UniformInt(0, 1) == 0 ? 0 : rng.UniformInt(1, 300);
+            const Ev again{got.time + dt, seq++};
+            wheel.Push(again.time, again);
+            heap.push(again);
+          }
+        });
+        ASSERT_FALSE(HasFatalFailure());
       }
       if (!heap.empty()) {
         ASSERT_GT(heap.top().time, until) << "seed " << seed;

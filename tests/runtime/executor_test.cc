@@ -281,9 +281,9 @@ TEST(ExecutorTest, DispatchLatenciesRecorded) {
 
 TEST(ExecutorTest, TracedMultiDispatcherStress) {
   // The MultiDispatcherStressSharded workload with a wall-clock obs::Trace
-  // and a shared metrics registry attached: four dispatcher threads plus the
-  // timer thread record concurrently into their own rings while this thread
-  // snapshots the histograms mid-run.  Run under TSan in CI — this is the
+  // and a shared metrics registry attached: four dispatcher threads record
+  // concurrently into their own rings, fed wakeups by the timer thread, while
+  // this thread snapshots the histograms mid-run.  Run under TSan in CI — this is the
   // data-race proof for the single-writer ring contract.  Ring capacity is
   // deliberately tiny so the wraparound path runs concurrently too.
   sched::SchedConfig config = Config(4);

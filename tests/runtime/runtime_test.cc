@@ -1,17 +1,23 @@
 // sfs::runtime tests: the targeted parking/mailbox wake path, both parking
 // backends, pinning, and the wake-latency instrumentation.  The mailbox-stress
-// cases double as the TSan coverage of the wake path (CI runs this suite under
-// ThreadSanitizer).
+// cases and the wake-thread test double as the TSan coverage of the wake path
+// (CI runs this suite under ThreadSanitizer).
 
 #include "src/runtime/executor.h"
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/mutex.h"
+#include "src/obs/trace.h"
 #include "src/runtime/affinity.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
@@ -106,13 +112,15 @@ TEST(RuntimeTest, PinnedDispatchersComplete) {
 
 // Work conservation through the targeted single-kick path: one blocked thread
 // on an otherwise idle machine must be re-dispatched promptly after its wake
-// deadline, with every dispatcher parked (the kick, not the idle-recheck
-// backstop, must deliver it — the generous bound still catches a lost kick).
+// deadline, with every dispatcher parked (the kick, not the quantum-long
+// idle-recheck backstop, must deliver it — the generous bound still catches a
+// lost kick).
 TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   sched::Sharded<sched::Sfs> scheduler(Config(4));
   Executor::Config config;
-  config.quantum = Msec(5);
-  config.idle_recheck = Msec(500);  // so only a kick can wake a parked CPU fast
+  // A parked CPU rechecks after one quantum, so a long one means only a kick
+  // can wake it fast; the task blocks after 30us and never uses it up.
+  config.quantum = Msec(500);
   Executor executor(scheduler, config);
   std::atomic<int> rounds{5};
   executor.AddTask(7, 1.0, [&rounds]() -> Executor::WorkResult {
@@ -129,6 +137,92 @@ TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   // for the idle-recheck backstop instead of the targeted kick.
   EXPECT_LT(elapsed, std::chrono::milliseconds(400));
   EXPECT_EQ(executor.wakeups(), 4);
+}
+
+// Sharded SFS that records which OS thread applies each wakeup (OnWoken, with
+// the woken thread's home CPU) and which CPUs each OS thread picks for.
+class WakeThreadRecorder : public sched::Sharded<sched::Sfs> {
+ public:
+  using Sharded::Sharded;
+
+  std::vector<std::pair<std::thread::id, sched::CpuId>> wakes() const {
+    common::MutexLock lk(mu_);
+    return wakes_;
+  }
+  std::map<std::thread::id, std::set<sched::CpuId>> picks() const {
+    common::MutexLock lk(mu_);
+    return picks_;
+  }
+
+ protected:
+  void OnWoken(sched::Entity& e) override {
+    {
+      common::MutexLock lk(mu_);
+      wakes_.emplace_back(std::this_thread::get_id(), HomeCpu(e.tid));
+    }
+    Sharded::OnWoken(e);
+  }
+  sched::Entity* PickNextEntity(sched::CpuId cpu) override {
+    {
+      common::MutexLock lk(mu_);
+      picks_[std::this_thread::get_id()].insert(cpu);
+    }
+    return Sharded::PickNextEntity(cpu);
+  }
+
+ private:
+  mutable common::Mutex mu_;
+  std::vector<std::pair<std::thread::id, sched::CpuId>> wakes_ SFS_GUARDED_BY(mu_);
+  std::map<std::thread::id, std::set<sched::CpuId>> picks_ SFS_GUARDED_BY(mu_);
+};
+
+// One wake path: every wakeup is applied by the dispatcher of the woken
+// thread's home CPU (the thread that also picks for that CPU), never by the
+// timer thread, and attaching a trace does not change that.
+TEST(RuntimeTest, WakeupsApplyOnTheHomeDispatcher) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    WakeThreadRecorder scheduler(Config(2));
+    obs::Trace trace(2, /*capacity_per_ring=*/1024, obs::Trace::Clock::kWallNanos);
+    Executor::Config config;
+    config.quantum = Msec(1);
+    config.trace = traced ? &trace : nullptr;
+    Executor executor(scheduler, config);
+    constexpr sched::ThreadId kBlockers = 6;
+    constexpr int kRounds = 10;
+    std::atomic<int> live{kBlockers};
+    // A spinner keeps one CPU busy (mid-quantum drains) until the blockers
+    // are done.
+    executor.AddTask(0, 1.0, [&live] {
+      SpinFor(20);
+      return live.load() > 0;
+    });
+    for (sched::ThreadId tid = 1; tid <= kBlockers; ++tid) {
+      auto rounds = std::make_shared<std::atomic<int>>(kRounds);
+      executor.AddTask(tid, 1.0 + tid % 2, [rounds, tid, &live]() -> Executor::WorkResult {
+        SpinFor(20);
+        if (rounds->fetch_sub(1) <= 1) {
+          live.fetch_sub(1);
+          return Executor::WorkResult::Done();
+        }
+        return Executor::WorkResult::Block(Usec(100) * (1 + tid % 3));
+      });
+    }
+    EXPECT_LT(executor.Run(Sec(10)), Sec(10));
+
+    const auto wakes = scheduler.wakes();
+    const auto picks = scheduler.picks();
+    EXPECT_EQ(static_cast<std::int64_t>(wakes.size()), kBlockers * (kRounds - 1));
+    for (const auto& [thread, home] : wakes) {
+      const auto it = picks.find(thread);
+      ASSERT_TRUE(it != picks.end()) << "a wakeup ran on a thread that never picks";
+      EXPECT_TRUE(it->second.count(home) != 0)
+          << "a wakeup homed on cpu " << home << " ran on another CPU's dispatcher";
+    }
+    EXPECT_EQ(executor.wakeups(), static_cast<std::int64_t>(wakes.size()));
+    EXPECT_EQ(executor.metrics().GetHistogram("exec/wake_apply_ns").Snapshot().count(),
+              static_cast<std::uint64_t>(executor.wakeups()));
+  }
 }
 
 // Mailbox wake-path stress for TSan: many short blockers hammering the timer
