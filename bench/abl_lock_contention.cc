@@ -150,16 +150,17 @@ ModeResult RunMode(const ModeSpec& mode, int cpus) {
   return result;
 }
 
-// --- wake-path section: the real runtime's targeted wake path -----------------
+// --- wake-path section: the real runtime's wake path --------------------------
 //
 // Unlike the protocol harness above, this runs the actual runtime::Executor on
-// a blocking workload: the timer pushes every wakeup to the home dispatcher's
-// mailbox and kicks that one CPU; the home dispatcher applies it.
+// a blocking workload: the dispatcher that charges a Block files the wake
+// deadline in its own queue and applies the wakeup itself when its park or
+// report wait reaches that deadline, with no kick.
 
 struct WakeResult {
   HistogramSnapshot lock_wait;      // per-decision dispatch-lock wait, ns
-  HistogramSnapshot wake_apply;     // timer-due -> Wakeup applied, ns
-  HistogramSnapshot wake_dispatch;  // timer-due -> woken thread granted, ns
+  HistogramSnapshot wake_apply;     // wake deadline -> Wakeup applied, ns
+  HistogramSnapshot wake_dispatch;  // wake deadline -> woken thread granted, ns
   std::int64_t wakeups = 0;
   std::int64_t kicks = 0;
   std::int64_t dispatches = 0;
@@ -181,7 +182,7 @@ WakeResult RunWakePath(int cpus) {
     }
   };
   // One spinner per CPU keeps every shard busy, two blockers per CPU generate
-  // a steady wakeup stream through the timer.
+  // a steady wakeup stream through the home dispatchers' wake queues.
   for (ThreadId tid = 0; tid < cpus; ++tid) {
     executor.AddTask(tid, 1.0, [spin] {
       spin(20);
@@ -265,7 +266,7 @@ SFS_EXPERIMENT(abl_lock_contention,
       << "not serialized, while the global lock pins it at 1 and its lock wait\n"
       << "grows with p as every dispatcher convoys behind one holder.\n";
 
-  // --- wake path: targeted parking/mailbox -------------------------------------
+  // --- wake path: per-dispatcher wake timing, targeted parking ----------------
   sfs::common::Table wake_table({"p", "wakeups", "apply p99 (us)", "w2d p50 (us)",
                                  "w2d p99 (us)", "lock wait (us)", "kicks/wakeup"});
   for (const int cpus : {2, 8}) {
@@ -295,12 +296,12 @@ SFS_EXPERIMENT(abl_lock_contention,
     reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
     reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
   }
-  reporter.out() << "\n=== Wake path: targeted parking/mailbox (real runtime::Executor) ===\n\n";
+  reporter.out() << "\n=== Wake path: per-dispatcher wake timing (real runtime::Executor) ===\n\n";
   wake_table.Print(reporter.out());
   reporter.out()
       << "\nBlocking workload: 1 spinner + 2 blockers per CPU, sharded SFS, 300 ms\n"
-      << "wall.  'apply' = timer-due to Wakeup applied; 'w2d' = timer-due to the\n"
-      << "woken thread granted a CPU; 'lock wait' = mean dispatch-lock wait per\n"
-      << "decision; 'kicks/wakeup' = parking-slot kicks issued per wakeup (the\n"
-      << "home CPU plus at most one baton pass).\n";
+      << "wall.  'apply' = wake deadline to Wakeup applied; 'w2d' = wake deadline\n"
+      << "to the woken thread granted a CPU; 'lock wait' = mean dispatch-lock wait\n"
+      << "per decision; 'kicks/wakeup' = parking-slot kicks issued per wakeup (a\n"
+      << "wakeup needs none; baton passes to parked peers make up the rest).\n";
 }

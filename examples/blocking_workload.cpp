@@ -3,10 +3,10 @@
 // sharded scheduler with one dispatcher thread per CPU.
 //
 // Demonstrates the executor's Block/Wakeup path end to end: a blocked task
-// leaves its shard, the timer thread wakes it, the wakeup may preempt a
-// running hog (SuggestPreemption) or re-dispatch an idle CPU (work
-// conservation), and per-shard dispatch locks keep the four dispatchers out
-// of each other's way the whole time.
+// leaves its shard, the dispatcher that blocked it wakes it at its deadline,
+// the wakeup may preempt a running hog (SuggestPreemption) or re-dispatch an
+// idle CPU (work conservation), and per-shard dispatch locks keep the four
+// dispatchers out of each other's way the whole time.
 //
 //   $ ./examples/blocking_workload
 

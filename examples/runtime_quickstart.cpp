@@ -2,10 +2,10 @@
 //
 // Links ONLY the standalone sfs::runtime target (+ the scheduler stack it
 // re-exports).  Runs a blocking workload on sharded SFS through the runtime's
-// targeted wake path: each CPU's dispatcher parks on its own futex-style
-// slot, timer wakeups are routed to the woken thread's home shard through a
-// wait-free mailbox, and each dispatch decision (mailbox drain + deferred
-// charge + pick) happens under one dispatch-lock hold.
+// wake path: each CPU's dispatcher parks on its own futex-style slot, times
+// the wakeups of the threads it blocked (its park or report wait ends at the
+// next wake deadline), and applies the due wakeups and picks under one
+// dispatch-lock hold.
 //
 //   $ ./examples/runtime_quickstart
 //
@@ -30,7 +30,7 @@ int main() {
   sched_config.num_cpus = 2;
   sched::Sharded<sched::Sfs> scheduler(sched_config);
 
-  // 2. The runtime: one dispatcher thread per CPU, targeted wakeups,
+  // 2. The runtime: one dispatcher thread per CPU, each timing its own wakeups,
   //    batched decisions.
   runtime::Executor::Config config;
   config.quantum = Msec(5);
@@ -50,7 +50,8 @@ int main() {
     });
   }
   // ...plus an interactive task that computes briefly, then blocks on
-  // simulated I/O — exercising timer -> mailbox -> targeted kick -> grant.
+  // simulated I/O — exercising block -> home dispatcher's wake deadline ->
+  // Wakeup -> grant.
   auto io_rounds = std::make_shared<std::atomic<int>>(0);
   executor.AddTask(4, 2.0, [spin, io_rounds]() -> runtime::Executor::WorkResult {
     spin(std::chrono::microseconds(200));
@@ -67,12 +68,12 @@ int main() {
                                  : 0.0;
   const auto wake = executor.wake_to_dispatch_latencies();
 
-  std::cout << "sfs::runtime quickstart (sharded SFS, 2 CPUs, targeted wakeups)\n"
+  std::cout << "sfs::runtime quickstart (sharded SFS, 2 CPUs, home-CPU wakeups)\n"
             << "  spinner w=3: " << heavy << " us CPU\n"
             << "  spinner w=1: " << light << " us CPU   (ratio " << ratio << ", want ~3)\n"
             << "  I/O task:    " << io_rounds->load() << " block/wake rounds, "
             << executor.wakeups() << " wakeups applied\n"
-            << "  wake-to-dispatch p99: " << wake.Percentile(0.99) << " ns over "
+            << "  wake-to-dispatch p99: " << wake.Percentile(99) << " ns over "
             << wake.count() << " samples\n"
             << "  dispatches: " << executor.dispatches() << ", kicks: " << executor.kicks()
             << "\n";

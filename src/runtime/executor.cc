@@ -113,13 +113,13 @@ void Executor::WorkerBody(Worker& w) {
     w.preempt.store(false);
 
     const bool done = report.kind == WorkResult::Kind::kDone;
-    Cpu& mailbox = *cpus_[static_cast<std::size_t>(cpu)];
+    Cpu& dispatcher = *cpus_[static_cast<std::size_t>(cpu)];
     {
-      common::MutexLock lk(mailbox.mu);
-      SFS_CHECK(!mailbox.report.has_value());
-      mailbox.report = report;
+      common::MutexLock lk(dispatcher.mu);
+      SFS_CHECK(!dispatcher.report.has_value());
+      dispatcher.report = report;
     }
-    mailbox.cv.NotifyAll();
+    dispatcher.cv.NotifyAll();
     if (done) {
       return;
     }
@@ -161,8 +161,8 @@ void Executor::KickAfterStateChange(sched::CpuId hint) {
   // instead of hammering one neighbour.  The parked flag is advisory: a CPU
   // between its empty pick and its park is invisible here, and one that just
   // woke may eat a kick for nothing — either way the quantum-long idle
-  // recheck bounds the cost, and the unconditional home-CPU kick on every
-  // wakeup means no wakeup depends on this scan for liveness.
+  // recheck bounds the cost, and no wakeup depends on this scan for
+  // liveness: the home dispatcher's own wait ends at the wake deadline.
   const std::size_t n = cpus_.size();
   for (std::size_t i = 1; i <= n; ++i) {
     Cpu& c = *cpus_[(static_cast<std::size_t>(hint) + i) % n];
@@ -183,35 +183,26 @@ void Executor::StopAll() {
     }
     cpu->cv.NotifyAll();
   }
-  {
-    common::MutexLock lk(timer_mu_);
-  }
-  timer_cv_.NotifyAll();
 }
 
-void Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
+void Executor::ApplyDueWakeupsLocked(sched::CpuId cpu_idx, Clock::time_point now) {
   Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
-  cpu.mailbox.DrainAll([&](WakeMsg&& msg) {
-    // The timer validated nothing (it holds no scheduler lock when it
-    // routes); do it here.  The thread may have exited since blocking (stale
-    // wakeup), and the runnable re-check is defensive against duplicate
-    // deliveries.
-    if (!scheduler_.Contains(msg.tid) || scheduler_.IsRunnable(msg.tid)) {
-      return;
-    }
-    // The home recorded at Block time must still be the shard this dispatch
-    // lock covers — a blocked thread cannot migrate (scheduler contract).
-    SFS_DCHECK(scheduler_.HomeCpu(msg.tid) == sched::kInvalidCpu ||
-               scheduler_.HomeCpu(msg.tid) == cpu_idx);
-    scheduler_.Wakeup(msg.tid);
+  while (!cpu.wakes.empty() && cpu.wakes.top().at <= now) {
+    const PendingWakeup wake = cpu.wakes.top();
+    cpu.wakes.pop();
+    // Only this dispatcher files or applies the thread's wakeup, and a
+    // blocked thread can neither exit nor migrate (scheduler contract), so
+    // it is still blocked on the shard this dispatch lock covers.
+    SFS_DCHECK(scheduler_.Contains(wake.tid) && !scheduler_.IsRunnable(wake.tid));
+    SFS_DCHECK(scheduler_.HomeCpu(wake.tid) == sched::kInvalidCpu ||
+               scheduler_.HomeCpu(wake.tid) == cpu_idx);
+    scheduler_.Wakeup(wake.tid);
     wakeups_.fetch_add(1, std::memory_order_relaxed);
-    const Clock::time_point now = Clock::now();
-    wake_apply_hist_->Record(cpu_idx, std::max<std::int64_t>(0, DurationNs(now - msg.due)));
-    WorkerByTid(msg.tid).wake_pending_ns.store(WallNs(msg.due), std::memory_order_relaxed);
+    wake_apply_hist_->Record(cpu_idx, DurationNs(now - wake.at));
+    WorkerByTid(wake.tid).wake_pending_ns.store(WallNs(wake.at), std::memory_order_relaxed);
     if (trace_) {
-      // Own ring: the wakeup transition belongs to the home dispatcher,
-      // keeping the per-CPU rings single-writer.
-      trace_->Record(cpu_idx, obs::TraceEventKind::kWakeup, WallNs(now), msg.tid);
+      // Own ring, keeping the per-CPU rings single-writer.
+      trace_->Record(cpu_idx, obs::TraceEventKind::kWakeup, WallNs(now), wake.tid);
     }
     // reschedule_idle(): does the wakeup warrant preempting a running thread?
     // elapsed[c] approximates each CPU's uncharged run time from the
@@ -225,7 +216,7 @@ void Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
             0, now_ticks - cpus_[c]->grant_at.load(std::memory_order_relaxed));
       }
     }
-    const sched::CpuId target_cpu = scheduler_.SuggestPreemption(msg.tid, cpu.elapsed_scratch);
+    const sched::CpuId target_cpu = scheduler_.SuggestPreemption(wake.tid, cpu.elapsed_scratch);
     if (target_cpu != sched::kInvalidCpu) {
       // Safe under this dispatch lock: sharded policies only ever suggest the
       // woken thread's home shard (ours), and flat policies' dispatch lock is
@@ -235,7 +226,7 @@ void Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
         cpu.pokes.push_back(PreemptPoke{target_cpu, target_tid});
       }
     }
-  });
+  }
 }
 
 void Executor::ApplyPreemptPokes(Cpu& cpu) {
@@ -243,7 +234,7 @@ void Executor::ApplyPreemptPokes(Cpu& cpu) {
     Cpu& target = *cpus_[static_cast<std::size_t>(poke.cpu)];
     common::MutexLock lk(target.mu);
     // Only preempt if that CPU's dispatcher still has this worker granted and
-    // its report is not already in the mailbox; the flag store happens under
+    // its report is not already posted; the flag store happens under
     // target.mu so it cannot race a Grant-time clear (which also holds
     // target.mu) and truncate an unrelated fresh slice.
     if (target.running_tid == poke.tid && !target.preempt_sent && !target.report.has_value()) {
@@ -314,18 +305,10 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
                          report.tid, report.block_for * 1000);
         }
       }
-      bool nudge_timer = false;
-      {
-        common::MutexLock lk(timer_mu_);
-        const Clock::time_point at = Clock::now() + FromTicks(report.block_for);
-        // The timer parks until the earliest pending deadline; only a new
-        // front-of-queue deadline (or the empty->nonempty edge) moves it.
-        nudge_timer = wake_queue_.empty() || at < wake_queue_.top().at;
-        wake_queue_.push(PendingWakeup{at, report.tid, cpu_idx});
-      }
-      if (nudge_timer) {
-        timer_cv_.NotifyAll();
-      }
+      // This CPU is the thread's home until it wakes, so this dispatcher
+      // times the wakeup too.
+      cpus_[static_cast<std::size_t>(cpu_idx)]->wakes.push(
+          PendingWakeup{Clock::now() + FromTicks(report.block_for), report.tid});
       break;
     }
   }
@@ -361,8 +344,8 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
         // Timestamp hint for the scheduler's own steal/rebalance records.
         trace_->PublishNow(WallNs(lock_acquired));
       }
-      // One decision batch per lock hold: queued wakeups, then the pick.
-      DrainMailboxLocked(cpu_idx);
+      // One decision batch per lock hold: due wakeups, then the pick.
+      ApplyDueWakeupsLocked(cpu_idx, lock_acquired);
       tid = scheduler_.PickNext(cpu_idx);
       if (tid != sched::kInvalidThread) {
         quantum = std::min(quantum, std::max<Tick>(1, scheduler_.QuantumFor(tid)));
@@ -374,12 +357,12 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     lock_wait_hist_->Record(cpu_idx, lock_wait_ns);
 
     if (tid == sched::kInvalidThread) {
-      // Nothing runnable here: park on our own slot.  Every producer that
-      // could create work for us kicks this slot (wakeup routing, baton
-      // passing, shutdown); the bounded deadline is only the backstop for the
-      // advisory parked-flag scan in KickAfterStateChange.
+      // Nothing runnable here: park on our own slot until our next wake
+      // deadline.  Peers kick this slot (baton passing, shutdown); the
+      // quantum bound is only the backstop for the advisory parked-flag scan
+      // in KickAfterStateChange.
       const Clock::time_point park_deadline =
-          std::min(wall_end_, Clock::now() + FromTicks(config_.quantum));
+          std::min({wall_end_, Clock::now() + FromTicks(config_.quantum), cpu.next_wake()});
       cpu.parked.store(true, std::memory_order_seq_cst);
       if (!stop_.load()) {
         cpu.park.ParkUntil(park_token, park_deadline);
@@ -402,7 +385,7 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
 
     Worker* w = &WorkerByTid(tid);
     // Wake-to-dispatch sample: if this grant ends a pending wakeup, the
-    // latency runs from the timer deadline to this pick.
+    // latency runs from the wake deadline to this pick.
     const std::int64_t wake_due_ns =
         w->wake_pending_ns.exchange(-1, std::memory_order_relaxed);
     if (wake_due_ns >= 0) {
@@ -435,27 +418,22 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     bool preempt_sent = false;
     Clock::time_point preempt_sent_at{};
     while (!have_report) {
-      bool want_drain = false;
+      // Mid-quantum wake service: a wakeup that comes due while we are busy
+      // must become runnable (and possibly preempt, or be stolen by a kicked
+      // peer) now, not when this slice ends, so wait no later than the next
+      // wake deadline.
+      const Clock::time_point wait_until = std::min(deadline, cpu.next_wake());
+      bool wake_due = false;
       {
         common::MutexLock lk(cpu.mu);
-        for (;;) {
-          if (cpu.report.has_value()) {
-            break;
-          }
-          // Mid-quantum mailbox service: a wakeup routed here while we are
-          // busy must become runnable (and possibly preempt, or be stolen by
-          // a kicked peer) now, not when this slice ends.  The timer nudges
-          // cpu.cv after every push; checking before the first wait covers a
-          // push that landed before we got here.
-          if (!cpu.mailbox.Empty()) {
-            want_drain = true;
-            break;
-          }
-          if (cpu.cv.WaitUntil(cpu.mu, deadline) == std::cv_status::timeout) {
+        while (!cpu.report.has_value()) {
+          if (cpu.cv.WaitUntil(cpu.mu, wait_until) == std::cv_status::timeout) {
             break;
           }
         }
-        if (!cpu.report.has_value() && !want_drain) {
+        if (!cpu.report.has_value() && wait_until < deadline) {
+          wake_due = true;
+        } else if (!cpu.report.has_value()) {
           // Quantum expired (or the run is ending): preempt the worker —
           // unless a wakeup poke already preempted this slice, whose earlier
           // flag-set instant must survive or the recorded preempt-to-yield
@@ -480,16 +458,17 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
           have_report = true;
         }
       }
-      if (!have_report) {
-        // want_drain: apply the queued wakeups under our dispatch lock, poke
-        // any suggested preemption (possibly our own slice), hand spare work
-        // to a parked peer, then resume waiting out the quantum.
+      if (wake_due) {
+        // Apply the due wakeups under our dispatch lock, poke any suggested
+        // preemption (possibly our own slice), hand spare work to a parked
+        // peer, then resume waiting out the quantum.
         {
           auto guard = scheduler_.LockDispatch(cpu_idx);
+          const Clock::time_point now = Clock::now();
           if (trace_) {
-            trace_->PublishNow(WallNs(Clock::now()));
+            trace_->PublishNow(WallNs(now));
           }
-          DrainMailboxLocked(cpu_idx);
+          ApplyDueWakeupsLocked(cpu_idx, now);
         }
         ApplyPreemptPokes(cpu);
         KickAfterStateChange(cpu_idx);
@@ -521,59 +500,6 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
   }
 }
 
-void Executor::TimerLoop() {
-  std::vector<PendingWakeup> due;
-  for (;;) {
-    due.clear();
-    {
-      common::MutexLock lk(timer_mu_);
-      for (;;) {
-        if (stop_.load()) {
-          return;
-        }
-        const Clock::time_point now = Clock::now();
-        if (now >= wall_end_) {
-          return;
-        }
-        if (!wake_queue_.empty() && wake_queue_.top().at <= now) {
-          break;
-        }
-        if (wake_queue_.empty()) {
-          // Nothing can come due until a Block enqueues a deadline (which
-          // nudges timer_cv_) or the run ends (StopAll nudges it): park
-          // indefinitely instead of polling.
-          timer_cv_.Wait(timer_mu_);
-        } else {
-          // By value: the wait releases timer_mu_, and a Block pushing onto
-          // wake_queue_ meanwhile may reallocate the storage top() refers to.
-          const Clock::time_point deadline = std::min(wake_queue_.top().at, wall_end_);
-          timer_cv_.WaitUntil(timer_mu_, deadline);
-        }
-      }
-      const Clock::time_point now = Clock::now();
-      while (!wake_queue_.empty() && wake_queue_.top().at <= now) {
-        due.push_back(wake_queue_.top());
-        wake_queue_.pop();
-      }
-    }
-    for (const PendingWakeup& wake : due) {
-      // Route the wakeup to its home CPU — one wait-free push, one targeted
-      // kick.  The home dispatcher applies Wakeup under its own dispatch lock
-      // (mailbox drain), so this thread touches no scheduler state.  The kick
-      // is unconditional: wakeup liveness must not depend on the advisory
-      // parked-flag scan.
-      Cpu& home = *cpus_[static_cast<std::size_t>(wake.home)];
-      home.mailbox.Push(WakeMsg{wake.tid, wake.at});
-      home.park.Kick();
-      kicks_.fetch_add(1, std::memory_order_relaxed);
-      {
-        common::MutexLock lk(home.mu);  // a busy dispatcher between its
-      }                                 // mailbox check and its report wait
-      home.cv.NotifyAll();              // must not miss the nudge
-    }
-  }
-}
-
 Tick Executor::Run(Tick wall_limit) {
   SFS_CHECK(!started_);
   started_ = true;
@@ -583,7 +509,7 @@ Tick Executor::Run(Tick wall_limit) {
 
   cpus_.clear();
   for (int c = 0; c < scheduler_.num_cpus(); ++c) {
-    cpus_.push_back(std::make_unique<Cpu>(config_.park_backend));
+    cpus_.push_back(std::make_unique<Cpu>());
   }
 
   // Dispatch routing: tid-indexed flat vector (the scheduler's entity-table
@@ -628,7 +554,6 @@ Tick Executor::Run(Tick wall_limit) {
     w->thread = std::thread([this, worker = w.get()] { WorkerBody(*worker); });
   }
 
-  std::thread timer([this] { TimerLoop(); });
   std::vector<std::thread> dispatchers;
   dispatchers.reserve(cpus_.size());
   for (std::size_t c = 0; c < cpus_.size(); ++c) {
@@ -640,7 +565,6 @@ Tick Executor::Run(Tick wall_limit) {
     d.join();
   }
   StopAll();
-  timer.join();
 
   for (const auto& cpu : cpus_) {
     for (const double sample : cpu->preempt_latencies.samples()) {

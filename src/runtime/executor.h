@@ -12,9 +12,9 @@
 //     every other CPU's dispatcher, exactly as kernel CPUs run schedule() in
 //     parallel (Section 3.1: quanta on different processors are not
 //     synchronized);
-//   * a timer thread delivers simulated-I/O completions: tasks may return
-//     WorkResult::Block(d) to sleep, the scheduler sees Block/Wakeup, and the
-//     runtime stays work-conserving;
+//   * each dispatcher also times the simulated-I/O completions of the
+//     threads it blocked: tasks may return WorkResult::Block(d) to sleep, the
+//     scheduler sees Block/Wakeup, and the runtime stays work-conserving;
 //   * preemption is cooperative: worker bodies perform a small unit of work
 //     per call and re-check the flag, like a kernel preemption point.
 //
@@ -26,33 +26,33 @@
 //     condition variable (1.01 vs 30.18 kicks per wakeup at p=8).  The
 //     Prepare-token-before-final-look protocol (parking.h) makes a kick that
 //     races between an empty pick and the park impossible to lose.
-//   * WAKEUP ROUTING — the timer never applies a wakeup itself: it pushes
-//     each expired one to the woken thread's *home* CPU (the CPU that
-//     charged the Block, whose LockDispatch covers the lifecycle relaxation
-//     of the scheduler contract) through that CPU's wait-free MPSC mailbox
-//     (common::MpscMailbox), kicks that slot and nudges its report wait.
-//     The timer touches no scheduler state, and traced and untraced runs take
-//     the same path.
-//   * DECISION BATCHING — the home dispatcher drains its mailbox (applying
-//     Wakeup + SuggestPreemption per message) and runs PickNext under ONE
-//     LockDispatch hold.  Preempt pokes suggested by the drain are applied
-//     after the hold is released (the runtime never holds a dispatch mutex
-//     and a Cpu::mu together — see the lock-order note below).  Each slice's
-//     charge takes its own LockDispatch hold as the slice ends.
-//   * A dispatcher mid-quantum drains its mailbox too: the timer's kick also
-//     nudges the CPU's report wait, which exits the wait, drains under
-//     LockDispatch, applies pokes, and resumes waiting.  A wakeup whose home
-//     CPU is busy therefore still becomes runnable immediately (and may
-//     preempt, or be stolen by a kicked peer) rather than languishing until
-//     the current slice ends.
+//   * WAKEUP TIMING — the dispatcher that charges a Block is the blocked
+//     thread's *home* CPU (a blocked thread cannot migrate, and that CPU's
+//     LockDispatch covers the lifecycle relaxation of the scheduler
+//     contract), so it files the wake deadline in its own private queue and
+//     applies it itself.  No other thread touches the queue, so it needs no
+//     lock, and traced and untraced runs take the same path.
+//   * DECISION BATCHING — the dispatcher applies its due wakeups (Wakeup +
+//     SuggestPreemption each) and runs PickNext under ONE LockDispatch hold.
+//     Preempt pokes suggested there are applied after the hold is released
+//     (the runtime never holds a dispatch mutex and a Cpu::mu together — see
+//     the lock-order note below).  Each slice's charge takes its own
+//     LockDispatch hold as the slice ends.
+//   * Both of a dispatcher's waits end at its next wake deadline: the idle
+//     park, and the mid-quantum report wait, which then applies the due
+//     wakeups under LockDispatch, applies pokes, passes the baton and resumes
+//     waiting.  A wakeup whose home CPU is busy therefore still becomes
+//     runnable on time (and may preempt, or be stolen by a kicked peer)
+//     rather than languishing until the current slice ends.
 //
-// Work conservation with single kicks: every wakeup kicks its home CPU
-// unconditionally; after a successful pick, the dispatcher passes the baton —
-// if runnable work remains beyond what is running, it kicks one more parked
-// CPU (round-robin) so queued work fans out one CPU at a time instead of
-// waking the whole herd.  A parked dispatcher also re-checks after one
-// quantum as a belt-and-braces backstop, so a missed heuristic kick costs at
-// most one quantum, not liveness.  Only shutdown kicks every slot.
+// Work conservation with single kicks: a wakeup needs no kick, since its
+// home dispatcher's own deadline delivers it; after a state change, the
+// dispatcher passes the baton — if runnable work remains beyond what is
+// running, it kicks one more parked CPU (round-robin) so queued work fans out
+// one CPU at a time instead of waking the whole herd.  A parked dispatcher
+// also re-checks after one quantum as a belt-and-braces backstop, so a missed
+// heuristic kick costs at most one quantum, not liveness.  Only shutdown
+// kicks every slot.
 //
 // Lock order (validated in debug builds): dispatch mutexes < everything
 // else.  Cpu::mu and Worker::mu are leaf locks; the runtime never acquires a
@@ -89,7 +89,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/mpsc_mailbox.h"
 #include "src/common/mutex.h"
 #include "src/common/parking.h"
 #include "src/common/stats.h"
@@ -114,10 +113,6 @@ class Executor {
     // platforms without an affinity syscall.
     bool pin_dispatchers = false;
 
-    // Force the parking backend (tests cover both on any host); kAuto picks
-    // futex on Linux.
-    common::ParkingSlot::Backend park_backend = common::ParkingSlot::Backend::kAuto;
-
     // Observability sink (wall-nanosecond clock domain; Clock must be
     // kWallNanos and the trace must have at least the scheduler's num_cpus
     // rings).  Each dispatcher records pick/lock-wait spans, grants, run
@@ -136,7 +131,8 @@ class Executor {
   };
 
   // Outcome of one work unit: keep running, finish, or sleep on simulated I/O
-  // for `block_for` ticks (the timer thread wakes the task afterwards).
+  // for `block_for` ticks (the dispatcher that charged the Block wakes the task
+  // afterwards).
   struct WorkResult {
     enum class Kind { kContinue, kDone, kBlock };
 
@@ -181,10 +177,10 @@ class Executor {
   const common::SampleSet& preempt_latencies() const { return preempt_latencies_; }
 
   // Latency of one scheduling decision in NANOSECONDS: acquiring the dispatch
-  // lock (including any contention with other CPUs' dispatchers) plus the
-  // mailbox drain plus PickNext.  Idle picks (nothing runnable) are not
-  // sampled.  Accumulated in a bounded per-CPU obs::LogHistogram rather than
-  // an unbounded sample vector, so arbitrarily long runs cost constant
+  // lock (including any contention with other CPUs' dispatchers) plus
+  // applying the due wakeups plus PickNext.  Idle picks (nothing runnable) are
+  // not sampled.  Accumulated in a bounded per-CPU obs::LogHistogram rather
+  // than an unbounded sample vector, so arbitrarily long runs cost constant
   // memory; the snapshot keeps the count/mean/min/max/Percentile shape of the
   // SampleSet it replaced.
   obs::HistogramSnapshot dispatch_latencies() const { return dispatch_hist_->Snapshot(); }
@@ -194,17 +190,16 @@ class Executor {
   // including idle picks.
   obs::HistogramSnapshot lock_wait_latencies() const { return lock_wait_hist_->Snapshot(); }
 
-  // Timer-due instant -> Scheduler::Wakeup applied (nanoseconds): the wake
-  // path's queueing delay through the mailbox push + kick + the home
-  // dispatcher's drain.  One sample per wakeups() increment.
+  // Wake deadline -> Scheduler::Wakeup applied (nanoseconds): how late the
+  // home dispatcher's park or report wait returned, plus its wait for the
+  // dispatch lock.  One sample per wakeups() increment.
   obs::HistogramSnapshot wake_apply_latencies() const {
     return wake_apply_hist_->Snapshot();
   }
 
-  // Timer-due instant -> the woken thread actually granted a CPU
-  // (nanoseconds): the end-to-end wake-to-dispatch latency the ISSUE gates
-  // on.  One sample per wakeup, recorded at the grant that first runs the
-  // thread again.
+  // Wake deadline -> the woken thread actually granted a CPU (nanoseconds):
+  // the end-to-end wake-to-dispatch latency.  One sample per wakeup, recorded
+  // at the grant that first runs the thread again.
   obs::HistogramSnapshot wake_to_dispatch_latencies() const {
     return wake_dispatch_hist_->Snapshot();
   }
@@ -253,13 +248,15 @@ class Executor {
     Tick cpu_time = 0;  // written under the dispatch/lifecycle lock of the charging CPU
   };
 
-  // A wakeup routed to its home CPU's mailbox.
-  struct WakeMsg {
-    sched::ThreadId tid = sched::kInvalidThread;
-    Clock::time_point due{};  // the timer deadline that expired
+  // A blocked thread's wake deadline, filed with the dispatcher that charged
+  // the Block.
+  struct PendingWakeup {
+    Clock::time_point at;
+    sched::ThreadId tid;
+    bool operator>(const PendingWakeup& other) const { return at > other.at; }
   };
 
-  // A preemption suggested by a mailbox drain, applied after the dispatch
+  // A preemption suggested while applying wakeups, applied after the dispatch
   // guard is released (never hold a dispatch mutex and a Cpu::mu together).
   struct PreemptPoke {
     sched::CpuId cpu = sched::kInvalidCpu;
@@ -267,7 +264,7 @@ class Executor {
   };
 
   // Per-processor dispatcher state.  report/cv carry the running worker's
-  // yield report back to this CPU's dispatcher; park/mailbox carry wakeups in.
+  // yield report back to this CPU's dispatcher; park carries kicks in.
   struct Cpu {
     common::Mutex mu;
     common::CondVar cv;
@@ -281,10 +278,13 @@ class Executor {
     // True only while the owning dispatcher is inside ParkUntil; targeted
     // kicks scan these flags to pick ONE sleeping CPU instead of waking all.
     std::atomic<bool> parked{false};
-    // Wakeups (and future cross-CPU hints) bound for this CPU; producers are
-    // the timer (and potentially peers), consumer is this CPU's dispatcher,
-    // which drains under its own LockDispatch hold.
-    common::MpscMailbox<WakeMsg> mailbox;
+    // Wake deadlines of the threads this dispatcher blocked, earliest first.
+    // Only this CPU's dispatcher touches it, so it needs no lock.
+    std::priority_queue<PendingWakeup, std::vector<PendingWakeup>, std::greater<>> wakes;
+    // The earliest wake deadline, by value (the far future when none).
+    Clock::time_point next_wake() const {
+      return wakes.empty() ? Clock::time_point::max() : wakes.top().at;
+    }
 
     // Grant instant in ticks since run start, for the elapsed[] vector handed
     // to SuggestPreemption; advisory, hence lock-free.
@@ -299,37 +299,23 @@ class Executor {
     // histograms, which are per-CPU by construction.)
     common::SampleSet preempt_latencies;
 
-    // Drain scratch (own dispatcher only): pokes collected under the dispatch
-    // guard, applied after it; elapsed[] reused across drains.
+    // Wake scratch (own dispatcher only): pokes collected under the dispatch
+    // guard, applied after it; elapsed[] reused across wakeups.
     std::vector<PreemptPoke> pokes;
     std::vector<Tick> elapsed_scratch;
-
-    explicit Cpu(common::ParkingSlot::Backend backend) : park(backend) {}
-  };
-
-  struct PendingWakeup {
-    Clock::time_point at;
-    sched::ThreadId tid;
-    // The CPU that charged the Block — the thread's home while blocked (a
-    // blocked thread cannot migrate), recorded here so the timer can route
-    // the wakeup without taking any scheduler lock.
-    sched::CpuId home;
-    bool operator>(const PendingWakeup& other) const { return at > other.at; }
   };
 
   void WorkerBody(Worker& w);
   void Grant(Worker& w, sched::CpuId cpu);
   void DispatcherLoop(sched::CpuId cpu);
-  void TimerLoop();
   void HandleReport(sched::CpuId cpu, const Report& report, bool preempt_sent,
                     Clock::time_point preempt_sent_at);
 
-  // Applies every queued wakeup for `cpu`: Wakeup + wake bookkeeping +
-  // SuggestPreemption per message, suggested preemptions pushed onto
-  // cpu.pokes.  Stale messages (thread exited, or already runnable from a
-  // duplicate delivery) are dropped.  Called only by `cpu`'s own dispatcher,
-  // holding LockDispatch(cpu).
-  void DrainMailboxLocked(sched::CpuId cpu);
+  // Applies every wakeup in cpu.wakes due by `now` (read under the guard):
+  // Wakeup + wake bookkeeping + SuggestPreemption each, suggested preemptions
+  // pushed onto cpu.pokes.  Called only by `cpu`'s own dispatcher, holding
+  // LockDispatch(cpu).
+  void ApplyDueWakeupsLocked(sched::CpuId cpu, Clock::time_point now);
   // Sets each poke's preempt flag if its thread is still the one granted on
   // the poked CPU, then clears cpu.pokes; caller must NOT hold any scheduler
   // lock (Cpu::mu is a leaf).
@@ -380,14 +366,6 @@ class Executor {
   // compares it with scheduler_.runnable_count() (which counts running
   // threads too) to estimate queued-but-not-running work.
   std::atomic<int> running_cpus_{0};
-
-  // Sleeping tasks, ordered by wake time; drained by the timer thread, which
-  // parks until the earliest pending deadline (indefinitely when empty) and
-  // is nudged only when a new deadline becomes the earliest.
-  common::Mutex timer_mu_;
-  common::CondVar timer_cv_;
-  std::priority_queue<PendingWakeup, std::vector<PendingWakeup>, std::greater<>>
-      wake_queue_ SFS_GUARDED_BY(timer_mu_);
 
   // Merged from the per-CPU sample sets after the dispatchers join.
   common::SampleSet preempt_latencies_;

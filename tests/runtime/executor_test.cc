@@ -112,7 +112,7 @@ TEST(ExecutorTest, BlockingTaskRoundTrips) {
   Executor executor(scheduler, config);
 
   // A task that alternates compute and simulated I/O, next to a CPU hog: every
-  // round needs a Block, a timer Wakeup, and a re-dispatch against the hog.
+  // round needs a Block, a timed Wakeup, and a re-dispatch against the hog.
   constexpr int kRounds = 10;
   auto rounds_left = std::make_shared<std::atomic<int>>(kRounds);
   std::atomic<bool> io_task_done{false};
@@ -282,7 +282,7 @@ TEST(ExecutorTest, DispatchLatenciesRecorded) {
 TEST(ExecutorTest, TracedMultiDispatcherStress) {
   // The MultiDispatcherStressSharded workload with a wall-clock obs::Trace
   // and a shared metrics registry attached: four dispatcher threads record
-  // concurrently into their own rings, fed wakeups by the timer thread, while
+  // concurrently into their own rings, each applying its own wakeups, while
   // this thread snapshots the histograms mid-run.  Run under TSan in CI — this is the
   // data-race proof for the single-writer ring contract.  Ring capacity is
   // deliberately tiny so the wraparound path runs concurrently too.

@@ -1,7 +1,8 @@
-// sfs::runtime tests: the targeted parking/mailbox wake path, both parking
-// backends, pinning, and the wake-latency instrumentation.  The mailbox-stress
-// cases and the wake-thread test double as the TSan coverage of the wake path
-// (CI runs this suite under ThreadSanitizer).
+// sfs::runtime tests: the wake path (each dispatcher times the wakeups of the
+// threads it blocked), targeted parking, pinning, and the wake-latency
+// instrumentation.  The wake-stress cases and the wake-thread test double as
+// the TSan coverage of the wake path (CI runs this suite under
+// ThreadSanitizer).
 
 #include "src/runtime/executor.h"
 
@@ -83,7 +84,7 @@ TEST(RuntimeTest, TargetedWakePathCompletesAndInstruments) {
   Executor::Config config;
   config.quantum = Msec(2);
   const RunStats stats = RunBlockingMix(config, 4);
-  // 4 blockers x 7 blocking rounds, each applied through a mailbox drain.
+  // 4 blockers x 7 blocking rounds, each applied by its home dispatcher.
   EXPECT_GE(stats.wakeups, 4);
   EXPECT_EQ(stats.wake_applies, static_cast<std::uint64_t>(stats.wakeups));
   // Every wakeup was eventually granted (tasks all ran to completion), so the
@@ -91,14 +92,6 @@ TEST(RuntimeTest, TargetedWakePathCompletesAndInstruments) {
   EXPECT_EQ(stats.wake_dispatches, static_cast<std::uint64_t>(stats.wakeups));
   EXPECT_GT(stats.kicks, 0);
   EXPECT_LT(stats.elapsed, Sec(5));  // finished, not wall-limited
-}
-
-TEST(RuntimeTest, CondVarParkingBackendWorks) {
-  Executor::Config config;
-  config.quantum = Msec(2);
-  config.park_backend = common::ParkingSlot::Backend::kCondVar;
-  const RunStats stats = RunBlockingMix(config, 2);
-  EXPECT_GE(stats.wakeups, 4);
 }
 
 TEST(RuntimeTest, PinnedDispatchersComplete) {
@@ -110,16 +103,17 @@ TEST(RuntimeTest, PinnedDispatchersComplete) {
   EXPECT_GT(HardwareCores(), 0);
 }
 
-// Work conservation through the targeted single-kick path: one blocked thread
-// on an otherwise idle machine must be re-dispatched promptly after its wake
-// deadline, with every dispatcher parked (the kick, not the quantum-long
-// idle-recheck backstop, must deliver it — the generous bound still catches a
-// lost kick).
+// Work conservation with every dispatcher parked: one blocked thread on an
+// otherwise idle machine must be re-dispatched promptly after its wake
+// deadline.  The home dispatcher's park deadline, not a kick and not the
+// quantum-long idle-recheck backstop, delivers it — the generous bound still
+// catches a park that ignores the wake deadline.
 TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   sched::Sharded<sched::Sfs> scheduler(Config(4));
   Executor::Config config;
-  // A parked CPU rechecks after one quantum, so a long one means only a kick
-  // can wake it fast; the task blocks after 30us and never uses it up.
+  // A parked CPU rechecks after one quantum, so a long one means only the
+  // wake deadline can end the park fast; the task blocks after 30us and never
+  // uses it up.
   config.quantum = Msec(500);
   Executor executor(scheduler, config);
   std::atomic<int> rounds{5};
@@ -134,9 +128,33 @@ TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   executor.Run(Sec(10));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // 4 blocks x 1ms sleep + work; anywhere near 500ms means a wakeup waited
-  // for the idle-recheck backstop instead of the targeted kick.
+  // for the idle-recheck backstop instead of the park deadline.
   EXPECT_LT(elapsed, std::chrono::milliseconds(400));
   EXPECT_EQ(executor.wakeups(), 4);
+}
+
+// A wakeup costs no kick: the dispatcher that blocked the thread parks until
+// the wake deadline and applies the wakeup itself.  One CPU, one blocker, a
+// quantum far longer than the run, so only the park deadline can end the
+// park in time; the only kicks are the shutdown ones.
+TEST(RuntimeTest, WakeupsNeedNoKick) {
+  sched::Sharded<sched::Sfs> scheduler(Config(1));
+  Executor::Config config;
+  config.quantum = Msec(500);
+  Executor executor(scheduler, config);
+  std::atomic<int> rounds{21};
+  executor.AddTask(0, 1.0, [&rounds]() -> Executor::WorkResult {
+    if (rounds.fetch_sub(1) <= 1) {
+      return Executor::WorkResult::Done();
+    }
+    return Executor::WorkResult::Block(Usec(300));
+  });
+  const auto start = std::chrono::steady_clock::now();
+  executor.Run(Sec(10));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(executor.wakeups(), 20);
+  EXPECT_LT(executor.kicks(), executor.wakeups());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(400));
 }
 
 // Sharded SFS that records which OS thread applies each wakeup (OnWoken, with
@@ -177,8 +195,8 @@ class WakeThreadRecorder : public sched::Sharded<sched::Sfs> {
 };
 
 // One wake path: every wakeup is applied by the dispatcher of the woken
-// thread's home CPU (the thread that also picks for that CPU), never by the
-// timer thread, and attaching a trace does not change that.
+// thread's home CPU (the thread that also picks for that CPU), and attaching a
+// trace does not change that.
 TEST(RuntimeTest, WakeupsApplyOnTheHomeDispatcher) {
   for (const bool traced : {false, true}) {
     SCOPED_TRACE(traced ? "traced" : "untraced");
@@ -191,7 +209,7 @@ TEST(RuntimeTest, WakeupsApplyOnTheHomeDispatcher) {
     constexpr sched::ThreadId kBlockers = 6;
     constexpr int kRounds = 10;
     std::atomic<int> live{kBlockers};
-    // A spinner keeps one CPU busy (mid-quantum drains) until the blockers
+    // A spinner keeps one CPU busy (mid-quantum wakeups) until the blockers
     // are done.
     executor.AddTask(0, 1.0, [&live] {
       SpinFor(20);
@@ -225,10 +243,10 @@ TEST(RuntimeTest, WakeupsApplyOnTheHomeDispatcher) {
   }
 }
 
-// Mailbox wake-path stress for TSan: many short blockers hammering the timer
-// -> mailbox -> drain -> grant pipeline across shards, concurrently with
+// Wake-path stress for TSan: many short blockers hammering the block -> wake
+// deadline -> Wakeup -> grant pipeline across shards, concurrently with
 // spinners being preempted.
-TEST(RuntimeTest, MailboxWakeStress) {
+TEST(RuntimeTest, WakeStress) {
   sched::Sharded<sched::Sfs> scheduler(Config(4));
   Executor::Config config;
   config.quantum = Msec(1);
@@ -254,12 +272,12 @@ TEST(RuntimeTest, MailboxWakeStress) {
   }
 }
 
-// Timer-wait stress: many blockers re-Block with short, staggered deadlines
-// while the timer thread waits for the earliest one.  A later deadline does
-// not nudge the timer, so the pushes grow — and reallocate — the wake queue
-// in the middle of that wait; the timer must be waiting on a copy of the
-// deadline, not on a reference into the queue (the sanitizer build catches
-// the latter as a use-after-free).
+// Wake-queue stress: 64 blockers re-Block with short, staggered deadlines on
+// two CPUs, so each dispatcher's own wake queue grows — and reallocates —
+// between the waits it times by the queue's earliest deadline.  Each wait
+// must use a deadline copied by value, not a reference into the queue (the
+// sanitizer build catches the latter as a use-after-free), and every one of
+// the wakeups must be applied.
 TEST(RuntimeTest, TimerWaitSurvivesWakeQueueGrowth) {
   sched::Sharded<sched::Sfs> scheduler(Config(2));
   Executor::Config config;
