@@ -77,7 +77,7 @@ Entity* HeuristicSfs::PickNextEntity(CpuId cpu) {
   if (phi_changed_ || ++decisions_since_refresh_ >= refresh_period_) {
     Refresh(v);
   }
-  return Pick(v, cpu);
+  return Dispatching(Pick(v, cpu));
 }
 
 void HeuristicSfs::Insert(Entity& e, double surplus) {
@@ -122,10 +122,10 @@ void HeuristicSfs::ForFirstKByStartTag(Fn&& fn) {
   // advances and sinks past the cursors with smaller keys.
   auto by_key = [](const MergeCursor& a, const MergeCursor& b) { return a.key < b.key; };
   merge_.clear();
-  for (PhiClass* cls : active_classes()) {
-    Entity* head = cls->queue.front();
-    merge_.push_back({sched::ByStartTagAsc::Key(*head), head, cls});
-  }
+  ForEachClass([this](PhiClass& cls) {
+    Entity* head = cls.queue.front();
+    merge_.push_back({sched::ByStartTagAsc::Key(*head), head, &cls});
+  });
   std::sort(merge_.begin(), merge_.end(), by_key);
   std::size_t first = 0;  // cursors before `first` are exhausted
   for (std::size_t visited = 0; visited < k_ && first < merge_.size(); ++visited) {

@@ -67,9 +67,14 @@ void MirrorIntoGms(sim::Engine& engine, sched::GmsReference& gms) {
 // FNV-1a over every completed run interval of `engine`: any divergence in any
 // dispatch decision — order, processor, start time or length — changes the
 // value.
-void FingerprintRuns(sim::Engine& engine, common::Fnv1a& fingerprint) {
+// Counts the intervals in `*intervals` when it is not null.
+void FingerprintRuns(sim::Engine& engine, common::Fnv1a& fingerprint,
+                     std::int64_t* intervals = nullptr) {
   engine.SetRunIntervalHook(
-      [&fingerprint](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
+      [&fingerprint, intervals](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
+        if (intervals != nullptr) {
+          ++*intervals;
+        }
         fingerprint.Mix(static_cast<std::uint64_t>(start));
         fingerprint.Mix(static_cast<std::uint64_t>(len));
         fingerprint.Mix(static_cast<std::uint64_t>(cpu));
@@ -346,8 +351,10 @@ RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t s
     engine.AddTaskAt(0, workload::MakeInf(tid, weights[static_cast<std::size_t>(i)], "w"));
   }
 
+  // Every run here is a full quantum, so each charge completes one interval.
+  RunScalingResult result;
   common::Fnv1a fingerprint;
-  FingerprintRuns(engine, fingerprint);
+  FingerprintRuns(engine, fingerprint, &result.charges);
 
   const auto wall_start = std::chrono::steady_clock::now();
   engine.RunUntil(horizon);
@@ -355,11 +362,11 @@ RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t s
                         std::chrono::steady_clock::now() - wall_start)
                         .count();
 
-  RunScalingResult result;
   result.decisions = engine.dispatches();
   result.schedule_fingerprint = fingerprint.value();
   result.full_refreshes = sfs.full_refreshes();
   result.refresh_repositions = sfs.refresh_repositions();
+  result.relink_steps = sfs.relink_steps();
   result.wall_ns_per_decision =
       result.decisions > 0 ? static_cast<double>(wall) / static_cast<double>(result.decisions) : 0.0;
 

@@ -157,6 +157,8 @@ struct RunScalingResult {
   double gms_deviation_ms = 0.0;        // max |A_i - A_i^GMS| at horizon, ms
   std::int64_t full_refreshes = 0;      // SFS surplus refresh passes
   std::int64_t refresh_repositions = 0;  // entities the refreshes repositioned
+  std::int64_t charges = 0;             // completed run intervals, each one Charge
+  std::int64_t relink_steps = 0;        // run heads stepped re-filing threads (Sfs::relink_steps)
   double wall_ns_per_decision = 0.0;    // wall clock; Reporter::Timing only
 };
 RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t seed,

@@ -30,8 +30,8 @@ double Sfs::VirtualTime() const {
     return idle_virtual_time_;
   }
   double v = std::numeric_limits<double>::infinity();
-  for (const PhiClass* cls : active_) {
-    v = std::min(v, cls->queue.front()->start_tag());
+  for (const ClassHead& h : heads_) {
+    v = std::min(v, h.front_tag);
   }
   return v;
 }
@@ -52,9 +52,9 @@ void Sfs::SetWarp(ThreadId tid, double warp) {
 }
 
 Sfs::PhiClass* Sfs::FindClass(Weight phi, double warp_eff) {
-  for (PhiClass* cls : active_) {
-    if (cls->phi == phi && cls->warp_eff == warp_eff) {
-      return cls;
+  for (const ClassHead& h : heads_) {
+    if (h.phi == phi && h.warp_eff == warp_eff) {
+      return h.cls;
     }
   }
   return nullptr;
@@ -69,32 +69,49 @@ void Sfs::File(Entity& e, PhiClass* cls) {
       cls = free_classes_.back();
       free_classes_.pop_back();
     }
-    cls->phi = e.phi();
-    cls->warp_eff = e.warp_eff();
-    cls->active_pos = active_.size();
-    active_.push_back(cls);
+    cls->head_pos = heads_.size();
+    ClassHead& head = heads_.emplace_back();
+    head.phi = e.phi();
+    head.warp_eff = e.warp_eff();
+    head.cls = cls;
   }
   e.phi_class() = cls->slot;
-  Link(*cls, e, /*from_back=*/false);
+  Link(*cls, e);
   ++filed_;
 }
 
-void Sfs::Link(PhiClass& cls, Entity& e, bool from_back) {
+void Sfs::RefreshHead(ClassHead& h) {
+  PhiClass& cls = *h.cls;
+  h.idle = nullptr;
+  for (Entity* run = cls.runs.front(); run != nullptr; run = cls.runs.next(run)) {
+    if ((h.idle = cls.FirstIdle(run)) != nullptr) {
+      h.idle_run = run;
+      break;
+    }
+  }
+  h.idle_tag = h.idle != nullptr ? h.idle->start_tag() : std::numeric_limits<double>::infinity();
+  h.idle_tid = h.idle != nullptr ? h.idle->tid : kInvalidThread;
+  h.stale = false;
+}
+
+void Sfs::Link(PhiClass& cls, Entity& e) {
   const double s = e.start_tag();
   Entity* run = nullptr;    // head of the run holding start tag s
   Entity* after = nullptr;  // first head past s
-  if (from_back) {
-    Entity* h = cls.runs.back();
-    for (; h != nullptr && s < h->start_tag(); h = cls.runs.prev(h)) {
+  Entity* h = cls.runs.front();
+  if (h != nullptr && s - h->start_tag() > cls.runs.back()->start_tag() - s) {
+    // Nearer the last run head: walk from the back.
+    for (h = cls.runs.back(); h != nullptr && s < h->start_tag(); h = cls.runs.prev(h)) {
       after = h;
+      ++relink_steps_;
     }
     if (h != nullptr && h->start_tag() == s) {
       run = h;
     }
   } else {
-    Entity* h = cls.runs.front();
     while (h != nullptr && h->start_tag() < s) {
       h = cls.runs.next(h);
+      ++relink_steps_;
     }
     if (h != nullptr && h->start_tag() == s) {
       run = h;
@@ -112,20 +129,23 @@ void Sfs::Link(PhiClass& cls, Entity& e, bool from_back) {
       cls.queue.insert_before(after, &e);
       cls.runs.insert_before(after, &e);
     }
-    return;
-  }
-  Entity* cur = after != nullptr ? cls.queue.prev(after) : cls.queue.back();  // run's tail
-  while (cur != run && e.tid < cur->tid) {
-    cur = cls.queue.prev(cur);
-  }
-  if (e.tid < cur->tid) {
-    // Precedes the old head: e heads the run now.
-    cls.queue.insert_before(run, &e);
-    cls.runs.insert_before(run, &e);
-    cls.runs.erase(run);
   } else {
-    cls.queue.insert_after(cur, &e);
+    Entity* cur = after != nullptr ? cls.queue.prev(after) : cls.queue.back();  // run's tail
+    while (cur != run && e.tid < cur->tid) {
+      cur = cls.queue.prev(cur);
+    }
+    if (e.tid < cur->tid) {
+      // Precedes the old head: e heads the run now.
+      cls.queue.insert_before(run, &e);
+      cls.runs.insert_before(run, &e);
+      cls.runs.erase(run);
+    } else {
+      cls.queue.insert_after(cur, &e);
+    }
   }
+  ClassHead& head = heads_[cls.head_pos];
+  head.front_tag = cls.queue.front()->start_tag();
+  head.stale = true;
 }
 
 void Sfs::Unlink(PhiClass& cls, Entity& e) {
@@ -137,6 +157,11 @@ void Sfs::Unlink(PhiClass& cls, Entity& e) {
     cls.runs.erase(&e);
   }
   cls.queue.erase(&e);
+  ClassHead& head = heads_[cls.head_pos];
+  if (!cls.queue.empty()) {
+    head.front_tag = cls.queue.front()->start_tag();
+  }
+  head.stale = true;
 }
 
 void Sfs::Unfile(Entity& e) {
@@ -150,10 +175,9 @@ void Sfs::Unfile(Entity& e) {
   // Recycle the emptied class: capped phis take a fresh value on most
   // arrivals and exits, and mostly-blocked shards empty classes on almost
   // every block, so classes come and go all the time.
-  PhiClass* moved = active_.back();
-  active_[cls->active_pos] = moved;
-  moved->active_pos = cls->active_pos;
-  active_.pop_back();
+  heads_[cls->head_pos] = heads_.back();
+  heads_[cls->head_pos].cls->head_pos = cls->head_pos;
+  heads_.pop_back();
   free_classes_.push_back(cls);
 }
 
@@ -166,8 +190,9 @@ void Sfs::Refile(Entity& e) {
   ++refresh_repositions_;
   if (to == nullptr && from->queue.size() == 1) {
     // Sole member moving to a pair no class holds: relabel in place.
-    from->phi = e.phi();
-    from->warp_eff = e.warp_eff();
+    ClassHead& head = heads_[from->head_pos];
+    head.phi = e.phi();
+    head.warp_eff = e.warp_eff();
     return;
   }
   Unfile(e);
@@ -239,7 +264,14 @@ void Sfs::OnWeightChanged(Entity& e, Weight old_weight) {
   }
 }
 
-Entity* Sfs::PickNextEntity(CpuId cpu) { return ExactPick(cpu, BeginDecision()); }
+Entity* Sfs::PickNextEntity(CpuId cpu) { return Dispatching(ExactPick(cpu, BeginDecision())); }
+
+Entity* Sfs::Dispatching(Entity* e) {
+  if (e != nullptr) {
+    heads_[classes_[static_cast<std::size_t>(e->phi_class())].head_pos].stale = true;
+  }
+  return e;
+}
 
 double Sfs::BeginDecision() {
   double v = VirtualTime();
@@ -263,11 +295,10 @@ void Sfs::OnCharge(Entity& e, Tick ran_for) {
   // stays runnable continues from its finish tag (Equation 6).
   e.finish_tag() = e.start_tag() + arith().WeightedService(ran_for, e.phi());
   e.start_tag() = e.finish_tag();
-  // Reposition within its class (phi did not change); the key grew, so scan
-  // from the back.
+  // Reposition within its class (phi did not change).
   PhiClass& cls = classes_[static_cast<std::size_t>(e.phi_class())];
   Unlink(cls, e);
-  Link(cls, e, /*from_back=*/true);
+  Link(cls, e);
   if (filed_ == 1) {
     // Only this thread runnable: remember its finish tag for the idle rule.
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
@@ -326,6 +357,10 @@ bool Sfs::MaybeRebase(double v) {
       e.finish_tag() = 0.0;
     }
   });
+  for (ClassHead& h : heads_) {
+    h.front_tag = h.cls->queue.front()->start_tag();
+    h.stale = true;
+  }
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
   last_refresh_v_ -= delta;
   ++rebases_;
@@ -333,47 +368,40 @@ bool Sfs::MaybeRebase(double v) {
 }
 
 Entity* Sfs::LeastSurplus(double v, double* surplus) {
+  // A class's idle candidate has its least surplus: surplus is
+  // non-decreasing along the class, and members of one run share theirs.
+  double least = std::numeric_limits<double>::infinity();
+  for (ClassHead& h : heads_) {
+    if (h.stale) {
+      RefreshHead(h);
+    }
+    least = std::min(least, h.phi * (h.idle_tag - v - h.warp_eff));
+  }
+  if (least == std::numeric_limits<double>::infinity()) {
+    return nullptr;  // every runnable thread is running
+  }
   Entity* best = nullptr;
-  double best_surplus = 0.0;
-  auto consider = [&](Entity* e, double s) {
-    if (Precedes(s, e, best_surplus, best)) {
-      best = e;
-      best_surplus = s;
-    }
-  };
-  for (PhiClass* cls : active_) {
-    // Members of one run share their surplus and ascend by tid, so a run's
-    // only candidate is its first idle member.
-    Entity* run = cls->runs.front();
-    Entity* head = nullptr;
-    for (; run != nullptr; run = cls->runs.next(run)) {
-      if ((head = cls->FirstIdle(run)) != nullptr) {
-        break;
-      }
-    }
-    if (head == nullptr) {
+  for (const ClassHead& h : heads_) {
+    if (h.phi * (h.idle_tag - v - h.warp_eff) != least) {
       continue;
     }
-    const double s = FreshSurplus(*head, v);
-    if (best != nullptr && s > best_surplus) {
-      continue;  // nothing later in this class can be smaller
+    if (best == nullptr || h.idle_tid < best->tid) {
+      best = h.idle;
     }
-    consider(head, s);
-    // Within a class surplus is non-decreasing in (S, tid) order, but two
-    // different start tags can round to the same surplus.  Such a rounding
-    // tie is decided by tid, so walk the later runs sharing the head's
-    // surplus.
-    for (run = cls->runs.next(run); run != nullptr; run = cls->runs.next(run)) {
-      if (FreshSurplus(*run, v) != s) {
+    // Two different start tags can round to the same surplus.  Such a
+    // rounding tie is decided by tid, so walk the later runs sharing it.
+    PhiClass* cls = h.cls;
+    for (Entity* run = cls->runs.next(h.idle_run); run != nullptr; run = cls->runs.next(run)) {
+      if (FreshSurplus(*run, v) != least) {
         break;
       }
-      if (Entity* e = cls->FirstIdle(run); e != nullptr) {
-        consider(e, s);
+      if (Entity* e = cls->FirstIdle(run); e != nullptr && e->tid < best->tid) {
+        best = e;
       }
     }
   }
   if (surplus != nullptr) {
-    *surplus = best_surplus;
+    *surplus = least;
   }
   return best;
 }
@@ -392,7 +420,8 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
   const double window = head_surplus + static_cast<double>(config().affinity_tolerance);
   Entity* affine = nullptr;
   double affine_surplus = 0.0;
-  for (PhiClass* cls : active_) {
+  for (const ClassHead& h : heads_) {
+    PhiClass* cls = h.cls;
     for (Entity* run = cls->runs.front(); run != nullptr; run = cls->runs.next(run)) {
       const double s = FreshSurplus(*run, v);
       if (s > window || (affine != nullptr && s > affine_surplus)) {
@@ -417,10 +446,24 @@ std::string Sfs::CheckInvariants() const {
     return std::string(what) + " " + std::to_string(index);
   };
   std::size_t filed = 0;
-  for (std::size_t pos = 0; pos < active_.size(); ++pos) {
-    const PhiClass& cls = *active_[pos];
-    if (cls.active_pos != pos || cls.queue.empty()) {
+  for (std::size_t pos = 0; pos < heads_.size(); ++pos) {
+    const ClassHead& head = heads_[pos];
+    const PhiClass& cls = *head.cls;
+    if (cls.head_pos != pos || cls.queue.empty()) {
       return at("active phi class misfiled at slot", cls.slot);
+    }
+    if (head.front_tag != cls.queue.front()->start_tag()) {
+      return at("head table front tag differs from the class front at slot", cls.slot);
+    }
+    if (!head.stale) {
+      // A fresh entry must hold what a scan finds now.
+      ClassHead scan = head;
+      RefreshHead(scan);
+      if (scan.idle != head.idle || scan.idle_run != head.idle_run ||
+          scan.idle_tid != head.idle_tid || scan.idle_tag != head.idle_tag) {
+        return at("head entry not marked stale holds an outdated idle candidate at slot",
+                  cls.slot);
+      }
     }
     const Entity* prev = nullptr;
     const Entity* next_head = cls.runs.front();
@@ -441,7 +484,7 @@ std::string Sfs::CheckInvariants() const {
       if (!e->runnable || e->phi_class() != cls.slot) {
         return at("phi class files a blocked or foreign thread", e->tid);
       }
-      if (e->phi() != cls.phi || e->warp_eff() != cls.warp_eff) {
+      if (e->phi() != head.phi || e->warp_eff() != head.warp_eff) {
         return at("(phi, warp_eff) disagrees with its class for thread", e->tid);
       }
       prev = e;

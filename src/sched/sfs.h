@@ -32,13 +32,20 @@
 //     pair — and the least-surplus thread is the least-surplus head among the
 //     classes.  v is the least class head start tag.  Threads of one class
 //     with equal start tags share one surplus; each class links the first
-//     member of every such run, so the pick visits run heads, never a run's
-//     tail.  A decision costs O(classes + p + rounding ties), a charge
-//     re-files one thread within its class, and a readjustment re-files only
-//     the threads whose phi changed (O(p) of them); neither a decision, a
-//     charge nor an admission walks the runnable set.  DESIGN.md §3 gives the
-//     monotonicity argument that makes the result identical to a full
-//     surplus sort, rounding ties included;
+//     member of every such run, so a walk visits run heads, never a run's
+//     tail.  A packed head table holds, per class, its (phi, warp_eff), its
+//     front start tag and its first not-running member.  A decision is one
+//     pass over the table for v and one for the least head surplus, which
+//     first rescans each class marked stale since the last decision (filed
+//     into, unfiled from, charged in, or dispatched from; the rescans skip at
+//     most p running members in all), and a list walk only in classes tied
+//     at the least surplus: O(classes + p + rounding ties).  A charge
+//     re-files one thread within its class, walking the run heads from
+//     whichever end lies nearer its new tag, and a readjustment re-files
+//     only the threads whose phi changed (O(p) of them); neither a
+//     decision, a charge nor an admission walks the runnable set.
+//     DESIGN.md §3 gives the monotonicity argument that makes the result
+//     identical to a full surplus sort, rounding ties included;
 //   * the paper's k-bounded scheduling heuristic (Figure 3) is not a mode of
 //     this class: the exact decision above is cheaper at every measured size,
 //     so the heuristic is an evaluation model (eval::HeuristicSfs) that reuses
@@ -112,7 +119,10 @@ class Sfs : public GpsSchedulerBase {
   // and ascending in (S, tid), and each filed thread is runnable and carries
   // its class's (phi, warp_eff); every member that is not a run head shares
   // its predecessor's start tag, and the run list links exactly the heads, in
-  // queue order; exactly the runnable threads are filed; the weight queue
+  // queue order; the head table has one entry per class, each front tag is
+  // its class's front start tag, and each entry not marked stale holds the
+  // idle candidate, tid, tag and run head a fresh scan finds; exactly the
+  // runnable threads are filed; the weight queue
   // holds exactly the runnable set, and its bucket index matches its runs of
   // equal weight (WeightQueue::CheckIndex); an uncapped thread's phi is its
   // requested weight; with readjustment on and more than p threads runnable,
@@ -133,9 +143,13 @@ class Sfs : public GpsSchedulerBase {
   // change or a warp change rewrote their (phi, warp_eff) pair.
   std::int64_t refresh_repositions() const { return refresh_repositions_; }
 
+  // Run heads stepped over by the walks that file a thread in its class
+  // (admission, wakeup, re-file, and the re-file after every charge).
+  std::int64_t relink_steps() const { return relink_steps_; }
+
   // Phi classes currently holding runnable threads; never more than the
   // runnable count (an emptied class is recycled at once).
-  std::size_t phi_classes() const { return active_.size(); }
+  std::size_t phi_classes() const { return heads_.size(); }
 
  protected:
   void OnAdmit(Entity& e) override;
@@ -158,12 +172,11 @@ class Sfs : public GpsSchedulerBase {
   // start tags have bit-identical surpluses.  `runs` links the first member
   // of each such run of equal start tags, in queue order, so a walk can step
   // from one distinct start tag to the next without visiting the members
-  // between; a run's members follow its head in ascending tid order.
+  // between; a run's members follow its head in ascending tid order.  The
+  // class's (phi, warp_eff) pair lives in its head-table entry.
   struct PhiClass {
-    Weight phi = 0.0;
-    double warp_eff = 0.0;
-    std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
-    std::size_t active_pos = 0;  // index in active_
+    std::int32_t slot = 0;     // index in classes_ (Entity::phi_class)
+    std::size_t head_pos = 0;  // index of its entry in heads_
     common::IntrusiveList<Entity, &Entity::by_start> queue;
     common::IntrusiveList<Entity, &Entity::by_run> runs;
 
@@ -188,8 +201,13 @@ class Sfs : public GpsSchedulerBase {
   // full_refreshes()).  Returns the virtual time to decide against.
   double BeginDecision();
 
-  // The non-empty phi classes, in no particular order.
-  const std::vector<PhiClass*>& active_classes() const { return active_; }
+  // Calls fn(cls) for each non-empty phi class, in no particular order.
+  template <typename Fn>
+  void ForEachClass(Fn&& fn) {
+    for (ClassHead& h : heads_) {
+      fn(*h.cls);
+    }
+  }
 
   // Effective surplus used for dispatch: the paper's alpha_i = phi_i*(S_i - v),
   // minus the optional latency warp (warp_eff, 0 when unwarped).
@@ -198,10 +216,36 @@ class Sfs : public GpsSchedulerBase {
   }
 
   // The not-running runnable thread with the least (fresh surplus, tid), or
-  // nullptr; `surplus` receives its surplus.
+  // nullptr; `surplus` receives its surplus.  Refreshes the stale head
+  // entries while it takes the least head surplus in one pass over the head
+  // table; only classes whose head surplus equals it walk their lists, for
+  // rounding ties.
   Entity* LeastSurplus(double v, double* surplus);
 
+  // Returns `e`, the thread the decision dispatches (or nullptr), after
+  // marking its class's head entry stale: once running, e is no longer its
+  // class's idle candidate.  Every PickNextEntity returns through it.
+  Entity* Dispatching(Entity* e);
+
  private:
+  // One entry per non-empty class, at the class's head_pos: what a decision
+  // reads of the class, packed so that v and the least head surplus are
+  // passes over contiguous memory.  `front_tag` is always current (Link,
+  // Unlink and MaybeRebase keep it), so VirtualTime() is a const read; the
+  // idle candidate is current unless the entry is `stale`, and LeastSurplus
+  // refreshes a stale entry before it reads it.
+  struct ClassHead {
+    double front_tag = 0.0;  // queue.front()'s start tag
+    Weight phi = 0.0;
+    double warp_eff = 0.0;
+    double idle_tag = 0.0;       // idle's start tag; +inf when every member runs
+    Entity* idle = nullptr;      // the class's first not-running member
+    Entity* idle_run = nullptr;  // head of idle's run
+    PhiClass* cls = nullptr;
+    ThreadId idle_tid = kInvalidThread;
+    bool stale = true;  // the class changed since its idle candidate was found
+  };
+
   // The non-empty class holding (phi, warp_eff), or nullptr.
   PhiClass* FindClass(Weight phi, double warp_eff);
   // Files a runnable entity into `cls`, the class of its current (phi,
@@ -210,15 +254,19 @@ class Sfs : public GpsSchedulerBase {
   void File(Entity& e, PhiClass* cls);
   void Unfile(Entity& e);
   // Links `e` into cls's queue at its (S, tid) position, and into the run
-  // list when it opens or heads a run: walks the run heads (from the front,
-  // or from the back when `from_back`) to the run of e's start tag, then
+  // list when it opens or heads a run: walks the run heads, from whichever
+  // end of the class lies nearer e's start tag, to the run of that tag, then
   // places e in that run by tid from the run's tail.  Unlink takes e out and
-  // hands a run's head role to its next member; it reads no keys, so it may
-  // follow a tag update.
-  static void Link(PhiClass& cls, Entity& e, bool from_back);
-  static void Unlink(PhiClass& cls, Entity& e);
+  // hands a run's head role to its next member; it reads no keys of e, so it
+  // may follow a tag update.  Both mark the class's entry stale and keep its
+  // front tag.
+  void Link(PhiClass& cls, Entity& e);
+  void Unlink(PhiClass& cls, Entity& e);
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
   void Refile(Entity& e);
+  // Finds the idle candidate of h's class afresh (CheckInvariants runs it on
+  // a copy).
+  static void RefreshHead(ClassHead& h);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
   // threshold: shifts every tag (runnable and blocked) down by the minimum start
@@ -234,10 +282,10 @@ class Sfs : public GpsSchedulerBase {
   // allocates nothing.
   std::deque<PhiClass> classes_;
   std::vector<PhiClass*> free_classes_;
-  // The non-empty classes.  File() finds a thread's class by scanning them:
-  // there are few distinct (phi, warp_eff) pairs in practice, and a decision
-  // visits every one of them anyway.
-  std::vector<PhiClass*> active_;
+  // One entry per non-empty class.  File() finds a thread's class by
+  // scanning it: there are few distinct (phi, warp_eff) pairs in practice,
+  // and a decision reads every entry anyway.
+  std::vector<ClassHead> heads_;
   std::size_t filed_ = 0;  // runnable threads across all classes
 
   // Virtual time bookkeeping.  `idle_virtual_time_` implements "the virtual time
@@ -253,6 +301,7 @@ class Sfs : public GpsSchedulerBase {
   std::int64_t full_refreshes_ = 0;
   std::int64_t rebases_ = 0;
   std::int64_t refresh_repositions_ = 0;
+  std::int64_t relink_steps_ = 0;
 };
 
 }  // namespace sfs::sched

@@ -10,6 +10,13 @@
 // equal a brute-force argmin over all runnable, not-running threads — the
 // least (phi * (S - v), tid), with the affinity window on top when it is on —
 // and Sfs::CheckInvariants() must hold.  No thread ever blocks.
+//
+// A second workload lands threads in the middle of populated classes: they
+// join by a weight change, by arrival at v and by wakeup, and charges are
+// partial, so start tags spread out and a charged thread's new tag falls
+// between run heads.  It checks the same pick, the virtual time and the
+// audit after every operation, and a last test pins how many run heads a
+// re-file after a charge steps (Sfs::relink_steps()).
 
 #include <gtest/gtest.h>
 
@@ -51,7 +58,7 @@ ThreadId BrutePick(const Sfs& s, const Model& m, CpuId cpu, Tick tolerance) {
   ThreadId best = kInvalidThread;
   double best_s = 0.0;
   for (const ThreadId tid : m.live) {
-    if (s.IsRunning(tid)) {
+    if (!s.IsRunnable(tid) || s.IsRunning(tid)) {
       continue;
     }
     const double a = surplus(tid);
@@ -67,7 +74,8 @@ ThreadId BrutePick(const Sfs& s, const Model& m, CpuId cpu, Tick tolerance) {
   ThreadId affine = kInvalidThread;
   double affine_s = 0.0;
   for (const ThreadId tid : m.live) {
-    if (s.IsRunning(tid) || m.last_cpu[static_cast<std::size_t>(tid)] != cpu) {
+    if (!s.IsRunnable(tid) || s.IsRunning(tid) ||
+        m.last_cpu[static_cast<std::size_t>(tid)] != cpu) {
       continue;
     }
     const double a = surplus(tid);
@@ -226,6 +234,200 @@ TEST_P(SfsRunSkipTest, LockstepPickMatchesBruteForce) {
   if (cpus > 1) {
     EXPECT_GT(total.picks_past_running_head, 0);
   }
+}
+
+// Distinct start tags of runnable threads in `tid`'s class (equal phi; no
+// thread is warped here) below and above its own.
+std::pair<int, int> TagsAround(const Sfs& s, const Model& m, ThreadId tid) {
+  std::vector<double> below;
+  std::vector<double> above;
+  for (const ThreadId other : m.live) {
+    if (other == tid || !s.IsRunnable(other) || s.GetPhi(other) != s.GetPhi(tid)) {
+      continue;
+    }
+    const double tag = s.StartTag(other);
+    if (tag < s.StartTag(tid)) {
+      below.push_back(tag);
+    } else if (tag > s.StartTag(tid)) {
+      above.push_back(tag);
+    }
+  }
+  for (std::vector<double>* tags : {&below, &above}) {
+    std::sort(tags->begin(), tags->end());
+    tags->erase(std::unique(tags->begin(), tags->end()), tags->end());
+  }
+  return {static_cast<int>(below.size()), static_cast<int>(above.size())};
+}
+
+struct Landings {
+  std::int64_t mid_class_charges = 0;  // charged threads re-filed between two run heads
+  std::int64_t weight_joins = 0;       // weight changes into a populated class
+  std::int64_t wakeups = 0;
+  std::int64_t arrivals = 0;
+};
+
+Landings MidClass(int cpus, bool affinity, std::uint64_t seed, int ops) {
+  common::Rng rng(seed * 7919 + static_cast<std::uint64_t>(cpus));
+  SchedConfig config;
+  config.num_cpus = cpus;
+  const Tick quantum = Msec(10);
+  const Tick tolerance = affinity ? Msec(25) : 0;
+  config.affinity_tolerance = tolerance;
+  Sfs s(config);
+
+  // Weights 1..3 with more than 3p threads always runnable: every weight is
+  // feasible, so readjustment never caps a thread (a capped thread that
+  // blocks trips the audit, ROADMAP item 1).
+  auto random_weight = [&] { return static_cast<double>(rng.UniformInt(1, 3)); };
+  const auto min_runnable = static_cast<std::size_t>(3 * cpus + 1);
+  const auto max_live = static_cast<std::size_t>(8 * cpus + 24);
+
+  Model m;
+  m.running_on.assign(static_cast<std::size_t>(cpus), kInvalidThread);
+  ThreadId next_tid = 0;
+  std::size_t runnable = 0;
+  auto arrive = [&] {
+    const ThreadId tid = next_tid++;
+    m.live.push_back(tid);
+    m.last_cpu.push_back(kInvalidCpu);
+    s.AddThread(tid, random_weight());
+    ++runnable;
+  };
+  while (m.live.size() < min_runnable + 4) {
+    arrive();
+  }
+  // A random runnable (idle, when `idle`) or blocked thread, or
+  // kInvalidThread if there is none.
+  auto random_thread = [&](bool want_runnable, bool idle) {
+    std::vector<ThreadId> pool;
+    for (const ThreadId tid : m.live) {
+      if (s.IsRunnable(tid) == want_runnable && !(idle && s.IsRunning(tid))) {
+        pool.push_back(tid);
+      }
+    }
+    return pool.empty() ? kInvalidThread : pool[rng.NextBounded(pool.size())];
+  };
+
+  Landings landings;
+  for (int op = 0; op < ops; ++op) {
+    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+    const int choice = static_cast<int>(rng.UniformInt(0, 9));
+    if (choice <= 2) {
+      for (CpuId cpu = 0; cpu < cpus; ++cpu) {
+        if (m.running_on[static_cast<std::size_t>(cpu)] == kInvalidThread) {
+          const ThreadId expected = BrutePick(s, m, cpu, tolerance);
+          const ThreadId picked = s.PickNext(cpu);
+          EXPECT_EQ(picked, expected) << where << " cpu " << cpu;
+          m.running_on[static_cast<std::size_t>(cpu)] = picked;
+        }
+      }
+    } else if (choice <= 5) {
+      // A partial charge on one busy CPU; sometimes the thread then blocks.
+      const auto cpu = static_cast<CpuId>(rng.NextBounded(static_cast<std::uint64_t>(cpus)));
+      const ThreadId tid = m.running_on[static_cast<std::size_t>(cpu)];
+      if (tid != kInvalidThread) {
+        s.Charge(tid, rng.UniformInt(1, quantum));
+        m.running_on[static_cast<std::size_t>(cpu)] = kInvalidThread;
+        m.last_cpu[static_cast<std::size_t>(tid)] = cpu;
+        const auto [below, above] = TagsAround(s, m, tid);
+        landings.mid_class_charges += below > 0 && above > 0 ? 1 : 0;
+        if (runnable > min_runnable && rng.Bernoulli(0.3)) {
+          s.Block(tid);
+          --runnable;
+        }
+      }
+    } else if (choice == 6) {
+      if (const ThreadId tid = random_thread(true, false); tid != kInvalidThread) {
+        const double weight = random_weight();
+        for (const ThreadId other : m.live) {
+          if (other != tid && s.IsRunnable(other) && s.GetWeight(other) == weight &&
+              s.GetWeight(tid) != weight) {
+            ++landings.weight_joins;
+            break;
+          }
+        }
+        s.SetWeight(tid, weight);
+      }
+    } else if (choice == 7) {
+      if (m.live.size() < max_live) {
+        arrive();
+        ++landings.arrivals;
+      }
+    } else if (choice == 8) {
+      if (const ThreadId tid = random_thread(false, false); tid != kInvalidThread) {
+        s.Wakeup(tid);
+        ++runnable;
+        ++landings.wakeups;
+      }
+    } else if (runnable > min_runnable) {
+      if (const ThreadId tid = random_thread(true, true); tid != kInvalidThread) {
+        s.Block(tid);
+        --runnable;
+      }
+    }
+    double v = 0.0;
+    bool any = false;
+    for (const ThreadId tid : m.live) {
+      if (s.IsRunnable(tid) && (!any || s.StartTag(tid) < v)) {
+        v = s.StartTag(tid);
+        any = true;
+      }
+    }
+    EXPECT_EQ(s.VirtualTime(), v) << where;
+    if (!Check(s, m, tolerance, where)) {
+      return landings;
+    }
+  }
+  return landings;
+}
+
+TEST_P(SfsRunSkipTest, MidClassLandingPickMatchesBruteForce) {
+  const auto [cpus, affinity] = GetParam();
+  Landings total;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Landings l = MidClass(cpus, affinity, seed, /*ops=*/600);
+    if (HasFailure()) {
+      return;
+    }
+    total.mid_class_charges += l.mid_class_charges;
+    total.weight_joins += l.weight_joins;
+    total.wakeups += l.wakeups;
+    total.arrivals += l.arrivals;
+  }
+  // The workload did what it is for.
+  EXPECT_GT(total.mid_class_charges, 100);
+  EXPECT_GT(total.weight_joins, 50);
+  EXPECT_GT(total.wakeups, 50);
+  EXPECT_GT(total.arrivals, 50);
+}
+
+// A charge that re-files a thread just behind its class's front run steps at
+// most two run heads, however long the class is: the walk starts from the
+// nearer end.
+TEST(SfsRelinkTest, ChargeNextToTheFrontStepsAtMostTwoHeads) {
+  SchedConfig config;
+  config.num_cpus = 1;
+  Sfs s(config);
+  constexpr int kThreads = 40;
+  for (ThreadId tid = 0; tid < kThreads; ++tid) {
+    s.AddThread(tid, 1.0);
+  }
+  // Thread k runs (k + 1) ms first, so the class holds one run per thread,
+  // 1 ms apart, with thread 0 at its front.
+  for (int k = 0; k < kThreads; ++k) {
+    const ThreadId tid = s.PickNext(0);
+    ASSERT_EQ(tid, k);
+    s.Charge(tid, Msec(k + 1));
+  }
+  ASSERT_EQ(s.CheckInvariants(), "");
+  // Thread 0 leads at 1 ms; 1.5 ms more puts it between threads 1 (2 ms) and
+  // 2 (3 ms).
+  ASSERT_EQ(s.PickNext(0), 0);
+  const std::int64_t before = s.relink_steps();
+  s.Charge(0, Usec(1500));
+  EXPECT_LE(s.relink_steps() - before, 2);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  EXPECT_EQ(s.PickNext(0), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
