@@ -28,7 +28,7 @@ SFS_EXPERIMENT(abl_decision_scaling,
 
   const int sizes[] = {10, 100, 1000, 10000};
 
-  Table table({"threads", "decisions", "GMS dev (ms)", "repositions", "relink steps/charge",
+  Table table({"threads", "decisions", "GMS dev (ms)", "repositions", "filing probes/charge",
                "ns/decision"});
   JsonValue rows = JsonValue::Array();
   for (const int threads : sizes) {
@@ -38,13 +38,13 @@ SFS_EXPERIMENT(abl_decision_scaling,
     const sfs::Tick horizon =
         std::max(sfs::Sec(300), sfs::Tick{threads} * sfs::kDefaultQuantum * 5 / (4 * 2));
     const auto run = sfs::eval::RunScaling(threads, /*cpus=*/2, horizon, reporter.seed());
-    const double steps_per_charge =
-        run.charges > 0 ? static_cast<double>(run.relink_steps) / static_cast<double>(run.charges)
+    const double probes_per_charge =
+        run.charges > 0 ? static_cast<double>(run.filing_probes) / static_cast<double>(run.charges)
                         : 0.0;
 
     table.AddRow({Table::Cell(std::int64_t{threads}), Table::Cell(run.decisions),
                   Table::Cell(run.gms_deviation_ms, 1), Table::Cell(run.refresh_repositions),
-                  Table::Cell(steps_per_charge, 3), Table::Cell(run.wall_ns_per_decision, 0)});
+                  Table::Cell(probes_per_charge, 3), Table::Cell(run.wall_ns_per_decision, 0)});
 
     JsonValue entry = JsonValue::Object();
     entry.Set("threads", JsonValue(std::int64_t{threads}));
@@ -54,19 +54,20 @@ SFS_EXPERIMENT(abl_decision_scaling,
     entry.Set("full_refreshes", JsonValue(run.full_refreshes));
     entry.Set("refresh_repositions", JsonValue(run.refresh_repositions));
     entry.Set("charges", JsonValue(run.charges));
-    entry.Set("relink_steps", JsonValue(run.relink_steps));
-    entry.Set("relink_steps_per_charge", JsonValue(steps_per_charge));
+    entry.Set("filing_probes", JsonValue(run.filing_probes));
+    entry.Set("filing_probes_per_charge", JsonValue(probes_per_charge));
     rows.Push(std::move(entry));
     reporter.Timing("ns_per_decision/" + std::to_string(threads), run.wall_ns_per_decision);
   }
   table.Print(reporter.out());
   reporter.out() << "\nExpected: ns/decision nearly flat in t.  Threads of one weight share\n"
                  << "a start tag here (all arrive at t=0 and run in lockstep).  A decision\n"
-                 << "reads one head-table entry per phi class and rescans only the classes\n"
-                 << "marked since the last decision (the charged and the dispatched\n"
-                 << "thread's), each from its front past at most p running members.  A\n"
-                 << "charge re-files its thread from the nearer end of its class; in\n"
-                 << "lockstep that is the back, so relink steps/charge is 0.  An admission\n"
+                 << "reads one head-table entry per phi class; each entry's first idle\n"
+                 << "thread is kept as threads are filed, charged and dispatched, and a\n"
+                 << "class is rescanned only when that thread leaves it.  A charge takes\n"
+                 << "its thread out of its class and files it back by two searches over\n"
+                 << "the class's run tags, each probing both ends first, so filing\n"
+                 << "probes/charge stays O(log(runs per class)), not O(t).  An admission\n"
                  << "finds its place through one bucket per distinct weight.  What growth\n"
                  << "remains is cache misses on a larger working set.\n";
   reporter.Set("rows", std::move(rows));

@@ -366,7 +366,7 @@ RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t s
   result.schedule_fingerprint = fingerprint.value();
   result.full_refreshes = sfs.full_refreshes();
   result.refresh_repositions = sfs.refresh_repositions();
-  result.relink_steps = sfs.relink_steps();
+  result.filing_probes = sfs.filing_probes();
   result.wall_ns_per_decision =
       result.decisions > 0 ? static_cast<double>(wall) / static_cast<double>(result.decisions) : 0.0;
 

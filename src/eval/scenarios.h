@@ -158,7 +158,7 @@ struct RunScalingResult {
   std::int64_t full_refreshes = 0;      // SFS surplus refresh passes
   std::int64_t refresh_repositions = 0;  // entities the refreshes repositioned
   std::int64_t charges = 0;             // completed run intervals, each one Charge
-  std::int64_t relink_steps = 0;        // run heads stepped re-filing threads (Sfs::relink_steps)
+  std::int64_t filing_probes = 0;       // run tags probed filing threads (Sfs::filing_probes)
   double wall_ns_per_decision = 0.0;    // wall clock; Reporter::Timing only
 };
 RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t seed,

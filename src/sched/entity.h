@@ -120,16 +120,13 @@ struct Entity {
   bool runnable = false;
   bool running = false;
 
-  // Intrusive queue hooks (Section 3.1's weight and start-tag queues, one
-  // generic run queue for the policies that need a queue of their own, and
-  // SFS's run heads).  They leave 16 spare bytes at the end of the third
-  // line; a member past those costs a fourth line.
+  // Intrusive queue hooks (Section 3.1's weight and start-tag queues, and one
+  // generic run queue for the policies that need a queue of their own).
+  // They leave 32 spare bytes at the end of the third line; a member past
+  // those costs a fourth line.
   common::ListHook by_weight;  // runnable threads, descending weight
   common::ListHook by_start;   // ascending start tag (SFQ's queue; SFS's phi class)
   common::ListHook by_rq;      // timeshare run queue, WFQ finish queue, H-SFS members
-  // Linked while this entity is the first of its phi class's run of equal
-  // start tags (Sfs::PhiClass::runs).
-  common::ListHook by_run;
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

@@ -5,7 +5,7 @@ namespace sfs::sched {
 Entity* GpsSchedulerBase::PickMigrationCandidate(double max_weight, double* score) {
   Entity* best = nullptr;
   double best_score = 0.0;
-  // Hoisted: SFS's LocalVirtualTime() visits every phi class.
+  // Hoisted: one virtual call per scan, not one per thread.
   const double v = LocalVirtualTime();
   for (Entity* e = weight_queue_.front(); e != nullptr; e = weight_queue_.next(e)) {
     if (e->running || (max_weight > 0.0 && e->weight() >= max_weight)) {

@@ -1,5 +1,6 @@
 #include "src/sched/readjust.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/assert.h"
@@ -84,6 +85,8 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
   // feasibility constraint, and the instantaneous weight they all receive.
   std::size_t new_capped = 0;
   double phi_cap = 0.0;
+  bool split = false;  // the prefix ends inside the run of weight `split_weight`
+  Weight split_weight = 0.0;
   if (t == 0) {
     new_capped = 0;
   } else if (t <= static_cast<std::size_t>(num_cpus)) {
@@ -99,6 +102,7 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
     // p-1 threads because at k = p-1 the test becomes w > rem_sum, impossible.
     double rem_sum = total_weight;
     Entity* cursor = queue.front();
+    Weight last_capped = 0.0;
     while (cursor != nullptr) {
       const auto rem_cpus = static_cast<double>(num_cpus) - static_cast<double>(new_capped);
       if (rem_cpus <= 1.0) {
@@ -107,6 +111,7 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
       if (cursor->weight() * rem_cpus > rem_sum) {
         rem_sum -= cursor->weight();
         ++new_capped;
+        last_capped = cursor->weight();
         cursor = queue.next(cursor);
       } else {
         break;
@@ -117,6 +122,13 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
     phi_cap = new_capped > 0
                   ? rem_sum / (static_cast<double>(num_cpus) - static_cast<double>(new_capped))
                   : 0.0;
+    // In exact arithmetic a capped thread's equal-weight successor is capped
+    // too (w * r > R implies w * (r - 1) > R - w), so the prefix is whole runs
+    // of equal weight, and which members a run lists first does not matter.
+    // Rounding can still end it inside a run; then it holds that run's
+    // lowest tids, as in a queue ordered by (weight, tid).
+    split = cursor != nullptr && new_capped > 0 && cursor->weight() == last_capped;
+    split_weight = last_capped;
   }
 
   // Swap out the previous cap set, then mark and weight the new prefix.
@@ -125,12 +137,27 @@ bool ReadjustQueue(WeightQueue& queue, double total_weight, int num_cpus,
   for (Entity* e : state.scratch) {
     e->capped = false;
   }
-  std::size_t index = 0;
-  for (Entity* e = queue.front(); e != nullptr && index < new_capped;
-       e = queue.next(e), ++index) {
+  auto cap = [&](Entity* e) {
     set_phi(e, phi_cap);
     e->capped = true;
     state.capped.push_back(e);
+  };
+  std::size_t index = 0;
+  Entity* member = queue.front();
+  for (; index < new_capped && !(split && member->weight() == split_weight);
+       member = queue.next(member), ++index) {
+    cap(member);
+  }
+  if (index < new_capped) {
+    std::vector<Entity*>& run = state.split_run;
+    run.clear();
+    for (; member != nullptr && member->weight() == split_weight; member = queue.next(member)) {
+      run.push_back(member);
+    }
+    const auto lowest = run.begin() + static_cast<std::ptrdiff_t>(new_capped - index);
+    std::nth_element(run.begin(), lowest, run.end(),
+                     [](const Entity* a, const Entity* b) { return a->tid < b->tid; });
+    std::for_each(run.begin(), lowest, cap);
   }
   // Threads that fell out of the cap set go back to their requested weight;
   // never-capped threads already carry it ("weights of threads that satisfy the

@@ -26,9 +26,10 @@
 //     tests/sched/readjust_test.cc (Figure2Reference);
 //   * `ReadjustQueue` — the production form used by the schedulers: iterative,
 //     early-exiting, operating in place on the weight-sorted entity queue.
-//     That queue (`WeightQueue`, weight_queue.h) keeps the exact descending
-//     (weight, tid) list order and indexes it by distinct weight only to make
-//     insertion cheap, so the pass reads the same list either way.
+//     That queue (`WeightQueue`, weight_queue.h) keeps descending weight
+//     order but no order inside a run of equal weights.  The capped prefix
+//     is whole runs unless rounding ends it inside one; the pass then caps
+//     that run's lowest tids, so it caps what a (weight, tid) order would.
 
 #ifndef SFS_SCHED_READJUST_H_
 #define SFS_SCHED_READJUST_H_
@@ -55,6 +56,7 @@ std::vector<double> ReadjustVector(const std::vector<double>& weights, int num_c
 struct ReadjustState {
   std::vector<Entity*> capped;
   std::vector<Entity*> scratch;  // reused buffer for the previous cap set
+  std::vector<Entity*> split_run;  // reused buffer for a run the cap prefix ends inside
   // Entities whose phi the last pass rewrote, each listed once: a subset of
   // the previous and the new cap set, so O(p) of them.
   std::vector<Entity*> changed;

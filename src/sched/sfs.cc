@@ -20,20 +20,65 @@ Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Sfs::~Sfs() {
   for (PhiClass& cls : classes_) {
-    cls.runs.clear();
     cls.queue.clear();
   }
 }
 
-double Sfs::VirtualTime() const {
-  if (filed_ == 0) {
-    return idle_virtual_time_;
+void Sfs::RunIndex::Insert(std::size_t pos, RunHead run) {
+  const std::size_t n = size();
+  const bool front_half = pos < n / 2;
+  if (front_half ? first_ == 0 : last_ == slots_.size()) {
+    Recenter(n + 1);
   }
+  RunHead* const base = begin();
+  if (front_half) {
+    std::copy(base, base + pos, base - 1);
+    --first_;
+  } else {
+    std::copy_backward(base + pos, base + n, base + n + 1);
+    ++last_;
+  }
+  (*this)[pos] = run;
+}
+
+void Sfs::RunIndex::Erase(std::size_t pos) {
+  RunHead* const base = begin();
+  if (pos < size() / 2) {
+    std::copy_backward(base, base + pos, base + pos + 1);
+    ++first_;
+  } else {
+    std::copy(base + pos + 1, end(), base + pos);
+    --last_;
+  }
+}
+
+void Sfs::RunIndex::Recenter(std::size_t runs) {
+  const std::size_t n = size();
+  if (slots_.size() < 2 * runs + 8) {
+    std::vector<RunHead> grown(2 * runs + 8);
+    const std::size_t first = (grown.size() - n) / 2;
+    std::copy(begin(), end(), grown.begin() + static_cast<std::ptrdiff_t>(first));
+    slots_.swap(grown);
+    first_ = static_cast<std::uint32_t>(first);
+  } else {
+    const std::size_t first = (slots_.size() - n) / 2;
+    if (first < first_) {
+      std::copy(begin(), end(), slots_.data() + first);
+    } else {
+      std::copy_backward(begin(), end(), slots_.data() + first + n);
+    }
+    first_ = static_cast<std::uint32_t>(first);
+  }
+  last_ = static_cast<std::uint32_t>(first_ + n);
+}
+
+void Sfs::RecomputeVirtualTime() const {
   double v = std::numeric_limits<double>::infinity();
   for (const ClassHead& h : heads_) {
     v = std::min(v, h.front_tag);
   }
-  return v;
+  v_ = v;
+  v_stale_ = false;
 }
 
 double Sfs::Surplus(ThreadId tid) const {
@@ -69,7 +114,7 @@ void Sfs::File(Entity& e, PhiClass* cls) {
       cls = free_classes_.back();
       free_classes_.pop_back();
     }
-    cls->head_pos = heads_.size();
+    cls->head_pos = static_cast<std::uint32_t>(heads_.size());
     ClassHead& head = heads_.emplace_back();
     head.phi = e.phi();
     head.warp_eff = e.warp_eff();
@@ -81,87 +126,148 @@ void Sfs::File(Entity& e, PhiClass* cls) {
 }
 
 void Sfs::RefreshHead(ClassHead& h) {
+  // The front run's head is also the queue's front, which the class itself
+  // holds: its load need not wait for the run index's.
+  FindIdle(h, 0, h.cls->queue.front());
+}
+
+void Sfs::FindIdle(ClassHead& h, std::size_t pos, Entity* from) {
   PhiClass& cls = *h.cls;
-  h.idle = nullptr;
-  for (Entity* run = cls.runs.front(); run != nullptr; run = cls.runs.next(run)) {
-    if ((h.idle = cls.FirstIdle(run)) != nullptr) {
-      h.idle_run = run;
-      break;
-    }
-  }
-  h.idle_tag = h.idle != nullptr ? h.idle->start_tag() : std::numeric_limits<double>::infinity();
-  h.idle_tid = h.idle != nullptr ? h.idle->tid : kInvalidThread;
   h.stale = false;
+  for (; pos < cls.runs.size(); ++pos) {
+    if (Entity* idle = cls.FirstIdle(pos, from); idle != nullptr) {
+      h.idle = idle;
+      h.idle_pos = static_cast<std::uint32_t>(pos);
+      h.idle_tag = cls.runs[pos].tag;
+      h.idle_tid = idle->tid;
+      return;
+    }
+    from = cls.RunEnd(pos);
+  }
+  h.idle = nullptr;
+  h.idle_tag = std::numeric_limits<double>::infinity();
+  h.idle_tid = kInvalidThread;
+}
+
+std::size_t Sfs::FindRun(const PhiClass& cls, double tag) {
+  // Most searches end at an end of the class: a charge takes its thread out
+  // of the front run and often files it past the last; arrivals and wakeups
+  // land at v.  So the ends are probed first, then std::lower_bound runs
+  // over the runs between, without a branch on the probed tag (the answer
+  // lies in [base, base + n]; each probe halves n).
+  const std::size_t size = cls.runs.size();
+  if (size == 0 || tag <= cls.runs[0].tag) {
+    filing_probes_ += size == 0 ? 0 : 1;
+    return 0;
+  }
+  if (tag >= cls.runs[size - 1].tag) {
+    filing_probes_ += 2;
+    return tag == cls.runs[size - 1].tag ? size - 1 : size;
+  }
+  const RunHead* base = cls.runs.begin() + 1;
+  std::size_t n = size - 2;  // the answer lies in [1, size - 1]
+  std::int64_t probes = 3;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half - 1].tag < tag ? base + half : base;
+    n -= half;
+    ++probes;
+  }
+  filing_probes_ += probes;
+  return static_cast<std::size_t>(base - cls.runs.begin()) + (base->tag < tag ? 1 : 0);
 }
 
 void Sfs::Link(PhiClass& cls, Entity& e) {
   const double s = e.start_tag();
-  Entity* run = nullptr;    // head of the run holding start tag s
-  Entity* after = nullptr;  // first head past s
-  Entity* h = cls.runs.front();
-  if (h != nullptr && s - h->start_tag() > cls.runs.back()->start_tag() - s) {
-    // Nearer the last run head: walk from the back.
-    for (h = cls.runs.back(); h != nullptr && s < h->start_tag(); h = cls.runs.prev(h)) {
-      after = h;
-      ++relink_steps_;
-    }
-    if (h != nullptr && h->start_tag() == s) {
-      run = h;
-    }
-  } else {
-    while (h != nullptr && h->start_tag() < s) {
-      h = cls.runs.next(h);
-      ++relink_steps_;
-    }
-    if (h != nullptr && h->start_tag() == s) {
-      run = h;
-      after = cls.runs.next(h);
-    } else {
-      after = h;
-    }
-  }
-  if (run == nullptr) {
+  const std::size_t pos = FindRun(cls, s);
+  const bool opens = pos == cls.runs.size() || cls.runs[pos].tag != s;
+  if (opens) {
     // A start tag no member holds: e opens a run of its own.
-    if (after == nullptr) {
+    if (pos == cls.runs.size()) {
       cls.queue.push_back(&e);
-      cls.runs.push_back(&e);
     } else {
-      cls.queue.insert_before(after, &e);
-      cls.runs.insert_before(after, &e);
+      cls.queue.insert_before(cls.runs[pos].head, &e);
     }
+    cls.runs.Insert(pos, RunHead{s, &e});
   } else {
-    Entity* cur = after != nullptr ? cls.queue.prev(after) : cls.queue.back();  // run's tail
-    while (cur != run && e.tid < cur->tid) {
-      cur = cls.queue.prev(cur);
-    }
-    if (e.tid < cur->tid) {
-      // Precedes the old head: e heads the run now.
-      cls.queue.insert_before(run, &e);
-      cls.runs.insert_before(run, &e);
-      cls.runs.erase(run);
+    // Place e in the run by tid, walking in from the end with the nearer tid
+    // (members ascend by tid, so the place does not depend on the end).
+    RunHead& run = cls.runs[pos];
+    Entity* const end = cls.RunEnd(pos);
+    Entity* cur = end != nullptr ? cls.queue.prev(end) : cls.queue.back();  // run's tail
+    if (std::int64_t{e.tid} - run.head->tid < std::int64_t{cur->tid} - e.tid) {
+      cur = run.head;
+      while (cur != end && cur->tid < e.tid) {
+        cur = cls.queue.next(cur);
+      }
+      if (cur == run.head) {
+        run.head = &e;  // precedes the old head: e heads the run now
+      }
+      if (cur == nullptr) {
+        cls.queue.push_back(&e);
+      } else {
+        cls.queue.insert_before(cur, &e);
+      }
     } else {
-      cls.queue.insert_after(cur, &e);
+      while (cur != run.head && e.tid < cur->tid) {
+        cur = cls.queue.prev(cur);
+      }
+      if (e.tid < cur->tid) {
+        // Precedes the old head: e heads the run now.
+        cls.queue.insert_before(run.head, &e);
+        run.head = &e;
+      } else {
+        cls.queue.insert_after(cur, &e);
+      }
     }
   }
   ClassHead& head = heads_[cls.head_pos];
-  head.front_tag = cls.queue.front()->start_tag();
-  head.stale = true;
+  head.front_tag = cls.runs.front().tag;
+  if (!head.stale) {
+    // Keep the idle candidate current: an idle e that precedes it takes its
+    // place, and a run opened before it moves its run one position on.
+    if (!e.running &&
+        (head.idle == nullptr || pos < head.idle_pos ||
+         (pos == head.idle_pos && (opens || e.tid < head.idle_tid)))) {
+      head.idle = &e;
+      head.idle_pos = static_cast<std::uint32_t>(pos);
+      head.idle_tag = s;
+      head.idle_tid = e.tid;
+    } else if (opens && head.idle != nullptr && pos <= head.idle_pos) {
+      ++head.idle_pos;
+    }
+  }
+  v_ = std::min(v_, s);
 }
 
 void Sfs::Unlink(PhiClass& cls, Entity& e) {
-  if (e.by_run.linked()) {
-    Entity* next = cls.NextInRun(&e);
-    if (next != nullptr) {
-      cls.runs.insert_after(&e, next);
+  const double s = e.start_tag();
+  const std::size_t pos = FindRun(cls, s);
+  SFS_DCHECK(pos < cls.runs.size() && cls.runs[pos].tag == s);
+  bool closes = false;
+  if (RunHead& run = cls.runs[pos]; run.head == &e) {
+    // Hand the head role to the next member, or close the run.
+    if (Entity* const next = cls.queue.next(&e); next != cls.RunEnd(pos)) {
+      run.head = next;
+    } else {
+      cls.runs.Erase(pos);
+      closes = true;
     }
-    cls.runs.erase(&e);
   }
   cls.queue.erase(&e);
   ClassHead& head = heads_[cls.head_pos];
-  if (!cls.queue.empty()) {
-    head.front_tag = cls.queue.front()->start_tag();
+  head.front_tag =
+      cls.runs.empty() ? std::numeric_limits<double>::infinity() : cls.runs.front().tag;
+  // The idle candidate stays unless it is e (then the next one must be
+  // found); a run closed before it moves its run one position back.
+  if (&e == head.idle) {
+    head.stale = true;
+  } else if (closes && head.idle != nullptr && pos < head.idle_pos) {
+    --head.idle_pos;
   }
-  head.stale = true;
+  if (s == v_ && head.front_tag != s) {
+    v_stale_ = true;  // e may have been the only thread at v
+  }
 }
 
 void Sfs::Unfile(Entity& e) {
@@ -267,8 +373,16 @@ void Sfs::OnWeightChanged(Entity& e, Weight old_weight) {
 Entity* Sfs::PickNextEntity(CpuId cpu) { return Dispatching(ExactPick(cpu, BeginDecision())); }
 
 Entity* Sfs::Dispatching(Entity* e) {
-  if (e != nullptr) {
-    heads_[classes_[static_cast<std::size_t>(e->phi_class())].head_pos].stale = true;
+  if (e == nullptr) {
+    return e;
+  }
+  PhiClass& cls = classes_[static_cast<std::size_t>(e->phi_class())];
+  ClassHead& head = heads_[cls.head_pos];
+  if (!head.stale && head.idle == e) {
+    // Every member before e runs, so the next candidate follows e.
+    FindIdle(head, head.idle_pos, cls.queue.next(e));
+  } else {
+    head.stale = true;
   }
   return e;
 }
@@ -291,13 +405,14 @@ double Sfs::BeginDecision() {
 }
 
 void Sfs::OnCharge(Entity& e, Tick ran_for) {
+  // Reposition within its class (phi did not change): out at the tag it was
+  // filed with, back in at the new one.
+  PhiClass& cls = classes_[static_cast<std::size_t>(e.phi_class())];
+  Unlink(cls, e);
   // F_i = S_i + q / phi_i with q the *actual* time run (Equation 5); a thread that
   // stays runnable continues from its finish tag (Equation 6).
   e.finish_tag() = e.start_tag() + arith().WeightedService(ran_for, e.phi());
   e.start_tag() = e.finish_tag();
-  // Reposition within its class (phi did not change).
-  PhiClass& cls = classes_[static_cast<std::size_t>(e.phi_class())];
-  Unlink(cls, e);
   Link(cls, e);
   if (filed_ == 1) {
     // Only this thread runnable: remember its finish tag for the idle rule.
@@ -358,13 +473,43 @@ bool Sfs::MaybeRebase(double v) {
     }
   });
   for (ClassHead& h : heads_) {
-    h.front_tag = h.cls->queue.front()->start_tag();
+    PhiClass& cls = *h.cls;
+    for (std::size_t pos = 0; pos < cls.runs.size(); ++pos) {
+      cls.runs[pos].tag = cls.runs[pos].head->start_tag();
+      if (pos > 0 && cls.runs[pos].tag == cls.runs[pos - 1].tag) {
+        MergeRuns(cls, pos--);
+      }
+    }
+    h.front_tag = cls.runs.front().tag;
     h.stale = true;
   }
+  v_stale_ = true;
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
   last_refresh_v_ -= delta;
   ++rebases_;
   return true;
+}
+
+void Sfs::MergeRuns(PhiClass& cls, std::size_t pos) {
+  std::vector<Entity*> members;
+  Entity* const end = cls.RunEnd(pos);
+  for (Entity* e = cls.runs[pos - 1].head; e != end;) {
+    Entity* const next = cls.queue.next(e);
+    cls.queue.erase(e);
+    members.push_back(e);
+    e = next;
+  }
+  std::sort(members.begin(), members.end(),
+            [](const Entity* a, const Entity* b) { return a->tid < b->tid; });
+  for (Entity* e : members) {
+    if (end == nullptr) {
+      cls.queue.push_back(e);
+    } else {
+      cls.queue.insert_before(end, e);
+    }
+  }
+  cls.runs[pos - 1].head = members.front();
+  cls.runs.Erase(pos);
 }
 
 Entity* Sfs::LeastSurplus(double v, double* surplus) {
@@ -390,12 +535,13 @@ Entity* Sfs::LeastSurplus(double v, double* surplus) {
     }
     // Two different start tags can round to the same surplus.  Such a
     // rounding tie is decided by tid, so walk the later runs sharing it.
-    PhiClass* cls = h.cls;
-    for (Entity* run = cls->runs.next(h.idle_run); run != nullptr; run = cls->runs.next(run)) {
-      if (FreshSurplus(*run, v) != least) {
+    PhiClass& cls = *h.cls;
+    for (std::size_t pos = h.idle_pos + 1; pos < cls.runs.size(); ++pos) {
+      if (h.phi * (cls.runs[pos].tag - v - h.warp_eff) != least) {
         break;
       }
-      if (Entity* e = cls->FirstIdle(run); e != nullptr && e->tid < best->tid) {
+      Entity* const e = cls.FirstIdle(pos, cls.runs[pos].head);
+      if (e != nullptr && e->tid < best->tid) {
         best = e;
       }
     }
@@ -421,13 +567,14 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
   Entity* affine = nullptr;
   double affine_surplus = 0.0;
   for (const ClassHead& h : heads_) {
-    PhiClass* cls = h.cls;
-    for (Entity* run = cls->runs.front(); run != nullptr; run = cls->runs.next(run)) {
-      const double s = FreshSurplus(*run, v);
+    PhiClass& cls = *h.cls;
+    for (std::size_t pos = 0; pos < cls.runs.size(); ++pos) {
+      const double s = h.phi * (cls.runs[pos].tag - v - h.warp_eff);
       if (s > window || (affine != nullptr && s > affine_surplus)) {
         break;
       }
-      for (Entity* e = run; e != nullptr; e = cls->NextInRun(e)) {
+      Entity* const end = cls.RunEnd(pos);
+      for (Entity* e = cls.runs[pos].head; e != end; e = cls.queue.next(e)) {
         if (!e->running && e->last_cpu == cpu) {
           if (Precedes(s, e, affine_surplus, affine)) {
             affine = e;
@@ -459,27 +606,27 @@ std::string Sfs::CheckInvariants() const {
       // A fresh entry must hold what a scan finds now.
       ClassHead scan = head;
       RefreshHead(scan);
-      if (scan.idle != head.idle || scan.idle_run != head.idle_run ||
+      if (scan.idle != head.idle || scan.idle_pos != head.idle_pos ||
           scan.idle_tid != head.idle_tid || scan.idle_tag != head.idle_tag) {
         return at("head entry not marked stale holds an outdated idle candidate at slot",
                   cls.slot);
       }
     }
     const Entity* prev = nullptr;
-    const Entity* next_head = cls.runs.front();
+    std::size_t run = 0;  // run index entries matched so far
     for (const Entity* e = cls.queue.front(); e != nullptr; e = cls.queue.next(e)) {
       ++filed;
       if (prev != nullptr && !(ByStartTagAsc::Key(*prev) < ByStartTagAsc::Key(*e))) {
         return at("phi class out of (start tag, tid) order at thread", e->tid);
       }
-      if (e->by_run.linked()) {
-        if (e != next_head) {
-          return at("run list skips or misorders the run head", e->tid);
+      if (prev == nullptr || prev->start_tag() != e->start_tag()) {
+        // e opens a run, so the next index entry names it with its tag; the
+        // queue order then makes the index's tags strictly ascending.
+        if (run == cls.runs.size() || cls.runs[run].head != e ||
+            cls.runs[run].tag != e->start_tag()) {
+          return at("run index skips, misorders or mistags the run opened by thread", e->tid);
         }
-        next_head = cls.runs.next(e);
-      } else if (prev == nullptr || prev->start_tag() != e->start_tag()) {
-        return at("unlinked run head: start tag differs from its predecessor's at thread",
-                  e->tid);
+        ++run;
       }
       if (!e->runnable || e->phi_class() != cls.slot) {
         return at("phi class files a blocked or foreign thread", e->tid);
@@ -489,9 +636,17 @@ std::string Sfs::CheckInvariants() const {
       }
       prev = e;
     }
-    if (next_head != nullptr) {
-      return at("run list links a thread its class does not hold", next_head->tid);
+    if (run != cls.runs.size()) {
+      return at("run index holds more entries than its class has runs at slot", cls.slot);
     }
+  }
+  double least_front = std::numeric_limits<double>::infinity();
+  for (const ClassHead& head : heads_) {
+    least_front = std::min(least_front, head.front_tag);
+  }
+  if (v_stale_ ? !(v_ <= least_front) : v_ != least_front) {
+    return std::string(v_stale_ ? "stale cached virtual time " : "cached virtual time ") +
+           std::to_string(v_) + " is not the least front tag " + std::to_string(least_front);
   }
   const auto runnable = static_cast<std::size_t>(runnable_count());
   if (filed != filed_ || filed != runnable) {

@@ -30,22 +30,26 @@
 //     as they rank by start tag, so runnable threads are filed in *phi
 //     classes* — one start-tag-ordered queue per distinct (phi, warp_eff)
 //     pair — and the least-surplus thread is the least-surplus head among the
-//     classes.  v is the least class head start tag.  Threads of one class
-//     with equal start tags share one surplus; each class links the first
-//     member of every such run, so a walk visits run heads, never a run's
-//     tail.  A packed head table holds, per class, its (phi, warp_eff), its
-//     front start tag and its first not-running member.  A decision is one
-//     pass over the table for v and one for the least head surplus, which
-//     first rescans each class marked stale since the last decision (filed
-//     into, unfiled from, charged in, or dispatched from; the rescans skip at
-//     most p running members in all), and a list walk only in classes tied
-//     at the least surplus: O(classes + p + rounding ties).  A charge
-//     re-files one thread within its class, walking the run heads from
-//     whichever end lies nearer its new tag, and a readjustment re-files
-//     only the threads whose phi changed (O(p) of them); neither a
-//     decision, a charge nor an admission walks the runnable set.
-//     DESIGN.md §3 gives the monotonicity argument that makes the result
-//     identical to a full surplus sort, rounding ties included;
+//     classes.  v is the least class head start tag, kept current as threads
+//     are filed and unfiled.  Threads of one class with equal start tags
+//     share one surplus; each class indexes its runs of equal start tags in
+//     a sorted array of (tag, first member), so filing is Section 3.2's
+//     binary search, by tag, inside one class, and a walk visits run heads,
+//     never a run's tail, reading no entity to step.  A packed head table
+//     holds, per class, its (phi, warp_eff), its front start tag and its
+//     first not-running member (its idle candidate), which filing keeps
+//     current.  A decision is one pass over the table for the least head
+//     surplus and one for ties; the first rescans each class marked stale
+//     since the last decision (its candidate was unfiled, or a rebase or a
+//     decision that dispatched another member intervened; a rescan skips at
+//     most p running members), and the run index is walked only in classes
+//     tied at the least surplus: O(classes + p + rounding ties).  A charge
+//     re-files one thread within its class in O(log runs) probes (plus the
+//     index's shift), and a readjustment re-files only the threads whose phi
+//     changed (O(p) of them); neither a decision, a charge nor an admission
+//     walks the runnable set.  DESIGN.md §3 gives the monotonicity argument
+//     that makes the result identical to a full surplus sort, rounding ties
+//     included;
 //   * the paper's k-bounded scheduling heuristic (Figure 3) is not a mode of
 //     this class: the exact decision above is cheaper at every measured size,
 //     so the heuristic is an evaluation model (eval::HeuristicSfs) that reuses
@@ -59,10 +63,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/assert.h"
 #include "src/common/intrusive_list.h"
 #include "src/sched/gps_base.h"
 
@@ -92,8 +98,18 @@ class Sfs : public GpsSchedulerBase {
   void SetWarp(ThreadId tid, double warp);
 
   // Current system virtual time v (minimum start tag over runnable threads, or the
-  // last value before the system went idle).
-  double VirtualTime() const;
+  // last value before the system went idle).  Filing keeps it current, or
+  // marks it for one pass over the head table when the last thread at v
+  // leaves.
+  double VirtualTime() const {
+    if (filed_ == 0) {
+      return idle_virtual_time_;
+    }
+    if (v_stale_) {
+      RecomputeVirtualTime();
+    }
+    return v_;
+  }
 
   // Migration timeline (sched::Sharded): tags live on the start-tag axis.
   double LocalVirtualTime() const override { return VirtualTime(); }
@@ -117,18 +133,19 @@ class Sfs : public GpsSchedulerBase {
 
   // Single-threaded consistency audit for tests: every phi class is non-empty
   // and ascending in (S, tid), and each filed thread is runnable and carries
-  // its class's (phi, warp_eff); every member that is not a run head shares
-  // its predecessor's start tag, and the run list links exactly the heads, in
-  // queue order; the head table has one entry per class, each front tag is
-  // its class's front start tag, and each entry not marked stale holds the
-  // idle candidate, tid, tag and run head a fresh scan finds; exactly the
-  // runnable threads are filed; the weight queue
-  // holds exactly the runnable set, and its bucket index matches its runs of
-  // equal weight (WeightQueue::CheckIndex); an uncapped thread's phi is its
-  // requested weight; with readjustment on and more than p threads runnable,
-  // every phi is at most sum(phi) / p, up to rounding.  Returns an empty
-  // string, or a description of the first violation.  O(t); the scheduler
-  // never calls it.
+  // its class's (phi, warp_eff); the run index holds one entry per run of
+  // equal start tags, in strictly ascending tag order, each naming its run's
+  // first member and carrying that member's start tag; the head table has
+  // one entry per class, each front tag is its class's front start tag, and
+  // each entry not marked stale holds the idle candidate, tid, tag and run a
+  // fresh scan finds; the cached v is the least front tag (at most it while
+  // marked stale); exactly the
+  // runnable threads are filed; the weight queue holds exactly the runnable
+  // set, and its bucket index matches its runs of equal weight
+  // (WeightQueue::CheckIndex); an uncapped thread's phi is its requested
+  // weight; with readjustment on and more than p threads runnable, every phi
+  // is at most sum(phi) / p, up to rounding.  Returns an empty string, or a
+  // description of the first violation.  O(t); the scheduler never calls it.
   std::string CheckInvariants() const;
 
   // Counters for the overhead benchmarks.
@@ -143,9 +160,10 @@ class Sfs : public GpsSchedulerBase {
   // change or a warp change rewrote their (phi, warp_eff) pair.
   std::int64_t refresh_repositions() const { return refresh_repositions_; }
 
-  // Run heads stepped over by the walks that file a thread in its class
-  // (admission, wakeup, re-file, and the re-file after every charge).
-  std::int64_t relink_steps() const { return relink_steps_; }
+  // Run-index tags probed by the searches that file a thread in its
+  // class and take it out again (admission, wakeup, block, re-file, and
+  // both halves of the re-file after every charge).
+  std::int64_t filing_probes() const { return filing_probes_; }
 
   // Phi classes currently holding runnable threads; never more than the
   // runnable count (an emptied class is recycled at once).
@@ -166,35 +184,84 @@ class Sfs : public GpsSchedulerBase {
   // is re-filed).  The default does nothing.
   virtual void OnWarpChanged(Entity& e) { (void)e; }
 
+  // A run of equal start tags in a phi class: the tag and the run's first
+  // (least tid) member.  The tag sits beside the pointer so that a search
+  // or a walk over the runs reads no entity.
+  struct RunHead {
+    double tag = 0.0;
+    Entity* head = nullptr;
+  };
+
+  // A phi class's runs, ascending by tag, in one array with slack at both
+  // ends.  Opening or closing a run in the front half shifts the entries
+  // before it, in the back half those after it, so the front (arrivals and
+  // wakeups land at v; a charge takes its thread out of the front run) and
+  // the back (where the charge files it again) both change in O(1).  When
+  // the side to shift has no slack left the entries are re-centred, growing
+  // the array to twice the runs, so shifts stay amortized O(1) per change
+  // at either end; an emptied class keeps its array for its next use.
+  class RunIndex {
+   public:
+    std::size_t size() const { return last_ - first_; }
+    bool empty() const { return first_ == last_; }
+    RunHead* begin() { return slots_.data() + first_; }
+    RunHead* end() { return slots_.data() + last_; }
+    const RunHead* begin() const { return slots_.data() + first_; }
+    RunHead& operator[](std::size_t pos) {
+      SFS_DCHECK(pos < size());
+      return slots_[first_ + pos];
+    }
+    const RunHead& operator[](std::size_t pos) const {
+      SFS_DCHECK(pos < size());
+      return slots_[first_ + pos];
+    }
+    const RunHead& front() const { return slots_[first_]; }
+
+    void Insert(std::size_t pos, RunHead run);
+    void Erase(std::size_t pos);
+
+   private:
+    // Moves the entries to the middle of an array with room for `runs`
+    // entries and as much slack again.
+    void Recenter(std::size_t runs);
+
+    std::vector<RunHead> slots_;
+    std::uint32_t first_ = 0;  // the entries are slots_[first_, last_)
+    std::uint32_t last_ = 0;
+  };
+
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
   // (start tag, tid) order.  Surplus phi * (S - v - warp_eff) is
   // non-decreasing along that order (DESIGN.md §3), and threads with equal
-  // start tags have bit-identical surpluses.  `runs` links the first member
-  // of each such run of equal start tags, in queue order, so a walk can step
-  // from one distinct start tag to the next without visiting the members
-  // between; a run's members follow its head in ascending tid order.  The
-  // class's (phi, warp_eff) pair lives in its head-table entry.
-  struct PhiClass {
-    std::int32_t slot = 0;     // index in classes_ (Entity::phi_class)
-    std::size_t head_pos = 0;  // index of its entry in heads_
+  // start tags have bit-identical surpluses.  `runs` holds one entry per
+  // such run of equal start tags, in queue order (strictly ascending tags),
+  // so filing binary-searches it and a walk steps from one distinct start
+  // tag to the next without visiting the members between; a run's members
+  // follow its head in ascending tid order.  The class's (phi, warp_eff)
+  // pair lives in its head-table entry.  One cache line.
+  struct alignas(64) PhiClass {
+    std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
+    std::uint32_t head_pos = 0;  // index of its entry in heads_
     common::IntrusiveList<Entity, &Entity::by_start> queue;
-    common::IntrusiveList<Entity, &Entity::by_run> runs;
+    RunIndex runs;
 
-    // The member after `e` in e's run, or nullptr at the run's end.
-    Entity* NextInRun(Entity* e) {
-      Entity* n = queue.next(e);
-      return n != nullptr && !n->by_run.linked() ? n : nullptr;
+    // The member after run `pos`'s last one: the next run's head, or nullptr.
+    Entity* RunEnd(std::size_t pos) const {
+      return pos + 1 < runs.size() ? runs[pos + 1].head : nullptr;
     }
-    // The first not-running member of the run headed by `head`, or nullptr.
-    // Every running member is skipped at most once per walk: at most p.
-    Entity* FirstIdle(Entity* head) {
-      Entity* e = head;
-      while (e != nullptr && e->running) {
-        e = NextInRun(e);
+    // The first not-running member of run `pos` at or after `from` (a member
+    // of that run, or its end), or nullptr.  Every running member is skipped
+    // at most once per walk: at most p.
+    Entity* FirstIdle(std::size_t pos, Entity* from) {
+      for (Entity* e = from; e != RunEnd(pos); e = queue.next(e)) {
+        if (!e->running) {
+          return e;
+        }
       }
-      return e;
+      return nullptr;
     }
   };
+  static_assert(sizeof(PhiClass) == 64, "a phi class must stay one cache line");
 
   // Opens a dispatch decision: reads v, rebases the tags when v passed
   // tag_rebase_threshold (re-reading v), and counts the decision (decisions(),
@@ -218,32 +285,33 @@ class Sfs : public GpsSchedulerBase {
   // The not-running runnable thread with the least (fresh surplus, tid), or
   // nullptr; `surplus` receives its surplus.  Refreshes the stale head
   // entries while it takes the least head surplus in one pass over the head
-  // table; only classes whose head surplus equals it walk their lists, for
-  // rounding ties.
+  // table; only classes whose head surplus equals it walk their run index,
+  // for rounding ties.
   Entity* LeastSurplus(double v, double* surplus);
 
   // Returns `e`, the thread the decision dispatches (or nullptr), after
-  // marking its class's head entry stale: once running, e is no longer its
-  // class's idle candidate.  Every PickNextEntity returns through it.
+  // moving its class's idle candidate past it (or, when e was not the
+  // candidate, marking the entry stale): once running, e is no longer its
+  // class's candidate.  Every PickNextEntity returns through it.
   Entity* Dispatching(Entity* e);
 
  private:
   // One entry per non-empty class, at the class's head_pos: what a decision
   // reads of the class, packed so that v and the least head surplus are
   // passes over contiguous memory.  `front_tag` is always current (Link,
-  // Unlink and MaybeRebase keep it), so VirtualTime() is a const read; the
-  // idle candidate is current unless the entry is `stale`, and LeastSurplus
-  // refreshes a stale entry before it reads it.
+  // Unlink and MaybeRebase keep it); the idle candidate is current unless
+  // the entry is `stale`, and LeastSurplus refreshes a stale entry before it
+  // reads it.
   struct ClassHead {
     double front_tag = 0.0;  // queue.front()'s start tag
     Weight phi = 0.0;
     double warp_eff = 0.0;
-    double idle_tag = 0.0;       // idle's start tag; +inf when every member runs
-    Entity* idle = nullptr;      // the class's first not-running member
-    Entity* idle_run = nullptr;  // head of idle's run
+    double idle_tag = 0.0;   // idle's start tag; +inf when every member runs
+    Entity* idle = nullptr;  // the class's first not-running member
     PhiClass* cls = nullptr;
     ThreadId idle_tid = kInvalidThread;
-    bool stale = true;  // the class changed since its idle candidate was found
+    std::uint32_t idle_pos = 0;  // index of idle's run in cls->runs
+    bool stale = true;  // the idle candidate must be found afresh
   };
 
   // The non-empty class holding (phi, warp_eff), or nullptr.
@@ -253,26 +321,41 @@ class Sfs : public GpsSchedulerBase {
   // takes it out and recycles a class it leaves empty.
   void File(Entity& e, PhiClass* cls);
   void Unfile(Entity& e);
-  // Links `e` into cls's queue at its (S, tid) position, and into the run
-  // list when it opens or heads a run: walks the run heads, from whichever
-  // end of the class lies nearer e's start tag, to the run of that tag, then
-  // places e in that run by tid from the run's tail.  Unlink takes e out and
-  // hands a run's head role to its next member; it reads no keys of e, so it
-  // may follow a tag update.  Both mark the class's entry stale and keep its
-  // front tag.
+  // Links `e` into cls's queue at its (S, tid) position: searches the run
+  // index for e's start tag (FindRun), then either opens a run there or
+  // places e in that run by tid, walking in from the end with the nearer
+  // tid.  Unlink takes e out, finding its run by the start tag it was filed
+  // with (so a charge unlinks before it moves the tags), and hands a run's
+  // head role to its next member.  Both keep the class's front tag, its
+  // idle candidate (Unlink marks the entry stale when e was the candidate)
+  // and v_ (Unlink marks it stale when e was the last thread at v).
   void Link(PhiClass& cls, Entity& e);
   void Unlink(PhiClass& cls, Entity& e);
+  // Position of the first run of `cls` whose tag is not below `tag`: probes
+  // both ends, then binary-searches the runs between; counts its probes in
+  // filing_probes_.
+  std::size_t FindRun(const PhiClass& cls, double tag);
+  // Sets v_ to the least front tag, one pass over the head table.
+  void RecomputeVirtualTime() const;
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
   void Refile(Entity& e);
   // Finds the idle candidate of h's class afresh (CheckInvariants runs it on
   // a copy).
   static void RefreshHead(ClassHead& h);
+  // Sets h's idle candidate to the first not-running member of its class at
+  // or after `from`, a member of run `pos` or that run's end, and marks h
+  // fresh.
+  static void FindIdle(ClassHead& h, std::size_t pos, Entity* from);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
   // threshold: shifts every tag (runnable and blocked) down by the minimum start
   // tag.  Relative order and surpluses are invariant under the shift.  Returns
   // true iff it rebased.
   bool MaybeRebase(double v);
+  // Makes runs pos - 1 and pos of `cls`, whose tags the rebase rounded to
+  // one value (only a tag above twice the shift can round), one run, its
+  // members in tid order.
+  void MergeRuns(PhiClass& cls, std::size_t pos);
 
   Entity* ExactPick(CpuId cpu, double v);
 
@@ -287,6 +370,13 @@ class Sfs : public GpsSchedulerBase {
   // and a decision reads every entry anyway.
   std::vector<ClassHead> heads_;
   std::size_t filed_ = 0;  // runnable threads across all classes
+  // The least front tag in heads_ (v while any thread is runnable; +inf when
+  // nothing is filed), unless `v_stale_`: then only a lower bound, and the
+  // next VirtualTime() recomputes it.  Unlink marks it when the last thread
+  // at v leaves (readjustment re-files capped threads in bursts, and one
+  // pass after the burst serves them all); Link only lowers it.
+  mutable double v_ = std::numeric_limits<double>::infinity();
+  mutable bool v_stale_ = false;
 
   // Virtual time bookkeeping.  `idle_virtual_time_` implements "the virtual time
   // ... is set to the finish tag of the thread that ran last" when no thread is
@@ -301,7 +391,7 @@ class Sfs : public GpsSchedulerBase {
   std::int64_t full_refreshes_ = 0;
   std::int64_t rebases_ = 0;
   std::int64_t refresh_repositions_ = 0;
-  std::int64_t relink_steps_ = 0;
+  std::int64_t filing_probes_ = 0;
 };
 
 }  // namespace sfs::sched

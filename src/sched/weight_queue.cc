@@ -1,7 +1,6 @@
 #include "src/sched/weight_queue.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "src/common/assert.h"
 
@@ -25,39 +24,9 @@ void WeightQueue::Insert(Entity* e) {
     buckets_.insert(it, Bucket{e->weight(), e, e});
     return;
   }
-  // Place by tid inside the run, walking in from the end with the nearer tid
-  // (members ascend by tid, so the position does not depend on the end).
-  Bucket& b = *it;
-  const std::int64_t tid = e->tid;
-  if (tid - b.first->tid < std::int64_t{b.last->tid} - tid) {
-    Entity* cur = b.first;
-    while (cur->tid <= tid) {
-      if (cur == b.last) {
-        list_.insert_after(cur, e);
-        b.last = e;
-        return;
-      }
-      cur = list_.next(cur);
-    }
-    list_.insert_before(cur, e);
-    if (cur == b.first) {
-      b.first = e;
-    }
-    return;
-  }
-  Entity* cur = b.last;
-  while (tid < cur->tid) {
-    if (cur == b.first) {
-      list_.insert_before(cur, e);
-      b.first = e;
-      return;
-    }
-    cur = list_.prev(cur);
-  }
-  list_.insert_after(cur, e);
-  if (cur == b.last) {
-    b.last = e;
-  }
+  // Join the run at its back: members of a run keep no order (weight_queue.h).
+  list_.insert_after(it->last, e);
+  it->last = e;
 }
 
 void WeightQueue::Unlink(Entity* e, Weight filed_weight) {
@@ -105,8 +74,8 @@ std::string WeightQueue::CheckIndex() const {
   std::size_t bucket = 0;
   const Entity* prev = nullptr;
   for (const Entity* e : list_) {
-    if (prev != nullptr && !(ByWeightDesc::Key(*prev) < ByWeightDesc::Key(*e))) {
-      return at("weight queue out of (-weight, tid) order at thread", e->tid);
+    if (prev != nullptr && prev->weight() < e->weight()) {
+      return at("weight queue out of descending weight order at thread", e->tid);
     }
     if (prev == nullptr || prev->weight() != e->weight()) {
       if (bucket == buckets_.size() || buckets_[bucket].weight != e->weight() ||

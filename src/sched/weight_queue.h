@@ -1,22 +1,26 @@
 // The descending-weight queue of runnable threads (Section 3.1), indexed by
 // distinct weight.
 //
-// The list order is the paper's: descending requested weight, ties broken by
-// ascending tid, so the readjustment pass (Figure 2), the migration-victim
-// scan (GpsSchedulerBase::PickMigrationCandidate), the heuristic model's
-// last-k scan (eval::HeuristicSfs) and every other reader walk exactly the
-// list a plain sorted insert would build.  What changes is how a thread finds its place.  Weights
-// repeat heavily in practice (integer weights, a handful of job classes), so
-// besides the list the queue keeps one *bucket* per distinct weight present:
-// the weight and the first and last member of its run in the list, in a
-// contiguous array sorted by descending weight.  An insert binary-searches
-// the buckets and then places the thread by tid inside its run, walking in
-// from whichever end of the run has the nearer tid; a new weight opens a
+// The list is in descending requested weight, as the paper's is, but keeps
+// no order inside a run of equal weights: a thread joins its run at the
+// run's back.  Weights repeat heavily in practice (integer weights, a handful
+// of job classes), so besides the list the queue keeps one *bucket* per
+// distinct weight present: the weight and the first and last member of its
+// run in the list, in a contiguous array sorted by descending weight.  An
+// insert binary-searches the buckets and appends to its run, or opens a
 // bucket in front of the next lighter run.  A removal from inside a run is
 // O(1): both list neighbours share its weight, so no bucket moves.  Removing
 // a run's first or last member binary-searches the buckets to move that end,
-// and emptying a bucket costs O(distinct weights) to close it.  A plain sorted
-// insert instead scans the list from its heaviest end, O(t) per admission.
+// and emptying a bucket costs O(distinct weights) to close it.  A plain
+// sorted insert instead scans the list from its heaviest end, O(t) per
+// admission, and placing a thread by tid inside its run walks the run.
+//
+// Who reads the order inside a run, and why none needs it: the readjustment
+// pass (Figure 2, readjust.h) caps a prefix of whole runs, and resolves by
+// tid the rare run that rounding splits; the migration-victim scan
+// (GpsSchedulerBase::PickMigrationCandidate) and FindRunnable break ties by
+// tid themselves; the heuristic model's last-k scan (eval::HeuristicSfs)
+// goes through ForLastK, which resolves the one run that k ends inside.
 //
 // The bucket array only grows to the peak number of distinct runnable
 // weights and keeps its capacity, so steady state allocates nothing.
@@ -24,6 +28,7 @@
 #ifndef SFS_SCHED_WEIGHT_QUEUE_H_
 #define SFS_SCHED_WEIGHT_QUEUE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -34,8 +39,9 @@
 
 namespace sfs::sched {
 
-// The queue's total order: descending by requested weight, then ascending tid
-// (the paper's "ties are broken arbitrarily", made reproducible).
+// The order the queue's readers resolve: descending by requested weight,
+// then ascending tid (the paper's "ties are broken arbitrarily", made
+// reproducible).
 struct ByWeightDesc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {-e.weight(), e.tid}; }
 };
@@ -49,7 +55,7 @@ class WeightQueue {
   Entity* next(Entity* e) { return list_.next(e); }
   const Entity* next(const Entity* e) const { return list_.next(e); }
 
-  // Links `e` at its (-weight, tid) position.
+  // Links `e` at the back of its weight's run.
   void Insert(Entity* e);
 
   // Unlinks `e`, whose weight must still be the one it was inserted with.
@@ -60,21 +66,38 @@ class WeightQueue {
 
   void Clear();
 
-  // Calls `fn(e)` for the last `k` entries, lightest first (the Section 3.2
-  // heuristic, eval::HeuristicSfs, examines the smallest weights first,
-  // paper footnote 8).
+  // Calls `fn(e)` for the last `k` entries in (-weight, tid) order, lightest
+  // run first (the Section 3.2 heuristic, eval::HeuristicSfs, examines the
+  // smallest weights first, paper footnote 8): whole runs, and of the run
+  // that k ends inside, its highest tids.  The calls within a run come in no
+  // particular order.  That last run is gathered and partially sorted, so
+  // the cost is O(k + its length).
   template <typename Fn>
   void ForLastK(std::size_t k, Fn&& fn) {
-    std::size_t visited = 0;
-    for (Entity* e = list_.back(); e != nullptr && visited < k; e = list_.prev(e), ++visited) {
-      fn(e);
+    for (auto b = buckets_.rbegin(); b != buckets_.rend() && k > 0; ++b) {
+      run_.clear();
+      for (Entity* e = b->last;; e = list_.prev(e)) {
+        run_.push_back(e);
+        if (e == b->first) {
+          break;
+        }
+      }
+      if (run_.size() > k) {
+        const auto highest = run_.begin() + static_cast<std::ptrdiff_t>(k);
+        std::nth_element(run_.begin(), highest, run_.end(),
+                         [](const Entity* a, const Entity* c) { return a->tid > c->tid; });
+        run_.resize(k);
+      }
+      for (Entity* e : run_) {
+        fn(e);
+      }
+      k -= run_.size();
     }
   }
 
-  // Audit for tests, O(t): the list is strictly ascending in (-weight, tid)
-  // and the buckets are exactly its runs of equal weight, heaviest first,
-  // each with its true first and last member.  Returns an empty string or
-  // the first violation.
+  // Audit for tests, O(t): the list descends by weight, and the buckets are
+  // exactly its runs of equal weight, heaviest first, each with its true
+  // first and last member.  Returns an empty string or the first violation.
   std::string CheckIndex() const;
 
  private:
@@ -90,6 +113,7 @@ class WeightQueue {
 
   common::IntrusiveList<Entity, &Entity::by_weight> list_;
   std::vector<Bucket> buckets_;  // descending weight, one per distinct weight
+  std::vector<Entity*> run_;     // ForLastK's gathered run, reused
 };
 
 }  // namespace sfs::sched

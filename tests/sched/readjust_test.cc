@@ -349,6 +349,37 @@ TEST(ReadjustQueueTest, CapsTrackedAndRestored) {
   EXPECT_TRUE(fx.state().capped.empty());
 }
 
+// The weight queue appends to a run, so the run of weight 2.2 lists tid 5
+// before tid 2.  In exact arithmetic both or neither would be capped, but
+// with a running weight sum of 13.2 rounding caps one: 2.2 * 6 rounds above
+// 13.2, while 2.2 * 5 does not exceed 13.2 - 2.2.  The cap must go to the
+// lower tid, as in a (weight, tid) ordered queue.  (Its phi, 11.0 / 5,
+// rounds back to 2.2 here; in general it may differ from w by an ulp, which
+// reorders surpluses.)
+TEST(ReadjustQueueTest, RoundingSplitRunCapsItsLowestTids) {
+  ASSERT_GT(2.2 * 6.0, 13.2);
+  ASSERT_FALSE(2.2 * 5.0 > 13.2 - 2.2);
+  std::vector<std::unique_ptr<Entity>> entities;
+  WeightQueue queue;
+  for (const auto& [tid, weight] : std::vector<std::pair<ThreadId, double>>{
+           {5, 2.2}, {2, 2.2}, {10, 1.76}, {11, 1.76}, {12, 1.76}, {13, 1.76}, {14, 1.76}}) {
+    entities.push_back(std::make_unique<Entity>());
+    entities.back()->tid = tid;
+    entities.back()->weight() = weight;
+    entities.back()->phi() = weight;
+    queue.Insert(entities.back().get());
+  }
+  ASSERT_EQ(queue.front()->tid, 5);
+  ReadjustState state;
+  ReadjustQueue(queue, 13.2, 6, state);
+  ASSERT_EQ(state.capped.size(), 1U);
+  EXPECT_EQ(state.capped[0]->tid, 2);
+  EXPECT_FALSE(entities[0]->capped);
+  EXPECT_EQ(entities[0]->phi(), 2.2);
+  EXPECT_DOUBLE_EQ(entities[1]->phi(), (13.2 - 2.2) / 5.0);
+  queue.Clear();
+}
+
 TEST(ReadjustQueueTest, IsFeasibleAgreesWithEquationOne) {
   QueueFixture feasible({1.0, 1.0, 2.0});
   EXPECT_TRUE(IsFeasible(feasible.queue(), 4.0, 2));

@@ -15,12 +15,15 @@
 // join by a weight change, by arrival at v and by wakeup, and charges are
 // partial, so start tags spread out and a charged thread's new tag falls
 // between run heads.  It checks the same pick, the virtual time and the
-// audit after every operation, and a last test pins how many run heads a
-// re-file after a charge steps (Sfs::relink_steps()).
+// audit after every operation, once with tags rebased many times over (the
+// run index's keys then shift while classes hold many runs), and a last test
+// pins how many run tags a re-file after a charge probes
+// (Sfs::filing_probes()).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -89,7 +92,11 @@ ThreadId BrutePick(const Sfs& s, const Model& m, CpuId cpu, Tick tolerance) {
 }
 
 bool Check(Sfs& s, const Model& m, Tick tolerance, const std::string& where) {
-  EXPECT_EQ(s.CheckInvariants(), "") << where;
+  const std::string audit = s.CheckInvariants();
+  EXPECT_EQ(audit, "") << where;
+  if (!audit.empty()) {
+    return false;  // a pick on broken queues need not terminate
+  }
   for (CpuId cpu = 0; cpu < s.num_cpus(); ++cpu) {
     if (m.running_on[static_cast<std::size_t>(cpu)] == kInvalidThread) {
       EXPECT_EQ(s.PeekExactPick(cpu), BrutePick(s, m, cpu, tolerance)) << where << " cpu " << cpu;
@@ -264,15 +271,18 @@ struct Landings {
   std::int64_t weight_joins = 0;       // weight changes into a populated class
   std::int64_t wakeups = 0;
   std::int64_t arrivals = 0;
+  std::int64_t rebases = 0;
 };
 
-Landings MidClass(int cpus, bool affinity, std::uint64_t seed, int ops) {
+Landings MidClass(int cpus, bool affinity, std::uint64_t seed, int ops,
+                  double rebase_threshold = 1e15) {
   common::Rng rng(seed * 7919 + static_cast<std::uint64_t>(cpus));
   SchedConfig config;
   config.num_cpus = cpus;
   const Tick quantum = Msec(10);
   const Tick tolerance = affinity ? Msec(25) : 0;
   config.affinity_tolerance = tolerance;
+  config.tag_rebase_threshold = rebase_threshold;
   Sfs s(config);
 
   // Weights 1..3 with more than 3p threads always runnable: every weight is
@@ -378,6 +388,7 @@ Landings MidClass(int cpus, bool affinity, std::uint64_t seed, int ops) {
       return landings;
     }
   }
+  landings.rebases = s.rebases();
   return landings;
 }
 
@@ -401,10 +412,68 @@ TEST_P(SfsRunSkipTest, MidClassLandingPickMatchesBruteForce) {
   EXPECT_GT(total.arrivals, 50);
 }
 
-// A charge that re-files a thread just behind its class's front run steps at
-// most two run heads, however long the class is: the walk starts from the
-// nearer end.
-TEST(SfsRelinkTest, ChargeNextToTheFrontStepsAtMostTwoHeads) {
+// The same workload with a rebase threshold of 20 us of weighted service:
+// every tag, the run index's keys among them, shifts every few dozen
+// operations while the classes hold many runs.  Affinity is off: within its
+// window the affine threads keep the CPUs and v rarely moves.  The runs are
+// longer than above, so that even at p=16 every thread is charged again and
+// again.
+TEST(SfsRunSkipRebaseTest, MidClassLandingWithTagRebasesPickMatchesBruteForce) {
+  for (const int cpus : {1, 2, 16}) {
+    Landings total;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Landings l = MidClass(cpus, /*affinity=*/false, seed, /*ops=*/3000,
+                                  /*rebase_threshold=*/static_cast<double>(Usec(20)));
+      if (HasFailure()) {
+        return;
+      }
+      total.mid_class_charges += l.mid_class_charges;
+      total.rebases += l.rebases;
+    }
+    EXPECT_GT(total.mid_class_charges, 100) << "p" << cpus;
+    EXPECT_GT(total.rebases, 30) << "p" << cpus << ": " << total.rebases << " rebases";
+  }
+}
+
+// Tags above twice the shift can round together in a rebase: 2^53 + 4 and
+// 2^53 + 6, less 1, both round to 2^53 + 4 (ties to even).  The two runs
+// then become one, in tid order, and the class still picks in (S, tid)
+// order.
+TEST(SfsRunSkipRebaseTest, RebaseThatRoundsTwoRunsTogetherMergesThem) {
+  SchedConfig config;
+  config.num_cpus = 1;
+  config.tag_rebase_threshold = 0.5;
+  Sfs s(config);
+  for (ThreadId tid = 0; tid < 3; ++tid) {
+    s.AddThread(tid, 1.0);
+  }
+  const Tick two53 = Tick{1} << 53;
+  const Tick charges[] = {two53 + 6, two53 + 4, 1};
+  for (ThreadId tid = 0; tid < 3; ++tid) {
+    ASSERT_EQ(s.PickNext(0), tid);
+    s.Charge(tid, charges[tid]);
+  }
+  ASSERT_EQ(s.StartTag(0) - 1.0, s.StartTag(1) - 1.0);  // the rounding
+  ASSERT_EQ(s.rebases(), 0);
+  ASSERT_EQ(s.PickNext(0), 2);  // v = 1 passes the threshold: rebase
+  EXPECT_EQ(s.rebases(), 1);
+  EXPECT_EQ(s.StartTag(0), s.StartTag(1));
+  EXPECT_EQ(s.CheckInvariants(), "");
+  s.Charge(2, two53 * 2);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  EXPECT_EQ(s.PickNext(0), 0);
+  s.Charge(0, 1);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  EXPECT_EQ(s.PickNext(0), 1);
+  EXPECT_EQ(s.CheckInvariants(), "");
+}
+
+// A charge that re-files a thread from the front of a 40-run class into its
+// middle probes one run tag to take it out (the front is probed first) and
+// the two end tags plus one binary search's worth, ceil(log2 39) + 1, to file
+// it at the new tag: however far it moves (a walk over the run heads steps
+// 19 from either end).
+TEST(SfsRelinkTest, ChargeIntoTheMiddleProbesLogarithmicallyMany) {
   SchedConfig config;
   config.num_cpus = 1;
   Sfs s(config);
@@ -420,12 +489,12 @@ TEST(SfsRelinkTest, ChargeNextToTheFrontStepsAtMostTwoHeads) {
     s.Charge(tid, Msec(k + 1));
   }
   ASSERT_EQ(s.CheckInvariants(), "");
-  // Thread 0 leads at 1 ms; 1.5 ms more puts it between threads 1 (2 ms) and
-  // 2 (3 ms).
+  // Thread 0 leads at 1 ms; 19.5 ms more puts it between threads 19 (20 ms)
+  // and 20 (21 ms), 19 runs from either end.
   ASSERT_EQ(s.PickNext(0), 0);
-  const std::int64_t before = s.relink_steps();
-  s.Charge(0, Usec(1500));
-  EXPECT_LE(s.relink_steps() - before, 2);
+  const std::int64_t before = s.filing_probes();
+  s.Charge(0, Usec(19500));
+  EXPECT_LE(s.filing_probes() - before, 1 + 2 + std::bit_width(unsigned{kThreads}) + 1);
   EXPECT_EQ(s.CheckInvariants(), "");
   EXPECT_EQ(s.PickNext(0), 1);
 }

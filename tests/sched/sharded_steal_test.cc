@@ -8,13 +8,20 @@
 // choose the same victim from the same shard after every operation of a
 // fuzzed lifecycle, every bit must equal `runnable_count() >= 2`, and the
 // host's CheckInvariants audit must pass.  p > 64 spans several bitmap words.
+// After every operation, steals and rebalances included, each SFS shard's
+// LocalVirtualTime() must also equal a brute-force least start tag over its
+// runnable threads: Sfs keeps v as it files and unfiles, and a coupled
+// migrant (shard_coupling > 0) may be filed behind it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -157,6 +164,31 @@ void CheckAgainstReference(StealProbe& s, common::Rng& rng) {
   }
 }
 
+// Each SFS shard holding runnable threads reports their least start tag as
+// its virtual time.  `v` holds each such shard's v from the previous call
+// (NaN for an empty shard); a v that fell while its shard stayed non-empty
+// was lowered by a migrant filed behind it, counted in `lowered`.
+void CheckShardVirtualTimes(StealProbe& s, std::vector<double>& v, std::int64_t& lowered) {
+  for (CpuId cpu = 0; cpu < s.num_cpus(); ++cpu) {
+    GpsSchedulerBase& shard = s.shard(cpu);
+    if (dynamic_cast<const Sfs*>(&shard) == nullptr) {
+      return;
+    }
+    double least = std::numeric_limits<double>::quiet_NaN();
+    dynamic_cast<EntityWalker&>(shard).Walk([&least](const Entity& e) {
+      if (e.runnable && !(e.start_tag() >= least)) {
+        least = e.start_tag();
+      }
+    });
+    double& last = v[static_cast<std::size_t>(cpu)];
+    if (!std::isnan(least)) {
+      ASSERT_EQ(shard.LocalVirtualTime(), least) << "cpu " << cpu;
+      lowered += least < last ? 1 : 0;
+    }
+    last = least;
+  }
+}
+
 ThreadId Take(common::Rng& rng, std::vector<ThreadId>& pool) {
   const auto i = static_cast<std::size_t>(
       rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1));
@@ -168,8 +200,9 @@ ThreadId Take(common::Rng& rng, std::vector<ThreadId>& pool) {
 
 // Admit/block/wake/pick/charge/remove/set-weight fuzz; the reference check
 // runs after every operation.  With rebalancing off, a pick on a CPU whose
-// shard is empty must also steal exactly the reference's victim.
-void Fuzz(const PolicyCase& policy, int cpus, std::uint64_t seed, int ops) {
+// shard is empty must also steal exactly the reference's victim.  Adds to
+// `lowered` how often a migrant lowered an SFS shard's virtual time.
+void Fuzz(const PolicyCase& policy, int cpus, std::uint64_t seed, int ops, std::int64_t* lowered) {
   common::Rng rng(seed);
   SchedConfig config;
   config.num_cpus = cpus;
@@ -226,6 +259,8 @@ void Fuzz(const PolicyCase& policy, int cpus, std::uint64_t seed, int ops) {
   for (int i = 0; i < 2 * cpus + 4; ++i) {
     admit();
   }
+  std::vector<double> shard_v(static_cast<std::size_t>(cpus),
+                              std::numeric_limits<double>::quiet_NaN());
   for (int op = 0; op < ops; ++op) {
     SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
     const auto choice = rng.UniformInt(0, 99);
@@ -272,6 +307,7 @@ void Fuzz(const PolicyCase& policy, int cpus, std::uint64_t seed, int ops) {
       }
     }
     ASSERT_NO_FATAL_FAILURE(CheckAgainstReference(s, rng));
+    ASSERT_NO_FATAL_FAILURE(CheckShardVirtualTimes(s, shard_v, *lowered));
   }
 }
 
@@ -282,8 +318,12 @@ TEST_P(ShardedStealTest, VictimAndBitmapMatchExhaustiveReference) {
   const int cpus = std::get<1>(GetParam());
   // Fewer operations at large p: each one re-checks every thief.
   const int ops = cpus <= 8 ? 1500 : 250;
+  std::int64_t lowered = 0;
   for (const std::uint64_t seed : {1ULL, 42ULL, 7919ULL}) {
-    ASSERT_NO_FATAL_FAILURE(Fuzz(policy, cpus, seed, ops));
+    ASSERT_NO_FATAL_FAILURE(Fuzz(policy, cpus, seed, ops, &lowered));
+  }
+  if (std::string_view(policy.name) == "sfs") {
+    EXPECT_GT(lowered, 0) << "no coupled migrant was filed behind a shard's virtual time";
   }
 }
 

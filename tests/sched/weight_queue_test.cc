@@ -1,12 +1,15 @@
-// WeightQueue: the descending (weight, tid) list with its per-distinct-weight
-// bucket index.  The list must be exactly the order a sorted insert would
-// build, whatever mix of inserts, removals and reweights produced it, and the
-// index must name the first and last member of every run of equal weight.
+// WeightQueue: the descending-weight list with its per-distinct-weight
+// bucket index.  Whatever mix of inserts, removals and reweights produced it,
+// the list must hold exactly the queued threads in descending weight, each
+// run of equal weight in the order its members joined it, the index must
+// name the first and last member of every run, and ForLastK must visit the
+// last k threads of the (-weight, tid) order.
 
 #include "src/sched/weight_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -38,7 +41,15 @@ struct Pool {
   std::vector<std::unique_ptr<Entity>> entities;
 };
 
-TEST(WeightQueueTest, OrdersByDescendingWeightThenTid) {
+// The last `k` keys ForLastK visits, sorted.
+std::vector<Key> LastK(WeightQueue& q, std::size_t k) {
+  std::vector<Key> keys;
+  q.ForLastK(k, [&keys](Entity* e) { keys.push_back(ByWeightDesc::Key(*e)); });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(WeightQueueTest, OrdersByDescendingWeightAppendingToRuns) {
   Pool pool({5, 1, 9, 3, 7});
   const double weights[] = {2.0, 2.0, 1.0, 4.0, 2.0};
   WeightQueue q;
@@ -46,9 +57,14 @@ TEST(WeightQueueTest, OrdersByDescendingWeightThenTid) {
     pool.entities[i]->weight() = weights[i];
     q.Insert(pool.entities[i].get());
   }
-  const std::vector<Key> expected = {{-4.0, 3}, {-2.0, 1}, {-2.0, 5}, {-2.0, 7}, {-1.0, 9}};
+  // Each thread joins its run at the back, whatever its tid.
+  const std::vector<Key> expected = {{-4.0, 3}, {-2.0, 5}, {-2.0, 1}, {-2.0, 7}, {-1.0, 9}};
   EXPECT_EQ(ListKeys(q), expected);
   EXPECT_EQ(q.CheckIndex(), "");
+  // The last k in (-weight, tid) order: the weight-2 run's highest tids.
+  EXPECT_EQ(LastK(q, 1), (std::vector<Key>{{-1.0, 9}}));
+  EXPECT_EQ(LastK(q, 3), (std::vector<Key>{{-2.0, 5}, {-2.0, 7}, {-1.0, 9}}));
+  EXPECT_EQ(LastK(q, 9), (std::vector<Key>{{-4.0, 3}, {-2.0, 1}, {-2.0, 5}, {-2.0, 7}, {-1.0, 9}}));
 
   // Reweight the middle of the weight-2 run to a new heaviest weight, then
   // empty the weight-4 bucket.
@@ -66,11 +82,13 @@ TEST(WeightQueueTest, OrdersByDescendingWeightThenTid) {
   EXPECT_EQ(q.CheckIndex(), "");
 }
 
-// Random inserts, removals and reweights against a std::set reference.  Two
-// weight sources: a small set, so runs of equal weight grow long and the
-// in-run tid walk and bucket hand-offs do the work, and random doubles, so
+// Random inserts, removals and reweights against a std::set reference: the
+// queue holds the set's keys (CheckIndex holds it to descending weight and
+// its buckets to its runs), and ForLastK visits the set's last k.  Two
+// weight sources: a small set, so runs of equal weight grow long and bucket
+// hand-offs and ForLastK's partial runs do the work, and random doubles, so
 // almost every weight is a bucket of its own.  Tids are shuffled and sparse,
-// so members land at both ends and in the middle of their runs.
+// so removals leave from both ends and the middle of their runs.
 void RunRandomOps(bool small_weight_set, std::uint64_t seed) {
   common::Rng rng(seed);
   std::vector<ThreadId> tids;
@@ -107,8 +125,14 @@ void RunRandomOps(bool small_weight_set, std::uint64_t seed) {
       reference.insert(ByWeightDesc::Key(*e));
     }
     const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
-    ASSERT_EQ(ListKeys(q), std::vector<Key>(reference.begin(), reference.end())) << where;
+    std::vector<Key> keys = ListKeys(q);
+    std::sort(keys.begin(), keys.end());
+    ASSERT_EQ(keys, std::vector<Key>(reference.begin(), reference.end())) << where;
     ASSERT_EQ(q.CheckIndex(), "") << where;
+    const std::size_t k = rng.NextBounded(reference.size() + 2);
+    std::vector<Key> last(reference.begin(), reference.end());
+    last.erase(last.begin(), last.end() - static_cast<std::ptrdiff_t>(std::min(k, last.size())));
+    ASSERT_EQ(LastK(q, k), last) << where << " k " << k;
   }
   q.Clear();
 }
