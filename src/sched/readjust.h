@@ -58,7 +58,14 @@ struct ReadjustState {
   std::vector<Entity*> scratch;  // reused buffer for the previous cap set
   std::vector<Entity*> split_run;  // reused buffer for a run the cap prefix ends inside
   // Entities whose phi the last pass rewrote, each listed once: a subset of
-  // the previous and the new cap set, so O(p) of them.
+  // the previous and the new cap set, so O(p) of them.  Their order follows
+  // the weight queue, whose runs of equal weight keep append order, not tid
+  // order.  The schedulers re-file them in this order (OnPhiChanged), and
+  // no decision depends on it: SFS finds a class by its (phi, warp_eff)
+  // pair, which no two classes share; every reader of its classes breaks
+  // ties by (surplus, tid) or merges by (start tag, tid), total orders over
+  // distinct tids; so only which class slot and head-table position a
+  // class takes can vary, and nothing reads those as an order.
   std::vector<Entity*> changed;
 
   // Forgets an entity leaving the runnable set (block/departure).

@@ -24,10 +24,10 @@ Sfs::~Sfs() {
   }
 }
 
-void Sfs::RunIndex::Insert(std::size_t pos, RunHead run) {
+void Sfs::RunIndex::InsertShifting(std::size_t pos, RunHead run) {
   const std::size_t n = size();
   const bool front_half = pos < n / 2;
-  if (front_half ? first_ == 0 : last_ == slots_.size()) {
+  if (front_half ? first_ == 0 : last_ == capacity_) {
     Recenter(n + 1);
   }
   RunHead* const base = begin();
@@ -41,7 +41,7 @@ void Sfs::RunIndex::Insert(std::size_t pos, RunHead run) {
   (*this)[pos] = run;
 }
 
-void Sfs::RunIndex::Erase(std::size_t pos) {
+void Sfs::RunIndex::EraseShifting(std::size_t pos) {
   RunHead* const base = begin();
   if (pos < size() / 2) {
     std::copy_backward(base, base + pos, base + pos + 1);
@@ -54,18 +54,20 @@ void Sfs::RunIndex::Erase(std::size_t pos) {
 
 void Sfs::RunIndex::Recenter(std::size_t runs) {
   const std::size_t n = size();
-  if (slots_.size() < 2 * runs + 8) {
-    std::vector<RunHead> grown(2 * runs + 8);
-    const std::size_t first = (grown.size() - n) / 2;
-    std::copy(begin(), end(), grown.begin() + static_cast<std::ptrdiff_t>(first));
-    slots_.swap(grown);
+  if (capacity_ < 2 * runs + 8) {
+    const std::size_t capacity = 2 * runs + 8;
+    auto grown = std::make_unique<RunHead[]>(capacity);
+    const std::size_t first = (capacity - n) / 2;
+    std::copy(begin(), end(), grown.get() + first);
+    heap_ = std::move(grown);
+    capacity_ = static_cast<std::uint32_t>(capacity);
     first_ = static_cast<std::uint32_t>(first);
   } else {
-    const std::size_t first = (slots_.size() - n) / 2;
+    const std::size_t first = (capacity_ - n) / 2;
     if (first < first_) {
-      std::copy(begin(), end(), slots_.data() + first);
+      std::copy(begin(), end(), data() + first);
     } else {
-      std::copy_backward(begin(), end(), slots_.data() + first + n);
+      std::copy_backward(begin(), end(), data() + first + n);
     }
     first_ = static_cast<std::uint32_t>(first);
   }
@@ -149,23 +151,12 @@ void Sfs::FindIdle(ClassHead& h, std::size_t pos, Entity* from) {
   h.idle_tid = kInvalidThread;
 }
 
-std::size_t Sfs::FindRun(const PhiClass& cls, double tag) {
-  // Most searches end at an end of the class: a charge takes its thread out
-  // of the front run and often files it past the last; arrivals and wakeups
-  // land at v.  So the ends are probed first, then std::lower_bound runs
-  // over the runs between, without a branch on the probed tag (the answer
-  // lies in [base, base + n]; each probe halves n).
-  const std::size_t size = cls.runs.size();
-  if (size == 0 || tag <= cls.runs[0].tag) {
-    filing_probes_ += size == 0 ? 0 : 1;
-    return 0;
-  }
-  if (tag >= cls.runs[size - 1].tag) {
-    filing_probes_ += 2;
-    return tag == cls.runs[size - 1].tag ? size - 1 : size;
-  }
+std::size_t Sfs::FindInnerRun(const PhiClass& cls, double tag) {
+  // The answer lies in [1, size - 1] (FindRun probed both ends):
+  // std::lower_bound without a branch on the probed tag (each probe halves
+  // n).
   const RunHead* base = cls.runs.begin() + 1;
-  std::size_t n = size - 2;  // the answer lies in [1, size - 1]
+  std::size_t n = cls.runs.size() - 2;
   std::int64_t probes = 3;
   while (n > 1) {
     const std::size_t half = n / 2;

@@ -23,8 +23,8 @@
 // Engineering of Section 3, and where it departs:
 //   * the descending-weight queue of Section 3.1 lives in GpsSchedulerBase and
 //     drives the O(p) readjustment; it indexes its runs of equal weight, so
-//     an admission finds its place in O(log distinct weights) plus a tid
-//     walk inside one run (weight_queue.h);
+//     an admission finds its place in O(log distinct weights): it appends to
+//     its run (weight_queue.h);
 //   * the exact decision does not keep the paper's sorted surplus queue.
 //     Threads with equal phi (and equal latency warp) rank by surplus exactly
 //     as they rank by start tag, so runnable threads are filed in *phi
@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,35 +200,62 @@ class Sfs : public GpsSchedulerBase {
   // the back (where the charge files it again) both change in O(1).  When
   // the side to shift has no slack left the entries are re-centred, growing
   // the array to twice the runs, so shifts stay amortized O(1) per change
-  // at either end; an emptied class keeps its array for its next use.
+  // at either end; an emptied class keeps its array for its next use.  The
+  // first kInline slots live in the class itself, so a class that never
+  // held more runs (a mostly-blocked shard's) reads no line beyond its own.
   class RunIndex {
    public:
     std::size_t size() const { return last_ - first_; }
     bool empty() const { return first_ == last_; }
-    RunHead* begin() { return slots_.data() + first_; }
-    RunHead* end() { return slots_.data() + last_; }
-    const RunHead* begin() const { return slots_.data() + first_; }
+    RunHead* begin() { return data() + first_; }
+    RunHead* end() { return data() + last_; }
+    const RunHead* begin() const { return data() + first_; }
     RunHead& operator[](std::size_t pos) {
       SFS_DCHECK(pos < size());
-      return slots_[first_ + pos];
+      return data()[first_ + pos];
     }
     const RunHead& operator[](std::size_t pos) const {
       SFS_DCHECK(pos < size());
-      return slots_[first_ + pos];
+      return data()[first_ + pos];
     }
-    const RunHead& front() const { return slots_[first_]; }
+    const RunHead& front() const { return data()[first_]; }
 
-    void Insert(std::size_t pos, RunHead run);
-    void Erase(std::size_t pos);
+    // Opening or closing a run at either end (most changes) moves nothing.
+    void Insert(std::size_t pos, RunHead run) {
+      if (pos == size() && last_ < capacity_) {
+        data()[last_++] = run;
+      } else if (pos == 0 && first_ > 0) {
+        data()[--first_] = run;
+      } else {
+        InsertShifting(pos, run);
+      }
+    }
+    void Erase(std::size_t pos) {
+      if (pos == 0) {
+        ++first_;
+      } else if (pos + 1 == size()) {
+        --last_;
+      } else {
+        EraseShifting(pos);
+      }
+    }
 
    private:
+    static constexpr std::uint32_t kInline = 4;
+
+    RunHead* data() { return heap_ != nullptr ? heap_.get() : inline_; }
+    const RunHead* data() const { return heap_ != nullptr ? heap_.get() : inline_; }
+    void InsertShifting(std::size_t pos, RunHead run);
+    void EraseShifting(std::size_t pos);
     // Moves the entries to the middle of an array with room for `runs`
     // entries and as much slack again.
     void Recenter(std::size_t runs);
 
-    std::vector<RunHead> slots_;
-    std::uint32_t first_ = 0;  // the entries are slots_[first_, last_)
-    std::uint32_t last_ = 0;
+    std::unique_ptr<RunHead[]> heap_;  // the slots once they outgrow inline_
+    std::uint32_t capacity_ = kInline;
+    std::uint32_t first_ = kInline / 2;  // the entries are data()[first_, last_)
+    std::uint32_t last_ = kInline / 2;
+    RunHead inline_[kInline];
   };
 
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
@@ -238,7 +266,8 @@ class Sfs : public GpsSchedulerBase {
   // so filing binary-searches it and a walk steps from one distinct start
   // tag to the next without visiting the members between; a run's members
   // follow its head in ascending tid order.  The class's (phi, warp_eff)
-  // pair lives in its head-table entry.  One cache line.
+  // pair lives in its head-table entry.  Two cache lines: the second holds
+  // the run index's inline slots.
   struct alignas(64) PhiClass {
     std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
     std::uint32_t head_pos = 0;  // index of its entry in heads_
@@ -261,7 +290,7 @@ class Sfs : public GpsSchedulerBase {
       return nullptr;
     }
   };
-  static_assert(sizeof(PhiClass) == 64, "a phi class must stay one cache line");
+  static_assert(sizeof(PhiClass) == 128, "a phi class must stay two cache lines");
 
   // Opens a dispatch decision: reads v, rebases the tags when v passed
   // tag_rebase_threshold (re-reading v), and counts the decision (decisions(),
@@ -332,9 +361,23 @@ class Sfs : public GpsSchedulerBase {
   void Link(PhiClass& cls, Entity& e);
   void Unlink(PhiClass& cls, Entity& e);
   // Position of the first run of `cls` whose tag is not below `tag`: probes
-  // both ends, then binary-searches the runs between; counts its probes in
-  // filing_probes_.
-  std::size_t FindRun(const PhiClass& cls, double tag);
+  // both ends, then binary-searches the runs between (FindInnerRun); counts
+  // its probes in filing_probes_.  Most searches end at an end of the
+  // class: a charge takes its thread out of the front run and often files
+  // it past the last; arrivals and wakeups land at v.
+  std::size_t FindRun(const PhiClass& cls, double tag) {
+    const std::size_t size = cls.runs.size();
+    if (size == 0 || tag <= cls.runs[0].tag) {
+      filing_probes_ += size == 0 ? 0 : 1;
+      return 0;
+    }
+    if (tag >= cls.runs[size - 1].tag) {
+      filing_probes_ += 2;
+      return tag == cls.runs[size - 1].tag ? size - 1 : size;
+    }
+    return FindInnerRun(cls, tag);
+  }
+  std::size_t FindInnerRun(const PhiClass& cls, double tag);
   // Sets v_ to the least front tag, one pass over the head table.
   void RecomputeVirtualTime() const;
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.

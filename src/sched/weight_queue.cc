@@ -12,6 +12,7 @@ std::vector<WeightQueue::Bucket>::iterator WeightQueue::LowerBound(Weight w) {
 }
 
 void WeightQueue::Insert(Entity* e) {
+  last_k_stale_ = true;
   const auto it = LowerBound(e->weight());
   if (it == buckets_.end() || it->weight != e->weight()) {
     // A weight no queued thread has: its run goes in front of the next
@@ -30,6 +31,7 @@ void WeightQueue::Insert(Entity* e) {
 }
 
 void WeightQueue::Unlink(Entity* e, Weight filed_weight) {
+  last_k_stale_ = true;
   // With a neighbour of its filed weight on both sides, `e` is neither the
   // first nor the last member of its run, so no bucket changes.  (Only `e`'s
   // weight may differ from the one it was filed with.)
@@ -65,6 +67,30 @@ void WeightQueue::Reposition(Entity* e, Weight old_weight) {
 void WeightQueue::Clear() {
   list_.clear();
   buckets_.clear();
+  last_k_stale_ = true;
+}
+
+void WeightQueue::GatherLastK(std::size_t k) {
+  last_k_.clear();
+  last_k_count_ = k;
+  last_k_stale_ = false;
+  for (auto b = buckets_.rbegin(); b != buckets_.rend() && last_k_.size() < k; ++b) {
+    const std::size_t whole = last_k_.size();  // entries of lighter runs
+    for (Entity* e = b->last;; e = list_.prev(e)) {
+      last_k_.push_back(e);
+      if (e == b->first) {
+        break;
+      }
+    }
+    if (last_k_.size() > k) {
+      // k ends inside this run: keep its highest tids.
+      const auto run = last_k_.begin() + static_cast<std::ptrdiff_t>(whole);
+      const auto kept = last_k_.begin() + static_cast<std::ptrdiff_t>(k);
+      std::nth_element(run, kept, last_k_.end(),
+                       [](const Entity* a, const Entity* c) { return a->tid > c->tid; });
+      last_k_.resize(k);
+    }
+  }
 }
 
 std::string WeightQueue::CheckIndex() const {

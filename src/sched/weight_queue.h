@@ -28,7 +28,6 @@
 #ifndef SFS_SCHED_WEIGHT_QUEUE_H_
 #define SFS_SCHED_WEIGHT_QUEUE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -70,28 +69,16 @@ class WeightQueue {
   // run first (the Section 3.2 heuristic, eval::HeuristicSfs, examines the
   // smallest weights first, paper footnote 8): whole runs, and of the run
   // that k ends inside, its highest tids.  The calls within a run come in no
-  // particular order.  That last run is gathered and partially sorted, so
-  // the cost is O(k + its length).
+  // particular order.  Finding them gathers the run that k ends inside, so
+  // they are kept until the queue or k changes: a call on an unchanged
+  // queue costs O(k), as a walk over a (weight, tid) ordered list would.
   template <typename Fn>
   void ForLastK(std::size_t k, Fn&& fn) {
-    for (auto b = buckets_.rbegin(); b != buckets_.rend() && k > 0; ++b) {
-      run_.clear();
-      for (Entity* e = b->last;; e = list_.prev(e)) {
-        run_.push_back(e);
-        if (e == b->first) {
-          break;
-        }
-      }
-      if (run_.size() > k) {
-        const auto highest = run_.begin() + static_cast<std::ptrdiff_t>(k);
-        std::nth_element(run_.begin(), highest, run_.end(),
-                         [](const Entity* a, const Entity* c) { return a->tid > c->tid; });
-        run_.resize(k);
-      }
-      for (Entity* e : run_) {
-        fn(e);
-      }
-      k -= run_.size();
+    if (last_k_stale_ || last_k_count_ != k) {
+      GatherLastK(k);
+    }
+    for (Entity* e : last_k_) {
+      fn(e);
     }
   }
 
@@ -111,9 +98,16 @@ class WeightQueue {
   std::vector<Bucket>::iterator LowerBound(Weight w);
   void Unlink(Entity* e, Weight filed_weight);
 
+  // Fills last_k_ with what ForLastK(k) visits.
+  void GatherLastK(std::size_t k);
+
   common::IntrusiveList<Entity, &Entity::by_weight> list_;
   std::vector<Bucket> buckets_;  // descending weight, one per distinct weight
-  std::vector<Entity*> run_;     // ForLastK's gathered run, reused
+  // ForLastK's entries for k = last_k_count_, unless a change since marked
+  // them stale.
+  std::vector<Entity*> last_k_;
+  std::size_t last_k_count_ = 0;
+  bool last_k_stale_ = true;
 };
 
 }  // namespace sfs::sched

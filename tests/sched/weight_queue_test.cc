@@ -84,9 +84,10 @@ TEST(WeightQueueTest, OrdersByDescendingWeightAppendingToRuns) {
 
 // Random inserts, removals and reweights against a std::set reference: the
 // queue holds the set's keys (CheckIndex holds it to descending weight and
-// its buckets to its runs), and ForLastK visits the set's last k.  Two
-// weight sources: a small set, so runs of equal weight grow long and bucket
-// hand-offs and ForLastK's partial runs do the work, and random doubles, so
+// its buckets to its runs), and ForLastK visits the set's last k, also for
+// a k whose entries it kept from before the op.  Two weight sources: a small
+// set, so runs of equal weight grow long and bucket hand-offs and
+// ForLastK's partial runs do the work, and random doubles, so
 // almost every weight is a bucket of its own.  Tids are shuffled and sparse,
 // so removals leave from both ends and the middle of their runs.
 void RunRandomOps(bool small_weight_set, std::uint64_t seed) {
@@ -106,6 +107,7 @@ void RunRandomOps(bool small_weight_set, std::uint64_t seed) {
 
   WeightQueue q;
   std::set<Key> reference;
+  std::size_t k = 0;
   for (int op = 0; op < 4000; ++op) {
     Entity* e = pool.entities[rng.NextBounded(pool.entities.size())].get();
     const bool queued = q.contains(e);
@@ -129,10 +131,17 @@ void RunRandomOps(bool small_weight_set, std::uint64_t seed) {
     std::sort(keys.begin(), keys.end());
     ASSERT_EQ(keys, std::vector<Key>(reference.begin(), reference.end())) << where;
     ASSERT_EQ(q.CheckIndex(), "") << where;
-    const std::size_t k = rng.NextBounded(reference.size() + 2);
-    std::vector<Key> last(reference.begin(), reference.end());
-    last.erase(last.begin(), last.end() - static_cast<std::ptrdiff_t>(std::min(k, last.size())));
-    ASSERT_EQ(LastK(q, k), last) << where << " k " << k;
+    const auto last_k = [&reference](std::size_t k) {
+      std::vector<Key> last(reference.begin(), reference.end());
+      last.erase(last.begin(), last.end() - static_cast<std::ptrdiff_t>(std::min(k, last.size())));
+      return last;
+    };
+    // The previous op's k once more: the change since must not leave its
+    // entries stale.  Then a new k, twice: the second call reuses them.
+    ASSERT_EQ(LastK(q, k), last_k(k)) << where << " previous k " << k;
+    k = rng.NextBounded(reference.size() + 2);
+    ASSERT_EQ(LastK(q, k), last_k(k)) << where << " k " << k;
+    ASSERT_EQ(LastK(q, k), last_k(k)) << where << " k " << k << ", again";
   }
   q.Clear();
 }
