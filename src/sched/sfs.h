@@ -266,9 +266,10 @@ class Sfs : public GpsSchedulerBase {
   // so filing binary-searches it and a walk steps from one distinct start
   // tag to the next without visiting the members between; a run's members
   // follow its head in ascending tid order.  The class's (phi, warp_eff)
-  // pair lives in its head-table entry.  Two cache lines: the second holds
-  // the run index's inline slots.
-  struct alignas(64) PhiClass {
+  // pair lives in its head-table entry.  Two cache lines, the second
+  // holding the run index's inline slots, aligned to 128 bytes so that the
+  // hardware's adjacent-line prefetch brings them in together.
+  struct alignas(128) PhiClass {
     std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
     std::uint32_t head_pos = 0;  // index of its entry in heads_
     common::IntrusiveList<Entity, &Entity::by_start> queue;
@@ -402,8 +403,8 @@ class Sfs : public GpsSchedulerBase {
 
   Entity* ExactPick(CpuId cpu, double v);
 
-  // Class slots (a deque: stable addresses, neighbouring classes share
-  // lines); a slot whose class emptied is parked on free_classes_ and reused,
+  // Class slots (a deque: stable addresses, allocated a block of slots at
+  // a time); a slot whose class emptied is parked on free_classes_ and reused,
   // so the table never outgrows the peak runnable count and steady state
   // allocates nothing.
   std::deque<PhiClass> classes_;
