@@ -67,8 +67,9 @@ SFS_EXPERIMENT(abl_decision_scaling,
                  << "class is rescanned only when that thread leaves it.  A charge takes\n"
                  << "its thread out of its class and files it back by two searches over\n"
                  << "the class's run tags, each probing both ends first, so filing\n"
-                 << "probes/charge stays O(log(runs per class)), not O(t).  An admission\n"
-                 << "finds its place through one bucket per distinct weight.  What growth\n"
+                 << "probes/charge stays O(log(runs per class)), not O(t); a thread that\n"
+                 << "does not head its run leaves with no search.  An admission finds its\n"
+                 << "place through one index entry per distinct weight.  What growth\n"
                  << "remains is cache misses on a larger working set.\n";
   reporter.Set("rows", std::move(rows));
 }

@@ -34,7 +34,7 @@ struct Fixture {
       e->weight() = i < heavy ? 100000.0 + i : 1.0 + (i % 5);
       e->phi() = e->weight();
       total += e->weight();
-      queue.Insert(e.get());
+      queue.Append(e.get());
       entities.push_back(std::move(e));
     }
   }

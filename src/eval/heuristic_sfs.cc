@@ -29,12 +29,14 @@ HeuristicSfs::HeuristicSfs(const sched::SchedConfig& config, int k, int refresh_
 // A thread entering the runnable set is filed at its fresh surplus against
 // the virtual time before it joined.
 void HeuristicSfs::OnAdmit(Entity& e) {
+  last_k_stale_ = true;
   const double v = VirtualTime();
   Sfs::OnAdmit(e);
   Insert(e, FreshSurplus(e, v));
 }
 
 void HeuristicSfs::OnWoken(Entity& e) {
+  last_k_stale_ = true;
   const double v = VirtualTime();
   Sfs::OnWoken(e);
   Insert(e, FreshSurplus(e, v));
@@ -42,14 +44,21 @@ void HeuristicSfs::OnWoken(Entity& e) {
 
 void HeuristicSfs::OnRemove(Entity& e) {
   if (e.runnable) {
+    last_k_stale_ = true;
     Erase(e);
   }
   Sfs::OnRemove(e);
 }
 
 void HeuristicSfs::OnBlocked(Entity& e) {
+  last_k_stale_ = true;
   Erase(e);
   Sfs::OnBlocked(e);
+}
+
+void HeuristicSfs::OnWeightChanged(Entity& e, sched::Weight old_weight) {
+  last_k_stale_ = true;
+  Sfs::OnWeightChanged(e, old_weight);
 }
 
 void HeuristicSfs::OnCharge(Entity& e, Tick ran_for) {
@@ -143,6 +152,29 @@ void HeuristicSfs::ForFirstKByStartTag(Fn&& fn) {
   }
 }
 
+void HeuristicSfs::GatherLastK() {
+  last_k_.clear();
+  last_k_stale_ = false;
+  sched::WeightQueue& queue = weight_queue();
+  std::size_t whole = 0;  // entries of runs lighter than the last one gathered
+  for (Entity* e = queue.back(); e != nullptr; e = queue.prev(e)) {
+    if (!last_k_.empty() && e->weight() != last_k_.back()->weight()) {
+      if (last_k_.size() >= k_) {
+        break;
+      }
+      whole = last_k_.size();
+    }
+    last_k_.push_back(e);
+  }
+  if (last_k_.size() > k_) {
+    // k ends inside the last run gathered: keep its highest tids.
+    std::nth_element(last_k_.begin() + static_cast<std::ptrdiff_t>(whole),
+                     last_k_.begin() + static_cast<std::ptrdiff_t>(k_), last_k_.end(),
+                     [](const Entity* a, const Entity* c) { return a->tid > c->tid; });
+    last_k_.resize(k_);
+  }
+}
+
 Entity* HeuristicSfs::Pick(double v, CpuId cpu) {
   Entity* best = nullptr;
   double best_surplus = 0.0;
@@ -169,7 +201,10 @@ Entity* HeuristicSfs::Pick(double v, CpuId cpu) {
   ForFirstKByStartTag(consider);
   // The weight queue is descending; examine it backwards — smallest weights
   // first (footnote 8).
-  weight_queue().ForLastK(k_, consider);
+  if (last_k_stale_) {
+    GatherLastK();
+  }
+  std::for_each(last_k_.begin(), last_k_.end(), consider);
   if (best == nullptr) {
     // Degenerate small k: every examined thread is already running on another
     // processor.  Fall back to a scan of the surplus order (at most p-1 skips).
@@ -220,6 +255,19 @@ std::string HeuristicSfs::CheckInvariants() const {
     if (i > 0 && !Before(order_[i - 1], slot)) {
       return "the surplus order is out of (stored surplus, tid) order at thread " +
              std::to_string(slot.tid);
+    }
+  }
+  if (!last_k_stale_) {
+    std::vector<std::pair<double, sched::ThreadId>> queued;
+    for (const Entity* e = weight_queue().front(); e != nullptr; e = weight_queue().next(e)) {
+      queued.push_back(sched::ByWeightDesc::Key(*e));
+    }
+    std::sort(queued.begin(), queued.end());
+    queued.erase(queued.begin(), queued.end() - static_cast<std::ptrdiff_t>(
+                                                    std::min(k_, queued.size())));
+    const auto key = [](const Entity* e) { return sched::ByWeightDesc::Key(*e); };
+    if (!std::ranges::is_permutation(last_k_, queued, {}, key)) {
+      return "the kept last-k entries are not the last k of the weight queue";
     }
   }
   return {};

@@ -15,7 +15,8 @@
 // single SFS algorithm and the heuristic lives here.  Figure 3 audits its
 // accuracy (eval::HeuristicAccuracy), and fig7 and ablation A2 time it.  The
 // model reuses Sfs's tags, phi classes and weight queue; its only state of its
-// own is the surplus order and the refresh clock.  It is a flat scheduler
+// own is the surplus order, the refresh clock and the last k of the weight
+// queue, kept between decisions.  It is a flat scheduler
 // only: it does not file migrants, so it cannot be a sched::Sharded shard.
 
 #ifndef SFS_EVAL_HEURISTIC_SFS_H_
@@ -51,7 +52,9 @@ class HeuristicSfs : public sched::Sfs {
   HeuristicAudit AuditHeuristic();
 
   // Sfs::CheckInvariants, plus: the surplus order holds exactly the runnable
-  // threads, each once, strictly ascending in (stored surplus, tid).  O(t).
+  // threads, each once, strictly ascending in (stored surplus, tid); and the
+  // kept last-k entries, unless marked stale, are the last k runnable
+  // threads in (-weight, tid) order.  O(t log t).
   std::string CheckInvariants() const;
 
  protected:
@@ -59,6 +62,7 @@ class HeuristicSfs : public sched::Sfs {
   void OnRemove(sched::Entity& e) override;
   void OnBlocked(sched::Entity& e) override;
   void OnWoken(sched::Entity& e) override;
+  void OnWeightChanged(sched::Entity& e, sched::Weight old_weight) override;
   sched::Entity* PickNextEntity(sched::CpuId cpu) override;
   void OnCharge(sched::Entity& e, Tick ran_for) override;
   void OnPhiChanged(sched::Entity& e) override;
@@ -90,10 +94,22 @@ class HeuristicSfs : public sched::Sfs {
   template <typename Fn>
   void ForFirstKByStartTag(Fn&& fn);
 
+  // Fills last_k_ with the last k runnable threads in (-weight, tid) order,
+  // lightest run first (footnote 8): whole runs, and of the run that k ends
+  // inside, its highest tids, in no particular order within a run.
+  void GatherLastK();
+
   const std::size_t k_;
   const int refresh_period_;
   std::vector<Slot> order_;     // ascending (stored surplus, tid)
   std::vector<double> stored_;  // each filed thread's stored surplus, by tid
+
+  // GatherLastK's entries, kept until the weight queue changes: a decision
+  // on an unchanged queue then costs O(k) for them, as a walk over a
+  // (weight, tid) ordered list would.  The On* overrides that change the
+  // queue mark them stale.
+  std::vector<sched::Entity*> last_k_;
+  bool last_k_stale_ = true;
 
   bool phi_changed_ = true;  // starts true: the first decision refreshes
   int decisions_since_refresh_ = 0;

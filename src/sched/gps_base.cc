@@ -34,4 +34,17 @@ const Entity* GpsSchedulerBase::FindRunnable(ThreadId tid) const {
   return nullptr;
 }
 
+std::string GpsSchedulerBase::CheckWeightQueue() const {
+  if (weight_queue_.size() != static_cast<std::size_t>(runnable_count())) {
+    return "the weight queue holds " + std::to_string(weight_queue_.size()) + " threads, " +
+           std::to_string(runnable_count()) + " are runnable";
+  }
+  for (const Entity* e = weight_queue_.front(); e != nullptr; e = weight_queue_.next(e)) {
+    if (!e->runnable) {
+      return "weight queue holds blocked thread " + std::to_string(e->tid);
+    }
+  }
+  return weight_queue_.CheckIndex();
+}
+
 }  // namespace sfs::sched

@@ -12,6 +12,8 @@
 #ifndef SFS_SCHED_GPS_BASE_H_
 #define SFS_SCHED_GPS_BASE_H_
 
+#include <string>
+
 #include "src/sched/readjust.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/tag_arith.h"
@@ -47,6 +49,12 @@ class GpsSchedulerBase : public Scheduler {
   // `tid` between them.  O(runnable).
   const Entity* FindRunnable(ThreadId tid) const;
 
+  // Audit for tests, O(runnable): the weight queue holds exactly the
+  // runnable threads, and its run index matches its runs of equal weight
+  // (RunList::CheckIndex).  Returns an empty string, or a description of the
+  // first violation.
+  std::string CheckWeightQueue() const;
+
   // True iff PickNext with nothing runnable returns nullptr and changes no
   // state a later decision reads (statistics counters may still tick).
   // sched::Sharded keeps a shard whose empty pick would act visible to the
@@ -60,14 +68,14 @@ class GpsSchedulerBase : public Scheduler {
   // Adds a (newly runnable) entity to the weight queue and readjusts.
   // Returns true iff any instantaneous weight changed.
   bool AdmitWeight(Entity& e) {
-    weight_queue_.Insert(&e);
+    weight_queue_.Append(&e);
     runnable_weight_sum_ += e.weight();
     return MaybeReadjust();
   }
 
   // Removes a (no longer runnable) entity from the weight queue and readjusts.
   bool RetireWeight(Entity& e) {
-    weight_queue_.Remove(&e);
+    weight_queue_.Erase(&e, ByWeightDesc::RunKey(e));
     runnable_weight_sum_ -= e.weight();
     readjust_state_.Forget(e);
     return MaybeReadjust();
@@ -77,7 +85,10 @@ class GpsSchedulerBase : public Scheduler {
   bool UpdateWeight(Entity& e, Weight old_weight) {
     if (weight_queue_.contains(&e)) {
       runnable_weight_sum_ += e.weight() - old_weight;
-      weight_queue_.Reposition(&e, old_weight);
+      if (e.weight() != old_weight) {
+        weight_queue_.Erase(&e, -old_weight);  // the key it was filed with
+        weight_queue_.Append(&e);
+      }
       // An uncapped thread's instantaneous weight must track the new request
       // (ReadjustQueue only rewrites the phis of threads entering or leaving
       // the cap set); a capped thread's phi is recomputed by the pass below.

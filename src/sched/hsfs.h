@@ -141,10 +141,6 @@ class HierarchicalSfs : public Scheduler {
   void PropagateEligible(Node& leaf_class, int delta);
   void PropagateService(Node& leaf_class, Tick ran);
 
-  // Called when a class transitions to/from having runnable leaves: applies the
-  // SFS arrival/wakeup tag rules at the class level.
-  void ActivateClassPath(Node& n);
-
   TagArith arith_;
   // Ordered: the destructor and any future reporting iterate the class set
   // (the determinism lint forbids unordered iteration in sched/).  The two

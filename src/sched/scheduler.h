@@ -47,10 +47,11 @@
 //         lock; that exclusivity is what makes entity-table reads safe for
 //         holders of any single dispatch mutex.  sim::ParallelEngine's
 //         wakeup/block hot path and runtime::Executor's wake path are built
-//         on this relaxation: the executor's timer thread calls no entry
-//         point at all — it routes each wakeup to the home CPU's dispatcher,
-//         which applies Wakeup + SuggestPreemption under its own
-//         LockDispatch(home).  LockLifecycle itself acquires every distinct
+//         on this relaxation: the executor's dispatcher that charges a
+//         Block is the thread's home CPU; it files the wake deadline in its
+//         own queue and, once it is due, applies Wakeup + SuggestPreemption
+//         itself under its own LockDispatch(home), with no other thread
+//         taking part.  LockLifecycle itself acquires every distinct
 //         dispatch mutex, so it is exclusive against every concurrent
 //         LockDispatch *and* other lifecycle calls, and a lifecycle holder
 //         may additionally perform dispatch-path operations (the
@@ -197,9 +198,10 @@ class Scheduler {
   // current shard.  Call while holding LockDispatch on the result (or
   // LockLifecycle); for a *blocked* thread the answer is additionally stable
   // without any lock — a blocked thread cannot migrate.  That stability is
-  // what lets sfs::runtime route every wakeup to the CPU that charged the
-  // Block: that CPU's dispatcher applies it from its mailbox under its own
-  // LockDispatch, and a debug check there asserts HomeCpu agrees.
+  // what lets sfs::runtime leave every wakeup to the CPU that charged the
+  // Block: that CPU's dispatcher files the wake deadline and applies it
+  // under its own LockDispatch, and a debug check there asserts HomeCpu
+  // agrees.
   virtual CpuId HomeCpu(ThreadId tid) const {
     (void)tid;
     return kInvalidCpu;

@@ -20,58 +20,8 @@ Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Sfs::~Sfs() {
   for (PhiClass& cls : classes_) {
-    cls.queue.clear();
+    cls.queue.Clear();
   }
-}
-
-void Sfs::RunIndex::InsertShifting(std::size_t pos, RunHead run) {
-  const std::size_t n = size();
-  const bool front_half = pos < n / 2;
-  if (front_half ? first_ == 0 : last_ == capacity_) {
-    Recenter(n + 1);
-  }
-  RunHead* const base = begin();
-  if (front_half) {
-    std::copy(base, base + pos, base - 1);
-    --first_;
-  } else {
-    std::copy_backward(base + pos, base + n, base + n + 1);
-    ++last_;
-  }
-  (*this)[pos] = run;
-}
-
-void Sfs::RunIndex::EraseShifting(std::size_t pos) {
-  RunHead* const base = begin();
-  if (pos < size() / 2) {
-    std::copy_backward(base, base + pos, base + pos + 1);
-    ++first_;
-  } else {
-    std::copy(base + pos + 1, end(), base + pos);
-    --last_;
-  }
-}
-
-void Sfs::RunIndex::Recenter(std::size_t runs) {
-  const std::size_t n = size();
-  if (capacity_ < 2 * runs + 8) {
-    const std::size_t capacity = 2 * runs + 8;
-    auto grown = std::make_unique<RunHead[]>(capacity);
-    const std::size_t first = (capacity - n) / 2;
-    std::copy(begin(), end(), grown.get() + first);
-    heap_ = std::move(grown);
-    capacity_ = static_cast<std::uint32_t>(capacity);
-    first_ = static_cast<std::uint32_t>(first);
-  } else {
-    const std::size_t first = (capacity_ - n) / 2;
-    if (first < first_) {
-      std::copy(begin(), end(), data() + first);
-    } else {
-      std::copy_backward(begin(), end(), data() + first + n);
-    }
-    first_ = static_cast<std::uint32_t>(first);
-  }
-  last_ = static_cast<std::uint32_t>(first_ + n);
 }
 
 void Sfs::RecomputeVirtualTime() const {
@@ -136,84 +86,25 @@ void Sfs::RefreshHead(ClassHead& h) {
 void Sfs::FindIdle(ClassHead& h, std::size_t pos, Entity* from) {
   PhiClass& cls = *h.cls;
   h.stale = false;
-  for (; pos < cls.runs.size(); ++pos) {
+  for (; pos < cls.queue.runs(); ++pos) {
     if (Entity* idle = cls.FirstIdle(pos, from); idle != nullptr) {
       h.idle = idle;
       h.idle_pos = static_cast<std::uint32_t>(pos);
-      h.idle_tag = cls.runs[pos].tag;
+      h.idle_tag = cls.queue.run(pos).key;
       h.idle_tid = idle->tid;
       return;
     }
-    from = cls.RunEnd(pos);
+    from = cls.queue.RunEnd(pos);
   }
   h.idle = nullptr;
   h.idle_tag = std::numeric_limits<double>::infinity();
   h.idle_tid = kInvalidThread;
 }
 
-std::size_t Sfs::FindInnerRun(const PhiClass& cls, double tag) {
-  // The answer lies in [1, size - 1] (FindRun probed both ends):
-  // std::lower_bound without a branch on the probed tag (each probe halves
-  // n).
-  const RunHead* base = cls.runs.begin() + 1;
-  std::size_t n = cls.runs.size() - 2;
-  std::int64_t probes = 3;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base = base[half - 1].tag < tag ? base + half : base;
-    n -= half;
-    ++probes;
-  }
-  filing_probes_ += probes;
-  return static_cast<std::size_t>(base - cls.runs.begin()) + (base->tag < tag ? 1 : 0);
-}
-
 void Sfs::Link(PhiClass& cls, Entity& e) {
-  const double s = e.start_tag();
-  const std::size_t pos = FindRun(cls, s);
-  const bool opens = pos == cls.runs.size() || cls.runs[pos].tag != s;
-  if (opens) {
-    // A start tag no member holds: e opens a run of its own.
-    if (pos == cls.runs.size()) {
-      cls.queue.push_back(&e);
-    } else {
-      cls.queue.insert_before(cls.runs[pos].head, &e);
-    }
-    cls.runs.Insert(pos, RunHead{s, &e});
-  } else {
-    // Place e in the run by tid, walking in from the end with the nearer tid
-    // (members ascend by tid, so the place does not depend on the end).
-    RunHead& run = cls.runs[pos];
-    Entity* const end = cls.RunEnd(pos);
-    Entity* cur = end != nullptr ? cls.queue.prev(end) : cls.queue.back();  // run's tail
-    if (std::int64_t{e.tid} - run.head->tid < std::int64_t{cur->tid} - e.tid) {
-      cur = run.head;
-      while (cur != end && cur->tid < e.tid) {
-        cur = cls.queue.next(cur);
-      }
-      if (cur == run.head) {
-        run.head = &e;  // precedes the old head: e heads the run now
-      }
-      if (cur == nullptr) {
-        cls.queue.push_back(&e);
-      } else {
-        cls.queue.insert_before(cur, &e);
-      }
-    } else {
-      while (cur != run.head && e.tid < cur->tid) {
-        cur = cls.queue.prev(cur);
-      }
-      if (e.tid < cur->tid) {
-        // Precedes the old head: e heads the run now.
-        cls.queue.insert_before(run.head, &e);
-        run.head = &e;
-      } else {
-        cls.queue.insert_after(cur, &e);
-      }
-    }
-  }
+  const auto [pos, opens] = cls.queue.InsertByTid(&e, &filing_probes_);
   ClassHead& head = heads_[cls.head_pos];
-  head.front_tag = cls.runs.front().tag;
+  head.front_tag = cls.queue.run(0).key;
   if (!head.stale) {
     // Keep the idle candidate current: an idle e that precedes it takes its
     // place, and a run opened before it moves its run one position on.
@@ -222,38 +113,26 @@ void Sfs::Link(PhiClass& cls, Entity& e) {
          (pos == head.idle_pos && (opens || e.tid < head.idle_tid)))) {
       head.idle = &e;
       head.idle_pos = static_cast<std::uint32_t>(pos);
-      head.idle_tag = s;
+      head.idle_tag = e.start_tag();
       head.idle_tid = e.tid;
     } else if (opens && head.idle != nullptr && pos <= head.idle_pos) {
       ++head.idle_pos;
     }
   }
-  v_ = std::min(v_, s);
+  v_ = std::min(v_, e.start_tag());
 }
 
 void Sfs::Unlink(PhiClass& cls, Entity& e) {
   const double s = e.start_tag();
-  const std::size_t pos = FindRun(cls, s);
-  SFS_DCHECK(pos < cls.runs.size() && cls.runs[pos].tag == s);
-  bool closes = false;
-  if (RunHead& run = cls.runs[pos]; run.head == &e) {
-    // Hand the head role to the next member, or close the run.
-    if (Entity* const next = cls.queue.next(&e); next != cls.RunEnd(pos)) {
-      run.head = next;
-    } else {
-      cls.runs.Erase(pos);
-      closes = true;
-    }
-  }
-  cls.queue.erase(&e);
+  const std::size_t closed = cls.queue.Erase(&e, s, &filing_probes_);
   ClassHead& head = heads_[cls.head_pos];
   head.front_tag =
-      cls.runs.empty() ? std::numeric_limits<double>::infinity() : cls.runs.front().tag;
+      cls.queue.empty() ? std::numeric_limits<double>::infinity() : cls.queue.run(0).key;
   // The idle candidate stays unless it is e (then the next one must be
   // found); a run closed before it moves its run one position back.
   if (&e == head.idle) {
     head.stale = true;
-  } else if (closes && head.idle != nullptr && pos < head.idle_pos) {
+  } else if (closed != PhiQueue::kNoRun && head.idle != nullptr && closed < head.idle_pos) {
     --head.idle_pos;
   }
   if (s == v_ && head.front_tag != s) {
@@ -465,13 +344,15 @@ bool Sfs::MaybeRebase(double v) {
   });
   for (ClassHead& h : heads_) {
     PhiClass& cls = *h.cls;
-    for (std::size_t pos = 0; pos < cls.runs.size(); ++pos) {
-      cls.runs[pos].tag = cls.runs[pos].head->start_tag();
-      if (pos > 0 && cls.runs[pos].tag == cls.runs[pos - 1].tag) {
+    for (std::size_t pos = 0; pos < cls.queue.runs(); ++pos) {
+      const double tag = cls.queue.run(pos).head->start_tag();
+      if (pos > 0 && tag == cls.queue.run(pos - 1).key) {
         MergeRuns(cls, pos--);
+      } else {
+        cls.queue.run(pos).key = tag;
       }
     }
-    h.front_tag = cls.runs.front().tag;
+    h.front_tag = cls.queue.run(0).key;
     h.stale = true;
   }
   v_stale_ = true;
@@ -482,25 +363,17 @@ bool Sfs::MaybeRebase(double v) {
 }
 
 void Sfs::MergeRuns(PhiClass& cls, std::size_t pos) {
-  std::vector<Entity*> members;
-  Entity* const end = cls.RunEnd(pos);
-  for (Entity* e = cls.runs[pos - 1].head; e != end;) {
+  // Take run pos's members out by its old tag, above run pos - 1's, and file
+  // each by tid into run pos - 1, whose tag they now hold.  A merge is no
+  // filing, so filing_probes() does not count it.
+  const double old_tag = cls.queue.run(pos).key;
+  Entity* const end = cls.queue.RunEnd(pos);
+  for (Entity* e = cls.queue.run(pos).head; e != end;) {
     Entity* const next = cls.queue.next(e);
-    cls.queue.erase(e);
-    members.push_back(e);
+    cls.queue.Erase(e, old_tag);
+    cls.queue.InsertByTid(e);
     e = next;
   }
-  std::sort(members.begin(), members.end(),
-            [](const Entity* a, const Entity* b) { return a->tid < b->tid; });
-  for (Entity* e : members) {
-    if (end == nullptr) {
-      cls.queue.push_back(e);
-    } else {
-      cls.queue.insert_before(end, e);
-    }
-  }
-  cls.runs[pos - 1].head = members.front();
-  cls.runs.Erase(pos);
 }
 
 Entity* Sfs::LeastSurplus(double v, double* surplus) {
@@ -527,11 +400,11 @@ Entity* Sfs::LeastSurplus(double v, double* surplus) {
     // Two different start tags can round to the same surplus.  Such a
     // rounding tie is decided by tid, so walk the later runs sharing it.
     PhiClass& cls = *h.cls;
-    for (std::size_t pos = h.idle_pos + 1; pos < cls.runs.size(); ++pos) {
-      if (h.phi * (cls.runs[pos].tag - v - h.warp_eff) != least) {
+    for (std::size_t pos = h.idle_pos + 1; pos < cls.queue.runs(); ++pos) {
+      if (h.phi * (cls.queue.run(pos).key - v - h.warp_eff) != least) {
         break;
       }
-      Entity* const e = cls.FirstIdle(pos, cls.runs[pos].head);
+      Entity* const e = cls.FirstIdle(pos, cls.queue.run(pos).head);
       if (e != nullptr && e->tid < best->tid) {
         best = e;
       }
@@ -559,13 +432,13 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
   double affine_surplus = 0.0;
   for (const ClassHead& h : heads_) {
     PhiClass& cls = *h.cls;
-    for (std::size_t pos = 0; pos < cls.runs.size(); ++pos) {
-      const double s = h.phi * (cls.runs[pos].tag - v - h.warp_eff);
+    for (std::size_t pos = 0; pos < cls.queue.runs(); ++pos) {
+      const double s = h.phi * (cls.queue.run(pos).key - v - h.warp_eff);
       if (s > window || (affine != nullptr && s > affine_surplus)) {
         break;
       }
-      Entity* const end = cls.RunEnd(pos);
-      for (Entity* e = cls.runs[pos].head; e != end; e = cls.queue.next(e)) {
+      Entity* const end = cls.queue.RunEnd(pos);
+      for (Entity* e = cls.queue.run(pos).head; e != end; e = cls.queue.next(e)) {
         if (!e->running && e->last_cpu == cpu) {
           if (Precedes(s, e, affine_surplus, affine)) {
             affine = e;
@@ -603,21 +476,14 @@ std::string Sfs::CheckInvariants() const {
                   cls.slot);
       }
     }
+    if (std::string index = cls.queue.CheckIndex(); !index.empty()) {
+      return at("phi class at slot", cls.slot) + ": " + index;
+    }
     const Entity* prev = nullptr;
-    std::size_t run = 0;  // run index entries matched so far
     for (const Entity* e = cls.queue.front(); e != nullptr; e = cls.queue.next(e)) {
       ++filed;
       if (prev != nullptr && !(ByStartTagAsc::Key(*prev) < ByStartTagAsc::Key(*e))) {
         return at("phi class out of (start tag, tid) order at thread", e->tid);
-      }
-      if (prev == nullptr || prev->start_tag() != e->start_tag()) {
-        // e opens a run, so the next index entry names it with its tag; the
-        // queue order then makes the index's tags strictly ascending.
-        if (run == cls.runs.size() || cls.runs[run].head != e ||
-            cls.runs[run].tag != e->start_tag()) {
-          return at("run index skips, misorders or mistags the run opened by thread", e->tid);
-        }
-        ++run;
       }
       if (!e->runnable || e->phi_class() != cls.slot) {
         return at("phi class files a blocked or foreign thread", e->tid);
@@ -626,9 +492,6 @@ std::string Sfs::CheckInvariants() const {
         return at("(phi, warp_eff) disagrees with its class for thread", e->tid);
       }
       prev = e;
-    }
-    if (run != cls.runs.size()) {
-      return at("run index holds more entries than its class has runs at slot", cls.slot);
     }
   }
   double least_front = std::numeric_limits<double>::infinity();
@@ -655,17 +518,14 @@ std::string Sfs::CheckInvariants() const {
   if (!violation.empty()) {
     return violation;
   }
-  if (runnable_seen != runnable || weight_queue().size() != runnable) {
-    return "the runnable count disagrees with the entity table or the weight queue";
+  if (runnable_seen != runnable) {
+    return "the runnable count disagrees with the entity table";
   }
-  if (std::string index = weight_queue().CheckIndex(); !index.empty()) {
-    return index;
+  if (std::string queue = CheckWeightQueue(); !queue.empty()) {
+    return queue;
   }
   double phi_sum = 0.0;
   for (const Entity* e = weight_queue().front(); e != nullptr; e = weight_queue().next(e)) {
-    if (!e->runnable) {
-      return at("weight queue holds blocked thread", e->tid);
-    }
     if (!e->capped && e->phi() != e->weight()) {
       return at("uncapped phi differs from the requested weight for thread", e->tid);
     }

@@ -22,8 +22,10 @@
 //
 // Engineering of Section 3, and where it departs:
 //   * the descending-weight queue of Section 3.1 lives in GpsSchedulerBase and
-//     drives the O(p) readjustment; it indexes its runs of equal weight, so
-//     an admission finds its place in O(log distinct weights): it appends to
+//     drives the O(p) readjustment.  It and each phi class below are one
+//     structure, a RunList (run_list.h): an intrusive list whose runs of
+//     equal key are indexed in a sorted array of (key, first member).  An
+//     admission finds its place in O(log distinct weights) and appends to
 //     its run (weight_queue.h);
 //   * the exact decision does not keep the paper's sorted surplus queue.
 //     Threads with equal phi (and equal latency warp) rank by surplus exactly
@@ -32,18 +34,19 @@
 //     pair — and the least-surplus thread is the least-surplus head among the
 //     classes.  v is the least class head start tag, kept current as threads
 //     are filed and unfiled.  Threads of one class with equal start tags
-//     share one surplus; each class indexes its runs of equal start tags in
-//     a sorted array of (tag, first member), so filing is Section 3.2's
-//     binary search, by tag, inside one class, and a walk visits run heads,
-//     never a run's tail, reading no entity to step.  A packed head table
-//     holds, per class, its (phi, warp_eff), its front start tag and its
-//     first not-running member (its idle candidate), which filing keeps
-//     current.  A decision is one pass over the table for the least head
-//     surplus and one for ties; the first rescans each class marked stale
-//     since the last decision (its candidate was unfiled, or a rebase or a
-//     decision that dispatched another member intervened; a rescan skips at
-//     most p running members), and the run index is walked only in classes
-//     tied at the least surplus: O(classes + p + rounding ties).  A charge
+//     share one surplus; each class's run list indexes its runs of equal
+//     start tags, so filing is Section 3.2's binary search, by tag, inside
+//     one class, unfiling a member that does not head its run searches
+//     nothing, and a walk visits run heads, never a run's tail, reading no
+//     entity to step.  A packed head table holds, per class, its (phi,
+//     warp_eff), its front start tag and its first not-running member (its
+//     idle candidate), which filing keeps current.  A decision is one pass
+//     over the table for the least head surplus and one for ties; the
+//     first rescans each class marked stale since the last decision (its
+//     candidate was unfiled, or a rebase or a decision that dispatched
+//     another member intervened; a rescan skips at most p running members),
+//     and the run index is walked only in classes tied at the least surplus:
+//     O(classes + p + rounding ties).  A charge
 //     re-files one thread within its class in O(log runs) probes (plus the
 //     index's shift), and a readjustment re-files only the threads whose phi
 //     changed (O(p) of them); neither a decision, a charge nor an admission
@@ -64,19 +67,18 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/assert.h"
-#include "src/common/intrusive_list.h"
 #include "src/sched/gps_base.h"
+#include "src/sched/run_list.h"
 
 namespace sfs::sched {
 
 struct ByStartTagAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
+  static double RunKey(const Entity& e) { return e.start_tag(); }
 };
 
 class Sfs : public GpsSchedulerBase {
@@ -133,20 +135,18 @@ class Sfs : public GpsSchedulerBase {
   ThreadId PeekExactPick(CpuId cpu);
 
   // Single-threaded consistency audit for tests: every phi class is non-empty
-  // and ascending in (S, tid), and each filed thread is runnable and carries
-  // its class's (phi, warp_eff); the run index holds one entry per run of
-  // equal start tags, in strictly ascending tag order, each naming its run's
-  // first member and carrying that member's start tag; the head table has
-  // one entry per class, each front tag is its class's front start tag, and
-  // each entry not marked stale holds the idle candidate, tid, tag and run a
-  // fresh scan finds; the cached v is the least front tag (at most it while
-  // marked stale); exactly the
-  // runnable threads are filed; the weight queue holds exactly the runnable
-  // set, and its bucket index matches its runs of equal weight
-  // (WeightQueue::CheckIndex); an uncapped thread's phi is its requested
-  // weight; with readjustment on and more than p threads runnable, every phi
-  // is at most sum(phi) / p, up to rounding.  Returns an empty string, or a
-  // description of the first violation.  O(t); the scheduler never calls it.
+  // and ascending in (S, tid), its run index matches its runs
+  // (RunList::CheckIndex), and each filed thread is runnable and carries its
+  // class's (phi, warp_eff); the head table has one entry per class, each
+  // front tag is its class's front start tag, and each entry not marked
+  // stale holds the idle candidate, tid, tag and run a fresh scan finds; the
+  // cached v is the least front tag (at most it while marked stale); exactly
+  // the runnable threads are filed; the weight queue passes
+  // GpsSchedulerBase::CheckWeightQueue; an uncapped thread's phi is its
+  // requested weight; with readjustment on and more than p threads runnable,
+  // every phi is at most sum(phi) / p, up to rounding.  Returns an empty
+  // string, or a description of the first violation.  O(t); the scheduler
+  // never calls it.
   std::string CheckInvariants() const;
 
   // Counters for the overhead benchmarks.
@@ -163,7 +163,8 @@ class Sfs : public GpsSchedulerBase {
 
   // Run-index tags probed by the searches that file a thread in its
   // class and take it out again (admission, wakeup, block, re-file, and
-  // both halves of the re-file after every charge).
+  // both halves of the re-file after every charge).  Taking out a thread
+  // that does not head its run probes none.
   std::int64_t filing_probes() const { return filing_probes_; }
 
   // Phi classes currently holding runnable threads; never more than the
@@ -185,105 +186,28 @@ class Sfs : public GpsSchedulerBase {
   // is re-filed).  The default does nothing.
   virtual void OnWarpChanged(Entity& e) { (void)e; }
 
-  // A run of equal start tags in a phi class: the tag and the run's first
-  // (least tid) member.  The tag sits beside the pointer so that a search
-  // or a walk over the runs reads no entity.
-  struct RunHead {
-    double tag = 0.0;
-    Entity* head = nullptr;
-  };
-
-  // A phi class's runs, ascending by tag, in one array with slack at both
-  // ends.  Opening or closing a run in the front half shifts the entries
-  // before it, in the back half those after it, so the front (arrivals and
-  // wakeups land at v; a charge takes its thread out of the front run) and
-  // the back (where the charge files it again) both change in O(1).  When
-  // the side to shift has no slack left the entries are re-centred, growing
-  // the array to twice the runs, so shifts stay amortized O(1) per change
-  // at either end; an emptied class keeps its array for its next use.  The
-  // first kInline slots live in the class itself, so a class that never
-  // held more runs (a mostly-blocked shard's) reads no line beyond its own.
-  class RunIndex {
-   public:
-    std::size_t size() const { return last_ - first_; }
-    bool empty() const { return first_ == last_; }
-    RunHead* begin() { return data() + first_; }
-    RunHead* end() { return data() + last_; }
-    const RunHead* begin() const { return data() + first_; }
-    RunHead& operator[](std::size_t pos) {
-      SFS_DCHECK(pos < size());
-      return data()[first_ + pos];
-    }
-    const RunHead& operator[](std::size_t pos) const {
-      SFS_DCHECK(pos < size());
-      return data()[first_ + pos];
-    }
-    const RunHead& front() const { return data()[first_]; }
-
-    // Opening or closing a run at either end (most changes) moves nothing.
-    void Insert(std::size_t pos, RunHead run) {
-      if (pos == size() && last_ < capacity_) {
-        data()[last_++] = run;
-      } else if (pos == 0 && first_ > 0) {
-        data()[--first_] = run;
-      } else {
-        InsertShifting(pos, run);
-      }
-    }
-    void Erase(std::size_t pos) {
-      if (pos == 0) {
-        ++first_;
-      } else if (pos + 1 == size()) {
-        --last_;
-      } else {
-        EraseShifting(pos);
-      }
-    }
-
-   private:
-    static constexpr std::uint32_t kInline = 4;
-
-    RunHead* data() { return heap_ != nullptr ? heap_.get() : inline_; }
-    const RunHead* data() const { return heap_ != nullptr ? heap_.get() : inline_; }
-    void InsertShifting(std::size_t pos, RunHead run);
-    void EraseShifting(std::size_t pos);
-    // Moves the entries to the middle of an array with room for `runs`
-    // entries and as much slack again.
-    void Recenter(std::size_t runs);
-
-    std::unique_ptr<RunHead[]> heap_;  // the slots once they outgrow inline_
-    std::uint32_t capacity_ = kInline;
-    std::uint32_t first_ = kInline / 2;  // the entries are data()[first_, last_)
-    std::uint32_t last_ = kInline / 2;
-    RunHead inline_[kInline];
-  };
+  using PhiQueue = RunList<&Entity::by_start, ByStartTagAsc>;
 
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
-  // (start tag, tid) order.  Surplus phi * (S - v - warp_eff) is
-  // non-decreasing along that order (DESIGN.md §3), and threads with equal
-  // start tags have bit-identical surpluses.  `runs` holds one entry per
-  // such run of equal start tags, in queue order (strictly ascending tags),
-  // so filing binary-searches it and a walk steps from one distinct start
-  // tag to the next without visiting the members between; a run's members
-  // follow its head in ascending tid order.  The class's (phi, warp_eff)
-  // pair lives in its head-table entry.  Two cache lines, the second
-  // holding the run index's inline slots, aligned to 128 bytes so that the
-  // hardware's adjacent-line prefetch brings them in together.
+  // (start tag, tid) order: a RunList (run_list.h) keyed by start tag, its
+  // members filed by tid inside their run.  Surplus phi * (S - v -
+  // warp_eff) is non-decreasing along that order (DESIGN.md §3), and
+  // threads with equal start tags have bit-identical surpluses, so a walk
+  // over the run index steps from one distinct surplus to the next without
+  // visiting the members between.  The class's (phi, warp_eff) pair lives
+  // in its head-table entry.  Two cache lines, the second holding the run
+  // index's inline slots, aligned to 128 bytes so that the hardware's
+  // adjacent-line prefetch brings them in together.
   struct alignas(128) PhiClass {
     std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
     std::uint32_t head_pos = 0;  // index of its entry in heads_
-    common::IntrusiveList<Entity, &Entity::by_start> queue;
-    RunIndex runs;
+    PhiQueue queue;
 
-    // The member after run `pos`'s last one: the next run's head, or nullptr.
-    Entity* RunEnd(std::size_t pos) const {
-      return pos + 1 < runs.size() ? runs[pos + 1].head : nullptr;
-    }
     // The first not-running member of run `pos` at or after `from` (a member
     // of that run, or its end), or nullptr.  Every running member is skipped
     // at most once per walk: at most p.
     Entity* FirstIdle(std::size_t pos, Entity* from) {
-      for (Entity* e = from; e != RunEnd(pos); e = queue.next(e)) {
+      for (Entity* e = from; e != queue.RunEnd(pos); e = queue.next(e)) {
         if (!e->running) {
           return e;
         }
@@ -351,34 +275,14 @@ class Sfs : public GpsSchedulerBase {
   // takes it out and recycles a class it leaves empty.
   void File(Entity& e, PhiClass* cls);
   void Unfile(Entity& e);
-  // Links `e` into cls's queue at its (S, tid) position: searches the run
-  // index for e's start tag (FindRun), then either opens a run there or
-  // places e in that run by tid, walking in from the end with the nearer
-  // tid.  Unlink takes e out, finding its run by the start tag it was filed
-  // with (so a charge unlinks before it moves the tags), and hands a run's
-  // head role to its next member.  Both keep the class's front tag, its
-  // idle candidate (Unlink marks the entry stale when e was the candidate)
-  // and v_ (Unlink marks it stale when e was the last thread at v).
+  // Links `e` into cls's queue at its (S, tid) position, counting the run
+  // tags searched in filing_probes_.  Unlink takes e out by the start tag
+  // it was filed with (so a charge unlinks before it moves the tags).  Both
+  // keep the class's front tag, its idle candidate (Unlink marks the entry
+  // stale when e was the candidate) and v_ (Unlink marks it stale when e
+  // was the last thread at v).
   void Link(PhiClass& cls, Entity& e);
   void Unlink(PhiClass& cls, Entity& e);
-  // Position of the first run of `cls` whose tag is not below `tag`: probes
-  // both ends, then binary-searches the runs between (FindInnerRun); counts
-  // its probes in filing_probes_.  Most searches end at an end of the
-  // class: a charge takes its thread out of the front run and often files
-  // it past the last; arrivals and wakeups land at v.
-  std::size_t FindRun(const PhiClass& cls, double tag) {
-    const std::size_t size = cls.runs.size();
-    if (size == 0 || tag <= cls.runs[0].tag) {
-      filing_probes_ += size == 0 ? 0 : 1;
-      return 0;
-    }
-    if (tag >= cls.runs[size - 1].tag) {
-      filing_probes_ += 2;
-      return tag == cls.runs[size - 1].tag ? size - 1 : size;
-    }
-    return FindInnerRun(cls, tag);
-  }
-  std::size_t FindInnerRun(const PhiClass& cls, double tag);
   // Sets v_ to the least front tag, one pass over the head table.
   void RecomputeVirtualTime() const;
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
@@ -398,7 +302,8 @@ class Sfs : public GpsSchedulerBase {
   bool MaybeRebase(double v);
   // Makes runs pos - 1 and pos of `cls`, whose tags the rebase rounded to
   // one value (only a tag above twice the shift can round), one run, its
-  // members in tid order.
+  // members in tid order.  Run pos must still carry its tag from before
+  // the shift.
   void MergeRuns(PhiClass& cls, std::size_t pos);
 
   Entity* ExactPick(CpuId cpu, double v);

@@ -373,6 +373,9 @@ std::string ShardedScheduler::CheckInvariants() const {
     if (shard.steal_source != (runnable >= 2 && inner.RunningOn(0) != kInvalidThread)) {
       return at("steal-source flag disagrees with the shard on shard", cpu);
     }
+    if (std::string queue = inner.CheckWeightQueue(); !queue.empty()) {
+      return at("weight queue audit failed on shard", cpu) + ": " + queue;
+    }
     steal_sources += shard.steal_source ? 1 : 0;
   }
   if (steal_sources != steal_sources_.load(std::memory_order_relaxed)) {

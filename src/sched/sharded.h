@@ -156,12 +156,15 @@ class ShardedScheduler : public Scheduler {
   std::uint64_t PickMask(std::size_t word) const override;
 
   // Single-threaded consistency audit for tests: both bitmaps and the
-  // steal-source count equal values recomputed from the shards; the shared
-  // table files exactly the shards' live entities, each held by exactly one
-  // shard, its outer entity's home; per-shard runnable weights equal
-  // recomputed sums (exactly, when every weight is an integer).  Returns an
-  // empty string, or a description of the first violation.  O(t x p); the
-  // scheduler never calls it.
+  // steal-source count equal values recomputed from the shards; each shard's
+  // weight queue passes GpsSchedulerBase::CheckWeightQueue (not
+  // Sfs::CheckInvariants, whose uncapped-phi clause a shard fails while the
+  // capped-phi defect of ROADMAP item 1 is open); the shared table files
+  // exactly the shards' live entities, each held by exactly one shard, its
+  // outer entity's home; per-shard runnable weights equal recomputed sums
+  // (exactly, when every weight is an integer).  Returns an empty string, or
+  // a description of the first violation.  O(t x p); the scheduler never
+  // calls it.
   std::string CheckInvariants() const;
 
   // The uniprocessor policy instance hosting shard `cpu`.

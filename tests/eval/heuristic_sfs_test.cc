@@ -1,12 +1,14 @@
 // Tests for the Section 3.2 heuristic model (eval::HeuristicSfs): its audit
 // against the exact algorithm, long-run proportionality, and invariance of
 // its decisions under tag rebasing.  The model's own audit (Sfs's invariants
-// plus its surplus order) runs after every operation.
+// plus its surplus order and kept last-k entries) runs after every
+// operation.
 
 #include "src/eval/heuristic_sfs.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -47,6 +49,74 @@ TEST(SfsTest, HeuristicAuditAgreesWhenKCoversQueue) {
     EXPECT_EQ(audit.heuristic_pick, audit.exact_pick);
     running.emplace_back(s.PickNext(cpu), cpu);
     ASSERT_EQ(s.CheckInvariants(), "") << "decision " << i;
+  }
+}
+
+// The model keeps the last k of the weight queue between decisions, and
+// admissions, exits, blocks, wakeups and weight changes mark them stale; the
+// audit after every operation holds entries not marked stale to the queue's
+// true last k in (-weight, tid) order.  Weights 1 to 3, so k = 5 ends inside
+// a long run of equal weight, and at least 8 runnable threads on 2 CPUs, so
+// no weight is capped.
+TEST(SfsTest, HeuristicKeptLastKFollowsTheWeightQueue) {
+  HeuristicSfs s(Config(2), /*k=*/5);
+  common::Rng rng(7);
+  auto weight = [&] { return static_cast<Weight>(rng.UniformInt(1, 3)); };
+  std::vector<ThreadId> live;
+  ThreadId next_tid = 0;
+  int runnable = 0;
+  auto add = [&] {
+    s.AddThread(next_tid, weight());
+    live.push_back(next_tid++);
+    ++runnable;
+  };
+  // A random live thread that is runnable (or blocked) and not running, or
+  // sched::kInvalidThread.
+  auto idle = [&](bool want_runnable) {
+    std::vector<ThreadId> pool;
+    for (const ThreadId tid : live) {
+      if (s.IsRunnable(tid) == want_runnable && !s.IsRunning(tid)) {
+        pool.push_back(tid);
+      }
+    }
+    return pool.empty() ? sched::kInvalidThread : pool[rng.NextBounded(pool.size())];
+  };
+  while (runnable < 12) {
+    add();
+  }
+  ThreadId running[2] = {sched::kInvalidThread, sched::kInvalidThread};
+  for (int op = 0; op < 3000; ++op) {
+    const auto choice = rng.UniformInt(0, 5);
+    if (choice <= 1) {
+      // Charge each busy CPU, pick on each free one.
+      for (CpuId cpu = 0; cpu < 2; ++cpu) {
+        if (running[cpu] == sched::kInvalidThread) {
+          running[cpu] = s.PickNext(cpu);
+        } else {
+          s.Charge(running[cpu], Msec(rng.UniformInt(1, 20)));
+          running[cpu] = sched::kInvalidThread;
+        }
+      }
+    } else if (choice == 2) {
+      s.SetWeight(live[rng.NextBounded(live.size())], weight());
+    } else if (choice == 3 && runnable > 8) {
+      if (const ThreadId tid = idle(true); tid != sched::kInvalidThread) {
+        s.Block(tid);
+        --runnable;
+      }
+    } else if (choice == 4) {
+      if (const ThreadId tid = idle(false); tid != sched::kInvalidThread) {
+        s.Wakeup(tid);
+        ++runnable;
+      }
+    } else if (live.size() < 40) {
+      add();
+    } else if (const ThreadId tid = idle(runnable <= 8); tid != sched::kInvalidThread) {
+      runnable -= s.IsRunnable(tid) ? 1 : 0;
+      s.RemoveThread(tid);
+      live.erase(std::find(live.begin(), live.end(), tid));
+    }
+    ASSERT_EQ(s.CheckInvariants(), "") << "op " << op;
   }
 }
 

@@ -278,7 +278,7 @@ class QueueFixture {
       entities_[i]->tid = static_cast<ThreadId>(i);
       entities_[i]->weight() = weights[i];
       entities_[i]->phi() = weights[i];
-      queue_.Insert(entities_[i].get());
+      queue_.Append(entities_[i].get());
       total_ += weights[i];
     }
   }
@@ -367,7 +367,7 @@ TEST(ReadjustQueueTest, RoundingSplitRunCapsItsLowestTids) {
     entities.back()->tid = tid;
     entities.back()->weight() = weight;
     entities.back()->phi() = weight;
-    queue.Insert(entities.back().get());
+    queue.Append(entities.back().get());
   }
   ASSERT_EQ(queue.front()->tid, 5);
   ReadjustState state;

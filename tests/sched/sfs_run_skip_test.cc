@@ -16,8 +16,8 @@
 // partial, so start tags spread out and a charged thread's new tag falls
 // between run heads.  It checks the same pick, the virtual time and the
 // audit after every operation, once with tags rebased many times over (the
-// run index's keys then shift while classes hold many runs), and a last test
-// pins how many run tags a re-file after a charge probes
+// run index's keys then shift while classes hold many runs), and the last
+// tests pin how many run tags a re-file after a charge and a removal probe
 // (Sfs::filing_probes()).
 
 #include <gtest/gtest.h>
@@ -497,6 +497,31 @@ TEST(SfsRelinkTest, ChargeIntoTheMiddleProbesLogarithmicallyMany) {
   EXPECT_LE(s.filing_probes() - before, 1 + 2 + std::bit_width(unsigned{kThreads}) + 1);
   EXPECT_EQ(s.CheckInvariants(), "");
   EXPECT_EQ(s.PickNext(0), 1);
+}
+
+// Unfiling a thread that is not its run's head reads its queue
+// predecessor's start tag, finds it equal, and leaves the run index alone: a
+// removal probes no run tag, and a charge probes only the tags that file the
+// thread again (both end tags, when it lands past the class's last run).
+TEST(SfsRelinkTest, UnfilingInsideARunProbesNoRunTag) {
+  SchedConfig config;
+  config.num_cpus = 2;
+  Sfs s(config);
+  for (ThreadId tid = 0; tid < 6; ++tid) {
+    s.AddThread(tid, 1.0);
+  }
+  // All six share one run at v = 0, thread 0 at its head.
+  ASSERT_EQ(s.PickNext(0), 0);
+  ASSERT_EQ(s.PickNext(1), 1);
+  std::int64_t before = s.filing_probes();
+  s.RemoveThread(4);
+  EXPECT_EQ(s.filing_probes(), before);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  before = s.filing_probes();
+  s.Charge(1, Msec(10));
+  EXPECT_EQ(s.filing_probes() - before, 2);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  EXPECT_EQ(s.PickNext(1), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
