@@ -155,13 +155,15 @@ SFS_EXPERIMENT(fig7_overhead,
       << "queue; exact SFS here reads one head per phi class (threads of equal\n"
       << "weight rank by start tag) and re-files a charged thread within its\n"
       << "class only, so by a few hundred processes it is cheaper than time\n"
-      << "sharing, which scans every runnable process per decision, and SFQ,\n"
-      << "which re-sorts a charged thread into one queue of them all.  The\n"
-      << "k=20 heuristic keeps a surplus order of every process and is slower\n"
-      << "than the exact pick beyond a handful of processes; it remains, as an\n"
-      << "evaluation model, for Figure 3's accuracy study.  The sharded variant\n"
-      << "keeps each decision shard-local.  All are negligible against the\n"
-      << "200 ms quantum.\n";
+      << "sharing, which scans every runnable process per decision.  SFQ\n"
+      << "dispatches the front of one start-tag queue and files a charged\n"
+      << "thread by binary search over its runs of equal tag, so from a few\n"
+      << "dozen processes on it is the cheapest of all; with a handful, time\n"
+      << "sharing's scan is cheaper still.  The k=20 heuristic keeps a surplus\n"
+      << "order of every process and is slower than the exact pick beyond a\n"
+      << "handful of processes; it remains, as an evaluation model, for Figure\n"
+      << "3's accuracy study.  The sharded variant keeps each decision\n"
+      << "shard-local.  All are negligible against the 200 ms quantum.\n";
   reporter.Metric("schedulers_measured", static_cast<std::int64_t>(std::size(configs)));
   reporter.Metric("process_counts_measured",
                   static_cast<std::int64_t>(std::size(process_counts)));

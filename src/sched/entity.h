@@ -120,13 +120,14 @@ struct Entity {
   bool runnable = false;
   bool running = false;
 
-  // Intrusive queue hooks (Section 3.1's weight and start-tag queues, and one
-  // generic run queue for the policies that need a queue of their own).
-  // They leave 32 spare bytes at the end of the third line; a member past
-  // those costs a fourth line.
+  // Intrusive queue hooks: the weight queue of Section 3.1 that the GPS
+  // policies share, and the policy's own queue, which each entity sits on
+  // for the one policy that owns it (SFS's phi class, SFQ's start-tag queue,
+  // WFQ's finish-tag queue, H-SFS's class members, the time-sharing run
+  // queue).  They leave 48 spare bytes at the end of the third line; a member
+  // past those costs a fourth line.
   common::ListHook by_weight;  // runnable threads, descending weight
-  common::ListHook by_start;   // ascending start tag (SFQ's queue; SFS's phi class)
-  common::ListHook by_rq;      // timeshare run queue, WFQ finish queue, H-SFS members
+  common::ListHook by_queue;   // the owning policy's run queue
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

@@ -12,6 +12,7 @@
 #ifndef SFS_SCHED_GPS_BASE_H_
 #define SFS_SCHED_GPS_BASE_H_
 
+#include <cstddef>
 #include <string>
 
 #include "src/sched/readjust.h"
@@ -54,6 +55,27 @@ class GpsSchedulerBase : public Scheduler {
   // (RunList::CheckIndex).  Returns an empty string, or a description of the
   // first violation.
   std::string CheckWeightQueue() const;
+
+  // Audit for tests, O(runnable), of a policy's own RunList: it holds
+  // exactly the runnable threads, its run index matches its runs
+  // (RunList::CheckIndex), and the weight queue passes CheckWeightQueue.
+  // Returns an empty string, or a description of the first violation.
+  template <typename Queue>
+  std::string CheckRunQueue(const Queue& queue) const {
+    if (queue.size() != static_cast<std::size_t>(runnable_count())) {
+      return "the run queue holds " + std::to_string(queue.size()) + " threads, " +
+             std::to_string(runnable_count()) + " are runnable";
+    }
+    for (const Entity* e = queue.front(); e != nullptr; e = queue.next(e)) {
+      if (!e->runnable) {
+        return "the run queue holds blocked thread " + std::to_string(e->tid);
+      }
+    }
+    if (std::string index = queue.CheckIndex(); !index.empty()) {
+      return index;
+    }
+    return CheckWeightQueue();
+  }
 
   // True iff PickNext with nothing runnable returns nullptr and changes no
   // state a later decision reads (statistics counters may still tick).

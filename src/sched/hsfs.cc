@@ -1,6 +1,7 @@
 #include "src/sched/hsfs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/assert.h"
 
@@ -219,7 +220,7 @@ void HierarchicalSfs::OnAdmit(Entity& e) {
   thread_class_[e.tid] = cls_id;
   e.start_tag() = std::max(e.finish_tag(), LevelVirtualTime(cls));
   e.finish_tag() = e.start_tag();
-  cls.members.Insert(&e);
+  cls.members.InsertByTid(&e);
   PropagateRunnable(cls, +1);
   PropagateEligible(cls, +1);
   RecomputeShares();
@@ -228,7 +229,7 @@ void HierarchicalSfs::OnAdmit(Entity& e) {
 void HierarchicalSfs::OnRemove(Entity& e) {
   Node& cls = NodeOf(e);
   if (e.runnable) {
-    cls.members.Remove(&e);
+    cls.members.Erase(&e, e.start_tag());
     PropagateRunnable(cls, -1);
     PropagateEligible(cls, -1);
     RecomputeShares();
@@ -238,7 +239,7 @@ void HierarchicalSfs::OnRemove(Entity& e) {
 
 void HierarchicalSfs::OnBlocked(Entity& e) {
   Node& cls = NodeOf(e);
-  cls.members.Remove(&e);
+  cls.members.Erase(&e, e.start_tag());
   cls.idle_vt = std::max(cls.idle_vt, e.finish_tag());
   PropagateRunnable(cls, -1);
   PropagateEligible(cls, -1);
@@ -248,7 +249,7 @@ void HierarchicalSfs::OnBlocked(Entity& e) {
 void HierarchicalSfs::OnWoken(Entity& e) {
   Node& cls = NodeOf(e);
   e.start_tag() = std::max(e.finish_tag(), LevelVirtualTime(cls));
-  cls.members.Insert(&e);
+  cls.members.InsertByTid(&e);
   PropagateRunnable(cls, +1);
   PropagateEligible(cls, +1);
   RecomputeShares();
@@ -310,12 +311,11 @@ Entity* HierarchicalSfs::PickNextEntity(CpuId cpu) {
 
 void HierarchicalSfs::OnCharge(Entity& e, Tick ran_for) {
   Node& cls = NodeOf(e);
-  // Thread tags within its class.
+  // Thread tags within its class, re-filed under the grown start tag.
+  cls.members.Erase(&e, e.start_tag());
   e.finish_tag() = e.start_tag() + arith_.WeightedService(ran_for, std::max(e.phi(), 1e-12));
   e.start_tag() = e.finish_tag();
-  // The start tag grew: restore the member queue's sorted order.
-  cls.members.Remove(&e);
-  cls.members.InsertFromBack(&e);
+  cls.members.InsertByTid(&e);
   // Every ancestor class's tags at its own level.
   for (Node* n = &cls; n->parent != nullptr; n = n->parent) {
     const double phi =
@@ -325,6 +325,28 @@ void HierarchicalSfs::OnCharge(Entity& e, Tick ran_for) {
   }
   PropagateService(cls, ran_for);
   PropagateEligible(cls, +1);
+}
+
+std::string HierarchicalSfs::CheckInvariants() const {
+  std::size_t filed = 0;
+  for (const auto& [id, node] : nodes_) {
+    for (const Entity* e = node->members.front(); e != nullptr; e = node->members.next(e)) {
+      ++filed;
+      const auto it = thread_class_.find(e->tid);
+      if (!e->runnable || it == thread_class_.end() || it->second != id) {
+        return "class " + std::to_string(id) + " holds blocked or foreign thread " +
+               std::to_string(e->tid);
+      }
+    }
+    if (std::string index = node->members.CheckIndex(); !index.empty()) {
+      return "class " + std::to_string(id) + ": " + index;
+    }
+  }
+  if (filed != static_cast<std::size_t>(runnable_count())) {
+    return "the classes hold " + std::to_string(filed) + " threads, " +
+           std::to_string(runnable_count()) + " are runnable";
+  }
+  return {};
 }
 
 CpuId HierarchicalSfs::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) {

@@ -25,8 +25,9 @@
 // With every thread in the root class this reduces exactly to flat SFS, which
 // the test suite verifies.  This is a clarity-first reference implementation:
 // per-decision work is linear in the active classes and the threads of the
-// chosen class (the flat scheduler's three-queue machinery could be replicated
-// per class if needed).
+// chosen class (the flat scheduler's phi classes could be replicated per class
+// if needed).  A class's members sit on a start-tag RunList (run_list.h) filed
+// by tid, so a wakeup finds its place by binary search.
 
 #ifndef SFS_SCHED_HSFS_H_
 #define SFS_SCHED_HSFS_H_
@@ -34,11 +35,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "src/common/sorted_list.h"
+#include "src/sched/run_list.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/tag_arith.h"
 
@@ -48,13 +49,6 @@ namespace sfs::sched {
 using ClassId = std::int32_t;
 inline constexpr ClassId kRootClass = 0;
 inline constexpr ClassId kInvalidClass = -1;
-
-// Key for a class's member queue: ascending start tag with the
-// library-wide thread-id tie-break, so the class-level virtual time is the
-// front element and iteration order is a deterministic total order.
-struct HsfsByStartAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
-};
 
 class HierarchicalSfs : public Scheduler {
  public:
@@ -90,6 +84,12 @@ class HierarchicalSfs : public Scheduler {
 
   CpuId SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) override;
 
+  // Audit for tests, O(runnable): the classes' member queues together hold
+  // exactly the runnable threads, each in the class it was routed to, and
+  // each queue's run index matches its runs (RunList::CheckIndex).  Returns
+  // an empty string or the first violation.
+  std::string CheckInvariants() const;
+
  protected:
   void OnAdmit(Entity& e) override;
   void OnRemove(Entity& e) override;
@@ -117,9 +117,9 @@ class HierarchicalSfs : public Scheduler {
     Tick total_service = 0;   // aggregate leaf service (survives departures)
     double idle_vt = 0.0;     // level virtual time frozen while nothing runnable
 
-    // Runnable threads directly attached to this class, sorted by (start tag,
-    // tid) — the level virtual time is then the front element.
-    common::SortedList<Entity, &Entity::by_rq, HsfsByStartAsc> members;
+    // Runnable threads directly attached to this class, in (start tag, tid)
+    // order — the level virtual time is then the front element.
+    RunList<&Entity::by_queue, ByStartTagAsc> members;
   };
 
   Node& FindNode(ClassId id);

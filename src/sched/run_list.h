@@ -1,23 +1,25 @@
 // A list of runnable threads in ascending key order, indexed by its runs of
-// equal key.
+// equal key: the one sorted run queue of this library.
 //
-// Section 3.1 keeps each runnable thread on sorted queues: the descending-
-// weight queue that drives readjustment (sched::WeightQueue, keyed by minus
-// the weight) and the start-tag queues (each sched::Sfs phi class, keyed by
-// start tag).  Their keys repeat heavily — integer weights, threads of one
-// weight charged in lockstep — so beside the intrusive list sits an index
-// with one entry per run of equal key: the key and the run's first member,
-// its *head*, in a sorted array.  A run's last member is the predecessor of
-// the next run's head, so the index stores nothing else, and a walk over the
-// runs reads the array alone.
+// Section 3.1 keeps each runnable thread on sorted queues, and Section 3.2
+// names binary search as the fix for their linear insert.  Every sorted
+// queue here is a RunList: the descending-weight queue that drives
+// readjustment (sched::WeightQueue, keyed by minus the weight), SFS's phi
+// classes and SFQ's queue and H-SFS's class members (keyed by start tag), and
+// WFQ's queue (keyed by finish tag).  Their keys repeat heavily — integer
+// weights, threads of one weight charged in lockstep — so beside the
+// intrusive list sits an index with one entry per run of equal key: the key
+// and the run's first member, its *head*, in a sorted array.  A run's last
+// member is the predecessor of the next run's head, so the index stores
+// nothing else, and a walk over the runs reads the array alone.
 //
 // Filing searches the index (both ends first, then a binary search) and
 // either opens a run or joins one: at its back (Append, the weight queue's
-// order) or at its tid's place (InsertByTid, SFS's (start tag, tid) order).
-// Erasing checks the predecessor first: when it holds the same key, the
-// thread is not its run's head and the index does not change.  Only a head
-// searches the index, to hand its role on to the next member or to close
-// the run.
+// order) or at its tid's place (InsertByTid, the (key, tid) order of every
+// other queue).  Erasing checks the predecessor first: when it holds the
+// same key, the thread is not its run's head and the index does not change.
+// Only a head searches the index, to hand its role on to the next member or
+// to close the run.
 
 #ifndef SFS_SCHED_RUN_LIST_H_
 #define SFS_SCHED_RUN_LIST_H_
@@ -27,12 +29,23 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/assert.h"
 #include "src/common/intrusive_list.h"
 #include "src/sched/entity.h"
 
 namespace sfs::sched {
+
+// The start-tag order of SFS's phi classes, SFQ's queue and H-SFS's class
+// members: ascending start tag, then ascending tid (the paper breaks ties
+// "arbitrarily"; here they never are), so queue order — and every decision
+// that reads it — is a total order.  Their runs ascend by RunKey and file by
+// tid.
+struct ByStartTagAsc {
+  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
+  static double RunKey(const Entity& e) { return e.start_tag(); }
+};
 
 // A run of equal keys: the key and the run's first member.  The key sits
 // beside the pointer so that a search or a walk over the runs reads no
@@ -130,7 +143,7 @@ class RunIndex {
 // by it.  The caller passes the key a thread was filed with to Erase, so
 // that thread's own key may already have changed (a reweight); every other
 // member must still hold the key it was filed with, since Erase reads its
-// predecessor's (sched::Sfs's charge unfiles before it moves the tags).
+// predecessor's (a charge unfiles its thread before it moves the tags).
 template <common::ListHook Entity::*Hook, typename KeyOf>
 class RunList {
  public:

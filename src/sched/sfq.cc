@@ -19,18 +19,18 @@ void Sfq::OnAdmit(Entity& e) {
   e.start_tag() = VirtualTime();
   e.finish_tag() = e.start_tag();
   AdmitWeight(e);
-  queue_.Insert(&e);
+  queue_.InsertByTid(&e);
 }
 
 void Sfq::OnRemove(Entity& e) {
   if (e.runnable) {
-    queue_.Remove(&e);
+    queue_.Erase(&e, e.start_tag());
     RetireWeight(e);
   }
 }
 
 void Sfq::OnBlocked(Entity& e) {
-  queue_.Remove(&e);
+  queue_.Erase(&e, e.start_tag());
   RetireWeight(e);
   if (queue_.empty()) {
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
@@ -40,7 +40,7 @@ void Sfq::OnBlocked(Entity& e) {
 void Sfq::OnWoken(Entity& e) {
   e.start_tag() = std::max(e.finish_tag(), VirtualTime());
   AdmitWeight(e);
-  queue_.Insert(&e);
+  queue_.InsertByTid(&e);
 }
 
 void Sfq::OnWeightChanged(Entity& e, Weight old_weight) { UpdateWeight(e, old_weight); }
@@ -48,7 +48,7 @@ void Sfq::OnWeightChanged(Entity& e, Weight old_weight) { UpdateWeight(e, old_we
 void Sfq::OnAttach(Entity& e) {
   // Migrated entity: keep the translated start tag (no wakeup-style clamp).
   AdmitWeight(e);
-  queue_.Insert(&e);
+  queue_.InsertByTid(&e);
 }
 
 Entity* Sfq::PickNextEntity(CpuId cpu) {
@@ -62,10 +62,10 @@ Entity* Sfq::PickNextEntity(CpuId cpu) {
 }
 
 void Sfq::OnCharge(Entity& e, Tick ran_for) {
+  queue_.Erase(&e, e.start_tag());  // unfiled by the key it was filed with
   e.finish_tag() = e.start_tag() + arith().WeightedService(ran_for, e.phi());
   e.start_tag() = e.finish_tag();
-  queue_.Remove(&e);
-  queue_.InsertFromBack(&e);
+  queue_.InsertByTid(&e);
   if (queue_.size() == 1) {
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
   }

@@ -9,21 +9,20 @@
 //     which SchedConfig::use_readjustment = true mitigates (Figure 4(b));
 //   * "spurt" scheduling mis-allocates under frequent arrivals/departures even
 //     with feasible weights (Example 2 / Figure 5(a)) — readjustment cannot help.
+//
+// The queue is a start-tag RunList (run_list.h) filed by tid, so it is in
+// (S, tid) order and a wakeup finds its place by binary search over the runs
+// of equal start tag.
 
 #ifndef SFS_SCHED_SFQ_H_
 #define SFS_SCHED_SFQ_H_
 
-#include <utility>
+#include <string>
 
-#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
+#include "src/sched/run_list.h"
 
 namespace sfs::sched {
-
-struct SfqByStartAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
-};
-using SfqQueue = common::SortedList<Entity, &Entity::by_start, SfqByStartAsc>;
 
 class Sfq : public GpsSchedulerBase {
  public:
@@ -43,6 +42,9 @@ class Sfq : public GpsSchedulerBase {
   // Migration timeline (sched::Sharded): tags live on the start-tag axis.
   double LocalVirtualTime() const override { return VirtualTime(); }
 
+  // Audit for tests, O(runnable): CheckRunQueue on the start-tag queue.
+  std::string CheckInvariants() const { return CheckRunQueue(queue_); }
+
  protected:
   void OnAdmit(Entity& e) override;
   void OnRemove(Entity& e) override;
@@ -54,7 +56,7 @@ class Sfq : public GpsSchedulerBase {
   void OnAttach(Entity& e) override;
 
  private:
-  SfqQueue queue_;
+  RunList<&Entity::by_queue, ByStartTagAsc> queue_;
   double idle_virtual_time_ = 0.0;
 };
 

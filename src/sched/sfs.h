@@ -68,18 +68,12 @@
 #include <deque>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/sched/gps_base.h"
 #include "src/sched/run_list.h"
 
 namespace sfs::sched {
-
-struct ByStartTagAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
-  static double RunKey(const Entity& e) { return e.start_tag(); }
-};
 
 class Sfs : public GpsSchedulerBase {
  public:
@@ -186,7 +180,7 @@ class Sfs : public GpsSchedulerBase {
   // is re-filed).  The default does nothing.
   virtual void OnWarpChanged(Entity& e) { (void)e; }
 
-  using PhiQueue = RunList<&Entity::by_start, ByStartTagAsc>;
+  using PhiQueue = RunList<&Entity::by_queue, ByStartTagAsc>;
 
   // The runnable threads sharing one (phi, warp_eff) pair, in ascending
   // (start tag, tid) order: a RunList (run_list.h) keyed by start tag, its

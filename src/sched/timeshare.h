@@ -59,7 +59,7 @@ class Timeshare : public Scheduler {
   std::int64_t Goodness(const Entity& e, CpuId cpu) const;
   void RecalculateEpoch();
 
-  common::IntrusiveList<Entity, &Entity::by_rq> run_queue_;
+  common::IntrusiveList<Entity, &Entity::by_queue> run_queue_;
   std::int64_t epochs_ = 0;
 };
 

@@ -24,28 +24,34 @@ double Wfq::PredictFinish(const Entity& e) const {
   return e.start_tag() + arith().WeightedService(config().quantum, e.phi());
 }
 
+void Wfq::RepredictAll() {
+  queue_.Clear();
+  // The weight queue holds exactly the runnable threads.
+  for (Entity* it = weight_queue().front(); it != nullptr; it = weight_queue().next(it)) {
+    it->finish_tag() = PredictFinish(*it);
+    queue_.InsertByTid(it);
+  }
+}
+
 void Wfq::OnAdmit(Entity& e) {
   e.start_tag() = VirtualTime();
   if (AdmitWeight(e)) {
-    // phi changed for some threads: re-predict all finish tags.
-    for (Entity* it = queue_.front(); it != nullptr; it = queue_.next(it)) {
-      it->finish_tag() = PredictFinish(*it);
-    }
-    queue_.Resort();
+    RepredictAll();  // phi changed for some threads; files e too
+    return;
   }
   e.finish_tag() = PredictFinish(e);
-  queue_.Insert(&e);
+  queue_.InsertByTid(&e);
 }
 
 void Wfq::OnRemove(Entity& e) {
   if (e.runnable) {
-    queue_.Remove(&e);
+    queue_.Erase(&e, e.finish_tag());
     RetireWeight(e);
   }
 }
 
 void Wfq::OnBlocked(Entity& e) {
-  queue_.Remove(&e);
+  queue_.Erase(&e, e.finish_tag());
   RetireWeight(e);
   if (queue_.empty()) {
     idle_virtual_time_ = std::max(idle_virtual_time_, e.start_tag());
@@ -56,15 +62,12 @@ void Wfq::OnWoken(Entity& e) {
   e.start_tag() = std::max(e.start_tag(), VirtualTime());
   AdmitWeight(e);
   e.finish_tag() = PredictFinish(e);
-  queue_.Insert(&e);
+  queue_.InsertByTid(&e);
 }
 
 void Wfq::OnWeightChanged(Entity& e, Weight old_weight) {
   if (UpdateWeight(e, old_weight) && e.runnable) {
-    for (Entity* it = queue_.front(); it != nullptr; it = queue_.next(it)) {
-      it->finish_tag() = PredictFinish(*it);
-    }
-    queue_.Resort();
+    RepredictAll();
   }
 }
 
@@ -81,10 +84,10 @@ Entity* Wfq::PickNextEntity(CpuId cpu) {
 void Wfq::OnCharge(Entity& e, Tick ran_for) {
   // Correct the prediction with the actual service used, then re-predict for the
   // next dispatch.
+  queue_.Erase(&e, e.finish_tag());  // unfiled by the key it was filed with
   e.start_tag() += arith().WeightedService(ran_for, e.phi());
   e.finish_tag() = PredictFinish(e);
-  queue_.Remove(&e);
-  queue_.InsertFromBack(&e);
+  queue_.InsertByTid(&e);
   if (queue_.size() == 1) {
     idle_virtual_time_ = std::max(idle_virtual_time_, e.start_tag());
   }

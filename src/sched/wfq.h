@@ -10,22 +10,26 @@
 // Like SFQ, WFQ inherits the multiprocessor infeasible-weight pathology;
 // use_readjustment grafts the Section 2.1 algorithm onto it.
 //
+// The queue is a finish-tag RunList (run_list.h) filed by tid, so it is in
+// (F, tid) order.  Where a readjustment re-predicts every finish tag, the
+// queue is unfiled, re-predicted and filed again.
+//
 // Flat only: no figure runs per-CPU WFQ, so it has no sched::Sharded variant.
 
 #ifndef SFS_SCHED_WFQ_H_
 #define SFS_SCHED_WFQ_H_
 
-#include <utility>
+#include <string>
 
-#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
+#include "src/sched/run_list.h"
 
 namespace sfs::sched {
 
+// WFQ's order: ascending finish tag, then ascending tid.
 struct ByFinishAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.finish_tag(), e.tid}; }
+  static double RunKey(const Entity& e) { return e.finish_tag(); }
 };
-using FinishQueue = common::SortedList<Entity, &Entity::by_rq, ByFinishAsc>;
 
 class Wfq : public GpsSchedulerBase {
  public:
@@ -41,6 +45,13 @@ class Wfq : public GpsSchedulerBase {
   double VirtualTime() const;
   double FinishTag(ThreadId tid) const { return FindEntity(tid).finish_tag(); }
 
+  // Audit for tests, O(runnable): CheckRunQueue on the finish-tag queue.
+  // Its CheckIndex also holds every queued finish tag to the key it was
+  // filed with: a run's members share the key its index entry was opened
+  // with, so a tag that moved in place opens a run the index lacks, or
+  // breaks the order.
+  std::string CheckInvariants() const { return CheckRunQueue(queue_); }
+
  protected:
   void OnAdmit(Entity& e) override;
   void OnRemove(Entity& e) override;
@@ -53,8 +64,11 @@ class Wfq : public GpsSchedulerBase {
  private:
   // Predicted finish tag assuming a full nominal quantum.
   double PredictFinish(const Entity& e) const;
+  // After a readjustment: unfiles every runnable thread, re-predicts its
+  // finish tag and files it again.
+  void RepredictAll();
 
-  FinishQueue queue_;
+  RunList<&Entity::by_queue, ByFinishAsc> queue_;
   double idle_virtual_time_ = 0.0;
 };
 

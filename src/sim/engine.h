@@ -26,8 +26,7 @@
 // themselves, and observer hooks are null-checked once per notification —
 // steady-state simulation performs no allocations in the event loop.
 // The recorded runs in tests/integration/recorded_runs.h
-// (EventQueueFuzzTest.WheelAndHeapTracesAreByteIdentical,
-// LayoutParityTest.BatchedAndUnbatchedDrainsAreByteIdentical) pin this order.
+// (replayed by tests/integration/recorded_runs_test.cc) pin this order.
 
 #ifndef SFS_SIM_ENGINE_H_
 #define SFS_SIM_ENGINE_H_

@@ -1,18 +1,16 @@
-// Event-order fuzz for the engines, for every scheduler kind including the
-// sharded layer.  Each seed builds the shared randomized workload
-// (fuzz_workload.h) and fingerprints it with FNV-1a over the complete
-// run-interval trace and the scheduler-visible lifecycle event stream.  Any
-// divergence in any event's firing order changes the fingerprints.  Every
-// serial-engine run is also audited (AuditFor).
-//
-//   * The serial engine (timing wheel) must reproduce the recorded runs of
-//     the deleted binary-heap event queue (recorded_runs.h, seeds 1-6), which
-//     pins the wheel to (time, insertion) event order.
+// Event-order fuzz for the parallel engine, for every scheduler kind
+// including the sharded layer.  Each seed builds the shared randomized
+// workload (fuzz_workload.h) and fingerprints it with FNV-1a over the
+// complete run-interval trace and the scheduler-visible lifecycle event
+// stream.  Any divergence in any event's firing order changes the
+// fingerprints.  The serial engine's own runs are pinned by the recorded rows
+// (recorded_runs_test.cc).
 //
 // The parallel engine rides the same harness in two dimensions:
 //   * workers == 1 must be byte-identical to sim::Engine on the identical
 //     randomized workload (same seed stream), for every policy kind — the
-//     serial-oracle contract of parallel_engine.h.
+//     serial-oracle contract of parallel_engine.h.  The serial run is
+//     audited (AuditFor).
 //   * workers > 1 runs a hook-free variant (periodic hooks and exit-hook
 //     churn are serial-path-only) in segments with quiescent surgery between
 //     them (SetWeight, KillTask) and asserts the conservation invariants:
@@ -20,12 +18,10 @@
 //     still on-CPU at the horizon.
 //
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6);
-// SFS_FUZZ_SHARDED pins the sharded dimension (except against the recorded
-// runs, whose values depend on the seed alone).
+// SFS_FUZZ_SHARDED pins the sharded dimension.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +30,6 @@
 #include "src/sim/parallel_engine.h"
 #include "src/workload/workloads.h"
 #include "tests/integration/fuzz_workload.h"
-#include "tests/integration/recorded_runs.h"
 #include "tests/sched_kind_param_name.h"
 
 namespace sfs::eval {
@@ -73,31 +68,6 @@ TraceResult RunOnceParallelSerial(SchedKind kind, std::uint64_t seed) {
 }
 
 class EventQueueFuzzTest : public ::testing::TestWithParam<SchedKind> {};
-
-// The binary-heap event queue is gone; its traces live on as kRecordedRuns.
-// The wheel must reproduce every recorded field: both fingerprints, per-task
-// services and the accounting counters.
-TEST_P(EventQueueFuzzTest, WheelAndHeapTracesAreByteIdentical) {
-  const std::uint64_t seeds = std::min(FuzzSeedCount(6), kRecordedSeeds);
-  std::uint64_t checked = 0;
-  for (const RecordedRun& heap : kRecordedRuns) {
-    if (heap.kind != GetParam() || heap.seed > seeds) {
-      continue;
-    }
-    const TraceResult wheel = RunFuzzWorkload(GetParam(), heap.seed, /*honor_env=*/false);
-    EXPECT_EQ(wheel.run_fingerprint, heap.run_fingerprint) << "seed " << heap.seed;
-    EXPECT_EQ(wheel.lifecycle_fingerprint, heap.lifecycle_fingerprint) << "seed " << heap.seed;
-    EXPECT_EQ(ServicesFingerprint(wheel.services), heap.services_fingerprint)
-        << "seed " << heap.seed;
-    EXPECT_EQ(wheel.events, heap.events) << "seed " << heap.seed;
-    EXPECT_EQ(wheel.dispatches, heap.dispatches) << "seed " << heap.seed;
-    EXPECT_EQ(wheel.preemptions, heap.preemptions) << "seed " << heap.seed;
-    EXPECT_EQ(wheel.idle, heap.idle) << "seed " << heap.seed;
-    EXPECT_EQ(wheel.ctx_cost, heap.ctx_cost) << "seed " << heap.seed;
-    ++checked;
-  }
-  EXPECT_EQ(checked, seeds);
-}
 
 TEST_P(EventQueueFuzzTest, ParallelEngineWorkersOneIsByteIdentical) {
   for (std::uint64_t seed = 1; seed <= FuzzSeedCount(6); ++seed) {

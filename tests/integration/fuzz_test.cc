@@ -41,18 +41,20 @@ TEST_P(EngineFuzzTest, AccountingAndDeterminismAcrossSeeds) {
   }
 }
 
-// The harness audits exactly the kinds that have an audit; if the selector
-// stopped recognizing one, its fuzz runs would pass without checking it.
+// The harness audits exactly the kinds that have an audit (all but time
+// sharing); if the selector stopped recognizing one, its fuzz runs would pass
+// without checking it.
 TEST(FuzzAuditTest, SelectsAnAuditForSfsAndEveryShardedKind) {
   sched::SchedConfig config;
   config.num_cpus = 2;
-  for (const SchedKind kind : {SchedKind::kSfs, SchedKind::kShardedSfs, SchedKind::kShardedSfq}) {
+  for (const SchedKind kind : {SchedKind::kSfs, SchedKind::kShardedSfs, SchedKind::kShardedSfq,
+                               SchedKind::kSfq, SchedKind::kWfq, SchedKind::kHsfs}) {
     const auto scheduler = CreateScheduler(kind, config);
     const auto audit = AuditFor(*scheduler);
     ASSERT_TRUE(audit) << SchedKindName(kind);
     EXPECT_EQ(audit(), "") << SchedKindName(kind);
   }
-  EXPECT_FALSE(AuditFor(*CreateScheduler(SchedKind::kSfq, config)));
+  EXPECT_FALSE(AuditFor(*CreateScheduler(SchedKind::kTimeshare, config)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EngineFuzzTest,

@@ -1,5 +1,5 @@
 // The randomized integration workload that fuzz_test, event_queue_fuzz_test
-// and layout_parity_test all run.  Each seed draws a scheduler (CPU count,
+// and recorded_runs_test all run.  Each seed draws a scheduler (CPU count,
 // quantum and, for SFS and SFQ, whether to run behind the sharded layer with
 // random steal, rebalance and coupling knobs) and a workload: hogs,
 // interactive sleepers, a churning short-job chain through the exit hook,
@@ -34,8 +34,11 @@
 #include "src/common/fingerprint.h"
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
+#include "src/sched/hsfs.h"
+#include "src/sched/sfq.h"
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
+#include "src/sched/wfq.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
 
@@ -72,14 +75,24 @@ struct TraceResult {
 };
 
 // The policy's own state audit: ShardedScheduler::CheckInvariants for the
-// sharded kinds, Sfs::CheckInvariants for flat SFS, and an empty function for
-// every other policy.  The audit returns "" or the first violation it finds.
+// sharded kinds, the policy's CheckInvariants for flat SFS, SFQ, WFQ and
+// H-SFS, and an empty function for time sharing.  The audit returns "" or the
+// first violation it finds.
 inline std::function<std::string()> AuditFor(const sched::Scheduler& scheduler) {
   if (const auto* sharded = dynamic_cast<const sched::ShardedScheduler*>(&scheduler)) {
     return [sharded] { return sharded->CheckInvariants(); };
   }
   if (const auto* sfs = dynamic_cast<const sched::Sfs*>(&scheduler)) {
     return [sfs] { return sfs->CheckInvariants(); };
+  }
+  if (const auto* sfq = dynamic_cast<const sched::Sfq*>(&scheduler)) {
+    return [sfq] { return sfq->CheckInvariants(); };
+  }
+  if (const auto* wfq = dynamic_cast<const sched::Wfq*>(&scheduler)) {
+    return [wfq] { return wfq->CheckInvariants(); };
+  }
+  if (const auto* hsfs = dynamic_cast<const sched::HierarchicalSfs*>(&scheduler)) {
+    return [hsfs] { return hsfs->CheckInvariants(); };
   }
   return {};
 }

@@ -1,14 +1,13 @@
 // Recorded serial-engine runs of the randomized integration workload
 // (fuzz_workload.h, RunFuzzWorkload with no environment overrides): every
-// scheduler kind, seeds 1-6.  event_queue_fuzz_test and layout_parity_test
-// compare against them.
+// scheduler kind, seeds 1-6.  recorded_runs_test.cc replays them, so a
+// change to event order or to a scheduling decision shows up as a
+// fingerprint or counter mismatch.
 //
-// Each row was recorded from two reference drains of the engine: the
-// binary-heap event queue and the per-event (unbatched) timing-wheel drain.
-// Both produced these exact values, and both were asserted byte-identical to
-// the batched timing-wheel drain on every row, before the reference drains
-// were deleted.  The tests compare today's engine against these rows, so a
-// change to event order shows up as a fingerprint or counter mismatch.
+// The rows predate the engine's batched timing-wheel drain.  Two reference
+// engines recorded them, a binary-heap event queue and a per-event wheel
+// drain, which produced these exact values; the batched drain matched both
+// on every row before they were deleted.
 //
 // Exception: the kWfq rows were re-recorded when the per-CPU WFQ kind was
 // deleted.  The workload stopped drawing a sharded dimension for WFQ, which

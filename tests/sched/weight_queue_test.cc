@@ -3,7 +3,10 @@
 // reweights produced it, the list must hold exactly the queued threads in
 // descending weight, each run of equal weight in the order its members
 // joined it, and the index must name the first member of every run
-// (RunList::CheckIndex).
+// (RunList::CheckIndex).  The random-op property test also drives a
+// start-tag RunList filed with InsertByTid, the filing of SFS's phi classes,
+// SFQ's and WFQ's queues and H-SFS's class members: its list must be in
+// exact (key, tid) order.
 
 #include "src/sched/weight_queue.h"
 
@@ -17,19 +20,23 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sched/run_list.h"
 
 namespace sfs::sched {
 namespace {
 
-using Key = std::pair<double, ThreadId>;  // (-weight, tid), the list order
+using Key = std::pair<double, ThreadId>;  // (run key, tid), the reference order
 
-std::vector<Key> ListKeys(const WeightQueue& q) {
+template <typename List, typename KeyOf>
+std::vector<Key> ListKeys(const List& q) {
   std::vector<Key> keys;
   for (const Entity* e = q.front(); e != nullptr; e = q.next(e)) {
-    keys.push_back(ByWeightDesc::Key(*e));
+    keys.push_back({KeyOf::RunKey(*e), e->tid});
   }
   return keys;
 }
+
+std::vector<Key> ListKeys(const WeightQueue& q) { return ListKeys<WeightQueue, ByWeightDesc>(q); }
 
 struct Pool {
   explicit Pool(const std::vector<ThreadId>& tids) {
@@ -72,21 +79,60 @@ TEST(WeightQueueTest, OrdersByDescendingWeightAppendingToRuns) {
   EXPECT_EQ(q.CheckIndex(), "");
 }
 
-// Random inserts, removals and reweights against a std::set reference: the
-// queue holds the set's keys, and CheckIndex holds it to descending weight
-// and its index to its runs after every op.  Two weight sources: a small
-// set, so runs of equal weight grow long and heads hand their role on, and
-// random doubles, so almost every weight is a run of its own.  Tids are
-// shuffled and sparse.  A removal or reweight takes, in turn, a member inside
-// a run, a run's head with members behind it, and a run's sole member, when
-// the queue has one; the counts say which it found.
-struct Erasures {
-  int inner = 0;  // not its run's head: the index does not change
-  int head = 0;   // hands the head's role on
-  int sole = 0;   // closes the run
+// Random inserts, removals and rekeys against a std::set reference: the
+// list holds the set's keys, and CheckIndex holds it to key order and its
+// index to its runs after every op.  Two filings: the weight queue's Append
+// (its runs keep joining order, so only the sorted keys must match) and a
+// start-tag list's InsertByTid (its list must match the set in order).  Two
+// key sources: a small set, so runs of equal key grow long and heads hand
+// their role on, and random doubles, so almost every key is a run of its
+// own.  Tids are shuffled and sparse.  A removal or rekey takes, in turn, a
+// member inside a run, a run's head with members behind it, and a run's
+// sole member, when the list has one; the counts say which it found, and,
+// for InsertByTid, from which end of its run a joining thread walked and
+// whether it became the run's new head.
+struct Counts {
+  int inner = 0;  // erased, not its run's head: the index does not change
+  int head = 0;   // erased, hands the head's role on
+  int sole = 0;   // erased, closes the run
+  int from_head = 0;  // InsertByTid walked in from the run's head
+  int from_tail = 0;  // InsertByTid walked in from the run's tail
+  int new_head = 0;   // InsertByTid put its thread before the run's head
 };
 
-Erasures RunRandomOps(bool small_weight_set, std::uint64_t seed) {
+// The weight queue: filed by Append, keyed by minus the weight.
+struct WeightFiling {
+  using List = WeightQueue;
+  using KeyOf = ByWeightDesc;
+  static constexpr bool kByTid = false;
+  static double& Field(Entity& e) { return e.weight(); }
+  static void File(List& q, Entity* e, Counts&) { q.Append(e); }
+};
+
+// A start-tag list filed by InsertByTid, which walks into a run from the end
+// whose tid is nearer.
+struct StartTagFiling {
+  using List = RunList<&Entity::by_queue, ByStartTagAsc>;
+  using KeyOf = ByStartTagAsc;
+  static constexpr bool kByTid = true;
+  static double& Field(Entity& e) { return e.start_tag(); }
+  static void File(List& q, Entity* e, Counts& counts) {
+    for (std::size_t pos = 0; pos < q.runs(); ++pos) {
+      if (q.run(pos).key == e->start_tag()) {
+        const Entity* head = q.run(pos).head;
+        const Entity* tail = q.RunEnd(pos) != nullptr ? q.prev(q.RunEnd(pos)) : q.back();
+        const bool from_head = e->tid - head->tid < tail->tid - e->tid;
+        ++(from_head ? counts.from_head : counts.from_tail);
+        counts.new_head += e->tid < head->tid ? 1 : 0;
+      }
+    }
+    q.InsertByTid(e);
+  }
+};
+
+template <typename Filing>
+Counts RunRandomOps(bool small_key_set, std::uint64_t seed) {
+  using KeyOf = typename Filing::KeyOf;
   common::Rng rng(seed);
   std::vector<ThreadId> tids;
   for (ThreadId i = 0; i < 96; ++i) {
@@ -97,12 +143,13 @@ Erasures RunRandomOps(bool small_weight_set, std::uint64_t seed) {
   }
   Pool pool(tids);
   const double small_set[] = {1.0, 2.0, 3.0, 0.5, 100.0};
-  auto random_weight = [&] {
-    return small_weight_set ? small_set[rng.NextBounded(5)] : rng.UniformDouble(0.001, 1000.0);
+  auto random_key = [&] {
+    return small_key_set ? small_set[rng.NextBounded(5)] : rng.UniformDouble(0.001, 1000.0);
   };
-  WeightQueue q;
+  auto key_of = [](const Entity& e) { return Key{KeyOf::RunKey(e), e.tid}; };
+  typename Filing::List q;
   std::set<Key> reference;
-  Erasures erasures;
+  Counts counts;
   for (int op = 0; op < 4000; ++op) {
     const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(op);
     // Queued threads by their place in their run: inside it, its head with
@@ -111,8 +158,8 @@ Erasures RunRandomOps(bool small_weight_set, std::uint64_t seed) {
     for (Entity* e = q.front(); e != nullptr; e = q.next(e)) {
       const Entity* before = q.prev(e);
       const Entity* after = q.next(e);
-      const bool head = before == nullptr || before->weight() != e->weight();
-      const bool last = after == nullptr || after->weight() != e->weight();
+      const bool head = before == nullptr || KeyOf::RunKey(*before) != KeyOf::RunKey(*e);
+      const bool last = after == nullptr || KeyOf::RunKey(*after) != KeyOf::RunKey(*e);
       by_place[head ? (last ? 2 : 1) : 0].push_back(e);
     }
     Entity* e = pool.entities[rng.NextBounded(pool.entities.size())].get();
@@ -123,27 +170,27 @@ Erasures RunRandomOps(bool small_weight_set, std::uint64_t seed) {
       }
     }
     if (!q.contains(e)) {
-      e->weight() = random_weight();
-      q.Append(e);
-      reference.insert(ByWeightDesc::Key(*e));
+      Filing::Field(*e) = random_key();
+      Filing::File(q, e, counts);
+      reference.insert(key_of(*e));
     } else {
       for (int p = 0; p < 3; ++p) {
         if (std::find(by_place[p].begin(), by_place[p].end(), e) != by_place[p].end()) {
-          ++(p == 0 ? erasures.inner : p == 1 ? erasures.head : erasures.sole);
+          ++(p == 0 ? counts.inner : p == 1 ? counts.head : counts.sole);
         }
       }
-      reference.erase(ByWeightDesc::Key(*e));
-      if (rng.Bernoulli(0.4)) {
-        q.Erase(e, -e->weight());
-      } else {
-        q.Erase(e, -e->weight());
-        e->weight() = random_weight();
-        q.Append(e);
-        reference.insert(ByWeightDesc::Key(*e));
+      reference.erase(key_of(*e));
+      q.Erase(e, KeyOf::RunKey(*e));
+      if (!rng.Bernoulli(0.4)) {
+        Filing::Field(*e) = random_key();
+        Filing::File(q, e, counts);
+        reference.insert(key_of(*e));
       }
     }
-    std::vector<Key> keys = ListKeys(q);
-    std::sort(keys.begin(), keys.end());
+    std::vector<Key> keys = ListKeys<typename Filing::List, KeyOf>(q);
+    if (!Filing::kByTid) {
+      std::sort(keys.begin(), keys.end());
+    }
     EXPECT_EQ(keys, std::vector<Key>(reference.begin(), reference.end())) << where;
     EXPECT_EQ(q.CheckIndex(), "") << where;
     if (::testing::Test::HasFailure()) {
@@ -151,28 +198,34 @@ Erasures RunRandomOps(bool small_weight_set, std::uint64_t seed) {
     }
   }
   q.Clear();
-  return erasures;
+  return counts;
 }
 
 TEST(WeightQueuePropertyTest, RandomOpsMatchReferenceSetOnLongTies) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Erasures erasures = RunRandomOps(/*small_weight_set=*/true, seed);
+    const Counts weight = RunRandomOps<WeightFiling>(/*small_key_set=*/true, seed);
+    const Counts start = RunRandomOps<StartTagFiling>(/*small_key_set=*/true, seed);
     if (HasFailure()) {
       return;
     }
-    EXPECT_GT(erasures.inner, 1000) << "seed " << seed;
-    EXPECT_GT(erasures.head, 500) << "seed " << seed;
-    EXPECT_GT(erasures.sole, 5) << "seed " << seed;
+    for (const Counts& counts : {weight, start}) {
+      EXPECT_GT(counts.inner, 1000) << "seed " << seed;
+      EXPECT_GT(counts.head, 500) << "seed " << seed;
+      EXPECT_GT(counts.sole, 5) << "seed " << seed;
+    }
+    EXPECT_GT(start.from_head, 1000) << "seed " << seed;
+    EXPECT_GT(start.from_tail, 500) << "seed " << seed;
+    EXPECT_GT(start.new_head, 300) << "seed " << seed;
   }
 }
 
 TEST(WeightQueuePropertyTest, RandomOpsMatchReferenceSetOnRandomWeights) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Erasures erasures = RunRandomOps(/*small_weight_set=*/false, seed);
+    const Counts counts = RunRandomOps<WeightFiling>(/*small_key_set=*/false, seed);
     if (HasFailure()) {
       return;
     }
-    EXPECT_GT(erasures.sole, 1000) << "seed " << seed;
+    EXPECT_GT(counts.sole, 1000) << "seed " << seed;
   }
 }
 
