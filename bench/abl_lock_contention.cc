@@ -291,8 +291,9 @@ SFS_EXPERIMENT(abl_lock_contention,
     reporter.Timing(prefix + "wake_to_dispatch_p99_us", w2d_p99_us);
     reporter.Timing(prefix + "mean_lock_wait_us", mean_wait_us);
     reporter.Timing(prefix + "kicks_per_wakeup", kicks_per_wakeup);
-    reporter.Metric(prefix + "wakeups", result.wakeups);
-    reporter.Metric(prefix + "dispatches", result.dispatches);
+    // Real-thread counts vary from run to run, so they are timings too.
+    reporter.Timing(prefix + "wakeups", static_cast<double>(result.wakeups));
+    reporter.Timing(prefix + "dispatches", static_cast<double>(result.dispatches));
     reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
     reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
   }

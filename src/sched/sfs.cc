@@ -26,8 +26,8 @@ Sfs::~Sfs() {
 
 void Sfs::RecomputeVirtualTime() const {
   double v = std::numeric_limits<double>::infinity();
-  for (const ClassHead& h : heads_) {
-    v = std::min(v, h.front_tag);
+  for (const HeadKey& k : keys_) {
+    v = std::min(v, k.front_tag);
   }
   v_ = v;
   v_stale_ = false;
@@ -49,9 +49,9 @@ void Sfs::SetWarp(ThreadId tid, double warp) {
 }
 
 Sfs::PhiClass* Sfs::FindClass(Weight phi, double warp_eff) {
-  for (const ClassHead& h : heads_) {
-    if (h.phi == phi && h.warp_eff == warp_eff) {
-      return h.cls;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i].phi == phi && keys_[i].warp_eff == warp_eff) {
+      return heads_[i].cls;
     }
   }
   return nullptr;
@@ -67,45 +67,53 @@ void Sfs::File(Entity& e, PhiClass* cls) {
       free_classes_.pop_back();
     }
     cls->head_pos = static_cast<std::uint32_t>(heads_.size());
-    ClassHead& head = heads_.emplace_back();
-    head.phi = e.phi();
-    head.warp_eff = e.warp_eff();
-    head.cls = cls;
+    heads_.emplace_back().cls = cls;
+    HeadKey& key = keys_.emplace_back();
+    key.phi = e.phi();
+    key.warp_eff = e.warp_eff();
+    MarkStale(*cls);
   }
   e.phi_class() = cls->slot;
   Link(*cls, e);
   ++filed_;
 }
 
-void Sfs::RefreshHead(ClassHead& h) {
-  // The front run's head is also the queue's front, which the class itself
-  // holds: its load need not wait for the run index's.
-  FindIdle(h, 0, h.cls->queue.front());
+void Sfs::MarkStale(PhiClass& cls) {
+  if (!cls.stale) {
+    cls.stale = true;
+    stale_.push_back(&cls);
+  }
 }
 
-void Sfs::FindIdle(ClassHead& h, std::size_t pos, Entity* from) {
+void Sfs::RefreshHead(HeadKey& key, ClassHead& h) {
+  // The front run's head is also the queue's front, which the class itself
+  // holds: its load need not wait for the run index's.
+  FindIdle(key, h, 0, h.cls->queue.front());
+}
+
+void Sfs::FindIdle(HeadKey& key, ClassHead& h, std::size_t pos, Entity* from) {
   PhiClass& cls = *h.cls;
-  h.stale = false;
   for (; pos < cls.queue.runs(); ++pos) {
     if (Entity* idle = cls.FirstIdle(pos, from); idle != nullptr) {
       h.idle = idle;
       h.idle_pos = static_cast<std::uint32_t>(pos);
-      h.idle_tag = cls.queue.run(pos).key;
+      key.idle_tag = cls.queue.run(pos).key;
       h.idle_tid = idle->tid;
       return;
     }
     from = cls.queue.RunEnd(pos);
   }
   h.idle = nullptr;
-  h.idle_tag = std::numeric_limits<double>::infinity();
+  key.idle_tag = std::numeric_limits<double>::infinity();
   h.idle_tid = kInvalidThread;
 }
 
 void Sfs::Link(PhiClass& cls, Entity& e) {
   const auto [pos, opens] = cls.queue.InsertByTid(&e, &filing_probes_);
-  ClassHead& head = heads_[cls.head_pos];
-  head.front_tag = cls.queue.run(0).key;
-  if (!head.stale) {
+  HeadKey& key = keys_[cls.head_pos];
+  key.front_tag = cls.queue.run(0).key;
+  if (!cls.stale) {
+    ClassHead& head = heads_[cls.head_pos];
     // Keep the idle candidate current: an idle e that precedes it takes its
     // place, and a run opened before it moves its run one position on.
     if (!e.running &&
@@ -113,7 +121,7 @@ void Sfs::Link(PhiClass& cls, Entity& e) {
          (pos == head.idle_pos && (opens || e.tid < head.idle_tid)))) {
       head.idle = &e;
       head.idle_pos = static_cast<std::uint32_t>(pos);
-      head.idle_tag = e.start_tag();
+      key.idle_tag = e.start_tag();
       head.idle_tid = e.tid;
     } else if (opens && head.idle != nullptr && pos <= head.idle_pos) {
       ++head.idle_pos;
@@ -125,17 +133,18 @@ void Sfs::Link(PhiClass& cls, Entity& e) {
 void Sfs::Unlink(PhiClass& cls, Entity& e) {
   const double s = e.start_tag();
   const std::size_t closed = cls.queue.Erase(&e, s, &filing_probes_);
+  HeadKey& key = keys_[cls.head_pos];
   ClassHead& head = heads_[cls.head_pos];
-  head.front_tag =
+  key.front_tag =
       cls.queue.empty() ? std::numeric_limits<double>::infinity() : cls.queue.run(0).key;
   // The idle candidate stays unless it is e (then the next one must be
   // found); a run closed before it moves its run one position back.
   if (&e == head.idle) {
-    head.stale = true;
+    MarkStale(cls);
   } else if (closed != PhiQueue::kNoRun && head.idle != nullptr && closed < head.idle_pos) {
     --head.idle_pos;
   }
-  if (s == v_ && head.front_tag != s) {
+  if (s == v_ && key.front_tag != s) {
     v_stale_ = true;  // e may have been the only thread at v
   }
 }
@@ -151,6 +160,8 @@ void Sfs::Unfile(Entity& e) {
   // Recycle the emptied class: capped phis take a fresh value on most
   // arrivals and exits, and mostly-blocked shards empty classes on almost
   // every block, so classes come and go all the time.
+  keys_[cls->head_pos] = keys_.back();
+  keys_.pop_back();
   heads_[cls->head_pos] = heads_.back();
   heads_[cls->head_pos].cls->head_pos = cls->head_pos;
   heads_.pop_back();
@@ -166,9 +177,9 @@ void Sfs::Refile(Entity& e) {
   ++refresh_repositions_;
   if (to == nullptr && from->queue.size() == 1) {
     // Sole member moving to a pair no class holds: relabel in place.
-    ClassHead& head = heads_[from->head_pos];
-    head.phi = e.phi();
-    head.warp_eff = e.warp_eff();
+    HeadKey& key = keys_[from->head_pos];
+    key.phi = e.phi();
+    key.warp_eff = e.warp_eff();
     return;
   }
   Unfile(e);
@@ -248,11 +259,11 @@ Entity* Sfs::Dispatching(Entity* e) {
   }
   PhiClass& cls = classes_[static_cast<std::size_t>(e->phi_class())];
   ClassHead& head = heads_[cls.head_pos];
-  if (!head.stale && head.idle == e) {
+  if (!cls.stale && head.idle == e) {
     // Every member before e runs, so the next candidate follows e.
-    FindIdle(head, head.idle_pos, cls.queue.next(e));
+    FindIdle(keys_[cls.head_pos], head, head.idle_pos, cls.queue.next(e));
   } else {
-    head.stale = true;
+    MarkStale(cls);
   }
   return e;
 }
@@ -352,8 +363,8 @@ bool Sfs::MaybeRebase(double v) {
         cls.queue.run(pos).key = tag;
       }
     }
-    h.front_tag = cls.queue.run(0).key;
-    h.stale = true;
+    keys_[cls.head_pos].front_tag = cls.queue.run(0).key;
+    MarkStale(cls);
   }
   v_stale_ = true;
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
@@ -377,21 +388,42 @@ void Sfs::MergeRuns(PhiClass& cls, std::size_t pos) {
 }
 
 Entity* Sfs::LeastSurplus(double v, double* surplus) {
+  for (PhiClass* cls : stale_) {
+    cls->stale = false;
+    if (!cls->queue.empty()) {
+      RefreshHead(keys_[cls->head_pos], heads_[cls->head_pos]);
+    }
+  }
+  stale_.clear();
   // A class's idle candidate has its least surplus: surplus is
   // non-decreasing along the class, and members of one run share theirs.
+  // One pass keeps the least head surplus, the first entry at it, and
+  // whether a later entry equals it.
   double least = std::numeric_limits<double>::infinity();
-  for (ClassHead& h : heads_) {
-    if (h.stale) {
-      RefreshHead(h);
+  std::size_t at = 0;
+  bool tied = false;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    const HeadKey& k = keys_[i];
+    const double s = k.phi * (k.idle_tag - v - k.warp_eff);
+    if (s < least) {
+      least = s;
+      at = i;
+      tied = false;
+    } else if (s == least) {
+      tied = true;
     }
-    least = std::min(least, h.phi * (h.idle_tag - v - h.warp_eff));
   }
   if (least == std::numeric_limits<double>::infinity()) {
     return nullptr;  // every runnable thread is running
   }
+  // No entry before `at` holds the least surplus; without a tie only `at`
+  // does.
+  const std::size_t end = tied ? heads_.size() : at + 1;
   Entity* best = nullptr;
-  for (const ClassHead& h : heads_) {
-    if (h.phi * (h.idle_tag - v - h.warp_eff) != least) {
+  for (std::size_t i = at; i < end; ++i) {
+    const HeadKey& k = keys_[i];
+    const ClassHead& h = heads_[i];
+    if (k.phi * (k.idle_tag - v - k.warp_eff) != least) {
       continue;
     }
     if (best == nullptr || h.idle_tid < best->tid) {
@@ -401,7 +433,7 @@ Entity* Sfs::LeastSurplus(double v, double* surplus) {
     // rounding tie is decided by tid, so walk the later runs sharing it.
     PhiClass& cls = *h.cls;
     for (std::size_t pos = h.idle_pos + 1; pos < cls.queue.runs(); ++pos) {
-      if (h.phi * (cls.queue.run(pos).key - v - h.warp_eff) != least) {
+      if (k.phi * (cls.queue.run(pos).key - v - k.warp_eff) != least) {
         break;
       }
       Entity* const e = cls.FirstIdle(pos, cls.queue.run(pos).head);
@@ -430,10 +462,11 @@ Entity* Sfs::ExactPick(CpuId cpu, double v) {
   const double window = head_surplus + static_cast<double>(config().affinity_tolerance);
   Entity* affine = nullptr;
   double affine_surplus = 0.0;
-  for (const ClassHead& h : heads_) {
-    PhiClass& cls = *h.cls;
+  for (std::size_t i = 0; i < heads_.size(); ++i) {
+    const HeadKey& k = keys_[i];
+    PhiClass& cls = *heads_[i].cls;
     for (std::size_t pos = 0; pos < cls.queue.runs(); ++pos) {
-      const double s = h.phi * (cls.queue.run(pos).key - v - h.warp_eff);
+      const double s = k.phi * (cls.queue.run(pos).key - v - k.warp_eff);
       if (s > window || (affine != nullptr && s > affine_surplus)) {
         break;
       }
@@ -456,22 +489,31 @@ std::string Sfs::CheckInvariants() const {
   const auto at = [](const char* what, std::int64_t index) {
     return std::string(what) + " " + std::to_string(index);
   };
+  std::vector<int> listed(classes_.size(), 0);  // stale_ entries by class slot
+  for (const PhiClass* cls : stale_) {
+    ++listed[static_cast<std::size_t>(cls->slot)];
+  }
   std::size_t filed = 0;
   for (std::size_t pos = 0; pos < heads_.size(); ++pos) {
+    const HeadKey& key = keys_[pos];
     const ClassHead& head = heads_[pos];
     const PhiClass& cls = *head.cls;
     if (cls.head_pos != pos || cls.queue.empty()) {
       return at("active phi class misfiled at slot", cls.slot);
     }
-    if (head.front_tag != cls.queue.front()->start_tag()) {
+    if (key.front_tag != cls.queue.front()->start_tag()) {
       return at("head table front tag differs from the class front at slot", cls.slot);
     }
-    if (!head.stale) {
+    if (listed[static_cast<std::size_t>(cls.slot)] != (cls.stale ? 1 : 0)) {
+      return at("stale mark disagrees with the stale list at slot", cls.slot);
+    }
+    if (!cls.stale) {
       // A fresh entry must hold what a scan finds now.
+      HeadKey scan_key = key;
       ClassHead scan = head;
-      RefreshHead(scan);
+      RefreshHead(scan_key, scan);
       if (scan.idle != head.idle || scan.idle_pos != head.idle_pos ||
-          scan.idle_tid != head.idle_tid || scan.idle_tag != head.idle_tag) {
+          scan.idle_tid != head.idle_tid || scan_key.idle_tag != key.idle_tag) {
         return at("head entry not marked stale holds an outdated idle candidate at slot",
                   cls.slot);
       }
@@ -488,15 +530,15 @@ std::string Sfs::CheckInvariants() const {
       if (!e->runnable || e->phi_class() != cls.slot) {
         return at("phi class files a blocked or foreign thread", e->tid);
       }
-      if (e->phi() != head.phi || e->warp_eff() != head.warp_eff) {
+      if (e->phi() != key.phi || e->warp_eff() != key.warp_eff) {
         return at("(phi, warp_eff) disagrees with its class for thread", e->tid);
       }
       prev = e;
     }
   }
   double least_front = std::numeric_limits<double>::infinity();
-  for (const ClassHead& head : heads_) {
-    least_front = std::min(least_front, head.front_tag);
+  for (const HeadKey& key : keys_) {
+    least_front = std::min(least_front, key.front_tag);
   }
   if (v_stale_ ? !(v_ <= least_front) : v_ != least_front) {
     return std::string(v_stale_ ? "stale cached virtual time " : "cached virtual time ") +

@@ -38,14 +38,16 @@
 //     start tags, so filing is Section 3.2's binary search, by tag, inside
 //     one class, unfiling a member that does not head its run searches
 //     nothing, and a walk visits run heads, never a run's tail, reading no
-//     entity to step.  A packed head table holds, per class, its (phi,
-//     warp_eff), its front start tag and its first not-running member (its
-//     idle candidate), which filing keeps current.  A decision is one pass
-//     over the table for the least head surplus and one for ties; the
-//     first rescans each class marked stale since the last decision (its
-//     candidate was unfiled, or a rebase or a decision that dispatched
-//     another member intervened; a rescan skips at most p running members),
-//     and the run index is walked only in classes tied at the least surplus:
+//     entity to step.  A head table holds, per class, its (phi, warp_eff),
+//     its front start tag and its first not-running member (its idle
+//     candidate), which filing keeps current; what a decision reads of it
+//     is packed 32 bytes to a class.  A decision first rescans each class
+//     marked stale since the last decision (its candidate was unfiled, or a
+//     rebase or a decision that dispatched another member intervened; a
+//     rescan skips at most p running members), then makes one pass over the
+//     packed keys for the least head surplus and the first class at it.
+//     Only an exact tie sends it back over the classes from that one, and
+//     the run index is walked only in classes at the least surplus:
 //     O(classes + p + rounding ties).  A charge
 //     re-files one thread within its class in O(log runs) probes (plus the
 //     index's shift), and a readjustment re-files only the threads whose phi
@@ -133,8 +135,9 @@ class Sfs : public GpsSchedulerBase {
   // (RunList::CheckIndex), and each filed thread is runnable and carries its
   // class's (phi, warp_eff); the head table has one entry per class, each
   // front tag is its class's front start tag, and each entry not marked
-  // stale holds the idle candidate, tid, tag and run a fresh scan finds; the
-  // cached v is the least front tag (at most it while marked stale); exactly
+  // stale holds the idle candidate, tid, tag and run a fresh scan finds; a
+  // class is marked exactly when it is on the stale list, once; the cached
+  // v is the least front tag (at most it while marked stale); exactly
   // the runnable threads are filed; the weight queue passes
   // GpsSchedulerBase::CheckWeightQueue; an uncapped thread's phi is its
   // requested weight; with readjustment on and more than p threads runnable,
@@ -190,12 +193,15 @@ class Sfs : public GpsSchedulerBase {
   // over the run index steps from one distinct surplus to the next without
   // visiting the members between.  The class's (phi, warp_eff) pair lives
   // in its head-table entry.  Two cache lines, the second holding the run
-  // index's inline slots, aligned to 128 bytes so that the hardware's
-  // adjacent-line prefetch brings them in together.
+  // index's inline slots (and, in its padding, the stale mark), aligned to
+  // 128 bytes so that the hardware's adjacent-line prefetch brings them in
+  // together.
   struct alignas(128) PhiClass {
     std::int32_t slot = 0;       // index in classes_ (Entity::phi_class)
     std::uint32_t head_pos = 0;  // index of its entry in heads_
     PhiQueue queue;
+    // Its idle candidate must be found afresh; the class is on stale_.
+    bool stale = false;
 
     // The first not-running member of run `pos` at or after `from` (a member
     // of that run, or its end), or nullptr.  Every running member is skipped
@@ -231,10 +237,11 @@ class Sfs : public GpsSchedulerBase {
   }
 
   // The not-running runnable thread with the least (fresh surplus, tid), or
-  // nullptr; `surplus` receives its surplus.  Refreshes the stale head
-  // entries while it takes the least head surplus in one pass over the head
-  // table; only classes whose head surplus equals it walk their run index,
-  // for rounding ties.
+  // nullptr; `surplus` receives its surplus.  Refreshes the classes marked
+  // stale, then takes the least head surplus and the first entry at it in
+  // one pass over the packed keys.  Later entries are revisited only when
+  // one tied that surplus exactly, and only classes at it walk their run
+  // index, for rounding ties.
   Entity* LeastSurplus(double v, double* surplus);
 
   // Returns `e`, the thread the decision dispatches (or nullptr), after
@@ -244,22 +251,24 @@ class Sfs : public GpsSchedulerBase {
   Entity* Dispatching(Entity* e);
 
  private:
-  // One entry per non-empty class, at the class's head_pos: what a decision
-  // reads of the class, packed so that v and the least head surplus are
-  // passes over contiguous memory.  `front_tag` is always current (Link,
-  // Unlink and MaybeRebase keep it); the idle candidate is current unless
-  // the entry is `stale`, and LeastSurplus refreshes a stale entry before it
-  // reads it.
-  struct ClassHead {
-    double front_tag = 0.0;  // queue.front()'s start tag
+  // One entry per non-empty class, at the class's head_pos, in two
+  // parallel arrays swap-removed together: what a decision's pass reads of
+  // the class, packed two to a cache line, and the rest.  `front_tag` is
+  // always current (Link, Unlink and MaybeRebase keep it); the idle
+  // candidate is current unless the class is marked stale, and
+  // LeastSurplus refreshes the marked classes before its pass.
+  struct HeadKey {
     Weight phi = 0.0;
     double warp_eff = 0.0;
     double idle_tag = 0.0;   // idle's start tag; +inf when every member runs
+    double front_tag = 0.0;  // queue.front()'s start tag
+  };
+  static_assert(sizeof(HeadKey) == 32, "two head keys per cache line");
+  struct ClassHead {
     Entity* idle = nullptr;  // the class's first not-running member
     PhiClass* cls = nullptr;
     ThreadId idle_tid = kInvalidThread;
     std::uint32_t idle_pos = 0;  // index of idle's run in cls->runs
-    bool stale = true;  // the idle candidate must be found afresh
   };
 
   // The non-empty class holding (phi, warp_eff), or nullptr.
@@ -281,13 +290,14 @@ class Sfs : public GpsSchedulerBase {
   void RecomputeVirtualTime() const;
   // Moves a filed entity whose (phi, warp_eff) changed to its new class.
   void Refile(Entity& e);
-  // Finds the idle candidate of h's class afresh (CheckInvariants runs it on
-  // a copy).
-  static void RefreshHead(ClassHead& h);
-  // Sets h's idle candidate to the first not-running member of its class at
-  // or after `from`, a member of run `pos` or that run's end, and marks h
-  // fresh.
-  static void FindIdle(ClassHead& h, std::size_t pos, Entity* from);
+  // Marks cls's idle candidate to be found afresh by the next decision.
+  void MarkStale(PhiClass& cls);
+  // Finds the idle candidate of the head entry (key, h) afresh
+  // (CheckInvariants runs it on a copy).
+  static void RefreshHead(HeadKey& key, ClassHead& h);
+  // Sets the idle candidate of (key, h) to the first not-running member of
+  // its class at or after `from`, a member of run `pos` or that run's end.
+  static void FindIdle(HeadKey& key, ClassHead& h, std::size_t pos, Entity* from);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
   // threshold: shifts every tag (runnable and blocked) down by the minimum start
@@ -308,10 +318,15 @@ class Sfs : public GpsSchedulerBase {
   // allocates nothing.
   std::deque<PhiClass> classes_;
   std::vector<PhiClass*> free_classes_;
-  // One entry per non-empty class.  File() finds a thread's class by
-  // scanning it: there are few distinct (phi, warp_eff) pairs in practice,
-  // and a decision reads every entry anyway.
+  // The head table, one entry per non-empty class in each.  File() finds a
+  // thread's class by scanning keys_: there are few distinct (phi,
+  // warp_eff) pairs in practice, and a decision reads every key anyway.
+  std::vector<HeadKey> keys_;
   std::vector<ClassHead> heads_;
+  // The classes marked stale since the last decision, each once (its
+  // `stale` bit), so the list never outgrows classes_; a class emptied
+  // meanwhile is skipped.
+  std::vector<PhiClass*> stale_;
   std::size_t filed_ = 0;  // runnable threads across all classes
   // The least front tag in heads_ (v while any thread is runnable; +inf when
   // nothing is filed), unless `v_stale_`: then only a lower bound, and the

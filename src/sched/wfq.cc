@@ -46,13 +46,17 @@ void Wfq::OnAdmit(Entity& e) {
 void Wfq::OnRemove(Entity& e) {
   if (e.runnable) {
     queue_.Erase(&e, e.finish_tag());
-    RetireWeight(e);
+    if (RetireWeight(e)) {
+      RepredictAll();
+    }
   }
 }
 
 void Wfq::OnBlocked(Entity& e) {
   queue_.Erase(&e, e.finish_tag());
-  RetireWeight(e);
+  if (RetireWeight(e)) {
+    RepredictAll();
+  }
   if (queue_.empty()) {
     idle_virtual_time_ = std::max(idle_virtual_time_, e.start_tag());
   }
@@ -60,7 +64,10 @@ void Wfq::OnBlocked(Entity& e) {
 
 void Wfq::OnWoken(Entity& e) {
   e.start_tag() = std::max(e.start_tag(), VirtualTime());
-  AdmitWeight(e);
+  if (AdmitWeight(e)) {
+    RepredictAll();  // as in OnAdmit: files e too
+    return;
+  }
   e.finish_tag() = PredictFinish(e);
   queue_.InsertByTid(&e);
 }

@@ -12,7 +12,8 @@
 //
 // The queue is a finish-tag RunList (run_list.h) filed by tid, so it is in
 // (F, tid) order.  Where a readjustment re-predicts every finish tag, the
-// queue is unfiled, re-predicted and filed again.
+// queue is unfiled, re-predicted and filed again, whichever path readjusted:
+// admission, wakeup, block, exit or a weight change.
 //
 // Flat only: no figure runs per-CPU WFQ, so it has no sched::Sharded variant.
 
@@ -43,6 +44,7 @@ class Wfq : public GpsSchedulerBase {
   CpuId SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) override;
 
   double VirtualTime() const;
+  double StartTag(ThreadId tid) const { return FindEntity(tid).start_tag(); }
   double FinishTag(ThreadId tid) const { return FindEntity(tid).finish_tag(); }
 
   // Audit for tests, O(runnable): CheckRunQueue on the finish-tag queue.

@@ -9,10 +9,12 @@
 // drain, which produced these exact values; the batched drain matched both
 // on every row before they were deleted.
 //
-// Exception: the kWfq rows were re-recorded when the per-CPU WFQ kind was
-// deleted.  The workload stopped drawing a sharded dimension for WFQ, which
-// shifts every later draw; the new rows equal what the earlier engine
-// produced for the same draws.
+// Exception: the kWfq rows were re-recorded twice.  First when the per-CPU
+// WFQ kind was deleted: the workload stopped drawing a sharded dimension for
+// WFQ, which shifts every later draw; the new rows equal what the earlier
+// engine produced for the same draws.  Then when WFQ began re-predicting its
+// queued finish tags after a readjustment that a wakeup, block or exit
+// causes (seeds 1, 4 and 5 moved).
 //
 // Regenerate only if a deliberate schedule-affecting change lands, never to
 // paper over an accidental one.
@@ -94,16 +96,16 @@ inline constexpr RecordedRun kRecordedRuns[] = {
      0x0d2d6386ffa7b2b4ULL, 704, 451, 174, 1846321, 59771},
     {sched::SchedKind::kSfq, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL,
      0xe9e9d6478924d54aULL, 1744, 1472, 183, 1180277, 156844},
-    {sched::SchedKind::kWfq, 1, 0xc04bc135d7809e74ULL, 0xfb6e61dce195998dULL,
-     0x8f5fcb978566d345ULL, 363, 320, 14, 142905, 100385},
+    {sched::SchedKind::kWfq, 1, 0x1fd801692a39bff5ULL, 0x5d9250d22e10918bULL,
+     0x0d6624c70b78d5fcULL, 362, 316, 8, 142905, 95630},
     {sched::SchedKind::kWfq, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL,
      0x47e82ba04236ab7eULL, 576, 452, 0, 22532237, 16271},
     {sched::SchedKind::kWfq, 3, 0x4318246981500cdfULL, 0x7c1478dd67cb20e5ULL,
      0xf273707ebd735321ULL, 93, 68, 5, 0, 2196},
-    {sched::SchedKind::kWfq, 4, 0xd0d385587271949dULL, 0x3f9dd6625f62299dULL,
-     0x2e96d82ba12b187dULL, 562, 443, 48, 2586000, 0},
-    {sched::SchedKind::kWfq, 5, 0x4f21f23033a7fe43ULL, 0xae1d104c5eb93674ULL,
-     0xcdebacf4e468be16ULL, 354, 230, 50, 1226789, 17640},
+    {sched::SchedKind::kWfq, 4, 0xcc7f00d470a513b2ULL, 0x179d74ebd5653456ULL,
+     0x3d7e949e9b129136ULL, 559, 443, 45, 2532569, 0},
+    {sched::SchedKind::kWfq, 5, 0x227095011b43142aULL, 0x62edf70706d13117ULL,
+     0xce716a55ef2c2736ULL, 343, 218, 26, 1269826, 18375},
     {sched::SchedKind::kWfq, 6, 0xd923e3d3b2d12d18ULL, 0x59865cb5e7e67236ULL,
      0xac477e4cc45bc71bULL, 1212, 1184, 6, 1034000, 173160},
     {sched::SchedKind::kTimeshare, 1, 0xca386a1064bacb97ULL, 0x0d27f79ffc00d613ULL,

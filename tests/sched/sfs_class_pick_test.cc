@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -325,6 +326,125 @@ TEST(SfsRoundingTieTest, WithinAClassTheLowerTidWins) {
   ASSERT_EQ(s.Surplus(1), s.Surplus(2));
   EXPECT_EQ(s.PeekExactPick(0), 1);
   EXPECT_EQ(s.PickNext(0), 1);
+}
+
+// The single-case tie tests below build their Model by hand: every thread
+// in `live`, warps by tid, the CPU each thread last ran on by tid.
+Model HandModel(const std::vector<ThreadId>& live,
+                const std::vector<std::pair<ThreadId, double>>& warps,
+                const std::vector<std::pair<ThreadId, CpuId>>& last_cpus) {
+  Model m;
+  m.live = live;
+  const auto size = static_cast<std::size_t>(*std::max_element(live.begin(), live.end())) + 1;
+  m.warp.assign(size, 0.0);
+  m.last_cpu.assign(size, kInvalidCpu);
+  for (const auto& [tid, warp] : warps) {
+    m.warp[static_cast<std::size_t>(tid)] = warp;
+  }
+  for (const auto& [tid, cpu] : last_cpus) {
+    m.last_cpu[static_cast<std::size_t>(tid)] = cpu;
+  }
+  return m;
+}
+
+// The audit passes and the pick on `cpu` equals the brute-force scan;
+// returns the scan's thread.
+ThreadId AuditedPick(Sfs& s, const Model& m, CpuId cpu, Tick tolerance = 0) {
+  EXPECT_EQ(s.CheckInvariants(), "");
+  const ThreadId want = BrutePick(s, m, cpu, tolerance);
+  EXPECT_EQ(s.PeekExactPick(cpu), want);
+  return want;
+}
+
+TEST(SfsTiePathTest, ExactTieAcrossClassesGoesToTheLowerTidInTheLaterClass) {
+  // Classes phi 1 (threads 9 and 5, opened first) and phi 2 (thread 2): with
+  // 9 running at v, candidates 5 and 2 have the surplus 1 * 10 ms = 2 * 5 ms.
+  // The pass meets phi 1 first, so thread 2 wins only through the tie rescan.
+  SchedConfig config;
+  config.num_cpus = 1;
+  Sfs s(config);
+  s.AddThread(9, 1.0);
+  s.AddThread(5, 1.0);
+  s.AddThread(2, 2.0);
+  ASSERT_EQ(s.PickNext(0), 2);
+  s.Charge(2, Msec(10));
+  ASSERT_EQ(s.PickNext(0), 5);
+  s.Charge(5, Msec(10));
+  ASSERT_EQ(s.PickNext(0), 9);  // stays running at v
+  ASSERT_EQ(s.phi_classes(), 2U);
+  ASSERT_EQ(s.Surplus(5), s.Surplus(2));
+  ASSERT_GT(s.Surplus(5), 0.0);
+  EXPECT_EQ(AuditedPick(s, HandModel({9, 5, 2}, {}, {}), 0), 2);
+}
+
+TEST(SfsTiePathTest, RoundingTieInALaterRunOfAClassAfterTheFirstAtTheLeast) {
+  // Class X (phi 2, warp kHugeWarp / 2; thread 7) precedes class Y (phi 1,
+  // warp kHugeWarp; threads 6 at v and 1 at v + 100) in the head table, and
+  // all three surpluses round to 1e19.  X holds the first least entry, Y
+  // ties it, and thread 1 wins only through Y's walk past its first run.
+  SchedConfig config;
+  config.num_cpus = 1;
+  Sfs s(config);
+  s.AddThread(7, 2.0);
+  s.AddThread(6, 1.0);
+  s.AddThread(1, 1.0);
+  ASSERT_EQ(s.PickNext(0), 1);
+  s.Charge(1, 100);  // S1 = v + 100
+  // X relabels 7's class in place; Y opens last and, when 6 leaves the
+  // emptied class, takes its place after X.
+  s.SetWarp(7, kHugeWarp / 2);
+  s.SetWarp(1, kHugeWarp);
+  s.SetWarp(6, kHugeWarp);
+  ASSERT_EQ(s.phi_classes(), 2U);
+  ASSERT_GT(s.StartTag(1), s.StartTag(6));
+  ASSERT_EQ(s.Surplus(7), s.Surplus(6));
+  ASSERT_EQ(s.Surplus(6), s.Surplus(1));
+  const Model m = HandModel({7, 6, 1}, {{7, kHugeWarp / 2}, {6, kHugeWarp}, {1, kHugeWarp}}, {});
+  EXPECT_EQ(AuditedPick(s, m, 0), 1);
+  EXPECT_EQ(s.PickNext(0), 1);
+  EXPECT_EQ(s.CheckInvariants(), "");
+}
+
+TEST(SfsTiePathTest, StaleEntryIsRefreshedBeforeItWins) {
+  // Class C holds threads 1, 2 and 3 at v, class D thread 4.  CPU 1's
+  // affinity window dispatches 2, which is not C's candidate (1), so C's
+  // entry goes stale; 1 then blocks.  The next pick must find C's candidate
+  // afresh, skipping the running 2: thread 3, ahead of D's 4.
+  constexpr Tick kTolerance = Msec(1);
+  SchedConfig config;
+  config.num_cpus = 2;
+  config.affinity_tolerance = kTolerance;
+  Sfs s(config);
+  s.AddThread(2, 1.0);
+  ASSERT_EQ(s.PickNext(1), 2);
+  s.Charge(2, 0);  // last ran on CPU 1, still at v
+  s.AddThread(1, 1.0);
+  s.AddThread(3, 1.0);
+  s.AddThread(4, 2.0);
+  ASSERT_EQ(s.phi_classes(), 2U);
+  const Model m = HandModel({1, 2, 3, 4}, {}, {{2, 1}});
+  ASSERT_EQ(AuditedPick(s, m, 1, kTolerance), 2);
+  ASSERT_EQ(s.PickNext(1), 2);
+  EXPECT_EQ(s.CheckInvariants(), "");
+  s.Block(1);
+  EXPECT_EQ(AuditedPick(s, m, 0, kTolerance), 3);
+  EXPECT_EQ(s.PickNext(0), 3);
+  EXPECT_EQ(s.CheckInvariants(), "");
+}
+
+TEST(SfsTiePathTest, EveryClassFullyRunningPicksNothing) {
+  SchedConfig config;
+  config.num_cpus = 2;
+  Sfs s(config);
+  s.AddThread(1, 1.0);
+  s.AddThread(2, 1.0);
+  s.SetWarp(2, 5.0);  // a class of its own
+  ASSERT_EQ(s.phi_classes(), 2U);
+  ASSERT_NE(s.PickNext(0), kInvalidThread);
+  ASSERT_NE(s.PickNext(1), kInvalidThread);
+  const Model m = HandModel({1, 2}, {{2, 5.0}}, {});
+  EXPECT_EQ(AuditedPick(s, m, 0), kInvalidThread);
+  EXPECT_EQ(AuditedPick(s, m, 1), kInvalidThread);
 }
 
 // Instances keep the names sorted_p<cpus> they had when the run queue was
