@@ -1,5 +1,7 @@
 #include "src/sched/scheduler.h"
 
+#include <new>
+
 #include "src/common/assert.h"
 
 namespace sfs::sched {
@@ -38,52 +40,73 @@ common::Mutex& Scheduler::DispatchMutex(CpuId cpu) {
   return dispatch_mu_;
 }
 
+Entity& Scheduler::EntityTable::Emplace(ThreadId tid) {
+  SFS_CHECK(tid >= 0);
+  const auto index = static_cast<std::size_t>(tid) / kChunkSize;
+  if (index >= chunks_.size()) {
+    chunks_.resize(index + 1);
+  }
+  std::unique_ptr<Chunk>& chunk = chunks_[index];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<Chunk>();
+    ++chunk_count_;
+  }
+  Entity& e = chunk->slots[static_cast<std::size_t>(tid) % kChunkSize];
+  // Duplicate tid — in a shared table, held by any shard.
+  SFS_CHECK(e.tid == kInvalidThread);
+  e.tid = tid;
+  ++chunk->filed;
+  return e;
+}
+
+void Scheduler::EntityTable::Erase(Entity& e) {
+  SFS_CHECK(Slot(e.tid) == &e);
+  std::unique_ptr<Chunk>& chunk = chunks_[static_cast<std::size_t>(e.tid) / kChunkSize];
+  if (--chunk->filed == 0) {
+    chunk.reset();
+    --chunk_count_;
+    return;
+  }
+  e.~Entity();
+  ::new (static_cast<void*>(&e)) Entity();
+}
+
 void Scheduler::ShareEntityTable(EntityTable& table) {
-  SFS_CHECK(live_.empty() && own_table_.empty());
+  SFS_CHECK(live_.empty() && own_table_.chunk_count() == 0);
   table_ = &table;
 }
 
 Entity* Scheduler::Lookup(ThreadId tid) const {
-  if (tid < 0 || static_cast<std::size_t>(tid) >= table_->size()) {
+  Entity* e = table_->Slot(tid);
+  if (e == nullptr || e->live_index < 0) {
     return nullptr;
   }
-  Entity* e = (*table_)[static_cast<std::size_t>(tid)].get();
-  // Every entity in an owned table is this scheduler's; a shared table's
-  // slot may hold a peer shard's.
-  if (e == nullptr || table_ == &own_table_) {
+  // Every live entity in an owned table is this scheduler's; a shared
+  // table's slot may hold a peer shard's.
+  if (table_ == &own_table_) {
     return e;
   }
   const auto row = static_cast<std::size_t>(e->live_index);
-  return e->live_index >= 0 && row < live_.size() && live_[row] == e ? e : nullptr;
+  return row < live_.size() && live_[row] == e ? e : nullptr;
 }
 
-void Scheduler::StoreEntity(std::unique_ptr<Entity> entity) {
-  Entity& e = *entity;
-  SFS_CHECK(e.tid >= 0);
-  EntityTable& table = *table_;
-  if (static_cast<std::size_t>(e.tid) >= table.size()) {
-    table.resize(static_cast<std::size_t>(e.tid) + 1);
-  }
-  // Duplicate tid — in a shared table, held by any shard.
-  SFS_CHECK(table[static_cast<std::size_t>(e.tid)] == nullptr);
+void Scheduler::StoreEntity(Entity& e) {
+  SFS_CHECK(table_->Slot(e.tid) == &e && e.live_index < 0);
   e.live_index = static_cast<std::int32_t>(live_.size());
   live_.push_back(&e);
-  table[static_cast<std::size_t>(e.tid)] = std::move(entity);
 }
 
-std::unique_ptr<Entity> Scheduler::ReleaseEntity(Entity& e) {
+void Scheduler::ReleaseEntity(Entity& e) {
   SFS_CHECK(e.live_index >= 0 &&
             static_cast<std::size_t>(e.live_index) < live_.size() &&
             live_[static_cast<std::size_t>(e.live_index)] == &e);
-  const auto row = static_cast<std::size_t>(e.live_index);
   // The hot row travels inside the entity; only the live list needs the
   // swap-and-pop.
   Entity* last = live_.back();
-  live_[row] = last;
+  live_[static_cast<std::size_t>(e.live_index)] = last;
   last->live_index = e.live_index;
   live_.pop_back();
   e.live_index = -1;
-  return std::move((*table_)[static_cast<std::size_t>(e.tid)]);
 }
 
 void Scheduler::AddThread(ThreadId tid, Weight weight) {
@@ -93,19 +116,17 @@ void Scheduler::AddThread(ThreadId tid, Weight weight) {
 void Scheduler::AddThread(ThreadId tid, Weight weight, CpuId home) {
   SFS_CHECK(tid != kInvalidThread);
   SFS_CHECK(IsValidWeight(weight));
-  auto entity = std::make_unique<Entity>();
-  entity->tid = tid;
-  entity->weight() = weight;
-  entity->phi() = weight;
-  entity->runnable = true;
+  Entity& e = table_->Emplace(tid);
+  e.weight() = weight;
+  e.phi() = weight;
+  e.runnable = true;
   // Placement hint: partition-aware policies admit to this shard instead of
   // their balanced choice (OnAdmit decides); flat policies never read it.
   if (home >= 0 && home < num_cpus()) {
-    entity->partition = home;
+    e.partition = home;
   }
-  Entity& e = *entity;
-  StoreEntity(std::move(entity));
-  runnable_count_.fetch_add(1, std::memory_order_relaxed);
+  StoreEntity(e);
+  AddRunnable(1);
   OnAdmit(e);
 }
 
@@ -113,10 +134,11 @@ void Scheduler::RemoveThread(ThreadId tid) {
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.running);
   if (e.runnable) {
-    runnable_count_.fetch_sub(1, std::memory_order_relaxed);
+    AddRunnable(-1);
   }
   OnRemove(e);
-  ReleaseEntity(e);  // drops the entity
+  ReleaseEntity(e);
+  table_->Erase(e);
 }
 
 void Scheduler::Block(ThreadId tid) {
@@ -124,7 +146,7 @@ void Scheduler::Block(ThreadId tid) {
   SFS_CHECK(e.runnable);
   SFS_CHECK(!e.running);
   e.runnable = false;
-  runnable_count_.fetch_sub(1, std::memory_order_relaxed);
+  AddRunnable(-1);
   OnBlocked(e);
 }
 
@@ -132,7 +154,7 @@ void Scheduler::Wakeup(ThreadId tid) {
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.runnable);
   e.runnable = true;
-  runnable_count_.fetch_add(1, std::memory_order_relaxed);
+  AddRunnable(1);
   OnWoken(e);
 }
 
@@ -182,24 +204,22 @@ CpuId Scheduler::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elap
   return kInvalidCpu;
 }
 
-std::unique_ptr<Entity> Scheduler::DetachEntity(ThreadId tid) {
+Entity& Scheduler::DetachEntity(ThreadId tid) {
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.running);
   if (e.runnable) {
-    runnable_count_.fetch_sub(1, std::memory_order_relaxed);
+    AddRunnable(-1);
   }
   OnRemove(e);  // the policy dequeues it; all entity fields survive
-  return ReleaseEntity(e);
+  ReleaseEntity(e);
+  return e;
 }
 
-void Scheduler::AttachEntity(std::unique_ptr<Entity> entity) {
-  SFS_CHECK(entity != nullptr);
-  Entity& e = *entity;
-  SFS_CHECK(e.tid != kInvalidThread);
+void Scheduler::AttachEntity(Entity& e) {
   SFS_CHECK(!e.running);
-  StoreEntity(std::move(entity));
+  StoreEntity(e);  // CHECKs that `e` is filed in this table and detached
   if (e.runnable) {
-    runnable_count_.fetch_add(1, std::memory_order_relaxed);
+    AddRunnable(1);
     OnAttach(e);
   }
   // A blocked entity needs no policy action until Wakeup.

@@ -61,15 +61,17 @@
 //         dispatch path, a reader-preferring rwlock (glibc's default) can
 //         starve wakeups for seconds.
 //   * Entity-table reads under a single dispatch lock: a sharded host's
-//     shards share one tid-indexed table (sched::Sharded), and a migration
-//     between two shards rewrites the migrant's slot under those two
-//     shards' mutexes only.  A holder of LockDispatch(cpu) alone may
-//     therefore read the slot of a tid that cpu's shard currently holds —
-//     every write to that slot needs the lock it holds — but never the slot
-//     of a tid that may have left the shard since the lock was last
-//     released: to ask whether such a tid is still here, walk the shard's
-//     own runnable queue (GpsSchedulerBase::FindRunnable).  The table's
-//     size changes only in AddThread, under the exclusive lifecycle lock.
+//     shards share one tid-addressed table (sched::Sharded).  A migration
+//     between two shards leaves the migrant in its slot and rewrites only
+//     ownership — the migrant's live_index and both shards' live lists —
+//     under those two shards' mutexes.  A holder of LockDispatch(cpu) alone
+//     may therefore look up a tid that cpu's shard currently holds — every
+//     write to that entity needs the lock it holds — but never a tid that
+//     may have left the shard since the lock was last released: to ask
+//     whether such a tid is still here, walk the shard's own runnable queue
+//     (GpsSchedulerBase::FindRunnable).  Chunks are allocated and freed
+//     only in AddThread and RemoveThread, under the exclusive lifecycle
+//     lock.
 //   * Lock order: dispatch mutexes are only ever *waited on* in ascending
 //     CPU-id order (LockLifecycle and the sharded steal path both follow
 //     this; out-of-order acquisitions use try_lock), so no cycle of blocking
@@ -210,17 +212,22 @@ class Scheduler {
   // --- Migration protocol (sched::Sharded) ------------------------------------
   //
   // A sharded host moves a thread between two uniprocessor scheduler instances
-  // by detaching its entity from the source (which dequeues it and forgets it,
-  // but preserves every field: weight, tags, runnable/blocked state, cumulative
+  // that share one entity table (ShareEntityTable) by detaching its entity
+  // from the source (which dequeues it and drops it from its live list, but
+  // preserves every field: weight, tags, runnable/blocked state, cumulative
   // service), re-expressing the tags in the destination's virtual time, and
-  // attaching it to the destination.  The thread must not be running.
+  // attaching it to the destination.  Only ownership changes hands: the
+  // entity stays in its table slot, at the same address, throughout.  The
+  // thread must not be running.
 
-  // Removes `tid` from this scheduler and returns its entity intact.
-  std::unique_ptr<Entity> DetachEntity(ThreadId tid);
+  // Removes `tid` from this scheduler's live list and returns its entity,
+  // intact and still filed in the table.
+  Entity& DetachEntity(ThreadId tid);
 
-  // Adopts a detached entity, preserving its (already translated) tags.  The
-  // tid must be unused here.  Runnable entities are enqueued via OnAttach.
-  void AttachEntity(std::unique_ptr<Entity> entity);
+  // Adopts an entity detached from a scheduler sharing this one's table,
+  // preserving its (already translated) tags.  Runnable entities are
+  // enqueued via OnAttach.
+  void AttachEntity(Entity& e);
 
   // This scheduler's virtual timeline origin for tag translation: the GPS
   // policies return their system virtual time (minimum start tag over
@@ -240,6 +247,9 @@ class Scheduler {
   ThreadId RunningOn(CpuId cpu) const;
   int runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
   int thread_count() const { return static_cast<int>(live_.size()); }
+  // Chunks the entity table holds (a shard reports its host's shared table).
+  // For tests: churn through fresh tids must free chunks, not accumulate them.
+  std::size_t entity_chunks() const { return table_->chunk_count(); }
 
   // Conservative-epoch synchronization hook (sim::ParallelEngine): invoked
   // once per epoch boundary, single-threaded, with every worker parked at the
@@ -321,9 +331,48 @@ class Scheduler {
   // The sharded host points its shards at its shared table.
   friend class ShardedScheduler;
 
-  // ThreadId-indexed entity slots (tids are dense small integers; a vector
-  // index beats a hash probe on every Charge/Block/Wakeup).
-  using EntityTable = std::vector<std::unique_ptr<Entity>>;
+  // The tid-addressed entity store, where a thread's scheduling state lives
+  // for its whole life, as in a kernel task struct (Section 3.1).  Tids are
+  // dense small integers, so chunk tid / 64 of a directory holds the entity
+  // of `tid` at slot tid % 64: a lookup is an index computation, not a
+  // pointer chase through a per-entity allocation.  A chunk is allocated
+  // with its first entity and freed with its last, so memory under churn
+  // through fresh tids is bounded by the chunks live tids fall in.  A slot
+  // holds a filed entity iff its `tid` is set; an unfiled slot holds a
+  // default Entity, so a tid filed again starts from default state.
+  class EntityTable {
+   public:
+    // The slot of `tid`, filed or not; nullptr when its chunk is not
+    // allocated (or `tid` is negative).
+    Entity* Slot(ThreadId tid) const {
+      const auto index = static_cast<std::size_t>(tid) / kChunkSize;
+      if (index >= chunks_.size() || chunks_[index] == nullptr) {
+        return nullptr;
+      }
+      return &chunks_[index]->slots[static_cast<std::size_t>(tid) % kChunkSize];
+    }
+
+    // Files a default Entity under `tid` (allocating its chunk) and returns
+    // it.  CHECK-fails if `tid` is negative or already filed.
+    Entity& Emplace(ThreadId tid);
+
+    // Unfiles `e`, resetting its slot to a default Entity, and frees its
+    // chunk if `e` was the chunk's last filed entity.
+    void Erase(Entity& e);
+
+    std::size_t chunk_count() const { return chunk_count_; }
+    // One past the largest tid any allocated chunk could file.
+    std::size_t tid_bound() const { return chunks_.size() * kChunkSize; }
+
+   private:
+    static constexpr std::size_t kChunkSize = 64;
+    struct Chunk {
+      Entity slots[kChunkSize];
+      int filed = 0;
+    };
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::size_t chunk_count_ = 0;
+  };
 
   // Files this scheduler's entities in `table` instead of its own.  Only
   // before the first entity is stored.
@@ -332,27 +381,42 @@ class Scheduler {
   // The entity filed under `tid` if this scheduler holds it, else nullptr.
   Entity* Lookup(ThreadId tid) const;
 
-  // Files `entity` under its tid and into the live list.
-  void StoreEntity(std::unique_ptr<Entity> entity);
-  // Unfiles `e` (swap-and-pop on the live list) and returns its ownership.
-  std::unique_ptr<Entity> ReleaseEntity(Entity& e);
+  // Adds `delta` to runnable_count_ (see its comment).
+  void AddRunnable(int delta) {
+    if (concurrent_count_writers_) {
+      runnable_count_.fetch_add(delta, std::memory_order_relaxed);
+    } else {
+      runnable_count_.store(runnable_count_.load(std::memory_order_relaxed) + delta,
+                            std::memory_order_relaxed);
+    }
+  }
+
+  // Appends filed entity `e` to the live list.
+  void StoreEntity(Entity& e);
+  // Drops `e` from the live list (swap-and-pop); it stays filed.
+  void ReleaseEntity(Entity& e);
 
   SchedConfig config_;
   // The entity table: `own_table_` for a flat scheduler; for a shard of
   // sched::Sharded, the host's table, which files every shard's entities,
-  // so memory is O(t + p) rather than O(t x p).  A slot is this scheduler's
-  // only if the live list below files it (Lookup checks through
-  // live_index), which keeps a peer shard's entity invisible here.
+  // so memory is O(t + p) rather than O(t x p).  In an owned table a filed
+  // slot is this scheduler's iff its live_index is set (it is cleared only
+  // by DetachEntity); in a shared table only if the live list below holds it
+  // at that row, which keeps a peer shard's entity invisible here.
   EntityTable own_table_;
   EntityTable* table_ = &own_table_;
   // The dense set of this scheduler's entities, for iteration and ownership.
   std::vector<Entity*> live_;
   std::vector<ThreadId> running_;
-  // Relaxed atomic: Block/Wakeup run under per-shard dispatch mutexes in the
-  // parallel engine, so increments on different shards race as plain ints.
-  // The count itself needs no cross-shard ordering — readers want a tally,
-  // not a synchronization point.
+  // Relaxed atomic, read lock-free (the executor's kick test).  A flat
+  // scheduler's writers are serialized by its one dispatch mutex and a
+  // shard's by its own, so they update it with a plain load and store.  A
+  // sharded host's Block/Wakeup run concurrently under different home
+  // shards' mutexes (the sanctioned relaxation), so the host
+  // (`concurrent_count_writers_`) keeps a locked read-modify-write.  Readers
+  // want a tally, not a synchronization point.
   std::atomic<int> runnable_count_{0};
+  bool concurrent_count_writers_ = false;
 
   // Concurrency contract state; untouched unless a driver uses the Lock* API.
   mutable common::Mutex dispatch_mu_;

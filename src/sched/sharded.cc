@@ -18,6 +18,7 @@ void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double couplin
 
 ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_shard)
     : Scheduler(config) {
+  concurrent_count_writers_ = true;
   SFS_CHECK(config.shard_rebalance_period >= 0);
   SFS_CHECK(config.shard_coupling >= 0.0 && config.shard_coupling <= 1.0);
   SchedConfig shard_config = config;
@@ -61,6 +62,14 @@ CpuId ShardedScheduler::SuggestPreemption(ThreadId woken, const std::vector<Tick
   shard.elapsed_scratch[0] = elapsed[static_cast<std::size_t>(home)];
   const CpuId inner = shard.scheduler->SuggestPreemption(woken, shard.elapsed_scratch);
   return inner == 0 ? home : kInvalidCpu;
+}
+
+std::int64_t ShardedScheduler::steals() const {
+  std::int64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->steals.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 CpuId ShardedScheduler::ShardOf(ThreadId tid) const { return FindEntity(tid).partition; }
@@ -299,8 +308,8 @@ ThreadId ShardedScheduler::TrySteal(CpuId thief) {
   // may since have moved it on between two other shards.  (Always valid
   // single-threaded, where nothing ran in between.)  Checked by walking the
   // source's own runnable queue, which the victim lock held here guards: the
-  // nominee's slot in the shared entity table, and its outer entity, may be
-  // being rewritten under locks we do not hold.
+  // nominee's ownership in the shared entity table, and its outer entity,
+  // may be being rewritten under locks we do not hold.
   const Entity* nominee = ShardAt(victim.shard).scheduler->FindRunnable(victim.tid);
   if (nominee == nullptr || nominee->running) {
     return kInvalidThread;
@@ -335,17 +344,23 @@ void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
   // source's virtual time (it may hold the minimum tag).
   const double v_src = src.LocalVirtualTime();
   const double v_dst = dst.LocalVirtualTime();
-  std::unique_ptr<Entity> inner = src.DetachEntity(tid);
-  SFS_CHECK(inner->runnable && !inner->running);
-  TranslateMigratedTags(*inner, v_src, v_dst, config().shard_coupling);
-  dst.AttachEntity(std::move(inner));
+  Entity& inner = src.DetachEntity(tid);
+  SFS_CHECK(inner.runnable && !inner.running);
+  TranslateMigratedTags(inner, v_src, v_dst, config().shard_coupling);
+  dst.AttachEntity(inner);
   Entity& outer = FindEntity(tid);
   AddRunnableWeight(ShardAt(from), -outer.weight());
   AddRunnableWeight(ShardAt(to), outer.weight());
   SyncShardBits(from);
   SyncShardBits(to);
   outer.partition = to;
-  (steal ? steals_ : rebalance_migrations_).fetch_add(1, std::memory_order_relaxed);
+  if (steal) {
+    // Only the thief's mutex holder (held here) writes its count.
+    std::atomic<std::int64_t>& steals = ShardAt(to).steals;
+    steals.store(steals.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  } else {
+    rebalance_migrations_.fetch_add(1, std::memory_order_relaxed);
+  }
   // Both migration kinds execute on `to`'s dispatch path (the thief, or the
   // rebalancing dispatcher pulling work), so recording into ring `to`
   // preserves the one-writer-per-ring contract.
@@ -385,19 +400,16 @@ std::string ShardedScheduler::CheckInvariants() const {
   std::vector<double> weights(shards_.size(), 0.0);
   bool integral = true;
   int filed = 0;
-  for (std::size_t slot = 0; slot < entities_.size(); ++slot) {
-    const Entity* e = entities_[slot].get();
+  for (std::size_t slot = 0; slot < entities_.tid_bound(); ++slot) {
     const auto tid = static_cast<ThreadId>(slot);
-    if (e == nullptr) {
+    const Entity* e = entities_.Slot(tid);
+    if (e == nullptr || e->tid == kInvalidThread) {
       if (Contains(tid)) {
         return at("no shard files live thread", tid);
       }
       continue;
     }
     ++filed;
-    if (e->tid != tid) {
-      return at("entity filed under another tid at slot", tid);
-    }
     CpuId holder = kInvalidCpu;
     for (CpuId cpu = 0; cpu < num_cpus(); ++cpu) {
       if (ShardAt(cpu).scheduler->Contains(tid)) {

@@ -64,13 +64,15 @@
 // Entity table: the host keeps its own (outer) entities in its Scheduler
 // table, and every shard files its inner entities in one table the host
 // owns (Scheduler::ShareEntityTable), so memory is O(t + p), not O(t x p).
-// A shard's lookups confirm ownership through its own live list.  The slot
-// of a migrating thread is rewritten under the source's and destination's
-// mutexes only, so a holder of one shard's mutex must never read the slot of
-// a tid that may have left that shard: TrySteal re-validates its nominee,
-// which may have moved between two *other* shards since it was nominated,
-// by walking the source's runnable queue (GpsSchedulerBase::FindRunnable),
-// which the held source lock guards.
+// A shard's lookups confirm ownership through its own live list.  A
+// migration never moves the inner entity: it stays in its tid's slot, and
+// only ownership — its live_index and the two shards' live lists — is
+// rewritten, under the source's and destination's mutexes only.  So a
+// holder of one shard's mutex must never look up a tid that may have left
+// that shard: TrySteal re-validates its nominee, which may have moved
+// between two *other* shards since it was nominated, by walking the
+// source's runnable queue (GpsSchedulerBase::FindRunnable), which the held
+// source lock guards.
 //
 // Concurrency: this layer implements the per-shard half of the Scheduler
 // thread-safety contract.  DispatchMutex(cpu) is the shard's own mutex, so
@@ -127,7 +129,8 @@ class ShardedScheduler : public Scheduler {
 
   // --- counters / introspection ------------------------------------------------
 
-  std::int64_t steals() const override { return steals_.load(std::memory_order_relaxed); }
+  // Summed over the thieves' per-shard counts: O(p).
+  std::int64_t steals() const override;
   std::int64_t shard_migrations() const override {
     return rebalance_migrations_.load(std::memory_order_relaxed);
   }
@@ -214,6 +217,9 @@ class ShardedScheduler : public Scheduler {
     // Stealable with its processor busy: counted in `steal_sources_`.
     // Guarded by `mu`.
     bool steal_source = false;
+    // Steals this shard made as the thief.  Written under `mu` only, read
+    // lock-free by steals().
+    std::atomic<std::int64_t> steals{0};
   };
 
   using Bitmap = std::vector<std::atomic<std::uint64_t>>;
@@ -292,7 +298,6 @@ class ShardedScheduler : public Scheduler {
   // Shards whose `steal_source` is set.
   std::atomic<int> steal_sources_{0};
   std::atomic<int> decisions_since_rebalance_{0};
-  std::atomic<std::int64_t> steals_{0};
   std::atomic<std::int64_t> rebalance_migrations_{0};
 };
 

@@ -21,7 +21,8 @@ static_assert(static_cast<int>(SchedEvent::kArrival) ==
 Engine::Engine(sched::Scheduler& scheduler, EngineConfig config)
     : scheduler_(scheduler),
       config_(config),
-      trace_(config.trace) {
+      trace_(config.trace),
+      steals_at_ctor_(scheduler.steals()) {
   cpus_.resize(static_cast<std::size_t>(scheduler.num_cpus()));
   for (auto& cpu : cpus_) {
     cpu.idle_since = 0;
@@ -401,9 +402,7 @@ void Engine::Dispatch(sched::CpuId cpu_id) {
   if ((scheduler_.PickMask(word) & bit) == 0) {
     return;  // the pick could only come up empty, changing nothing
   }
-  const std::int64_t scheduler_steals_before = scheduler_.steals();
   const sched::ThreadId tid = scheduler_.PickNext(cpu_id);
-  steals_ += scheduler_.steals() - scheduler_steals_before;
   if (tid == sched::kInvalidThread) {
     // Stay idle; idle_since was set when the CPU was freed (or at start).
     return;

@@ -159,9 +159,10 @@ class Engine {
   // Dispatches that moved a task to a different processor than it last ran on
   // (cache-cold starts; the affinity extension reduces these).
   std::int64_t migrations() const { return migrations_; }
-  // Idle-pull steals the scheduler performed while serving this engine's
-  // dispatches (sharded policies; zero for flat schedulers).
-  std::int64_t steals() const { return steals_; }
+  // Idle-pull steals the scheduler performed during this engine's lifetime
+  // (sharded policies; zero for flat schedulers).  Steals happen only inside
+  // PickNext, which only this engine calls while it runs.
+  std::int64_t steals() const { return scheduler_.steals() - steals_at_ctor_; }
   // Processor time consumed by context switches so far, including the consumed
   // part of any in-flight switch window (so the capacity identity
   // service + idle + switch cost == p * elapsed holds at any instant).
@@ -243,6 +244,7 @@ class Engine {
   sched::Scheduler& scheduler_;
   EngineConfig config_;
   obs::Trace* trace_;  // == config_.trace; nullptr when tracing is off
+  std::int64_t steals_at_ctor_;
   // Resolved from config_.metrics at construction (registry lookups lock;
   // the event loop must not).  Null when metrics are off.
   obs::LogHistogram* quantum_hist_ = nullptr;
@@ -269,7 +271,6 @@ class Engine {
   std::int64_t dispatches_ = 0;
   std::int64_t preemptions_ = 0;
   std::int64_t migrations_ = 0;
-  std::int64_t steals_ = 0;
   std::int64_t events_processed_ = 0;
   Tick total_ctx_cost_ = 0;
 };

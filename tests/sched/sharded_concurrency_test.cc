@@ -151,6 +151,84 @@ TEST(ShardedConcurrencyTest, ConcurrentDispatchersKeepStateConsistent) {
   scheduler.Charge(tid, 10);
 }
 
+TEST(ShardedConcurrencyTest, HomeShardWakeupsKeepCountsExact) {
+  // The sanctioned relaxation alone: one thread per home shard blocks and
+  // wakes that shard's threads under LockDispatch(home), so the host's
+  // Block/Wakeup run concurrently under different shards' mutexes, while a
+  // poller reads the counters lock-free.  Every count must come out exact.
+  SchedConfig config;
+  config.num_cpus = 4;
+  config.shard_steal = ShardStealPolicy::kMaxSurplus;
+  Sharded<Sfs> scheduler(config);
+  constexpr ThreadId kThreads = 32;
+  {
+    auto guard = scheduler.LockLifecycle();
+    for (ThreadId tid = 0; tid < kThreads; ++tid) {
+      scheduler.AddThread(tid, 1.0 + tid % 3, /*home=*/tid % config.num_cpus);
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> counts_in_range{true};
+  std::thread poller([&] {
+    while (!stop.load()) {
+      const int runnable = scheduler.runnable_count();
+      if (runnable < 0 || runnable > kThreads || scheduler.steals() != 0) {
+        counts_in_range.store(false);
+      }
+      std::this_thread::yield();
+    }
+  });
+  // Round r toggles the shard's (r % 8)-th thread: the first four threads
+  // end toggled 25,001 times (blocked), the last four 25,000 times.  A lost
+  // update of the host's count needs two home threads inside it at once, so
+  // they start together and run long enough to overlap.
+  constexpr int kRounds = 8 * 25'000 + 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> homes;
+  for (CpuId cpu = 0; cpu < config.num_cpus; ++cpu) {
+    homes.emplace_back([&, cpu] {
+      ready.fetch_add(1);
+      while (ready.load() < config.num_cpus) {
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        const ThreadId tid = cpu + config.num_cpus * (round % (kThreads / config.num_cpus));
+        auto guard = scheduler.LockDispatch(cpu);
+        if (scheduler.IsRunnable(tid)) {
+          scheduler.Block(tid);
+        } else {
+          scheduler.Wakeup(tid);
+        }
+      }
+    });
+  }
+  for (auto& home : homes) {
+    home.join();
+  }
+  stop.store(true);
+  poller.join();
+  EXPECT_TRUE(counts_in_range.load());
+
+  // Single-threaded from here on: recompute the runnable set.
+  int runnable = 0;
+  std::vector<int> per_shard(static_cast<std::size_t>(config.num_cpus), 0);
+  for (ThreadId tid = 0; tid < kThreads; ++tid) {
+    ASSERT_EQ(scheduler.ShardOf(tid), tid % config.num_cpus);
+    if (scheduler.IsRunnable(tid)) {
+      ++runnable;
+      ++per_shard[static_cast<std::size_t>(tid % config.num_cpus)];
+    }
+  }
+  EXPECT_EQ(runnable, kThreads / 2);
+  EXPECT_EQ(scheduler.runnable_count(), runnable);
+  for (CpuId cpu = 0; cpu < config.num_cpus; ++cpu) {
+    EXPECT_EQ(scheduler.shard(cpu).runnable_count(), per_shard[static_cast<std::size_t>(cpu)])
+        << "shard " << cpu;
+  }
+  EXPECT_EQ(scheduler.steals(), 0);
+  EXPECT_EQ(scheduler.CheckInvariants(), "");
+}
+
 TEST(ShardedConcurrencyTest, FlatSchedulerSerializesDispatchUnderOneMutex) {
   // The base-class half of the contract: flat policies hand every CPU the same
   // dispatch mutex, so two dispatchers' critical sections never overlap.
