@@ -40,6 +40,14 @@ common::Mutex& Scheduler::DispatchMutex(CpuId cpu) {
   return dispatch_mu_;
 }
 
+Scheduler::EntityTable::Chunk::~Chunk() {
+  for (std::size_t i = 0; i < kChunkSize; ++i) {
+    if ((filed >> i & 1) != 0) {
+      slots[i].entity.~Entity();
+    }
+  }
+}
+
 Entity& Scheduler::EntityTable::Emplace(ThreadId tid) {
   SFS_CHECK(tid >= 0);
   const auto index = static_cast<std::size_t>(tid) / kChunkSize;
@@ -51,24 +59,25 @@ Entity& Scheduler::EntityTable::Emplace(ThreadId tid) {
     chunk = std::make_unique<Chunk>();
     ++chunk_count_;
   }
-  Entity& e = chunk->slots[static_cast<std::size_t>(tid) % kChunkSize];
+  const std::uint64_t bit = std::uint64_t{1} << (static_cast<std::size_t>(tid) % kChunkSize);
   // Duplicate tid — in a shared table, held by any shard.
-  SFS_CHECK(e.tid == kInvalidThread);
-  e.tid = tid;
-  ++chunk->filed;
-  return e;
+  SFS_CHECK((chunk->filed & bit) == 0);
+  chunk->filed |= bit;
+  Entity* e = ::new (&chunk->slots[static_cast<std::size_t>(tid) % kChunkSize].entity) Entity();
+  e->tid = tid;
+  return *e;
 }
 
 void Scheduler::EntityTable::Erase(Entity& e) {
   SFS_CHECK(Slot(e.tid) == &e);
-  std::unique_ptr<Chunk>& chunk = chunks_[static_cast<std::size_t>(e.tid) / kChunkSize];
-  if (--chunk->filed == 0) {
+  const auto tid = static_cast<std::size_t>(e.tid);
+  std::unique_ptr<Chunk>& chunk = chunks_[tid / kChunkSize];
+  e.~Entity();
+  chunk->filed &= ~(std::uint64_t{1} << (tid % kChunkSize));
+  if (chunk->filed == 0) {
     chunk.reset();
     --chunk_count_;
-    return;
   }
-  e.~Entity();
-  ::new (static_cast<void*>(&e)) Entity();
 }
 
 void Scheduler::ShareEntityTable(EntityTable& table) {
@@ -78,16 +87,13 @@ void Scheduler::ShareEntityTable(EntityTable& table) {
 
 Entity* Scheduler::Lookup(ThreadId tid) const {
   Entity* e = table_->Slot(tid);
-  if (e == nullptr || e->live_index < 0) {
-    return nullptr;
-  }
-  // Every live entity in an owned table is this scheduler's; a shared
+  // Every entity filed in an owned table is this scheduler's; a shared
   // table's slot may hold a peer shard's.
-  if (table_ == &own_table_) {
+  if (e == nullptr || table_ == &own_table_) {
     return e;
   }
   const auto row = static_cast<std::size_t>(e->live_index);
-  return row < live_.size() && live_[row] == e ? e : nullptr;
+  return e->live_index >= 0 && row < live_.size() && live_[row] == e ? e : nullptr;
 }
 
 void Scheduler::StoreEntity(Entity& e) {
@@ -126,7 +132,7 @@ void Scheduler::AddThread(ThreadId tid, Weight weight, CpuId home) {
     e.partition = home;
   }
   StoreEntity(e);
-  AddRunnable(1);
+  runnable_count_.fetch_add(1, std::memory_order_relaxed);
   OnAdmit(e);
 }
 
@@ -134,7 +140,7 @@ void Scheduler::RemoveThread(ThreadId tid) {
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.running);
   if (e.runnable) {
-    AddRunnable(-1);
+    runnable_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   OnRemove(e);
   ReleaseEntity(e);
@@ -146,7 +152,7 @@ void Scheduler::Block(ThreadId tid) {
   SFS_CHECK(e.runnable);
   SFS_CHECK(!e.running);
   e.runnable = false;
-  AddRunnable(-1);
+  runnable_count_.fetch_sub(1, std::memory_order_relaxed);
   OnBlocked(e);
 }
 
@@ -154,7 +160,7 @@ void Scheduler::Wakeup(ThreadId tid) {
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.runnable);
   e.runnable = true;
-  AddRunnable(1);
+  runnable_count_.fetch_add(1, std::memory_order_relaxed);
   OnWoken(e);
 }
 
@@ -205,10 +211,11 @@ CpuId Scheduler::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elap
 }
 
 Entity& Scheduler::DetachEntity(ThreadId tid) {
+  SFS_CHECK(table_ != &own_table_);  // migrations are between shared-table peers
   Entity& e = FindEntity(tid);
   SFS_CHECK(!e.running);
   if (e.runnable) {
-    AddRunnable(-1);
+    runnable_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   OnRemove(e);  // the policy dequeues it; all entity fields survive
   ReleaseEntity(e);
@@ -219,7 +226,7 @@ void Scheduler::AttachEntity(Entity& e) {
   SFS_CHECK(!e.running);
   StoreEntity(e);  // CHECKs that `e` is filed in this table and detached
   if (e.runnable) {
-    AddRunnable(1);
+    runnable_count_.fetch_add(1, std::memory_order_relaxed);
     OnAttach(e);
   }
   // A blocked entity needs no policy action until Wakeup.

@@ -221,7 +221,8 @@ class Scheduler {
   // thread must not be running.
 
   // Removes `tid` from this scheduler's live list and returns its entity,
-  // intact and still filed in the table.
+  // intact and still filed in the table.  CHECK-fails unless this scheduler
+  // files in a shared table.
   Entity& DetachEntity(ThreadId tid);
 
   // Adopts an entity detached from a scheduler sharing this one's table,
@@ -338,26 +339,28 @@ class Scheduler {
   // pointer chase through a per-entity allocation.  A chunk is allocated
   // with its first entity and freed with its last, so memory under churn
   // through fresh tids is bounded by the chunks live tids fall in.  A slot
-  // holds a filed entity iff its `tid` is set; an unfiled slot holds a
-  // default Entity, so a tid filed again starts from default state.
+  // holds a constructed entity only while it is filed, as the chunk's
+  // `filed` mask records, so a tid filed again starts from default state.
   class EntityTable {
    public:
-    // The slot of `tid`, filed or not; nullptr when its chunk is not
-    // allocated (or `tid` is negative).
+    // The entity filed under `tid`; nullptr when none is (or `tid` is
+    // negative).  Reads the chunk's mask, not the entity.
     Entity* Slot(ThreadId tid) const {
       const auto index = static_cast<std::size_t>(tid) / kChunkSize;
       if (index >= chunks_.size() || chunks_[index] == nullptr) {
         return nullptr;
       }
-      return &chunks_[index]->slots[static_cast<std::size_t>(tid) % kChunkSize];
+      Chunk& chunk = *chunks_[index];
+      const auto bit = static_cast<std::size_t>(tid) % kChunkSize;
+      return (chunk.filed >> bit & 1) != 0 ? &chunk.slots[bit].entity : nullptr;
     }
 
-    // Files a default Entity under `tid` (allocating its chunk) and returns
-    // it.  CHECK-fails if `tid` is negative or already filed.
+    // Constructs a default Entity under `tid` (allocating its chunk) and
+    // returns it.  CHECK-fails if `tid` is negative or already filed.
     Entity& Emplace(ThreadId tid);
 
-    // Unfiles `e`, resetting its slot to a default Entity, and frees its
-    // chunk if `e` was the chunk's last filed entity.
+    // Unfiles and destroys `e`, and frees its chunk if `e` was the chunk's
+    // last filed entity.
     void Erase(Entity& e);
 
     std::size_t chunk_count() const { return chunk_count_; }
@@ -366,10 +369,21 @@ class Scheduler {
 
    private:
     static constexpr std::size_t kChunkSize = 64;
-    struct Chunk {
-      Entity slots[kChunkSize];
-      int filed = 0;
+    // Storage for one entity, constructed only while filed.
+    union Cell {
+      Cell() {}
+      ~Cell() {}
+      Entity entity;
     };
+    struct Chunk {
+      // User-provided, so allocating a chunk constructs no entity.
+      Chunk() {}
+      ~Chunk();
+      // Bit i is set while slots[i] holds a filed entity.
+      std::uint64_t filed = 0;
+      Cell slots[kChunkSize];
+    };
+    static_assert(sizeof(Cell) == sizeof(Entity), "a slot is one entity");
     std::vector<std::unique_ptr<Chunk>> chunks_;
     std::size_t chunk_count_ = 0;
   };
@@ -381,16 +395,6 @@ class Scheduler {
   // The entity filed under `tid` if this scheduler holds it, else nullptr.
   Entity* Lookup(ThreadId tid) const;
 
-  // Adds `delta` to runnable_count_ (see its comment).
-  void AddRunnable(int delta) {
-    if (concurrent_count_writers_) {
-      runnable_count_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      runnable_count_.store(runnable_count_.load(std::memory_order_relaxed) + delta,
-                            std::memory_order_relaxed);
-    }
-  }
-
   // Appends filed entity `e` to the live list.
   void StoreEntity(Entity& e);
   // Drops `e` from the live list (swap-and-pop); it stays filed.
@@ -399,24 +403,20 @@ class Scheduler {
   SchedConfig config_;
   // The entity table: `own_table_` for a flat scheduler; for a shard of
   // sched::Sharded, the host's table, which files every shard's entities,
-  // so memory is O(t + p) rather than O(t x p).  In an owned table a filed
-  // slot is this scheduler's iff its live_index is set (it is cleared only
-  // by DetachEntity); in a shared table only if the live list below holds it
-  // at that row, which keeps a peer shard's entity invisible here.
+  // so memory is O(t + p) rather than O(t x p).  Every entity filed in an
+  // owned table is this scheduler's (only a shared table's can be detached);
+  // one in a shared table only if the live list below holds it at its
+  // live_index, which keeps a peer shard's entity invisible here.
   EntityTable own_table_;
   EntityTable* table_ = &own_table_;
   // The dense set of this scheduler's entities, for iteration and ownership.
   std::vector<Entity*> live_;
   std::vector<ThreadId> running_;
-  // Relaxed atomic, read lock-free (the executor's kick test).  A flat
-  // scheduler's writers are serialized by its one dispatch mutex and a
-  // shard's by its own, so they update it with a plain load and store.  A
-  // sharded host's Block/Wakeup run concurrently under different home
-  // shards' mutexes (the sanctioned relaxation), so the host
-  // (`concurrent_count_writers_`) keeps a locked read-modify-write.  Readers
-  // want a tally, not a synchronization point.
+  // Relaxed atomic: Block/Wakeup run under per-shard dispatch mutexes in the
+  // parallel engine, so increments on different shards race as plain ints.
+  // The count itself needs no cross-shard ordering — readers want a tally,
+  // not a synchronization point.
   std::atomic<int> runnable_count_{0};
-  bool concurrent_count_writers_ = false;
 
   // Concurrency contract state; untouched unless a driver uses the Lock* API.
   mutable common::Mutex dispatch_mu_;

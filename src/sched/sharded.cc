@@ -18,7 +18,6 @@ void TranslateMigratedTags(Entity& e, double v_src, double v_dst, double couplin
 
 ShardedScheduler::ShardedScheduler(const SchedConfig& config, ShardFactory make_shard)
     : Scheduler(config) {
-  concurrent_count_writers_ = true;
   SFS_CHECK(config.shard_rebalance_period >= 0);
   SFS_CHECK(config.shard_coupling >= 0.0 && config.shard_coupling <= 1.0);
   SchedConfig shard_config = config;
@@ -62,14 +61,6 @@ CpuId ShardedScheduler::SuggestPreemption(ThreadId woken, const std::vector<Tick
   shard.elapsed_scratch[0] = elapsed[static_cast<std::size_t>(home)];
   const CpuId inner = shard.scheduler->SuggestPreemption(woken, shard.elapsed_scratch);
   return inner == 0 ? home : kInvalidCpu;
-}
-
-std::int64_t ShardedScheduler::steals() const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->steals.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 CpuId ShardedScheduler::ShardOf(ThreadId tid) const { return FindEntity(tid).partition; }
@@ -354,13 +345,7 @@ void ShardedScheduler::Migrate(ThreadId tid, CpuId from, CpuId to, bool steal) {
   SyncShardBits(from);
   SyncShardBits(to);
   outer.partition = to;
-  if (steal) {
-    // Only the thief's mutex holder (held here) writes its count.
-    std::atomic<std::int64_t>& steals = ShardAt(to).steals;
-    steals.store(steals.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  } else {
-    rebalance_migrations_.fetch_add(1, std::memory_order_relaxed);
-  }
+  (steal ? steals_ : rebalance_migrations_).fetch_add(1, std::memory_order_relaxed);
   // Both migration kinds execute on `to`'s dispatch path (the thief, or the
   // rebalancing dispatcher pulling work), so recording into ring `to`
   // preserves the one-writer-per-ring contract.
@@ -403,7 +388,7 @@ std::string ShardedScheduler::CheckInvariants() const {
   for (std::size_t slot = 0; slot < entities_.tid_bound(); ++slot) {
     const auto tid = static_cast<ThreadId>(slot);
     const Entity* e = entities_.Slot(tid);
-    if (e == nullptr || e->tid == kInvalidThread) {
+    if (e == nullptr) {
       if (Contains(tid)) {
         return at("no shard files live thread", tid);
       }

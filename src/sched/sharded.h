@@ -129,8 +129,7 @@ class ShardedScheduler : public Scheduler {
 
   // --- counters / introspection ------------------------------------------------
 
-  // Summed over the thieves' per-shard counts: O(p).
-  std::int64_t steals() const override;
+  std::int64_t steals() const override { return steals_.load(std::memory_order_relaxed); }
   std::int64_t shard_migrations() const override {
     return rebalance_migrations_.load(std::memory_order_relaxed);
   }
@@ -217,9 +216,6 @@ class ShardedScheduler : public Scheduler {
     // Stealable with its processor busy: counted in `steal_sources_`.
     // Guarded by `mu`.
     bool steal_source = false;
-    // Steals this shard made as the thief.  Written under `mu` only, read
-    // lock-free by steals().
-    std::atomic<std::int64_t> steals{0};
   };
 
   using Bitmap = std::vector<std::atomic<std::uint64_t>>;
@@ -298,6 +294,7 @@ class ShardedScheduler : public Scheduler {
   // Shards whose `steal_source` is set.
   std::atomic<int> steal_sources_{0};
   std::atomic<int> decisions_since_rebalance_{0};
+  std::atomic<std::int64_t> steals_{0};
   std::atomic<std::int64_t> rebalance_migrations_{0};
 };
 

@@ -151,5 +151,12 @@ TEST(EntityTableDeathTest, DuplicateTidAcrossShards) {
   EXPECT_DEATH(s.AddThread(1, 1.0), "CHECK failed");
 }
 
+TEST(EntityTableDeathTest, FlatSchedulerCannotDetach) {
+  // A flat scheduler's lookups trust every entity filed in its own table.
+  Sfs flat(Config(1));
+  flat.AddThread(1, 1.0);
+  EXPECT_DEATH(flat.DetachEntity(1), "CHECK failed");
+}
+
 }  // namespace
 }  // namespace sfs::sched
