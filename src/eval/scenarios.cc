@@ -9,10 +9,10 @@
 #include "src/common/assert.h"
 #include "src/common/fingerprint.h"
 #include "src/common/rng.h"
+#include "src/eval/gms.h"
 #include "src/eval/heuristic_sfs.h"
 #include "src/metrics/fairness.h"
 #include "src/metrics/service_sampler.h"
-#include "src/sched/gms.h"
 #include "src/sched/sfs.h"
 #include "src/sim/engine.h"
 #include "src/sim/parallel_engine.h"
@@ -45,7 +45,7 @@ SeriesResult CollectSeries(const metrics::ServiceSampler& sampler, std::string s
 }
 
 // Mirrors every scheduler-visible lifecycle event of `engine` into `gms`.
-void MirrorIntoGms(sim::Engine& engine, sched::GmsReference& gms) {
+void MirrorIntoGms(sim::Engine& engine, GmsReference& gms) {
   engine.SetSchedEventHook([&gms](sim::SchedEvent event, const sim::Task& task, Tick now) {
     switch (event) {
       case sim::SchedEvent::kArrival:
@@ -75,10 +75,7 @@ void FingerprintRuns(sim::Engine& engine, common::Fnv1a& fingerprint,
         if (intervals != nullptr) {
           ++*intervals;
         }
-        fingerprint.Mix(static_cast<std::uint64_t>(start));
-        fingerprint.Mix(static_cast<std::uint64_t>(len));
-        fingerprint.Mix(static_cast<std::uint64_t>(cpu));
-        fingerprint.Mix(static_cast<std::uint64_t>(tid));
+        fingerprint.MixRun(start, len, cpu, tid);
       });
 }
 
@@ -311,7 +308,7 @@ double GmsDeviationForArrivals(sched::SchedKind kind, const std::vector<TimedArr
   config.fixed_point_digits = fixed_point_digits;
   auto scheduler = CreateScheduler(kind, config);
   sim::Engine engine(*scheduler);
-  sched::GmsReference gms(cpus);
+  GmsReference gms(cpus);
 
   MirrorIntoGms(engine, gms);
 
@@ -370,36 +367,18 @@ RunScalingResult RunScaling(int threads, int cpus, Tick horizon, std::uint64_t s
   result.wall_ns_per_decision =
       result.decisions > 0 ? static_cast<double>(wall) / static_cast<double>(result.decisions) : 0.0;
 
-  // GMS fluid reference in closed form: the runnable set is static (all Inf
-  // threads from t=0), so A_i^GMS = min(1, p * phi_i / sum phi) * horizon with
-  // phi from one readjustment pass over the weights.
-  std::vector<std::size_t> order(weights.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
+  // The runnable set is static (all Inf threads from t=0), so one
+  // readjustment pass and one integration give A_i^GMS.
+  GmsReference gms(cpus);
+  for (int i = 0; i < threads; ++i) {
+    gms.AddThread(static_cast<ThreadId>(i + 1), weights[static_cast<std::size_t>(i)], 0);
   }
-  std::sort(order.begin(), order.end(), [&weights](std::size_t a, std::size_t b) {
-    if (weights[a] != weights[b]) {
-      return weights[a] > weights[b];
-    }
-    return a < b;
-  });
-  std::vector<double> sorted_weights;
-  sorted_weights.reserve(weights.size());
-  for (std::size_t idx : order) {
-    sorted_weights.push_back(weights[idx]);
-  }
-  const std::vector<double> phi = sched::ReadjustVector(sorted_weights, cpus);
-  double phi_sum = 0.0;
-  for (double f : phi) {
-    phi_sum += f;
-  }
+  gms.AdvanceTo(horizon);
   double max_dev = 0.0;
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const double rate = std::min(1.0, static_cast<double>(cpus) * phi[pos] / phi_sum);
-    const double fluid = rate * static_cast<double>(horizon);
-    const auto tid = static_cast<ThreadId>(order[pos] + 1);
+  for (int i = 0; i < threads; ++i) {
+    const auto tid = static_cast<ThreadId>(i + 1);
     const double actual = static_cast<double>(engine.ServiceIncludingRunning(tid));
-    max_dev = std::max(max_dev, std::abs(actual - fluid));
+    max_dev = std::max(max_dev, std::abs(actual - gms.Service(tid)));
   }
   result.gms_deviation_ms = max_dev / 1000.0;
   return result;
@@ -422,9 +401,7 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
   common::Fnv1a life_fp;
   engine.SetSchedEventHook(
       [&life_fp](sim::SchedEvent event, const sim::Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
+        life_fp.MixEvent(event, task.tid(), now);
       });
 
   // A couple of background hogs keep every dispatch path exercised without
@@ -538,17 +515,12 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
     engine.SetRunIntervalHook(
         [&run_fps, group_of_cpu](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
           common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(cpu));
-          fp.Mix(static_cast<std::uint64_t>(tid));
+          fp.MixRun(start, len, cpu, tid);
         });
     engine.SetSchedEventHook(
         [&life_fps, group_of_cpu](sim::SchedEvent event, const sim::Task& task, Tick now) {
           common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
+          fp.MixEvent(event, task.tid(), now);
         });
     for (auto& [at, task] : arrivals) {
       engine.AddTaskAt(at, std::move(task));
@@ -577,18 +549,13 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
         [&run_fps, group_of_cpu](int /*worker*/, Tick start, Tick len, sched::CpuId cpu,
                                  ThreadId tid) {
           common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(cpu));
-          fp.Mix(static_cast<std::uint64_t>(tid));
+          fp.MixRun(start, len, cpu, tid);
         });
     engine.SetSchedEventHook(
         [&life_fps, group_of_cpu](int /*worker*/, sim::SchedEvent event,
                                   const sim::Task& task, Tick now) {
           common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
+          fp.MixEvent(event, task.tid(), now);
         });
     for (auto& [at, task] : arrivals) {
       engine.AddTaskAt(at, std::move(task));
@@ -631,7 +598,7 @@ ShardedFairnessResult RunShardedFairness(std::string_view policy,
   engine_config.metrics = sinks.metrics;
   sim::Engine engine(*scheduler, engine_config);
   engine.ReserveTasks(static_cast<std::size_t>(threads));
-  sched::GmsReference gms(config.num_cpus);
+  GmsReference gms(config.num_cpus);
 
   MirrorIntoGms(engine, gms);
 
@@ -648,8 +615,9 @@ ShardedFairnessResult RunShardedFairness(std::string_view policy,
 
   // Roles: every 8th thread up to a cap is an interactive sleeper, every 4th
   // a terminator (exits after a fraction of its fair-share service — the GMS
-  // mirror is O(t log t) per event, so the event-generating bands are capped
-  // while the hog population scales with `threads`).  The rest are hogs.
+  // mirror walks every runnable thread on each event, O(t) per event, so the
+  // event-generating bands are capped while the hog population scales with
+  // `threads`).  The rest are hogs.
   const int sleeper_cap = std::min(threads / 8, 16);
   std::vector<ThreadId> hogs;
   int sleepers = 0;

@@ -7,53 +7,6 @@
 
 namespace sfs::sched {
 
-std::vector<double> ReadjustVector(const std::vector<double>& weights, int num_cpus) {
-  SFS_CHECK(num_cpus >= 1);
-  for (std::size_t i = 1; i < weights.size(); ++i) {
-    SFS_CHECK(weights[i - 1] >= weights[i]);  // must be sorted descending
-  }
-  std::vector<double> result = weights;
-  // With at most p runnable threads every thread can be granted a full processor;
-  // the recursion's tail case degenerates (empty remainder), so the closest
-  // feasible assignment is simply equal shares.
-  if (result.size() <= static_cast<std::size_t>(num_cpus)) {
-    for (auto& w : result) {
-      w = 1.0;
-    }
-    return result;
-  }
-  // Iterative, single-pass form of the Figure 2 recursion.  The recursion's
-  // downward phase tests thread i against the suffix sum of the *original*
-  // weights from i on with p - i processors left; the literal transcription
-  // recomputed that suffix at every level, costing O(capped * n).  One running
-  // sum (`rem`, the suffix at index i, maintained by subtracting each capped
-  // weight) makes the capped-prefix scan O(capped); the scan stops at the
-  // first feasible thread, all smaller weights being feasible too.
-  const std::size_t n = result.size();
-  double rem = 0.0;
-  for (double w : result) {
-    rem += w;
-  }
-  std::size_t capped = 0;
-  int p = num_cpus;
-  while (capped < n && p > 1 && result[capped] * static_cast<double>(p) > rem) {
-    // Feasibility constraint (Equation 1): w_i / suffix <= 1/p.
-    rem -= result[capped];
-    ++capped;
-    --p;
-  }
-  // Upward phase (the paper assigns bottom-up, after the recursive call
-  // returns): thread i receives the suffix sum of the *readjusted* weights
-  // after it, divided by its remaining processors minus one.  `rem` at this
-  // point is exactly that suffix for the deepest capped index; accumulating
-  // each fresh assignment keeps it correct walking back to index 0.
-  for (std::size_t i = capped; i-- > 0;) {
-    result[i] = rem / static_cast<double>(num_cpus - static_cast<int>(i) - 1);
-    rem += result[i];
-  }
-  return result;
-}
-
 void ReadjustState::Forget(Entity& e) {
   if (!e.capped) {
     return;

@@ -19,17 +19,16 @@
 // at 1/p each).  This is what makes a 1:10 assignment on two processors behave as
 // 1:1 (Figure 4(b), interval [0, 15s)).
 //
-// Two implementations are provided and cross-checked by property tests:
-//   * `ReadjustVector` — the vector form used by the GMS fluid baseline: a
-//     single O(n) pass (one running suffix sum) equivalent to the Figure 2
-//     recursion, whose verbatim transcription lives on as the parity oracle in
-//     tests/sched/readjust_test.cc (Figure2Reference);
-//   * `ReadjustQueue` — the production form used by the schedulers: iterative,
-//     early-exiting, operating in place on the weight-sorted entity queue.
-//     That queue (`WeightQueue`, weight_queue.h) keeps descending weight
-//     order but no order inside a run of equal weights.  The capped prefix
-//     is whole runs unless rounding ends it inside one; the pass then caps
-//     that run's lowest tids, so it caps what a (weight, tid) order would.
+// One implementation serves every caller: `ReadjustQueue`, iterative and
+// early-exiting, operating in place on the weight-sorted entity queue that the
+// schedulers and the GMS fluid reference (eval::GmsReference) each keep.  That
+// queue (`WeightQueue`, weight_queue.h) keeps descending weight order but no
+// order inside a run of equal weights.  The capped prefix is whole runs unless
+// rounding ends it inside one; the pass then caps that run's lowest tids, so
+// it caps what a (weight, tid) order would.  All capped threads receive one
+// value, T / (p - k); the verbatim Figure 2 recursion, which assigns each cap
+// bottom-up and so can differ from it in the final ulp, is the parity oracle
+// in tests (tests/sched/figure2_reference.h).
 
 #ifndef SFS_SCHED_READJUST_H_
 #define SFS_SCHED_READJUST_H_
@@ -40,14 +39,6 @@
 #include "src/sched/weight_queue.h"
 
 namespace sfs::sched {
-
-// Single-pass O(n) equivalent of the Figure 2 recursion.  `weights` must be
-// sorted in descending order; returns the instantaneous weights in the same
-// order.  `num_cpus` is p >= 1.  Summation order differs from the literal
-// recursion (one running suffix vs per-index rescans), so results are
-// bit-identical for exactly-summing (e.g. integer-valued) weights and equal
-// to final-ulp rounding otherwise.
-std::vector<double> ReadjustVector(const std::vector<double>& weights, int num_cpus);
 
 // Persistent bookkeeping that makes each readjustment pass O(p): the set of
 // currently capped entities (at most p), so former caps can be restored without

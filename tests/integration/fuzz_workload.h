@@ -107,17 +107,12 @@ struct RunObserver {
   std::string violation;
 
   void OnRunInterval(Tick start, Tick len, sched::CpuId cpu, sched::ThreadId tid) {
-    run_fp.Mix(static_cast<std::uint64_t>(start));
-    run_fp.Mix(static_cast<std::uint64_t>(len));
-    run_fp.Mix(static_cast<std::uint64_t>(cpu));
-    run_fp.Mix(static_cast<std::uint64_t>(tid));
+    run_fp.MixRun(start, len, cpu, tid);
     Audit("run interval", tid, start + len);
   }
 
   void OnSchedEvent(sim::SchedEvent event, const sim::Task& task, Tick now) {
-    life_fp.Mix(static_cast<std::uint64_t>(event));
-    life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-    life_fp.Mix(static_cast<std::uint64_t>(now));
+    life_fp.MixEvent(event, task.tid(), now);
     constexpr const char* kNames[] = {"arrival", "departure", "block", "wakeup"};
     Audit(kNames[static_cast<int>(event)], task.tid(), now);
   }

@@ -12,7 +12,6 @@
 #include "src/eval/scenarios.h"
 #include "src/metrics/fairness.h"
 #include "src/metrics/service_sampler.h"
-#include "src/sched/gms.h"
 #include "src/sim/engine.h"
 #include "src/workload/workloads.h"
 #include "tests/sched_kind_param_name.h"

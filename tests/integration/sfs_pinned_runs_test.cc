@@ -105,15 +105,10 @@ std::pair<std::uint64_t, std::uint64_t> RunPinned(const RunCase& c) {
   common::Fnv1a run_fp;
   common::Fnv1a life_fp;
   engine.SetRunIntervalHook([&run_fp](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-    run_fp.Mix(static_cast<std::uint64_t>(start));
-    run_fp.Mix(static_cast<std::uint64_t>(len));
-    run_fp.Mix(static_cast<std::uint64_t>(cpu));
-    run_fp.Mix(static_cast<std::uint64_t>(tid));
+    run_fp.MixRun(start, len, cpu, tid);
   });
   engine.SetSchedEventHook([&life_fp](sim::SchedEvent event, const sim::Task& task, Tick now) {
-    life_fp.Mix(static_cast<std::uint64_t>(event));
-    life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-    life_fp.Mix(static_cast<std::uint64_t>(now));
+    life_fp.MixEvent(event, task.tid(), now);
   });
 
   ThreadId next_tid = 1;

@@ -1,14 +1,20 @@
 // Tests for the weight readjustment algorithm (Section 2.1, Figure 2).
+//
+// Every case drives sched::ReadjustQueue, most through ReadjustWeights (a
+// weight vector filed on a queue, readjusted, read back in queue order); the
+// parity cases hold it to the literal Figure 2 recursion.
 
 #include "src/sched/readjust.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "tests/sched/figure2_reference.h"
 
 namespace sfs::sched {
 namespace {
@@ -16,258 +22,6 @@ namespace {
 constexpr double kEps = 1e-9;
 
 double Sum(const std::vector<double>& v) { return std::accumulate(v.begin(), v.end(), 0.0); }
-
-// --- ReadjustVector: the Figure 2 reference ------------------------------------
-
-TEST(ReadjustVectorTest, FeasibleAssignmentUnchanged) {
-  // 1:1:2 on two processors is feasible (2/4 == 1/2, not greater).
-  const std::vector<double> w = {2.0, 1.0, 1.0};
-  EXPECT_EQ(ReadjustVector(w, 2), w);
-}
-
-TEST(ReadjustVectorTest, PaperExample1Weights) {
-  // Example 1: w = {10, 1} on 2 CPUs.  t <= p: both get equal instantaneous
-  // weights (each can consume at most one processor).
-  const auto phi = ReadjustVector({10.0, 1.0}, 2);
-  ASSERT_EQ(phi.size(), 2u);
-  EXPECT_DOUBLE_EQ(phi[0], phi[1]);
-}
-
-TEST(ReadjustVectorTest, SingleInfeasibleThreadCapped) {
-  // {10, 1, 1, 1, 1} on 2 CPUs: 10/14 > 1/2 -> capped to share exactly 1/2.
-  const auto phi = ReadjustVector({10.0, 1.0, 1.0, 1.0, 1.0}, 2);
-  const double total = Sum(phi);
-  EXPECT_NEAR(phi[0] / total, 0.5, kEps);
-  for (std::size_t i = 1; i < phi.size(); ++i) {
-    EXPECT_DOUBLE_EQ(phi[i], 1.0);  // feasible weights never change
-  }
-}
-
-TEST(ReadjustVectorTest, TwoInfeasibleThreadsOnFourCpus) {
-  // {100, 50, 1, 1, 1, 1} on 4 CPUs: both heavy threads exceed 1/4.
-  const auto phi = ReadjustVector({100.0, 50.0, 1.0, 1.0, 1.0, 1.0}, 4);
-  const double total = Sum(phi);
-  EXPECT_NEAR(phi[0] / total, 0.25, kEps);
-  EXPECT_NEAR(phi[1] / total, 0.25, kEps);
-  EXPECT_DOUBLE_EQ(phi[0], phi[1]);  // all capped threads share one value
-  for (std::size_t i = 2; i < phi.size(); ++i) {
-    EXPECT_DOUBLE_EQ(phi[i], 1.0);
-  }
-}
-
-TEST(ReadjustVectorTest, BoundaryShareExactlyOneOverPIsFeasible) {
-  // Share == 1/p satisfies Equation 1 (not a violation).
-  const std::vector<double> w = {2.0, 1.0, 1.0};  // 2/4 == 1/2 on 2 CPUs
-  const auto phi = ReadjustVector(w, 2);
-  EXPECT_EQ(phi, w);
-}
-
-TEST(ReadjustVectorTest, UniprocessorNeverReadjusts) {
-  // On one CPU every assignment is feasible (w_i / sum <= 1 always).
-  const std::vector<double> w = {100.0, 1.0, 1.0};
-  EXPECT_EQ(ReadjustVector(w, 1), w);
-}
-
-TEST(ReadjustVectorTest, FewerThreadsThanCpusAllEqual) {
-  const auto phi = ReadjustVector({7.0, 3.0, 2.0}, 4);
-  EXPECT_DOUBLE_EQ(phi[0], phi[1]);
-  EXPECT_DOUBLE_EQ(phi[1], phi[2]);
-}
-
-TEST(ReadjustVectorTest, BlockingMakesFeasibleInfeasible) {
-  // The Section 2.1 example: 1:1:2 feasible on 2 CPUs; when a weight-1 thread
-  // blocks, {2, 1} remains (t == p) and must become equal shares.
-  const auto before = ReadjustVector({2.0, 1.0, 1.0}, 2);
-  EXPECT_DOUBLE_EQ(before[0], 2.0);
-  const auto after = ReadjustVector({2.0, 1.0}, 2);
-  EXPECT_DOUBLE_EQ(after[0], after[1]);
-}
-
-TEST(ReadjustVectorTest, EmptyInput) {
-  EXPECT_TRUE(ReadjustVector({}, 2).empty());
-}
-
-// --- properties of the readjustment (optimality, Section 2.1) -------------------
-
-class ReadjustPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ReadjustPropertyTest, AllSharesFeasibleAfterReadjustment) {
-  const int cpus = GetParam();
-  common::Rng rng(1000 + static_cast<std::uint64_t>(cpus));
-  for (int trial = 0; trial < 200; ++trial) {
-    const int t = static_cast<int>(rng.UniformInt(1, 40));
-    std::vector<double> w;
-    for (int i = 0; i < t; ++i) {
-      w.push_back(static_cast<double>(rng.UniformInt(1, 10000)));
-    }
-    std::sort(w.begin(), w.end(), std::greater<>());
-    const auto phi = ReadjustVector(w, cpus);
-    if (t <= cpus) {
-      // Every thread can hold a full processor: the closest feasible assignment
-      // is equal instantaneous weights (shares of 1/t >= 1/p are unreachable
-      // anyway — a thread cannot use more than one CPU).
-      for (double f : phi) {
-        EXPECT_DOUBLE_EQ(f, phi[0]);
-      }
-      continue;
-    }
-    const double total = Sum(phi);
-    for (double f : phi) {
-      EXPECT_LE(f / total, 1.0 / cpus + 1e-9);
-    }
-  }
-}
-
-TEST_P(ReadjustPropertyTest, FeasibleWeightsNeverChangeAndCapsAreTight) {
-  const int cpus = GetParam();
-  common::Rng rng(2000 + static_cast<std::uint64_t>(cpus));
-  for (int trial = 0; trial < 200; ++trial) {
-    const int t = static_cast<int>(rng.UniformInt(cpus + 1, 40));
-    std::vector<double> w;
-    for (int i = 0; i < t; ++i) {
-      w.push_back(static_cast<double>(rng.UniformInt(1, 10000)));
-    }
-    std::sort(w.begin(), w.end(), std::greater<>());
-    const auto phi = ReadjustVector(w, cpus);
-    const double total = Sum(phi);
-    int capped = 0;
-    for (std::size_t i = 0; i < phi.size(); ++i) {
-      if (phi[i] != w[i]) {
-        ++capped;
-        // Changed weights are capped at exactly share 1/p — the nearest feasible
-        // value (optimality claim).
-        EXPECT_NEAR(phi[i] / total, 1.0 / cpus, 1e-9);
-        EXPECT_LT(phi[i], w[i]);  // caps only shrink
-      }
-    }
-    // "No more than (p-1) threads can have infeasible weights."
-    EXPECT_LE(capped, cpus - 1);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Cpus, ReadjustPropertyTest, ::testing::Values(2, 3, 4, 8, 16));
-
-// --- parity with the literal Figure 2 recursion ---------------------------------
-
-// Verbatim transcription of Figure 2 (the pre-optimization ReadjustVector body):
-// recomputes the suffix sum at every level, O(capped * n).  Kept here as the
-// parity oracle for the O(n) single-pass production form.
-void Figure2Recursive(std::vector<double>& weights, std::size_t i, int p) {
-  if (i >= weights.size() || p <= 1) {
-    return;
-  }
-  double suffix = 0.0;
-  for (std::size_t j = i; j < weights.size(); ++j) {
-    suffix += weights[j];
-  }
-  if (weights[i] * static_cast<double>(p) > suffix) {
-    Figure2Recursive(weights, i + 1, p - 1);
-    double sum_after = 0.0;
-    for (std::size_t j = i + 1; j < weights.size(); ++j) {
-      sum_after += weights[j];
-    }
-    weights[i] = sum_after / static_cast<double>(p - 1);
-  }
-}
-
-std::vector<double> Figure2Reference(const std::vector<double>& weights, int num_cpus) {
-  std::vector<double> result = weights;
-  if (result.size() <= static_cast<std::size_t>(num_cpus)) {
-    for (auto& w : result) {
-      w = 1.0;
-    }
-    return result;
-  }
-  Figure2Recursive(result, 0, num_cpus);
-  return result;
-}
-
-TEST(ReadjustVectorParityTest, MatchesFigure2RecursionAtLargeN) {
-  // Integer-valued weights sum exactly in double precision, so the two
-  // summation orders (per-level rescan vs one running suffix) must agree to
-  // the last bit on which threads get capped; the capped values themselves can
-  // differ only by accumulated rounding of the handful of non-integer caps.
-  for (const int cpus : {2, 8, 64, 256}) {
-    for (const int n : {300, 5000, 50000}) {
-      common::Rng rng(7000 + static_cast<std::uint64_t>(cpus * 31 + n));
-      std::vector<double> w;
-      w.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        // Heavy-tailed draw so several threads actually violate Equation 1.
-        const auto r = rng.UniformInt(1, 100);
-        w.push_back(static_cast<double>(r <= 3 ? rng.UniformInt(n, 40 * n) : r));
-      }
-      std::sort(w.begin(), w.end(), std::greater<>());
-      const auto fast = ReadjustVector(w, cpus);
-      const auto reference = Figure2Reference(w, cpus);
-      ASSERT_EQ(fast.size(), reference.size());
-      int capped = 0;
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        if (fast[i] != w[i]) {
-          ++capped;
-          EXPECT_NE(reference[i], w[i]) << "cap-set mismatch at " << i;
-          EXPECT_NEAR(fast[i], reference[i], 1e-9 * reference[i])
-              << "cpus=" << cpus << " n=" << n << " i=" << i;
-        } else {
-          EXPECT_EQ(reference[i], w[i]) << "cap-set mismatch at " << i;
-        }
-      }
-      EXPECT_LE(capped, cpus - 1);
-    }
-  }
-}
-
-TEST(ReadjustVectorParityTest, FractionalWeightsMatchToRounding) {
-  // Non-integer weights do not sum exactly, and the single-pass form uses a
-  // different summation order than the per-index rescans of the recursion, so
-  // parity here is to rounding, not to the bit: capped values within relative
-  // 1e-12 and the same number of caps (a cap-set flip requires a feasibility
-  // comparison to land within an ulp of its suffix sum, which random draws do
-  // not produce).
-  for (const int cpus : {2, 8, 64}) {
-    common::Rng rng(9100 + static_cast<std::uint64_t>(cpus));
-    for (int trial = 0; trial < 50; ++trial) {
-      const int n = static_cast<int>(rng.UniformInt(cpus + 1, 4000));
-      std::vector<double> w;
-      w.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        const bool heavy = rng.UniformInt(1, 100) <= 3;
-        const double base = heavy ? static_cast<double>(rng.UniformInt(n, 20 * n))
-                                  : static_cast<double>(rng.UniformInt(1, 100));
-        w.push_back(base + static_cast<double>(rng.UniformInt(0, 999)) / 1000.0);
-      }
-      std::sort(w.begin(), w.end(), std::greater<>());
-      const auto fast = ReadjustVector(w, cpus);
-      const auto reference = Figure2Reference(w, cpus);
-      ASSERT_EQ(fast.size(), reference.size());
-      int fast_caps = 0;
-      int reference_caps = 0;
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        fast_caps += fast[i] != w[i] ? 1 : 0;
-        reference_caps += reference[i] != w[i] ? 1 : 0;
-        EXPECT_NEAR(fast[i], reference[i], 1e-12 * reference[i]) << "cpus=" << cpus << " i=" << i;
-      }
-      EXPECT_EQ(fast_caps, reference_caps) << "cpus=" << cpus;
-    }
-  }
-}
-
-TEST(ReadjustVectorParityTest, BitIdenticalOnIntegerWeightsWithOneCap) {
-  // With a single infeasible thread every term of the assignment sum is an
-  // original integer weight: both implementations compute the same exact
-  // suffix, so the results are bit-identical, not merely close.
-  for (const int cpus : {2, 4, 16}) {
-    std::vector<double> w(1000, 1.0);
-    w[0] = 100000.0;
-    const auto fast = ReadjustVector(w, cpus);
-    const auto reference = Figure2Reference(w, cpus);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      EXPECT_EQ(fast[i], reference[i]) << i;
-    }
-  }
-}
-
-// --- ReadjustQueue: production form matches the reference -----------------------
 
 class QueueFixture {
  public:
@@ -306,10 +60,237 @@ class QueueFixture {
   double total_ = 0.0;
 };
 
+// ReadjustQueue over a queue filed from `weights`: the phis in queue order,
+// which is descending weight.
+std::vector<double> ReadjustWeights(const std::vector<double>& weights, int cpus) {
+  QueueFixture fx(weights);
+  fx.Readjust(cpus);
+  return fx.PhisInQueueOrder();
+}
+
+// --- a weight vector readjusted through the queue --------------------------------
+
+TEST(ReadjustVectorTest, FeasibleAssignmentUnchanged) {
+  // 1:1:2 on two processors is feasible (2/4 == 1/2, not greater).
+  const std::vector<double> w = {2.0, 1.0, 1.0};
+  EXPECT_EQ(ReadjustWeights(w, 2), w);
+}
+
+TEST(ReadjustVectorTest, PaperExample1Weights) {
+  // Example 1: w = {10, 1} on 2 CPUs.  t <= p: both get equal instantaneous
+  // weights (each can consume at most one processor).
+  const auto phi = ReadjustWeights({10.0, 1.0}, 2);
+  ASSERT_EQ(phi.size(), 2u);
+  EXPECT_DOUBLE_EQ(phi[0], phi[1]);
+}
+
+TEST(ReadjustVectorTest, SingleInfeasibleThreadCapped) {
+  // {10, 1, 1, 1, 1} on 2 CPUs: 10/14 > 1/2 -> capped to share exactly 1/2.
+  const auto phi = ReadjustWeights({10.0, 1.0, 1.0, 1.0, 1.0}, 2);
+  const double total = Sum(phi);
+  EXPECT_NEAR(phi[0] / total, 0.5, kEps);
+  for (std::size_t i = 1; i < phi.size(); ++i) {
+    EXPECT_DOUBLE_EQ(phi[i], 1.0);  // feasible weights never change
+  }
+}
+
+TEST(ReadjustVectorTest, TwoInfeasibleThreadsOnFourCpus) {
+  // {100, 50, 1, 1, 1, 1} on 4 CPUs: both heavy threads exceed 1/4.
+  const auto phi = ReadjustWeights({100.0, 50.0, 1.0, 1.0, 1.0, 1.0}, 4);
+  const double total = Sum(phi);
+  EXPECT_NEAR(phi[0] / total, 0.25, kEps);
+  EXPECT_NEAR(phi[1] / total, 0.25, kEps);
+  EXPECT_DOUBLE_EQ(phi[0], phi[1]);  // all capped threads share one value
+  for (std::size_t i = 2; i < phi.size(); ++i) {
+    EXPECT_DOUBLE_EQ(phi[i], 1.0);
+  }
+}
+
+TEST(ReadjustVectorTest, BoundaryShareExactlyOneOverPIsFeasible) {
+  // Share == 1/p satisfies Equation 1 (not a violation).
+  const std::vector<double> w = {2.0, 1.0, 1.0};  // 2/4 == 1/2 on 2 CPUs
+  const auto phi = ReadjustWeights(w, 2);
+  EXPECT_EQ(phi, w);
+}
+
+TEST(ReadjustVectorTest, UniprocessorNeverReadjusts) {
+  // On one CPU every assignment is feasible (w_i / sum <= 1 always).
+  const std::vector<double> w = {100.0, 1.0, 1.0};
+  EXPECT_EQ(ReadjustWeights(w, 1), w);
+}
+
+TEST(ReadjustVectorTest, FewerThreadsThanCpusAllEqual) {
+  const auto phi = ReadjustWeights({7.0, 3.0, 2.0}, 4);
+  EXPECT_DOUBLE_EQ(phi[0], phi[1]);
+  EXPECT_DOUBLE_EQ(phi[1], phi[2]);
+}
+
+TEST(ReadjustVectorTest, BlockingMakesFeasibleInfeasible) {
+  // The Section 2.1 example: 1:1:2 feasible on 2 CPUs; when a weight-1 thread
+  // blocks, {2, 1} remains (t == p) and must become equal shares.
+  const auto before = ReadjustWeights({2.0, 1.0, 1.0}, 2);
+  EXPECT_DOUBLE_EQ(before[0], 2.0);
+  const auto after = ReadjustWeights({2.0, 1.0}, 2);
+  EXPECT_DOUBLE_EQ(after[0], after[1]);
+}
+
+TEST(ReadjustVectorTest, EmptyInput) {
+  EXPECT_TRUE(ReadjustWeights({}, 2).empty());
+}
+
+// --- properties of the readjustment (optimality, Section 2.1) -------------------
+
+class ReadjustPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReadjustPropertyTest, AllSharesFeasibleAfterReadjustment) {
+  const int cpus = GetParam();
+  common::Rng rng(1000 + static_cast<std::uint64_t>(cpus));
+  for (int trial = 0; trial < 200; ++trial) {
+    const int t = static_cast<int>(rng.UniformInt(1, 40));
+    std::vector<double> w;
+    for (int i = 0; i < t; ++i) {
+      w.push_back(static_cast<double>(rng.UniformInt(1, 10000)));
+    }
+    std::sort(w.begin(), w.end(), std::greater<>());
+    const auto phi = ReadjustWeights(w, cpus);
+    if (t <= cpus) {
+      // Every thread can hold a full processor: the closest feasible assignment
+      // is equal instantaneous weights (shares of 1/t >= 1/p are unreachable
+      // anyway — a thread cannot use more than one CPU).
+      for (double f : phi) {
+        EXPECT_DOUBLE_EQ(f, phi[0]);
+      }
+      continue;
+    }
+    const double total = Sum(phi);
+    for (double f : phi) {
+      EXPECT_LE(f / total, 1.0 / cpus + 1e-9);
+    }
+  }
+}
+
+TEST_P(ReadjustPropertyTest, FeasibleWeightsNeverChangeAndCapsAreTight) {
+  const int cpus = GetParam();
+  common::Rng rng(2000 + static_cast<std::uint64_t>(cpus));
+  for (int trial = 0; trial < 200; ++trial) {
+    const int t = static_cast<int>(rng.UniformInt(cpus + 1, 40));
+    std::vector<double> w;
+    for (int i = 0; i < t; ++i) {
+      w.push_back(static_cast<double>(rng.UniformInt(1, 10000)));
+    }
+    std::sort(w.begin(), w.end(), std::greater<>());
+    const auto phi = ReadjustWeights(w, cpus);
+    const double total = Sum(phi);
+    int capped = 0;
+    for (std::size_t i = 0; i < phi.size(); ++i) {
+      if (phi[i] != w[i]) {
+        ++capped;
+        // Changed weights are capped at exactly share 1/p — the nearest feasible
+        // value (optimality claim).
+        EXPECT_NEAR(phi[i] / total, 1.0 / cpus, 1e-9);
+        EXPECT_LT(phi[i], w[i]);  // caps only shrink
+      }
+    }
+    // "No more than (p-1) threads can have infeasible weights."
+    EXPECT_LE(capped, cpus - 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpus, ReadjustPropertyTest, ::testing::Values(2, 3, 4, 8, 16));
+
+// --- parity with the literal Figure 2 recursion ---------------------------------
+
+TEST(ReadjustVectorParityTest, MatchesFigure2RecursionAtLargeN) {
+  // Integer-valued weights sum exactly in double precision, so the two
+  // summation orders (per-level rescan vs one running suffix) must agree to
+  // the last bit on which threads get capped; the capped values themselves can
+  // differ only by accumulated rounding of the handful of non-integer caps.
+  for (const int cpus : {2, 8, 64, 256}) {
+    for (const int n : {300, 5000, 50000}) {
+      common::Rng rng(7000 + static_cast<std::uint64_t>(cpus * 31 + n));
+      std::vector<double> w;
+      w.reserve(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        // Heavy-tailed draw so several threads actually violate Equation 1.
+        const auto r = rng.UniformInt(1, 100);
+        w.push_back(static_cast<double>(r <= 3 ? rng.UniformInt(n, 40 * n) : r));
+      }
+      std::sort(w.begin(), w.end(), std::greater<>());
+      const auto fast = ReadjustWeights(w, cpus);
+      const auto reference = Figure2Reference(w, cpus);
+      ASSERT_EQ(fast.size(), reference.size());
+      int capped = 0;
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        if (fast[i] != w[i]) {
+          ++capped;
+          EXPECT_NE(reference[i], w[i]) << "cap-set mismatch at " << i;
+          EXPECT_NEAR(fast[i], reference[i], 1e-9 * reference[i])
+              << "cpus=" << cpus << " n=" << n << " i=" << i;
+        } else {
+          EXPECT_EQ(reference[i], w[i]) << "cap-set mismatch at " << i;
+        }
+      }
+      EXPECT_LE(capped, cpus - 1);
+    }
+  }
+}
+
+TEST(ReadjustVectorParityTest, FractionalWeightsMatchToRounding) {
+  // Non-integer weights do not sum exactly, and the queue pass uses a
+  // different summation order than the per-index rescans of the recursion, so
+  // parity here is to rounding, not to the bit: capped values within relative
+  // 1e-12 and the same number of caps (a cap-set flip requires a feasibility
+  // comparison to land within an ulp of its suffix sum, which random draws do
+  // not produce).
+  for (const int cpus : {2, 8, 64}) {
+    common::Rng rng(9100 + static_cast<std::uint64_t>(cpus));
+    for (int trial = 0; trial < 50; ++trial) {
+      const int n = static_cast<int>(rng.UniformInt(cpus + 1, 4000));
+      std::vector<double> w;
+      w.reserve(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        const bool heavy = rng.UniformInt(1, 100) <= 3;
+        const double base = heavy ? static_cast<double>(rng.UniformInt(n, 20 * n))
+                                  : static_cast<double>(rng.UniformInt(1, 100));
+        w.push_back(base + static_cast<double>(rng.UniformInt(0, 999)) / 1000.0);
+      }
+      std::sort(w.begin(), w.end(), std::greater<>());
+      const auto fast = ReadjustWeights(w, cpus);
+      const auto reference = Figure2Reference(w, cpus);
+      ASSERT_EQ(fast.size(), reference.size());
+      int fast_caps = 0;
+      int reference_caps = 0;
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        fast_caps += fast[i] != w[i] ? 1 : 0;
+        reference_caps += reference[i] != w[i] ? 1 : 0;
+        EXPECT_NEAR(fast[i], reference[i], 1e-12 * reference[i]) << "cpus=" << cpus << " i=" << i;
+      }
+      EXPECT_EQ(fast_caps, reference_caps) << "cpus=" << cpus;
+    }
+  }
+}
+
+TEST(ReadjustVectorParityTest, BitIdenticalOnIntegerWeightsWithOneCap) {
+  // With a single infeasible thread every term of the assignment sum is an
+  // original integer weight: both implementations compute the same exact
+  // suffix, so the results are bit-identical, not merely close.
+  for (const int cpus : {2, 4, 16}) {
+    std::vector<double> w(1000, 1.0);
+    w[0] = 100000.0;
+    const auto fast = ReadjustWeights(w, cpus);
+    const auto reference = Figure2Reference(w, cpus);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(fast[i], reference[i]) << i;
+    }
+  }
+}
+
+// --- ReadjustQueue: bookkeeping and tie-breaks ----------------------------------
+
 TEST(ReadjustQueueTest, MatchesReferenceOnPaperExample) {
   QueueFixture fx({1.0, 10.0, 1.0, 1.0, 1.0});
   fx.Readjust(2);
-  const auto expected = ReadjustVector({10.0, 1.0, 1.0, 1.0, 1.0}, 2);
+  const auto expected = Figure2Reference({10.0, 1.0, 1.0, 1.0, 1.0}, 2);
   EXPECT_EQ(fx.PhisInQueueOrder(), expected);
 }
 
@@ -400,7 +381,7 @@ TEST(ReadjustQueuePropertyTest, EquivalentToRecursiveReferenceRandomized) {
 
     QueueFixture fx(w);
     fx.Readjust(cpus);
-    const auto expected = ReadjustVector(w, cpus);
+    const auto expected = Figure2Reference(w, cpus);
     const auto actual = fx.PhisInQueueOrder();
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/common/fingerprint.h"
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
 #include "src/sched/sfs.h"
@@ -127,13 +128,9 @@ TEST(ShardedDifferentialTest, UniprocessorShardedSfsMatchesGlobalSfsProtocol) {
 // (arrivals, exits, blocking sleepers, a mid-run kill) at p=1.
 std::uint64_t EngineFingerprint(Scheduler& scheduler) {
   sim::Engine engine(scheduler);
-  std::uint64_t fingerprint = 1469598103934665603ULL;
+  common::Fnv1a fingerprint;
   engine.SetRunIntervalHook([&fingerprint](Tick start, Tick len, CpuId cpu, ThreadId tid) {
-    for (const std::uint64_t x : {static_cast<std::uint64_t>(start), static_cast<std::uint64_t>(len),
-                                  static_cast<std::uint64_t>(cpu), static_cast<std::uint64_t>(tid)}) {
-      fingerprint ^= x;
-      fingerprint *= 1099511628211ULL;
-    }
+    fingerprint.MixRun(start, len, cpu, tid);
   });
   engine.AddTaskAt(0, workload::MakeInf(1, 3.0, "hog"));
   engine.AddTaskAt(Msec(50), workload::MakeInf(2, 1.0, "hog"));
@@ -148,7 +145,7 @@ std::uint64_t EngineFingerprint(Scheduler& scheduler) {
     }
   });
   engine.RunUntil(Sec(5));
-  return fingerprint;
+  return fingerprint.value();
 }
 
 TEST(ShardedDifferentialTest, UniprocessorShardedSfsMatchesGlobalSfsEngineTrace) {

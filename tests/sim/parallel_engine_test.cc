@@ -101,15 +101,10 @@ RunResult RunSerial(SchedKind kind, bool hint) {
   common::Fnv1a run_fp;
   common::Fnv1a life_fp;
   engine.SetRunIntervalHook([&run_fp](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-    run_fp.Mix(static_cast<std::uint64_t>(start));
-    run_fp.Mix(static_cast<std::uint64_t>(len));
-    run_fp.Mix(static_cast<std::uint64_t>(cpu));
-    run_fp.Mix(static_cast<std::uint64_t>(tid));
+    run_fp.MixRun(start, len, cpu, tid);
   });
   engine.SetSchedEventHook([&life_fp](SchedEvent event, const Task& task, Tick now) {
-    life_fp.Mix(static_cast<std::uint64_t>(event));
-    life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-    life_fp.Mix(static_cast<std::uint64_t>(now));
+    life_fp.MixEvent(event, task.tid(), now);
   });
   AddWorkload(engine, kCpus, hint, /*churn=*/true);
   engine.RunUntil(kHorizon);
@@ -139,16 +134,11 @@ RunResult RunParallel(SchedKind kind, int workers, bool hint, bool churn,
   common::Fnv1a life_fp;
   engine.SetRunIntervalHook(
       [&run_fp](int /*worker*/, Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
+        run_fp.MixRun(start, len, cpu, tid);
       });
   engine.SetSchedEventHook(
       [&life_fp](int /*worker*/, SchedEvent event, const Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
+        life_fp.MixEvent(event, task.tid(), now);
       });
   AddWorkload(engine, kCpus, hint, churn);
   engine.RunUntil(kHorizon);
@@ -236,15 +226,11 @@ GroupedFingerprints RunPartitioned(int workers, int cpus) {
     Engine engine(*scheduler);
     engine.SetRunIntervalHook([&run_fps](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
       common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
-      fp.Mix(static_cast<std::uint64_t>(start));
-      fp.Mix(static_cast<std::uint64_t>(len));
-      fp.Mix(static_cast<std::uint64_t>(tid));
+      fp.MixRun(start, len, cpu, tid);
     });
     engine.SetSchedEventHook([&life_fps, cpus](SchedEvent event, const Task& task, Tick now) {
       common::Fnv1a& fp = life_fps[static_cast<std::size_t>(task.tid() % cpus)];
-      fp.Mix(static_cast<std::uint64_t>(event));
-      fp.Mix(static_cast<std::uint64_t>(task.tid()));
-      fp.Mix(static_cast<std::uint64_t>(now));
+      fp.MixEvent(event, task.tid(), now);
     });
     AddWorkload(engine, cpus, /*hint=*/true, /*churn=*/false);
     run_hooks(engine);
@@ -257,16 +243,12 @@ GroupedFingerprints RunPartitioned(int workers, int cpus) {
     engine.SetRunIntervalHook(
         [&run_fps](int /*worker*/, Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
           common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(tid));
+          fp.MixRun(start, len, cpu, tid);
         });
     engine.SetSchedEventHook(
         [&life_fps, cpus](int /*worker*/, SchedEvent event, const Task& task, Tick now) {
           common::Fnv1a& fp = life_fps[static_cast<std::size_t>(task.tid() % cpus)];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
+          fp.MixEvent(event, task.tid(), now);
         });
     AddWorkload(engine, cpus, /*hint=*/true, /*churn=*/false);
     run_hooks(engine);
